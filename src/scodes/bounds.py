@@ -10,7 +10,6 @@ All arithmetic is exact (ints and Fractions); floats never enter a bound.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -18,11 +17,12 @@ from fractions import Fraction
 from importlib import resources
 from typing import Optional, Sequence
 
+from .constructions import skeleton_greedy
 from .divisible import sharp_floor
 from .provenance import BoundResult
 from .qcombi import QPolynomial, gauss_binomial, gauss_int, qpoly_parse
 from .rankmetric import fdrm_upper_bound, mrd_size
-from .spaces import ferrers_of, hamming_distance
+from .spaces import ferrers_of
 
 
 class Inapplicable(ValueError):
@@ -419,7 +419,6 @@ def _ef_achievable_size(q: int, n: int, k: int, d: int) -> int:
     """Sum of realizable diagram-code sizes over a greedy skeleton: exact
     for delta <= 2 and rectangles, conservative (1) elsewhere."""
     delta = d // 2
-    seed = tuple([1] * k + [0] * (n - k))
 
     def achievable(v) -> int:
         diagram = ferrers_of(v)
@@ -434,20 +433,7 @@ def _ef_achievable_size(q: int, n: int, k: int, d: int) -> int:
             return fdrm_upper_bound(diagram, delta, q)
         return 1
 
-    scored = []
-    for support in itertools.combinations(range(n), k):
-        v = tuple(1 if j in support else 0 for j in range(n))
-        if v == seed:
-            continue
-        scored.append((-fdrm_upper_bound(ferrers_of(v), delta, q), v))
-    scored.sort()
-    chosen = [seed]
-    total = achievable(seed)
-    for _, v in scored:
-        if all(hamming_distance(v, u) >= d for u in chosen):
-            chosen.append(v)
-            total += achievable(v)
-    return total
+    return sum(achievable(v) for v in skeleton_greedy(q, n, k, d).vectors)
 
 
 class BoundEngine:

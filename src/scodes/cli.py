@@ -11,11 +11,14 @@ Code files (extension .scode) are line oriented, UTF-8, LF:
     each codeword; '#' starts a comment line.  Codewords are written in
     canonical order (sorted reduced-row-echelon generators).
 
-Packing data files use the same format with an extra `part=<i>` comment
-line opening each section.
+Packing data files use the same format, with a `# part=<i>` comment line
+opening each part; every codeword follows some part line, and `count` is
+the number of codewords over all parts.  One reader parses both kinds of
+file and checks the magic line, the header, every row and the count.
 
 Exit codes: 0 ok, 2 parameter error, 3 verification failure, 4 data-file
-error.
+error.  Every malformed or unreadable code or packing file exits 4 with a
+`data error:` line.
 """
 
 from __future__ import annotations
@@ -82,81 +85,83 @@ def _parse_header(line: str) -> dict:
     return fields
 
 
-def read_code_file(path: str) -> Cdc:
+def _read_scode(path: str) -> tuple[dict, list[list[Subspace]]]:
+    """
+    Parse a .scode file into its integer header fields and its sections of
+    codewords: section 0 holds the words before the first `# part=<i>`
+    line, and each such line opens the next section.  Every defect in the
+    file, including the header's count and the words' dimension, raises
+    FileError.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             raw = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeError) as exc:
         raise FileError(str(exc))
-    lines = [l for l in raw if not l.startswith("#")]
-    if not lines or lines[0].strip() != "SCODE 1":
+    content = (i for i, line in enumerate(raw) if not line.lstrip().startswith("#"))
+    magic_at, head_at = next(content, None), next(content, None)
+    if magic_at is None or raw[magic_at].strip() != "SCODE 1":
         raise FileError(f"{path}: missing SCODE 1 magic")
-    head = _parse_header(lines[1])
+    if head_at is None:
+        raise FileError(f"{path}: missing header line")
+    fields = _parse_header(raw[head_at])
     try:
-        q, p, e = int(head["q"]), int(head["p"]), int(head["e"])
-        n, k, d, count = int(head["n"]), int(head["k"]), int(head["d"]), int(head["count"])
+        head = {key: int(fields[key]) for key in ("q", "p", "e", "n", "k", "d", "count")}
+        q, p, e = head["q"], head["p"], head["e"]
+        if p**e != q:
+            raise ValueError("q != p^e")
+        if "mod" in fields:
+            field = field_create(p, e, [int(c) for c in fields["mod"].split(",")])
+        else:
+            field = GF(q)
     except (KeyError, ValueError) as exc:
         raise FileError(f"{path}: bad header ({exc})")
-    if p**e != q:
-        raise FileError(f"{path}: q != p^e in header")
-    if "mod" in head:
-        field = field_create(p, e, [int(c) for c in head["mod"].split(",")])
-    else:
-        field = GF(q)
-    words = []
+    n, k = head["n"], head["k"]
+    parts: list[list[Subspace]] = [[]]
     row_buf: list[list[int]] = []
-    for line in lines[2:]:
+    for line in raw[head_at + 1:]:
         stripped = line.strip()
         if not stripped:
             continue
-        row = [int(x) for x in stripped.split()]
-        if len(row) != n or any(not 0 <= x < q for x in row):
+        if stripped.startswith("#"):
+            if stripped.lstrip("#").strip().startswith("part="):
+                parts.append([])
+            continue
+        try:
+            row = [int(x) for x in stripped.split()]
+        except ValueError:
+            row = None
+        if row is None or len(row) != n or any(not 0 <= x < q for x in row):
             raise FileError(f"{path}: bad codeword row {stripped!r}")
         row_buf.append(row)
         if len(row_buf) == k:
-            words.append(Subspace.from_matrix(MatGF(field, row_buf, n)))
+            parts[-1].append(Subspace.from_matrix(MatGF(field, row_buf, n)))
             row_buf = []
     if row_buf:
         raise FileError(f"{path}: trailing incomplete codeword")
-    if len(words) != count:
-        raise FileError(f"{path}: header declares {count} codewords, found {len(words)}")
+    words = [w for part in parts for w in part]
+    if len(words) != head["count"]:
+        raise FileError(f"{path}: header declares {head['count']} codewords, found {len(words)}")
     if len(set(words)) != len(words):
         raise FileError(f"{path}: duplicate codewords")
     for w in words:
         if w.k != k:
             raise FileError(f"{path}: codeword of dimension {w.k}, expected {k}")
-    return Cdc(q, n, k, d, tuple(words), ("file", (("path", path),)))
+    return head, parts
+
+
+def read_code_file(path: str) -> Cdc:
+    head, parts = _read_scode(path)
+    words = tuple(w for part in parts for w in part)
+    return Cdc(head["q"], head["n"], head["k"], head["d"], words, ("file", (("path", path),)))
 
 
 def read_packing_file(path: str, d_inner: int) -> DPacking:
+    head, parts = _read_scode(path)
+    if parts[0]:
+        raise FileError(f"{path}: codeword before any part marker")
     try:
-        with open(path, encoding="utf-8") as fh:
-            raw = fh.read().splitlines()
-    except OSError as exc:
-        raise FileError(str(exc))
-    if not raw or raw[0].strip() != "SCODE 1":
-        raise FileError(f"{path}: missing SCODE 1 magic")
-    head = _parse_header(raw[1])
-    q, n, k = int(head["q"]), int(head["n"]), int(head["k"])
-    field = GF(q)
-    parts: list[list[Subspace]] = []
-    row_buf: list[list[int]] = []
-    for line in raw[2:]:
-        stripped = line.strip()
-        if stripped.startswith("#"):
-            if stripped.lstrip("#").strip().startswith("part="):
-                parts.append([])
-            continue
-        if not stripped:
-            continue
-        row_buf.append([int(x) for x in stripped.split()])
-        if len(row_buf) == k:
-            if not parts:
-                raise FileError(f"{path}: codeword before any part marker")
-            parts[-1].append(Subspace.from_matrix(MatGF(field, row_buf, n)))
-            row_buf = []
-    try:
-        return load_packing(q, n, k, d_inner, parts)
+        return load_packing(head["q"], head["n"], head["k"], d_inner, parts[1:])
     except ValueError as exc:
         raise FileError(f"{path}: {exc}")
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .gfq import GF
 from .qcombi import gauss_binomial
@@ -372,6 +372,35 @@ def _pivot_embedding(M: MatGF, G: Subspace, n2: int) -> tuple[tuple[int, ...], .
     return tuple(rows)
 
 
+def _coset_family(pack1: DPacking, pack2: DPacking, M: RankCode, d1: int, d2: int,
+                  rule: str, rmc_shape: tuple[int, int],
+                  word: Callable[[Subspace, Subspace, MatGF], Subspace]) -> Cdc:
+    """Checks, word loop and provenance shared by both coset layouts;
+    word(U1, U2, Mw) places one rank-code word between two packing words."""
+    if len(pack1) != len(pack2):
+        raise ValueError("packings must have the same number of parts")
+    d = d1 + d2
+    if pack1.d_inner < d or pack2.d_inner < d:
+        raise ValueError("packing inner distance below d1 + d2")
+    if pack1.d_ambient < d1 or pack2.d_ambient < d2:
+        raise ValueError("ambient packing distance below the declared split")
+    if (M.m, M.n) != rmc_shape:
+        raise ValueError(f"rank code must be {rmc_shape[0]} x {rmc_shape[1]}")
+    if 2 * M.d < d:
+        raise ValueError("rank distance too small")
+    words = []
+    for part1, part2 in zip(pack1.parts, pack2.parts):
+        for U1 in part1:
+            for U2 in part2:
+                for Mw in M.words:
+                    words.append(word(U1, U2, Mw))
+    n1, n2 = pack1.n, pack2.n
+    k1, k2 = pack1.k, pack2.k
+    max_rank = max((rank(w) for w in M.words), default=0)
+    return _mk(pack1.q, n1 + n2, k1 + k2, d, words, rule,
+               n1=n1, n2=n2, d1=d1, d2=d2, k1=k1, k2=k2, rmc_max_rank=max_rank)
+
+
 def coset_construction(pack1: DPacking, pack2: DPacking, M: RankCode,
                        d1: int, d2: int) -> Cdc:
     """
@@ -382,34 +411,17 @@ def coset_construction(pack1: DPacking, pack2: DPacking, M: RankCode,
 
     using the pivot-column embedding; distance d1 + d2.
     """
-    if len(pack1) != len(pack2):
-        raise ValueError("packings must have the same number of parts")
-    d = d1 + d2
-    if pack1.d_inner < d or pack2.d_inner < d:
-        raise ValueError("packing inner distance below d1 + d2")
-    if pack1.d_ambient < d1 or pack2.d_ambient < d2:
-        raise ValueError("ambient packing distance below the declared split")
-    n1, n2 = pack1.n, pack2.n
-    k1, k2 = pack1.k, pack2.k
-    if (M.m, M.n) != (k1, n2 - k2):
-        raise ValueError(f"rank code must be {k1} x {n2 - k2}")
-    if 2 * M.d < d:
-        raise ValueError("rank distance too small")
     field = GF(pack1.q)
-    n = n1 + n2
-    words = []
-    for part1, part2 in zip(pack1.parts, pack2.parts):
-        for U1 in part1:
-            for U2 in part2:
-                for Mw in M.words:
-                    top_right = _pivot_embedding(Mw, U2, n2)
-                    rows = [tuple(r) + tr for r, tr in zip(U1.rref.entries, top_right)]
-                    rows += [(0,) * n1 + tuple(r) for r in U2.rref.entries]
-                    piv = list(U1.pivot_positions()) + [n1 + p for p in U2.pivot_positions()]
-                    words.append(Subspace.from_rref(field, n, rows, piv))
-    max_rank = max((rank(w) for w in M.words), default=0)
-    return _mk(pack1.q, n, k1 + k2, d, words, "coset",
-               n1=n1, n2=n2, d1=d1, d2=d2, k1=k1, k2=k2, rmc_max_rank=max_rank)
+    n1, n2 = pack1.n, pack2.n
+
+    def word(U1: Subspace, U2: Subspace, Mw: MatGF) -> Subspace:
+        top_right = _pivot_embedding(Mw, U2, n2)
+        rows = [tuple(r) + tr for r, tr in zip(U1.rref.entries, top_right)]
+        rows += [(0,) * n1 + tuple(r) for r in U2.rref.entries]
+        piv = list(U1.pivot_positions()) + [n1 + p for p in U2.pivot_positions()]
+        return Subspace.from_rref(field, n1 + n2, rows, piv)
+
+    return _coset_family(pack1, pack2, M, d1, d2, "coset", (pack1.k, n2 - pack2.k), word)
 
 
 def mirrored_coset_construction(pack1: DPacking, pack2: DPacking, M: RankCode,
@@ -425,31 +437,17 @@ def mirrored_coset_construction(pack1: DPacking, pack2: DPacking, M: RankCode,
     brute-force certification is requested (pivot-block bookkeeping alone
     cannot separate them).
     """
-    if len(pack1) != len(pack2):
-        raise ValueError("packings must have the same number of parts")
-    d = d1 + d2
-    if pack1.d_inner < d or pack2.d_inner < d:
-        raise ValueError("packing inner distance below d1 + d2")
-    n1, n2 = pack1.n, pack2.n
-    k1, k2 = pack1.k, pack2.k
-    if (M.m, M.n) != (k2, n1 - k1):
-        raise ValueError(f"rank code must be {k2} x {n1 - k1}")
-    if 2 * M.d < d:
-        raise ValueError("rank distance too small")
     field = GF(pack1.q)
-    n = n1 + n2
-    words = []
-    for part1, part2 in zip(pack1.parts, pack2.parts):
-        for U1 in part1:
-            for U2 in part2:
-                for Mw in M.words:
-                    bottom_left = _pivot_embedding(Mw, U1, n1)
-                    rows = [tuple(r) + (0,) * n2 for r in U1.rref.entries]
-                    rows += [bl + tuple(r) for bl, r in zip(bottom_left, U2.rref.entries)]
-                    words.append(Subspace.from_matrix(MatGF(field, rows, n)))
-    max_rank = max((rank(w) for w in M.words), default=0)
-    return _mk(pack1.q, n, k1 + k2, d, words, "mirrored_coset",
-               n1=n1, n2=n2, d1=d1, d2=d2, k1=k1, k2=k2, rmc_max_rank=max_rank)
+    n1, n2 = pack1.n, pack2.n
+
+    def word(U1: Subspace, U2: Subspace, Mw: MatGF) -> Subspace:
+        # the generator is not in RREF, so canonicalize it
+        bottom_left = _pivot_embedding(Mw, U1, n1)
+        rows = [tuple(r) + (0,) * n2 for r in U1.rref.entries]
+        rows += [bl + tuple(r) for bl, r in zip(bottom_left, U2.rref.entries)]
+        return Subspace.from_matrix(MatGF(field, rows, n1 + n2))
+
+    return _coset_family(pack1, pack2, M, d1, d2, "mirrored_coset", (pack2.k, n1 - pack1.k), word)
 
 
 # -- block inserting ------------------------------------------------------------
@@ -566,9 +564,6 @@ def _lemma_certificate(A: Cdc, B: Cdc, d: int) -> Optional[str]:
 def _lemma_oriented(A: Cdc, B: Cdc, d: int) -> Optional[str]:
     ra, rb = A.rule, B.rule
     pa, pb = A.params, B.params
-    if "coset" in ra and "coset" in rb and ra != rb:
-        # mixing mirrored and standard coset subcodes is unsound in general
-        return None
     if ra in ("construction_d", "lifted_mrd") and rb == "coset":
         if (
             pa.get("n1") == pb["n1"]

@@ -67,10 +67,6 @@ def mrd_size(q: int, m: int, n: int, d: int) -> int:
     return q ** (max(m, n) * (min(m, n) - d + 1))
 
 
-def _ext_elements_list(E: ExtField) -> list[tuple[int, ...]]:
-    return list(E.elements())
-
-
 def gabidulin(q: int, n: int, m: int, d: int, cap: int = MATERIALIZE_CAP) -> RankCode:
     """
     Linear MRD code of m x n matrices over GF(q) with min rank distance d,
@@ -95,7 +91,7 @@ def gabidulin(q: int, n: int, m: int, d: int, cap: int = MATERIALIZE_CAP) -> Ran
         for _ in range(1, k):
             row.append(E.frobenius_q(row[-1]))
         pow_table.append(row)
-    elements = _ext_elements_list(E)
+    elements = list(E.elements())
     words = []
     for coeffs in itertools.product(elements, repeat=k):
         rows = []
@@ -203,43 +199,12 @@ def mrd_coset_partition(q: int, m: int, n: int, d: int, dprime: int, cap: int = 
     """
     if not (1 <= d <= dprime <= m <= n):
         raise ValueError("need 1 <= d <= d' <= m <= n")
-    base = GF(q)
-    E = ExtField(base, n)
-    k = m - d + 1
-    kp = m - dprime + 1
-    if q ** (n * k) > cap:
-        raise ValueError("code too large to materialize")
-    pow_table = []
-    for i in range(m):
-        z = E.basis(i)
-        row = [z]
-        for _ in range(1, k):
-            row.append(E.frobenius_q(row[-1]))
-        pow_table.append(row)
-
-    def evaluate(coeffs):
-        rows = []
-        for i in range(m):
-            acc = E.zero
-            for j, c in enumerate(coeffs):
-                if any(c):
-                    acc = E.add(acc, E.mul(c, pow_table[i][j]))
-            rows.append(acc)
-        return MatGF(base, rows, n)
-
-    elements = _ext_elements_list(E)
-    zero = E.zero
-    sub_words = [evaluate(c + (zero,) * (k - kp)) for c in itertools.product(elements, repeat=kp)]
-    cosets = []
-    for high in itertools.product(elements, repeat=k - kp):
-        rep = evaluate((zero,) * kp + high)
-        words = []
-        for w in sub_words:
-            F = base
-            rows = [tuple(F.add(a, b) for a, b in zip(ra, rb)) for ra, rb in zip(rep.entries, w.entries)]
-            words.append(MatGF(base, rows, n))
-        cosets.append(RankCode(base, m, n, dprime, tuple(words)))
-    return cosets
+    # `gabidulin` enumerates coefficient tuples with the highest q-degree
+    # varying fastest, so the words sharing their d'-d highest coefficients
+    # (one coset of the q-degree <= m-d' subcode) are every stride-th word.
+    code = gabidulin(q, n, m, d, cap)
+    stride = q ** (n * (dprime - d))
+    return [RankCode(code.field, m, n, dprime, code.words[h::stride]) for h in range(stride)]
 
 
 def product_rmc(codes: Sequence[RankCode], cap: int = MATERIALIZE_CAP) -> RankCode:

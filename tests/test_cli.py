@@ -1,3 +1,4 @@
+import hashlib
 import os
 
 import pytest
@@ -83,6 +84,23 @@ def test_verify_corrupt_file(tmp_path, capsys):
     rc, _, err = run(capsys, "verify", str(bad))
     assert rc == 4
     assert "data error" in err
+
+
+@pytest.mark.parametrize("name, text, argv", [
+    ("bad.scode", "SCODE 1\n", ["verify", "{path}"]),
+    ("bad.scode", "SCODE 1\nq=2 p=2 e=1 n=4 k=2 d=4 count=1\n1 0 0 x\n0 1 0 0\n\n",
+     ["verify", "{path}"]),
+    ("bad.scode", "SCODE 1\nq=4 p=2 e=2 n=4 k=2 d=4 count=1 mod=1,a\n1 0 0 0\n0 1 0 0\n\n",
+     ["verify", "{path}"]),
+    ("parallelism_q2_n4_k2.scode", "SCODE 1\nq=2 p=2 e=1 k=2 d=4 count=0\n",
+     ["construct", "coset", "--q", "2", "-o", "{dir}/out.scode"]),
+], ids=["header-only", "row-token", "modulus-token", "packing-without-n"])
+def test_malformed_input_exits_4(tmp_path, monkeypatch, capsys, name, text, argv):
+    (tmp_path / name).write_text(text, encoding="utf-8")
+    monkeypatch.setenv("SCODES_PACKINGS", str(tmp_path))
+    rc, _, err = run(capsys, *(a.format(path=tmp_path / name, dir=tmp_path) for a in argv))
+    assert rc == 4
+    assert err.startswith("data error:")
 
 
 def test_code_file_roundtrip_canonical(tmp_path):
@@ -243,3 +261,34 @@ def test_construct_gen_linkage(tmp_path, capsys):
                      "--d", "4", "--split", "4", "-o", path, "--verify-cap", "100")
     assert rc == 0
     assert "4622 codewords" in out
+
+
+# SHA-256 of the files written by `scodes construct`: they pin the words of
+# the Gabidulin coset partition (insert1), the coset builder (coset) and the
+# greedy skeleton (ef) byte for byte.
+GOLDEN_CONSTRUCT_SHA256 = {
+    ("insert1", "--q", "2"): "999326e204bb3952b30aeae198bf3333eee26451213b69b0e41cc38fb3594157",
+    ("coset", "--q", "2"): "36e5b5473a907b41e5c343a15bffd14d56bc2812344c87e805612b0d5234564b",
+    ("ef", "--q", "3", "--n", "7", "--k", "3", "--d", "4"):
+        "1d0202fd4b888e1e8717971a2e8e3d55491f9dba99351eddd76045b9b070245f",
+}
+
+
+@pytest.mark.parametrize("args", list(GOLDEN_CONSTRUCT_SHA256), ids=lambda args: args[0])
+def test_construct_output_matches_golden_digest(tmp_path, capsys, monkeypatch, args):
+    monkeypatch.delenv("SCODES_PACKINGS", raising=False)
+    path = tmp_path / "c.scode"
+    # exact verification of the 6685-word GF(3) code would take minutes;
+    # the written file does not depend on the verification mode
+    rc, _, _ = run(capsys, "construct", *args, "-o", str(path), "--verify-cap", "1000")
+    assert rc == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_CONSTRUCT_SHA256[args]
+
+
+def test_ef_achievable_size_golden():
+    from scodes.bounds import _ef_achievable_size
+
+    golden = {(2, 9, 4, 6): 1026, (2, 10, 5, 6): 32771, (2, 12, 6, 6): 16777227,
+              (2, 13, 4, 4): 152546649, (2, 13, 6, 8): 2097155, (3, 7, 3, 4): 6685,
+              (3, 8, 4, 4): 539578, (4, 6, 3, 4): 4117}
+    assert {p: _ef_achievable_size(*p) for p in golden} == golden

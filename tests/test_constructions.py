@@ -20,6 +20,7 @@ from scodes.constructions import (
     lifted_mrd,
     linkage,
     load_packing,
+    mirrored_coset_construction,
     partial_spread,
     single_codeword,
     skeleton_greedy,
@@ -235,15 +236,21 @@ def test_coset_construction_700():
         assert sum(v[:4]) == 2 and sum(v[4:]) == 2
 
 
-def test_coset_construction_singleton_part():
+@pytest.mark.parametrize("builder", [coset_construction, mirrored_coset_construction],
+                         ids=["standard", "mirrored"])
+def test_coset_construction_singleton_part(builder):
     U = Subspace.from_matrix(MatGF(F2, [[1, 0, 0, 0], [0, 1, 0, 0]]))
     W = Subspace.from_matrix(MatGF(F2, [[0, 0, 1, 0], [0, 0, 0, 1]]))
     p1 = DPacking(2, 4, 2, 4, ((U,),), d_ambient=4)
     p2 = DPacking(2, 4, 2, 4, ((W,),), d_ambient=4)
     zero = RankCode(F2, 2, 2, 2, (MatGF.zero(F2, 2, 2),))
-    code = coset_construction(p1, p2, zero, 2, 2)
+    code = builder(p1, p2, zero, 2, 2)
     assert len(code) == 1
     assert code.words[0].k == 4
+    # d1 above pack1.d_ambient is refused in either orientation
+    near = DPacking(2, 4, 2, 4, ((U,),), d_ambient=2)
+    with pytest.raises(ValueError, match="ambient"):
+        builder(near, p2, zero, 4, 0)
 
 
 def test_combine_4797():
