@@ -269,7 +269,7 @@ def cmd_construct(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return PARAM_ERROR
     exact = len(code.words) <= args.verify_cap
-    report = min_distance(code, "exact" if exact else "sampled", seed=0)
+    report = min_distance(code, "exact" if exact else "sampled", seed=0, cap=args.verify_cap)
     if not report.ok():
         print(f"verification FAILED: min distance {report.min_distance} < declared {code.d}",
               file=sys.stderr)
@@ -289,7 +289,7 @@ def cmd_verify(args) -> int:
         return DATA_ERROR
     exact = len(code.words) <= args.verify_cap and not args.sampled
     report = min_distance(code, "exact" if exact else "sampled",
-                          sample_count=args.sampled or 20000, seed=args.seed)
+                          sample_count=args.sampled or 20000, seed=args.seed, cap=args.verify_cap)
     expected = args.expect_d if args.expect_d is not None else code.d
     dist = report.min_distance
     print(f"{len(code.words)} codewords; computed min distance {dist} "

@@ -249,33 +249,26 @@ class Subspace:
                 v = [F.sub(x, F.mul(c, y)) for x, y in zip(v, row)]
         return not any(v)
 
-    def vectors(self) -> Iterator[tuple[int, ...]]:
-        """All q^k vectors of the subspace."""
-        F = self.field
-        for coeffs in itertools.product(range(F.q), repeat=self.k):
-            v = [0] * self.ambient_n
-            for c, row in zip(coeffs, self.rref.entries):
-                if c:
-                    for j, x in enumerate(row):
-                        if x:
-                            v[j] = F.add(v[j], F.mul(c, x))
-            yield tuple(v)
-
     def points(self) -> Iterator[tuple[int, ...]]:
-        """Canonical representatives (first nonzero coordinate 1) of the
-        projective points of the subspace."""
-        seen = set()
+        """The [k]_q projective points of the subspace, each as its canonical
+        representative (first nonzero coordinate 1).
+
+        Only combinations of the RREF rows whose first nonzero coefficient
+        is 1 are walked: such a combination led by row i is 1 at row i's
+        pivot and 0 before it, so it is already normalized, and distinct
+        combinations are distinct points.  The points led by row i are row i
+        plus the span of the rows below it, which is built bottom-up."""
         F = self.field
-        for v in self.vectors():
-            if not any(v):
-                continue
-            lead = next(x for x in v if x)
-            if lead != 1:
-                inv = F.inv(lead)
-                v = tuple(F.mul(inv, x) for x in v)
-            if v not in seen:
-                seen.add(v)
-                yield v
+        add, mul = F.add, F.mul
+        rows = self.rref.entries
+        span = [(0,) * self.ambient_n]  # span of rows i+1 .. k-1
+        for i in range(self.k - 1, -1, -1):
+            row = rows[i]
+            led = [tuple(map(add, row, v)) for v in span]
+            yield from led
+            if i:
+                scaled = [tuple(mul(c, x) for x in row) for c in range(2, F.q)]
+                span += led + [tuple(map(add, s, v)) for s in scaled for v in span]
 
     def __eq__(self, other) -> bool:
         return (

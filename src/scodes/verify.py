@@ -5,13 +5,24 @@ partial spreads, pivot structures, and an exhaustive optimum search for
 tiny parameter sets.
 
 Nothing here trusts construction-time declarations; distances are
-recomputed from generator matrices.
+recomputed from generator matrices.  The exact scan runs one
+point-incidence kernel for every q, sharing no rank or RREF code with the
+constructions: each word becomes a bitmask over the points of PG(n-1, q)
+it contains, and a pair's intersection has dimension t where its masks
+share [t]_q = (q^t - 1)/(q - 1) points.  The stored rows are checked to be
+in RREF first (point enumeration relies on it), and a shared count that is
+no [t]_q is an error.  When the masks would exceed a fixed memory cap the
+scan falls back to the stacked-rank kernel; `VerificationReport.kernel`
+names the kernel that ran ("points" or "rank"; sampled mode always uses
+"rank").  Both kernels report the same minimum, witness (the first pair in
+`itertools.combinations` order that attains it) and histogram.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -21,6 +32,10 @@ from .spaces import Subspace, enumerate_grassmannian, subspace_distance, subspac
 
 INFINITE = "infinite"
 DEFAULT_PAIR_CAP = 20000
+# Exact scans whose point masks would take more than this many bytes
+# (|C| words times at most min([n]_q, sum of [k]_q) points, one bit each)
+# run on the rank kernel instead.
+_MASK_BYTES_CAP = 64 << 20
 
 
 @dataclass
@@ -35,6 +50,7 @@ class VerificationReport:
     constant_dimension: bool = True
     pivot_structure: frozenset = frozenset()
     seed: Optional[int] = None
+    kernel: Optional[str] = None  # "points" | "rank"; None when no pair was compared
 
     def ok(self) -> bool:
         if self.declared_d is None:
@@ -50,8 +66,8 @@ def min_distance(C: Cdc, mode: str = "exact", sample_count: int = 20000,
     """
     Minimum pairwise subspace distance of a code.
 
-    Exact mode scans all pairs (with early exit per pair once a pair can
-    no longer lower the current minimum) and certifies the result; sampled
+    Exact mode scans all pairs on the point-incidence kernel (or, above the
+    mask memory cap, the rank kernel) and certifies the result; sampled
     mode draws seeded random pairs and is explicitly non-certifying.
     """
     words = list(C.words)
@@ -76,7 +92,8 @@ def min_distance(C: Cdc, mode: str = "exact", sample_count: int = 20000,
             if best is None or dist < best:
                 best, witness = dist, (i, j)
         return VerificationReport(m, C.d, best, "sampled", False, witness,
-                                  constant_dimension=const_dim, pivot_structure=piv, seed=seed)
+                                  constant_dimension=const_dim, pivot_structure=piv, seed=seed,
+                                  kernel="rank")
 
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
@@ -84,6 +101,84 @@ def min_distance(C: Cdc, mode: str = "exact", sample_count: int = 20000,
     if n_pairs > cap * (cap - 1) // 2:
         raise ValueError(f"{n_pairs} pairs exceed the exact-mode cap; raise cap or sample")
 
+    F, n = words[0].field, words[0].ambient_n
+    if any(w.field != F or w.ambient_n != n for w in words):
+        raise ValueError("ambient space mismatch")
+    points_bound = min(gauss_int(n, F.q), sum(gauss_int(w.k, F.q) for w in words))
+    if len(words) * points_bound // 8 <= _MASK_BYTES_CAP:
+        kernel, scan = "points", _point_scan
+    else:
+        kernel, scan = "rank", _rank_scan
+    best, witness, hist = scan(words, histogram)
+    return VerificationReport(len(words), C.d, best, "exact", True, witness,
+                              hist or None, const_dim, piv, kernel=kernel)
+
+
+def _point_scan(words: Sequence[Subspace], histogram: bool):
+    """Exact scan by point incidence: dim(U∩W) = t where [t]_q points of
+    PG(n-1, q) lie in both U and W.  Uses no rank or RREF computation; the
+    stored rows are only checked to be in RREF, which `Subspace.points`
+    relies on."""
+    for w in words:
+        _check_rref(w)
+    q = words[0].field.q
+    dim_of = {gauss_int(t, q): t for t in range(words[0].ambient_n + 1)}
+    masks = _point_masks(words)
+    ks = [w.k for w in words]
+    const_dim = len(set(ks)) == 1
+    best = witness = None
+    hist: dict[int, int] = {}
+    for i in range(len(words) - 1):
+        mi, ki = masks[i], ks[i]
+        counts = [(mi & mj).bit_count() for mj in masks[i + 1:]]
+        bad = set(counts).difference(dim_of)
+        if bad:
+            raise ValueError(f"{min(bad)} shared points is not a point count [t]_{q}")
+        if const_dim and not histogram:
+            # the distance 2(k - dim_of[c]) falls as the count c grows
+            c = max(counts)
+            dist, j = 2 * (ki - dim_of[c]), counts.index(c)
+        else:
+            dists = [ki + kj - 2 * dim_of[c] for kj, c in zip(ks[i + 1:], counts)]
+            if histogram:
+                for d, cnt in Counter(dists).items():
+                    hist[d] = hist.get(d, 0) + cnt
+            dist = min(dists)
+            j = dists.index(dist)
+        if best is None or dist < best:
+            best, witness = dist, (i, i + 1 + j)
+    return best, witness, hist
+
+
+def _check_rref(w: Subspace) -> None:
+    """Raise ValueError unless the stored rows are in RREF: nonzero rows,
+    strictly increasing pivots, unit pivot entries, and zeros elsewhere in
+    each pivot column."""
+    rows = w.rref.entries
+    last = -1
+    for r, row in enumerate(rows):
+        p = next((j for j, x in enumerate(row) if x), None)
+        if p is None or p <= last or row[p] != 1 or any(o[p] for s, o in enumerate(rows) if s != r):
+            raise ValueError(f"codeword rows are not in RREF (row {r}): {w!r}")
+        last = p
+
+
+def _point_masks(words: Sequence[Subspace]) -> list[int]:
+    """Each word's bitmask over the projective points it contains; a point
+    gets the next index the first time it is seen."""
+    index: dict[tuple, int] = {}
+    masks = []
+    for w in words:
+        mask = 0
+        for p in w.points():
+            mask |= 1 << index.setdefault(p, len(index))
+        masks.append(mask)
+    return masks
+
+
+def _rank_scan(words: Sequence[Subspace], histogram: bool):
+    """Exact scan by stacked rank, with early exit per pair once a pair can
+    no longer lower the current minimum."""
     hist: dict[int, int] = {}
     best = None
     witness = None
@@ -100,8 +195,7 @@ def min_distance(C: Cdc, mode: str = "exact", sample_count: int = 20000,
             if dist < cur:
                 best, witness = dist, (i, j)
         # early-exit distances at or above the reported min are not recorded
-    return VerificationReport(len(words), C.d, best, "exact", True, witness,
-                              hist or None, const_dim, piv)
+    return best, witness, hist
 
 
 def is_partial_spread(C: Cdc) -> tuple[bool, dict]:
@@ -171,14 +265,9 @@ def max_code_exhaustive(q: int, n: int, k: int, d: int) -> int:
 def _max_partial_spread(q: int, n: int, k: int, words: Sequence[Subspace]) -> int:
     """Branch over the lowest uncovered point: either a chosen word covers
     it or it is declared a hole.  Point sets are bitmasks."""
-    point_list = sorted({p for w in words for p in w.points()})
-    point_index = {p: i for i, p in enumerate(point_list)}
-    word_masks = []
-    for w in words:
-        mask = 0
-        for p in w.points():
-            mask |= 1 << point_index[p]
-        word_masks.append(mask)
+    if len(words) <= 1:  # k > n or k = 0: no search, and no point to branch on
+        return len(words)
+    word_masks = _point_masks(words)
     by_point: dict[int, list[int]] = {}
     for wi, mask in enumerate(word_masks):
         m = mask
@@ -186,7 +275,7 @@ def _max_partial_spread(q: int, n: int, k: int, words: Sequence[Subspace]) -> in
             low = m & -m
             by_point.setdefault(low.bit_length() - 1, []).append(wi)
             m ^= low
-    total_points = len(point_list)
+    total_points = len(by_point)
     full = (1 << total_points) - 1
     per_word = gauss_int(k, q)
     best = 0
@@ -194,7 +283,7 @@ def _max_partial_spread(q: int, n: int, k: int, words: Sequence[Subspace]) -> in
     def grow(done: int, used_count: int):
         # done = covered-or-banned mask; banned contributes no words
         nonlocal best
-        remaining = total_points - bin(done).count("1")
+        remaining = total_points - done.bit_count()
         if used_count + remaining // per_word <= best:
             return
         if done == full:
@@ -208,5 +297,7 @@ def _max_partial_spread(q: int, n: int, k: int, words: Sequence[Subspace]) -> in
             grow(done | mask, used_count + 1)
         grow(done | (1 << p), used_count)
 
-    grow(0, 0)
+    # GL(n, q) is transitive on k-spaces, so some optimum contains word 0:
+    # start from it instead of branching at the root.
+    grow(word_masks[0], 1)
     return best

@@ -73,6 +73,26 @@ def test_verify_detects_failure(tmp_path, capsys):
     assert "FAIL" in err
 
 
+def test_verify_cap_reaches_min_distance(tmp_path, capsys, monkeypatch):
+    import scodes.cli as cli
+
+    caps = []
+    real = cli.min_distance
+
+    def spy(*args, **kwargs):
+        caps.append(kwargs.get("cap"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "min_distance", spy)
+    path = str(tmp_path / "c.scode")
+    rc, _, _ = run(capsys, "construct", "lmrd", "--q", "2", "--n", "6", "--k", "3", "--d", "4",
+                   "-o", path, "--verify-cap", "25000")
+    assert rc == 0
+    rc, _, _ = run(capsys, "verify", path, "--verify-cap", "30000")
+    assert rc == 0
+    assert caps == [25000, 30000]
+
+
 def test_verify_missing_file(capsys):
     rc, _, err = run(capsys, "verify", "/nonexistent/x.scode")
     assert rc == 4
