@@ -439,6 +439,12 @@ def _ef_achievable_size(q: int, n: int, k: int, d: int) -> int:
 class BoundEngine:
     """Memoized best-known upper/lower bounds with provenance trees.
 
+    An engine holds four memos: upper and lower bound nodes, Gaussian
+    binomials (the Ahlswede-Aydinian grid) and multilevel achievable sizes
+    keyed by (q, n, k, d) alone, so each greedy skeleton is built once per
+    engine whatever the reverse-Johnson depth.  Nothing is shared between
+    engines: a fresh engine starts cold.
+
     Memo writes are idempotent (a key always maps to the same value), so
     racing recomputation across threads is harmless."""
 
@@ -447,6 +453,22 @@ class BoundEngine:
         self.use_facts = use_facts
         self._upper: dict = {}
         self._lower: dict = {}
+        self._binomials: dict = {}
+        self._achievable: dict = {}
+
+    def _gauss_binomial(self, n: int, k: int, q: int) -> int:
+        key = (n, k, q)
+        value = self._binomials.get(key)
+        if value is None:
+            value = self._binomials[key] = gauss_binomial(n, k, q)
+        return value
+
+    def _ef_achievable_size(self, q: int, n: int, k: int, d: int) -> int:
+        key = (q, n, k, d)
+        value = self._achievable.get(key)
+        if value is None:
+            value = self._achievable[key] = _ef_achievable_size(q, n, k, d)
+        return value
 
     # ---- shared conventions
 
@@ -525,7 +547,8 @@ class BoundEngine:
     def _ahlswede(self, q, n, d, k) -> BoundResult:
         r = d // 2
         best: Optional[tuple[int, int, int, BoundResult]] = None
-        numerator = gauss_binomial(n, k, q)
+        binomial = self._gauss_binomial
+        numerator = binomial(n, k, q)
         for t in range(0, r):
             for m in range(max(k - t, 1), n - t + 1):
                 if (m, 2 * r - 2 * t, k - t) == (n, d, k):
@@ -533,14 +556,14 @@ class BoundEngine:
                 inner = self.best_upper(q, m, 2 * r - 2 * t, k - t)
                 denom = 0
                 for i in range(t + 1):
-                    b = gauss_binomial(m, k - i, q) * gauss_binomial(n - m, i, q)
+                    b = binomial(m, k - i, q) * binomial(n - m, i, q)
                     if b:  # zero binomial whenever the exponent would be negative
                         denom += q ** (i * (m + i - k)) * b
                 value = numerator * inner.value // denom
                 if best is None or value < best[0]:
                     best = (value, t, m, inner)
         if best is None:
-            return BoundResult(gauss_binomial(n, k, q), "ahlswede-aydinian", "no admissible grid point")
+            return BoundResult(numerator, "ahlswede-aydinian", "no admissible grid point")
         value, t, m, inner = best
         return BoundResult(value, "ahlswede-aydinian", f"t={t}, m={m}", (inner,))
 
@@ -562,7 +585,7 @@ class BoundEngine:
         if d_ == 2 * k_:
             candidates.append(partial_spread_lower(q, n_, k_))
         if n_ <= 13:
-            candidates.append(BoundResult(_ef_achievable_size(q, n_, k_, d_), "multilevel-greedy",
+            candidates.append(BoundResult(self._ef_achievable_size(q, n_, k_, d_), "multilevel-greedy",
                                           "greedy skeleton with realizable diagram codes"))
         candidates.append(self._improved_linkage_lower(q, n_, d_, k_, rev_depth))
         if rev_depth > 0 and k_ + 1 <= (n_ + 1) - (k_ + 1):

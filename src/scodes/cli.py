@@ -32,6 +32,7 @@ from .bounds import BoundEngine
 from .constructions import (
     Cdc,
     DPacking,
+    _check_cdc_params,
     auto_cdc,
     block_inserting_I,
     block_inserting_II,
@@ -214,6 +215,7 @@ def _build(name: str, q: int, n: int, k: int, d: int, split: Optional[int],
         if skeleton:
             vectors = [tuple(int(c) for c in v) for v in skeleton.split(",")]
             return echelon_ferrers(vectors, q, d)
+        _check_cdc_params(q, n, k, d)  # the greedy scoring itself needs d >= 2
         return echelon_ferrers(skeleton_greedy(q, n, k, d), q, d)
     if name == "spread":
         return partial_spread(q, n, k)

@@ -235,13 +235,14 @@ def echelon_ferrers(skeleton: SkeletonCode | Sequence[Sequence[int]], q: int, d:
         vectors = skeleton.vectors
     else:
         vectors = tuple(tuple(v) for v in skeleton)
+    if not vectors:
+        raise ValueError("empty skeleton")
+    n = len(vectors[0])
+    k = sum(vectors[0])
+    _check_cdc_params(q, n, k, d)
     # re-validate at the requested distance, whatever the skeleton declared
     skeleton = SkeletonCode(vectors, d)
     skeleton.validate()
-    if not skeleton.vectors:
-        raise ValueError("empty skeleton")
-    n = len(skeleton.vectors[0])
-    k = sum(skeleton.vectors[0])
     field = GF(q)
     words = []
     for v in skeleton.vectors:
@@ -258,20 +259,28 @@ def skeleton_greedy(q: int, n: int, k: int, d: int) -> SkeletonCode:
     """
     Greedy skeleton: vectors considered in descending diagram-bound order
     (ties lexicographic), seeded with the all-left vector 1^k 0^(n-k).
+
+    Candidates are held as ints with position 0 as the top bit, so int
+    order is the vectors' lexicographic order and the Hamming distance of
+    two candidates is the popcount of their xor.
     """
-    seed = tuple([1] * k + [0] * (n - k))
+    seed = ((1 << k) - 1) << (n - k)
     scored = []
     for support in itertools.combinations(range(n), k):
-        v = tuple(1 if j in support else 0 for j in range(n))
-        if v == seed:
+        bits = sum(1 << (n - 1 - j) for j in support)
+        if bits == seed:
             continue
-        scored.append((-fdrm_upper_bound(ferrers_of(v), d // 2, q), v))
+        v = tuple(1 if j in support else 0 for j in range(n))
+        scored.append((-fdrm_upper_bound(ferrers_of(v), d // 2, q), bits))
     scored.sort()
     chosen = [seed]
-    for _, v in scored:
-        if all(hamming_distance(v, u) >= d for u in chosen):
-            chosen.append(v)
-    return SkeletonCode(tuple(chosen), d)
+    for _, bits in scored:
+        for u in chosen:
+            if (bits ^ u).bit_count() < d:
+                break
+        else:
+            chosen.append(bits)
+    return SkeletonCode(tuple(tuple((u >> (n - 1 - j)) & 1 for j in range(n)) for u in chosen), d)
 
 
 def partial_spread(q: int, n: int, k: int, cap: int = WORD_CAP) -> Cdc:

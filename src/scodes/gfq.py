@@ -5,7 +5,9 @@ Field elements are encoded as integers in [0, q) whose base-p digits are the
 coefficients of the residue polynomial in the basis {1, x, ..., x^(e-1)}.
 For e = 1 the encoding is the residue class mod p.  When q <= 2^16 the field
 precomputes log/antilog tables for O(1) multiplication and inversion; above
-that it falls back to polynomial arithmetic.
+that it falls back to polynomial arithmetic.  Odd-p extension fields with
+q^2 <= 2^16 also precompute addition and negation tables; larger ones add
+digit by digit.
 
 `ExtField` builds GF(q^m) on top of an existing `FieldSpec` GF(q), with
 elements stored as coefficient tuples over the base field.  This is the
@@ -15,6 +17,7 @@ coefficient tuple doubles as the expansion of the element over GF(q).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
@@ -78,6 +81,14 @@ class FieldSpec:
         self._log: Optional[list[int]] = None
         if 2 < self.q <= _TABLE_LIMIT:
             self._build_tables()
+        # odd-p extension fields add digit by digit (p = 2 has xor, e = 1
+        # has mod p), so the small ones get flat add/neg tables
+        self._add: Optional[list[int]] = None
+        self._neg: Optional[list[int]] = None
+        if self.p > 2 and self.e > 1 and self.q * self.q <= _TABLE_LIMIT:
+            digits = [self.coeffs(a) for a in range(self.q)]
+            self._add = [self.from_coeffs(map(operator.add, x, y)) for x in digits for y in digits]
+            self._neg = [self.from_coeffs(-c for c in x) for x in digits]
 
     # -- encoding ----------------------------------------------------------
 
@@ -102,6 +113,8 @@ class FieldSpec:
             return (a + b) % self.p
         if self.p == 2:
             return a ^ b
+        if self._add is not None:
+            return self._add[a * self.q + b]
         return self.from_coeffs(
             x + y for x, y in zip(self.coeffs(a), self.coeffs(b))
         )
@@ -111,6 +124,8 @@ class FieldSpec:
             return (-a) % self.p
         if self.p == 2:
             return a
+        if self._neg is not None:
+            return self._neg[a]
         return self.from_coeffs(-x for x in self.coeffs(a))
 
     def sub(self, a: int, b: int) -> int:

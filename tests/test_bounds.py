@@ -310,6 +310,49 @@ def test_multilevel_lower_estimate_sound_and_tight():
         echelon_ferrers(skeleton_greedy(2, 9, 4, 6), 2, 6))
 
 
+def test_table_builds_each_skeleton_once(monkeypatch, capsys):
+    import scodes.bounds as bounds
+    from scodes.cli import main
+
+    calls = []
+    real = bounds._ef_achievable_size
+
+    def spy(q, n, k, d):
+        calls.append((q, n, k, d))
+        return real(q, n, k, d)
+
+    monkeypatch.setattr(bounds, "_ef_achievable_size", spy)
+    assert main(["table", "--q", "2", "--d", "4", "--n-max", "12", "--format", "csv"]) == 0
+    capsys.readouterr()
+    assert calls and len(calls) == len(set(calls))
+
+
+def test_engines_share_no_memo(monkeypatch):
+    import scodes.bounds as bounds
+
+    first = BoundEngine()
+    lo, hi = first.bounds(2, 10, 4, 5)
+    calls = []
+    real_skeleton, real_binomial = bounds.skeleton_greedy, bounds.gauss_binomial
+
+    def skeleton_spy(*args):
+        calls.append("skeleton")
+        return real_skeleton(*args)
+
+    def binomial_spy(*args):
+        calls.append("binomial")
+        return real_binomial(*args)
+
+    monkeypatch.setattr(bounds, "skeleton_greedy", skeleton_spy)
+    monkeypatch.setattr(bounds, "gauss_binomial", binomial_spy)
+    assert first.bounds(2, 10, 4, 5) == (lo, hi)
+    assert calls == []
+    # a fresh engine is cold: it rebuilds the skeletons and the binomials
+    second = BoundEngine()
+    assert second.bounds(2, 10, 4, 5) == (lo, hi)
+    assert "skeleton" in calls and "binomial" in calls
+
+
 def test_lower_upper_consistency_without_facts():
     bare = BoundEngine(use_facts=False)
     for q in (2, 3):

@@ -312,3 +312,52 @@ def test_ef_achievable_size_golden():
               (2, 13, 4, 4): 152546649, (2, 13, 6, 8): 2097155, (3, 7, 3, 4): 6685,
               (3, 8, 4, 4): 539578, (4, 6, 3, 4): 4117}
     assert {p: _ef_achievable_size(*p) for p in golden} == golden
+
+
+# SHA-256 of `scodes table` CSVs and `scodes bound --explain` trees, frozen
+# before the bound engine gained its binomial and achievable-size memos; any
+# engine refactor must reproduce them byte for byte.
+GOLDEN_TABLE_SHA256 = {
+    ("2", "4"): "f8d296330459222bf19d43e904aa0b7e1531f6fcaa060ccd24bbb1e280931f84",
+    ("2", "6"): "65199b35ea56b4d782a96f4f8ca7052473eb8afe57abdb3e6a7c222549b55851",
+    ("2", "8"): "d4d52ab39b001d43ed4939444063a9565c3b155ec4df26d2576b9d30da8c2a86",
+    ("3", "4"): "3433d65e740033962ef3481f1008001f38b13d2123904cd48c7d06b6d8ff5878",
+    ("3", "6"): "5688247576bf32430f6859db6b9d5dbd02f4930a54f32e3a007e483ca96d4edc",
+    ("3", "8"): "4311b97811c4dacca79898fcc1f7fe2f9e20bb45e05293148ba56b304b41c70c",
+}
+
+GOLDEN_EXPLAIN_SHA256 = {
+    ("2", "9", "6", "4", "upper"): "712f71b7d2fd0a2b9e3216b5213650be38bac0dfea9ee7959fe5ee2a901b2faf",
+    ("2", "12", "4", "6", "lower"): "ffb4d26da86ede1521862302955390899035bd66685d7fd1d06b40fc196c18d3",
+    ("3", "10", "4", "5", "upper"): "09f74fd64a04abfe87cce5c3e8a8cce1c2976f464bce22c1f967eef2aa1b2c36",
+    ("3", "10", "4", "5", "lower"): "59ad443ed970629ac51ff1fe58e618acc49aeffd83023b8cedd9eae4a4679054",
+}
+
+
+@pytest.mark.parametrize("q, d", list(GOLDEN_TABLE_SHA256), ids=lambda v: v)
+def test_table_csv_matches_golden_digest(capsys, q, d):
+    rc, out, _ = run(capsys, "table", "--q", q, "--d", d, "--n-max", "16", "--format", "csv")
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_TABLE_SHA256[(q, d)]
+
+
+@pytest.mark.parametrize("args", list(GOLDEN_EXPLAIN_SHA256), ids="-".join)
+def test_bound_explain_matches_golden_digest(capsys, args):
+    q, n, d, k, direction = args
+    rc, out, _ = run(capsys, "bound", "--q", q, "--n", n, "--d", d, "--k", k,
+                     "--dir", direction, "--explain")
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_EXPLAIN_SHA256[args]
+
+
+@pytest.mark.parametrize("d", ["1", "3"])
+@pytest.mark.parametrize("skeleton", [None, "1110000,0001101"], ids=["greedy", "skeleton"])
+def test_construct_ef_rejects_odd_distance(tmp_path, capsys, d, skeleton):
+    path = tmp_path / "ef.scode"
+    argv = ["construct", "ef", "--q", "2", "--n", "7", "--k", "3", "--d", d, "-o", str(path)]
+    if skeleton:
+        argv += ["--skeleton", skeleton]
+    rc, _, err = run(capsys, *argv)
+    assert rc == 2
+    assert "subspace distance must be a positive even integer" in err
+    assert not path.exists()

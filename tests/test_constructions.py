@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -167,6 +168,25 @@ def test_skeleton_greedy():
     # maximal-distance case: only block-disjoint supports qualify
     sk2 = skeleton_greedy(2, 8, 4, 8)
     assert set(sk2.vectors) == {(1, 1, 1, 1, 0, 0, 0, 0), (0, 0, 0, 0, 1, 1, 1, 1)}
+
+
+# SHA-256 over repr(((q, n, k, d), skeleton_greedy(q, n, k, d).vectors)) for
+# every q in {2, 3}, n <= 10, 1 <= k <= n - 1 and even 2 <= d <= 2 min(k, n - k),
+# frozen from the tuple-comparing greedy loop that preceded the popcount one.
+SKELETON_GREEDY_SHA256 = "75db4f89feb51219b7d15c5248fdf0d3f6cee7a2b280a258d5ae1ef4e04d9757"
+
+
+def test_skeleton_greedy_golden_digest():
+    h = hashlib.sha256()
+    count = 0
+    for q in (2, 3):
+        for n in range(2, 11):
+            for k in range(1, n):
+                for d in range(2, 2 * min(k, n - k) + 1, 2):
+                    h.update(repr(((q, n, k, d), skeleton_greedy(q, n, k, d).vectors)).encode())
+                    count += 1
+    assert count == 190
+    assert h.hexdigest() == SKELETON_GREEDY_SHA256
 
 
 def test_skeleton_greedy_2_8_4_4():

@@ -175,3 +175,28 @@ def test_felt_pow_and_frobenius_tower():
     F9 = GF(9)
     b = F9.element(5)
     assert b.frobenius(1, 3).rep == F9.pow(5, 3)
+
+
+@pytest.mark.parametrize("q", [9, 25, 27])
+def test_add_tables_match_digit_path(q):
+    F = GF(q)
+    assert F._add is not None and F._neg is not None
+
+    def digits_to_rep(coeffs):
+        return sum((c % F.p) * F.p**i for i, c in enumerate(coeffs))
+
+    for a in range(q):
+        ca = F.coeffs(a)
+        assert F.neg(a) == digits_to_rep(-x for x in ca)
+        for b in range(q):
+            expected = digits_to_rep(x + y for x, y in zip(ca, F.coeffs(b)))
+            assert F.add(a, b) == expected
+            assert F.sub(expected, b) == a
+
+
+def test_large_odd_extension_field_adds_without_tables():
+    F = GF(3**6)  # q * q is past the table limit
+    assert F._add is None and F._neg is None
+    a, b = 500, 700
+    assert F.sub(F.add(a, b), b) == a
+    assert F.add(a, F.neg(a)) == 0
