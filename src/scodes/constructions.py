@@ -264,6 +264,8 @@ def skeleton_greedy(q: int, n: int, k: int, d: int) -> SkeletonCode:
     order is the vectors' lexicographic order and the Hamming distance of
     two candidates is the popcount of their xor.
     """
+    if not 0 <= k <= n:
+        raise ValueError("need 0 <= k <= n")
     seed = ((1 << k) - 1) << (n - k)
     scored = []
     for support in itertools.combinations(range(n), k):

@@ -5,7 +5,10 @@ restricted-rank lower bounds, coset partitions, product and diagonal
 combiners, sum-rank codes, and Ferrers-diagram rank-metric codes.
 
 Explicit codes are materialized as tuples of matrices; constructions that
-would exceed the materialization cap raise instead of thrashing.
+would exceed the materialization cap raise instead of thrashing.  Linear
+codes are enumerated by one span builder, `_span`, so only their basis words
+need field products: a Gabidulin code costs m*n*k extension-field products
+in all, not m*k per word.
 """
 
 from __future__ import annotations
@@ -75,6 +78,13 @@ def gabidulin(q: int, n: int, m: int, d: int, cap: int = MATERIALIZE_CAP) -> Ran
     Words are the evaluations of the polynomials sum_j f_j z^(q^j) of
     q-degree <= m-d at the first m monomials of the polynomial basis of
     GF(q^n) over GF(q); each value's coefficient tuple is one matrix row.
+
+    The code is GF(q)-linear, so the words are built as the GF(q)-span of
+    the n*k basis words, the evaluations of x^t z^(q^j) for 0 <= t < n and
+    0 <= j < k.  They come in itertools.product order over the coefficient
+    tuples (f_0, ..., f_(k-1)), each f_j in `ExtField.elements()` order, so
+    f_(k-1) varies fastest; `mrd_coset_partition` slices the words by that
+    order.
     """
     if not (1 <= d <= m <= n):
         raise ValueError(f"need 1 <= d <= m <= n, got d={d} m={m} n={n}")
@@ -84,25 +94,13 @@ def gabidulin(q: int, n: int, m: int, d: int, cap: int = MATERIALIZE_CAP) -> Ran
     size = q ** (n * k)
     if size > cap:
         raise ValueError(f"code size {size} exceeds materialization cap {cap}")
-    pow_table = []
-    for i in range(m):
-        z = E.basis(i)
-        row = [z]
-        for _ in range(1, k):
-            row.append(E.frobenius_q(row[-1]))
-        pow_table.append(row)
-    elements = list(E.elements())
-    words = []
-    for coeffs in itertools.product(elements, repeat=k):
-        rows = []
-        for i in range(m):
-            acc = E.zero
-            for j in range(k):
-                if any(coeffs[j]):
-                    acc = E.add(acc, E.mul(coeffs[j], pow_table[i][j]))
-            rows.append(acc)
-        words.append(MatGF(base, rows, n))
-    return RankCode(base, m, n, d, tuple(words))
+    # basis word (j, t) evaluates x^t z^(q^j); f_0's top digit comes first
+    conj = [[E.basis(i) for i in range(m)]]
+    while len(conj) < k:
+        conj.append([E.frobenius_q(z) for z in conj[-1]])
+    basis = [[c for z in zs for c in E.mul(E.basis(t), z)] for zs in conj for t in reversed(range(n))]
+    words = tuple(MatGF(base, [v[i * n:(i + 1) * n] for i in range(m)], n) for v in _span(base, basis))
+    return RankCode(base, m, n, d, words)
 
 
 def rect_mrd(q: int, rows: int, cols: int, d: int, cap: int = MATERIALIZE_CAP) -> RankCode:
@@ -376,16 +374,17 @@ def _fillings_to_words(field: FieldSpec, F: FerrersDiagram, vectors: Iterable[Se
     return tuple(words)
 
 
-def _span_vectors(field: FieldSpec, basis: Sequence[Sequence[int]]):
-    q = field.q
-    for coeffs in itertools.product(range(q), repeat=len(basis)):
-        v = [0] * (len(basis[0]) if basis else 0)
-        for c, b in zip(coeffs, basis):
-            if c:
-                for idx, x in enumerate(b):
-                    if x:
-                        v[idx] = field.add(v[idx], field.mul(c, x))
-        yield v
+def _span(field: FieldSpec, basis: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Every GF(q)-combination of `basis`, in itertools.product order over
+    the coefficient tuples (basis[0]'s coefficient varies slowest).
+
+    The span grows q-fold per basis vector, so each word costs one vector
+    addition."""
+    span = [(0,) * (len(basis[0]) if basis else 0)]
+    for b in basis:
+        multiples = [tuple(field.mul(c, x) for x in b) for c in range(1, field.q)]
+        span = [w for v in span for w in (v, *[tuple(map(field.add, v, cb)) for cb in multiples])]
+    return span
 
 
 def _fdrm_delta2(F: FerrersDiagram, q: int, cap: int) -> tuple[MatGF, ...]:
@@ -420,7 +419,7 @@ def _fdrm_delta2(F: FerrersDiagram, q: int, cap: int) -> tuple[MatGF, ...]:
         for row, p in zip(Ech.entries, pivots):
             v[p] = field.neg(row[f])
         basis.append(v)
-    return _fillings_to_words(field, F, _span_vectors(field, basis))
+    return _fillings_to_words(field, F, _span(field, basis))
 
 
 def _fdrm_rect_subcode(F: FerrersDiagram, delta: int, q: int, cap: int) -> tuple[MatGF, ...]:
@@ -479,12 +478,7 @@ def _fdrm_greedy(F: FerrersDiagram, delta: int, q: int, cap: int) -> tuple[MatGF
                 break
         if ok:
             basis.append(cand)
-            new_span = list(span)
-            for lam in range(1, q):
-                scaled = [field.mul(lam, a) for a in cand]
-                for s in span:
-                    new_span.append([field.add(x, y) for x, y in zip(scaled, s)])
-            span = new_span
+            span = _span(field, basis[::-1])
             if len(span) > cap:
                 break
     rect = _fdrm_rect_subcode(F, delta, q, cap)

@@ -211,7 +211,8 @@ class Subspace:
         self.ambient_n = ambient_n
         self.k = len(rref_rows)
         self.rref = MatGF(field, rref_rows, ambient_n)
-        self.pivot = tuple(1 if j in set(pivots) else 0 for j in range(ambient_n))
+        pivset = set(pivots)
+        self.pivot = tuple(1 if j in pivset else 0 for j in range(ambient_n))
         if field.q == 2:
             self._bits = tuple(_pack_row(r) for r in rref_rows)
         else:

@@ -189,6 +189,17 @@ def test_skeleton_greedy_golden_digest():
     assert h.hexdigest() == SKELETON_GREEDY_SHA256
 
 
+@pytest.mark.parametrize("k", [5, -1])
+def test_skeleton_greedy_rejects_dimension_outside_ambient(k):
+    with pytest.raises(ValueError, match=r"need 0 <= k <= n"):
+        skeleton_greedy(2, 3, k, 2)
+
+
+def test_skeleton_greedy_keeps_odd_distance():
+    # only k is checked up front: library callers may still ask for odd d
+    assert skeleton_greedy(2, 4, 2, 3).d == 3
+
+
 def test_skeleton_greedy_2_8_4_4():
     code = echelon_ferrers(skeleton_greedy(2, 8, 4, 4), 2, 4)
     assert len(code) >= 4096

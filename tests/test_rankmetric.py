@@ -1,9 +1,10 @@
+import hashlib
 import itertools
 from collections import Counter
 
 import pytest
 
-from scodes.gfq import GF
+from scodes.gfq import GF, ExtField
 from scodes.qcombi import gauss_binomial
 from scodes.rankmetric import (
     FdrmCode,
@@ -102,6 +103,94 @@ def test_gabidulin_punctured_rows():
     assert all((w.rows, w.cols) == (3, 4) for w in code.words)
     mind = min(rank(w) for w in code.words if any(any(r) for r in w.entries))
     assert mind == 2
+
+
+# SHA-256 digests of the word lists (entries and order) frozen from the
+# per-word linearized-polynomial evaluator and the incremental greedy span
+# that preceded the span builder.  Gabidulin: every 1 <= d <= m <= n <= 8
+# with at most 4096 words, per q.
+GABIDULIN_WORDS_SHA256 = {
+    2: "a61c2851fb4d2ee09f75064999cd22a77272ece6d8b0d27bc67fa9a9d6b67d33",
+    3: "5d68e414255a3feaaae7ee45ff4d200f60077d4505743216929c5dbfb5b2b68b",
+    4: "42ba1b7386f6d3a312e5d2f585eb6b8e4c9aec7d724867c0951f804376ef03b2",
+    8: "9ced6a8cc9b2ba5aa20d22f8953f483e93e8fd1f28cf71e8b6da71bfe4ec8217",
+    9: "b83e26f149389c906611cf402a79ea96b11657ca671712c2070cb9d5a4dba46c",
+}
+COSET_PARTITION_SHA256 = "1dab7f57624625612f4048c4001d22fd69584852ea1338ee4874d4149df77e11"
+# (delta, q, n_max): every non-rectangular diagram of a pivot vector of
+# length n <= n_max, built by the kernel check (delta 2) or greedy (delta 3)
+FDRM_WORDS_SHA256 = {
+    (2, 2, 7): "1705455d0329cc70d4ed88beeabbec88cd3516cf2afe0bba4ce941eea75cba33",
+    (2, 3, 7): "6b3eaee085eed5737ebfb3cd99b0bb3881fb76d4b8b1f27c41d33163aef1d537",
+    (3, 2, 7): "9f5b7087754e9aa0fb3b30e0f8c416d3c0e8885982e3631918063768f8a61333",
+    (3, 3, 6): "996002732794f610f1466a57cf69871f255b7c46877850e21effb55387323b64",
+}
+
+
+def _words_digest(h, key, words):
+    h.update(repr((key, [w.entries for w in words])).encode())
+
+
+def _gabidulin_digest(q):
+    h = hashlib.sha256()
+    for n in range(1, 9):
+        for m in range(1, n + 1):
+            for d in range(1, m + 1):
+                if q ** (n * (m - d + 1)) <= 4096:
+                    _words_digest(h, (n, m, d), gabidulin(q, n, m, d).words)
+    return h.hexdigest()
+
+
+def _coset_partition_digest():
+    h = hashlib.sha256()
+    for args in [(2, 3, 4, 1, 2), (2, 3, 5, 2, 3), (2, 4, 4, 2, 3), (3, 2, 3, 1, 2),
+                 (4, 2, 3, 1, 2), (8, 2, 2, 1, 2), (9, 2, 2, 1, 2)]:
+        for part in mrd_coset_partition(*args):
+            _words_digest(h, args, part.words)
+    return h.hexdigest()
+
+
+def _fdrm_digest(delta, q, n_max):
+    h = hashlib.sha256()
+    for n in range(3, n_max + 1):
+        for k in range(2, n - 1):
+            for support in itertools.combinations(range(n), k):
+                F = ferrers_of(tuple(1 if j in support else 0 for j in range(n)))
+                if len({l for l in F.row_lengths if l}) > 1:
+                    _words_digest(h, support, fdrm_construct(F, delta, q).words)
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("q", sorted(GABIDULIN_WORDS_SHA256))
+def test_gabidulin_words_match_golden_digest(q):
+    assert _gabidulin_digest(q) == GABIDULIN_WORDS_SHA256[q]
+
+
+def test_mrd_coset_partition_matches_golden_digest():
+    assert _coset_partition_digest() == COSET_PARTITION_SHA256
+
+
+@pytest.mark.parametrize("delta,q,n_max", sorted(FDRM_WORDS_SHA256))
+def test_fdrm_construct_matches_golden_digest(delta, q, n_max):
+    assert _fdrm_digest(delta, q, n_max) == FDRM_WORDS_SHA256[(delta, q, n_max)]
+
+
+@pytest.mark.parametrize("args", [(2, 6, 3, 2), (3, 4, 3, 2)])
+def test_gabidulin_extension_products_do_not_grow_with_code_size(monkeypatch, args):
+    # thousands of words, but only the n*k basis words (and the Frobenius
+    # powers behind them) need extension-field products
+    calls = 0
+    real_mul = ExtField.mul
+
+    def counting_mul(self, a, b):
+        nonlocal calls
+        calls += 1
+        return real_mul(self, a, b)
+
+    monkeypatch.setattr(ExtField, "mul", counting_mul)
+    code = gabidulin(*args)
+    assert len(code) >= 4096
+    assert calls < 100
 
 
 def test_rank_distribution_worked_values():
