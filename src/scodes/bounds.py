@@ -107,30 +107,34 @@ def _norm(n: int, d: int, k: int) -> tuple[int, int, int]:
     return n, d + (d % 2), k
 
 
-def sphere_packing(q: int, n: int, d: int, k: int) -> BoundResult:
+# The classical bounds take the Gaussian binomial function as `binomial`:
+# the bound engine passes its memo.
+
+
+def sphere_packing(q: int, n: int, d: int, k: int, binomial=gauss_binomial) -> BoundResult:
     _check_query(q, n, d, k)
     n, d, k = _norm(n, d, k)
     radius = (d // 2 - 1) // 2
     denom = sum(
-        q ** (i * i) * gauss_binomial(k, i, q) * gauss_binomial(n - k, i, q)
+        q ** (i * i) * binomial(k, i, q) * binomial(n - k, i, q)
         for i in range(radius + 1)
     )
-    value = gauss_binomial(n, k, q) // denom
+    value = binomial(n, k, q) // denom
     return BoundResult(value, "sphere-packing", "ball-covering count in the Grassmann graph")
 
 
-def singleton(q: int, n: int, d: int, k: int) -> BoundResult:
+def singleton(q: int, n: int, d: int, k: int, binomial=gauss_binomial) -> BoundResult:
     _check_query(q, n, d, k)
     n, d, k = _norm(n, d, k)
-    value = gauss_binomial(n - d // 2 + 1, max(k, n - k), q)
+    value = binomial(n - d // 2 + 1, max(k, n - k), q)
     return BoundResult(value, "singleton", "iterated puncturing")
 
 
-def anticode(q: int, n: int, d: int, k: int) -> BoundResult:
+def anticode(q: int, n: int, d: int, k: int, binomial=gauss_binomial) -> BoundResult:
     _check_query(q, n, d, k)
     n, d, k = _norm(n, d, k)
-    divisor = gauss_binomial(max(k, n - k) + d // 2 - 1, d // 2 - 1, q)
-    value = gauss_binomial(n, k, q) // divisor
+    divisor = binomial(max(k, n - k) + d // 2 - 1, d // 2 - 1, q)
+    value = binomial(n, k, q) // divisor
     return BoundResult(value, "anticode", "largest-anticode quotient")
 
 
@@ -303,9 +307,6 @@ class LpTableau:
     v: dict[int, int]
     eigen: dict[tuple[int, int], int]
 
-    def q_coefficient(self, j: int, i: int) -> Fraction:
-        return Fraction(self.u[j] * self.eigen[(i, j)], self.v[i])
-
     def v_as_printed(self, i: int, l: int) -> int:
         return self.q ** (i * i) * gauss_binomial(l, i, self.q) - gauss_binomial(self.n - 1, i, self.q)
 
@@ -436,14 +437,26 @@ def _ef_achievable_size(q: int, n: int, k: int, d: int) -> int:
     return sum(achievable(v) for v in skeleton_greedy(q, n, k, d).vectors)
 
 
+def _johnson_improved(q: int, n: int, d: int, k: int, inner: BoundResult) -> BoundResult:
+    """The improved Johnson bound on A(n, d; k) from A(n-1, d; k-1) <= inner."""
+    value = sharp_floor(gauss_int(n, q) * inner.value, gauss_int(k, q), q, k - 1)
+    return BoundResult(value, "johnson-II-improved",
+                       "sharpened rounding via divisible multisets", (inner,))
+
+
 class BoundEngine:
     """Memoized best-known upper/lower bounds with provenance trees.
 
     An engine holds four memos: upper and lower bound nodes, Gaussian
-    binomials (the Ahlswede-Aydinian grid) and multilevel achievable sizes
-    keyed by (q, n, k, d) alone, so each greedy skeleton is built once per
-    engine whatever the reverse-Johnson depth.  Nothing is shared between
-    engines: a fresh engine starts cold.
+    binomials and multilevel achievable sizes keyed by (q, n, k, d) alone,
+    so each greedy skeleton is built once per engine whatever the
+    reverse-Johnson depth.  The binomial memo serves the classical bounds
+    of `best_upper` and the standalone Ahlswede-Aydinian rule
+    (`ahlswede_aydinian`), which `best_upper` does not list.  Nothing is
+    shared between engines: a fresh engine starts cold.
+
+    Bound nodes run as generators on an explicit stack (`_evaluate`), so a
+    query's Python stack depth does not grow with n or k.
 
     Memo writes are idempotent (a key always maps to the same value), so
     racing recomputation across threads is harmless."""
@@ -457,10 +470,20 @@ class BoundEngine:
         self._achievable: dict = {}
 
     def _gauss_binomial(self, n: int, k: int, q: int) -> int:
+        """[n k]_q, memoized.  A miss whose predecessor [n-1 k-1]_q is held
+        costs one multiply and one exact divide: the improved Johnson chain
+        evaluates its bottom first, so each of its binomials is such a step."""
+        if 0 <= k <= n:
+            k = min(k, n - k)
         key = (n, k, q)
         value = self._binomials.get(key)
         if value is None:
-            value = self._binomials[key] = gauss_binomial(n, k, q)
+            prev = self._binomials.get((n - 1, k - 1, q)) if 0 < k <= n else None
+            if prev is None:
+                value = gauss_binomial(n, k, q)
+            else:
+                value = prev * (q**n - 1) // (q**k - 1)
+            self._binomials[key] = value
         return value
 
     def _ef_achievable_size(self, q: int, n: int, k: int, d: int) -> int:
@@ -483,7 +506,8 @@ class BoundEngine:
                                "distance 2 admits every subspace")
         return None
 
-    def _fact_results(self, q, n, d, k, kinds) -> list[BoundResult]:
+    def _fact_results(self, q, n, d, k, kinds):
+        """Node step: the applicable table facts, each as a result."""
         if not self.use_facts:
             return []
         out = []
@@ -492,37 +516,92 @@ class BoundEngine:
             children = ()
             if f.extra_term is not None:
                 # additive A-terms only occur in lower-bound formulas
-                sub = self.best_lower(q, f.extra_term[0], f.extra_term[1], f.extra_term[2])
+                sub = yield self._lower_request(q, *f.extra_term, 2)
                 value += sub.value
                 children = (sub,)
             out.append(BoundResult(value, f"fact:{f.kind}", f.citation, children,
                                    ("injected table fact",)))
         return out
 
+    # ---- node evaluation
+
+    def _upper_request(self, q: int, n: int, d: int, k: int):
+        return self._upper, self._upper_node, (q, n, d + (d % 2), min(k, n - k) if 0 <= k <= n else k)
+
+    def _lower_request(self, q: int, n: int, d: int, k: int, rev_depth: int):
+        return (self._lower, self._lower_node,
+                (q, n, d + (d % 2), min(k, n - k) if 0 <= k <= n else k, rev_depth))
+
+    def _evaluate(self, request) -> BoundResult:
+        """The result of a node, evaluating first every node below it that
+        no memo holds yet.
+
+        A node is a generator over its normalized key: it yields a request
+        (memo, node, key) for each child and is sent the child's result.
+        Suspended nodes wait on an explicit stack, so the Python stack stays
+        flat however deep the recursion in n and k goes."""
+        memo, node, key = request
+        result = memo.get(key)
+        if result is not None:
+            return result
+        stack = [(memo, key, node(*key))]
+        active = {key}
+        while stack:
+            memo, key, pending = stack[-1]
+            send = pending.send
+            while True:  # resume the top node until it finishes or misses
+                try:
+                    child_memo, child_node, child_key = send(result)
+                except StopIteration as done:
+                    stack.pop()
+                    active.discard(key)
+                    result = memo[key] = done.value
+                    break
+                result = child_memo.get(child_key)
+                if result is None:
+                    if child_key in active:
+                        raise ValueError(f"bound {child_key} depends on itself (check the fact table)")
+                    active.add(child_key)
+                    stack.append((child_memo, child_key, child_node(*child_key)))
+                    break
+        return result
+
     # ---- upper bounds
 
     def best_upper(self, q: int, n: int, d: int, k: int) -> BoundResult:
-        key = (q, n, d + (d % 2), min(k, n - k) if 0 <= k <= n else k)
-        if key in self._upper:
-            return self._upper[key]
+        """The least of the sphere-packing, Singleton, anticode and improved
+        Johnson bounds, the partial-spread bounds at d = 2 min(k, n-k) and
+        the applicable table facts.
+
+        The Ahlswede-Aydinian bound (`ahlswede_aydinian`) is no candidate.
+        Its grid asks for A(m, d-2t; k-t) at every m, which pulls whole
+        lower-distance layers into the recursion, and it never gave the
+        least value in the 2350 cells q=2 with d=4 up to n=70, d=6 up to
+        n=40 and d=8 up to n=30; q=3 with d=4 up to n=40 and d=6 up to n=30;
+        q=4 with d=4 up to n=25; q=5 with d=6 up to n=20; with and without
+        the fact table.  No proof that the improved Johnson bound dominates
+        it is given here: the survey's upper-bound section (arXiv:2112.11766)
+        and Heinlein-Kurz, "Asymptotic bounds for the sizes of constant
+        dimension codes and an improved lower bound" (2017), compare the
+        two.  Leaving a valid upper bound out of a minimum can only weaken
+        the result, never make it wrong."""
+        return self._evaluate(self._upper_request(q, n, d, k))
+
+    def _upper_node(self, q, n, d, k):
         conv = self._convention(q, n, d, k)
         if conv is not None:
-            self._upper[key] = conv
             return conv
-        n_, d_, k_ = _norm(n, d, k)
-        candidates = [sphere_packing(q, n_, d_, k_), singleton(q, n_, d_, k_), anticode(q, n_, d_, k_)]
-        candidates.append(self._johnson_improved(q, n_, d_, k_))
-        candidates.append(self._ahlswede(q, n_, d_, k_))
-        if d_ == 2 * k_:
-            candidates.append(partial_spread_upper(q, n_, k_))
-        for fr in self._fact_results(q, n_, d_, k_, ("exact", "upper")):
-            candidates.append(fr)
+        inner = yield self._upper_request(q, n - 1, d, k - 1)
+        binomial = self._gauss_binomial
+        candidates = [sphere_packing(q, n, d, k, binomial), singleton(q, n, d, k, binomial),
+                      anticode(q, n, d, k, binomial), _johnson_improved(q, n, d, k, inner)]
+        if d == 2 * k:
+            candidates.append(partial_spread_upper(q, n, k))
+        candidates += yield from self._fact_results(q, n, d, k, ("exact", "upper"))
         # ties prefer exact spread values, then computed rules, then facts
         best = min(candidates, key=lambda b: (b.value, 0 if b.rule == "spread" else
                                               2 if b.rule.startswith("fact") else 1))
-        result = BoundResult(best.value, best.rule, best.citation, tuple(candidates), best.assumptions)
-        self._upper[key] = result
-        return result
+        return BoundResult(best.value, best.rule, best.citation, tuple(candidates), best.assumptions)
 
     def johnson_II(self, q: int, n: int, d: int, k: int) -> BoundResult:
         n, d, k = _norm(n, d, k)
@@ -532,13 +611,7 @@ class BoundEngine:
 
     def johnson_II_improved(self, q: int, n: int, d: int, k: int) -> BoundResult:
         n, d, k = _norm(n, d, k)
-        return self._johnson_improved(q, n, d, k)
-
-    def _johnson_improved(self, q, n, d, k) -> BoundResult:
-        inner = self.best_upper(q, n - 1, d, k - 1)
-        value = sharp_floor(gauss_int(n, q) * inner.value, gauss_int(k, q), q, k - 1)
-        return BoundResult(value, "johnson-II-improved",
-                           "sharpened rounding via divisible multisets", (inner,))
+        return _johnson_improved(q, n, d, k, self.best_upper(q, n - 1, d, k - 1))
 
     def ahlswede_aydinian(self, q: int, n: int, d: int, k: int) -> BoundResult:
         n, d, k = _norm(n, d, k)
@@ -570,41 +643,36 @@ class BoundEngine:
     # ---- lower bounds
 
     def best_lower(self, q: int, n: int, d: int, k: int, rev_depth: int = 2) -> BoundResult:
-        key = (q, n, d + (d % 2), min(k, n - k) if 0 <= k <= n else k, rev_depth)
-        if key in self._lower:
-            return self._lower[key]
+        return self._evaluate(self._lower_request(q, n, d, k, rev_depth))
+
+    def _lower_node(self, q, n, d, k, rev_depth):
         conv = self._convention(q, n, d, k)
         if conv is not None:
-            self._lower[key] = conv
             return conv
-        n_, d_, k_ = _norm(n, d, k)
         candidates = [BoundResult(1, "single-word", "any one subspace")]
-        if k_ >= d_ // 2:
-            exp = (n_ - k_) * (k_ - d_ // 2 + 1)
+        if k >= d // 2:
+            exp = (n - k) * (k - d // 2 + 1)
             candidates.append(BoundResult(q**exp, "lifted-mrd", "lifted MRD code"))
-        if d_ == 2 * k_:
-            candidates.append(partial_spread_lower(q, n_, k_))
-        if n_ <= 13:
-            candidates.append(BoundResult(self._ef_achievable_size(q, n_, k_, d_), "multilevel-greedy",
+        if d == 2 * k:
+            candidates.append(partial_spread_lower(q, n, k))
+        if n <= 13:
+            candidates.append(BoundResult(self._ef_achievable_size(q, n, k, d), "multilevel-greedy",
                                           "greedy skeleton with realizable diagram codes"))
-        candidates.append(self._improved_linkage_lower(q, n_, d_, k_, rev_depth))
-        if rev_depth > 0 and k_ + 1 <= (n_ + 1) - (k_ + 1):
-            inner = self.best_lower(q, n_ + 1, d_, k_ + 1, rev_depth - 1)
-            value = -((-(q ** (k_ + 1) - 1) * inner.value) // (q ** (n_ + 1) - 1))
+        candidates.append((yield from self._improved_linkage_lower(q, n, d, k)))
+        if rev_depth > 0 and k + 1 <= (n + 1) - (k + 1):
+            inner = yield self._lower_request(q, n + 1, d, k + 1, rev_depth - 1)
+            value = -((-(q ** (k + 1) - 1) * inner.value) // (q ** (n + 1) - 1))
             candidates.append(BoundResult(value, "reverse-johnson", "reverted shortening", (inner,)))
-        for fr in self._fact_results(q, n_, d_, k_, ("exact", "lower")):
-            candidates.append(fr)
+        candidates += yield from self._fact_results(q, n, d, k, ("exact", "lower"))
         # ties prefer computed constructions over injected facts
         best = max(candidates, key=lambda b: (b.value, 0 if b.rule.startswith("fact") else 1))
-        result = BoundResult(best.value, best.rule, best.citation, tuple(candidates), best.assumptions)
-        self._lower[key] = result
-        return result
+        return BoundResult(best.value, best.rule, best.citation, tuple(candidates), best.assumptions)
 
-    def _improved_linkage_lower(self, q, n, d, k, rev_depth) -> BoundResult:
+    def _improved_linkage_lower(self, q, n, d, k):
         best = None
         for m in range(k, n - k + 1):
-            first = self.best_lower(q, m, d, k, 0)
-            second = self.best_lower(q, n - m + k - d // 2, d, k, 0)
+            first = yield self._lower_request(q, m, d, k, 0)
+            second = yield self._lower_request(q, n - m + k - d // 2, d, k, 0)
             value = first.value * mrd_size(q, k, n - m, d // 2) + second.value
             if best is None or value > best[0]:
                 best = (value, m, first, second)

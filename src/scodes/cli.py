@@ -51,6 +51,7 @@ from .constructions import (
 )
 from .divisible import sharp_floor, sqr_expand
 from .gfq import GF, field_create
+from .provenance import decimal_str
 from .rankmetric import RankCode, rect_mrd, restricted_rank_code, two_block_sumrank_code
 from .spaces import MatGF, Subspace
 from .verify import min_distance
@@ -254,7 +255,7 @@ def cmd_bound(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return PARAM_ERROR
-    print(res.value)
+    print(decimal_str(res.value))
     if args.explain:
         print(res.render())
     return 0
@@ -317,12 +318,12 @@ def cmd_table(args) -> int:
     if args.format == "csv":
         print("n,k,lower,lower_rule,upper,upper_rule")
         for n, k, lo, hi in rows:
-            print(f"{n},{k},{lo.value},{lo.rule},{hi.value},{hi.rule}")
+            print(f"{n},{k},{decimal_str(lo.value)},{lo.rule},{decimal_str(hi.value)},{hi.rule}")
     else:
         print(f"| n | k | lower | upper | rules |")
         print("|---|---|---|---|---|")
         for n, k, lo, hi in rows:
-            print(f"| {n} | {k} | {lo.value} | {hi.value} | {lo.rule} / {hi.rule} |")
+            print(f"| {n} | {k} | {decimal_str(lo.value)} | {decimal_str(hi.value)} | {lo.rule} / {hi.rule} |")
         print()
         print("Rules used:")
         for rule, cite in sorted(rules.items()):

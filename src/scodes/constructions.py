@@ -21,8 +21,8 @@ from .qcombi import gauss_binomial
 from .rankmetric import (
     RankCode,
     SumRankCode,
+    _fdrm_exponent,
     fdrm_construct,
-    fdrm_upper_bound,
     rank,
     rect_mrd,
 )
@@ -262,7 +262,10 @@ def skeleton_greedy(q: int, n: int, k: int, d: int) -> SkeletonCode:
 
     Candidates are held as ints with position 0 as the top bit, so int
     order is the vectors' lexicographic order and the Hamming distance of
-    two candidates is the popcount of their xor.
+    two candidates is the popcount of their xor.  A candidate is scored by
+    the exponent nu of its diagram bound q^nu, read off its pivots p_0 <
+    ... < p_(k-1) (row r has n-k-p_r+r dots); q^nu is monotone in nu, so
+    the order does not depend on q.
     """
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
@@ -272,8 +275,8 @@ def skeleton_greedy(q: int, n: int, k: int, d: int) -> SkeletonCode:
         bits = sum(1 << (n - 1 - j) for j in support)
         if bits == seed:
             continue
-        v = tuple(1 if j in support else 0 for j in range(n))
-        scored.append((-fdrm_upper_bound(ferrers_of(v), d // 2, q), bits))
+        rows = [n - k + r - p for r, p in enumerate(support)]
+        scored.append((-_fdrm_exponent(rows, d // 2), bits))
     scored.sort()
     chosen = [seed]
     for _, bits in scored:

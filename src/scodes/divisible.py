@@ -4,18 +4,13 @@ and the sharpened floor/ceil brackets built on them.
 
 An integer n is the cardinality of some q^r-divisible multiset of points
 over GF(q) exactly when the leading coefficient of its expansion is
-non-negative; the brackets scan for the nearest realizable remainder and
+non-negative; the brackets search for the nearest realizable remainder and
 power the improved Johnson bound.  Pure functions throughout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from .qcombi import gauss_int
-
-NEG_INF = float("-inf")
-POS_INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -51,14 +46,22 @@ def sqr_expand(n: int, q: int, r: int) -> SqrExpansion:
     The unique expansion n = sum_i a_i sigma_i with a_0..a_(r-1) in [0, q)
     and integer leading coefficient a_r.
     """
-    bases = sqr_bases(q, r).bases
+    return _expand(n, sqr_bases(q, r))
+
+
+def _expand(n: int, sb: SqrBases) -> SqrExpansion:
+    # (q-1) sigma_i = q^(r+1) - q^i, so (q-1) n = q^(r+1) sum_i a_i - sum_i a_i q^i:
+    # a_0..a_(r-1) are the base-q digits of -(q-1) n mod q^r (= sigma_r), and
+    # a_r follows from them with a handful of big-int operations.
+    q, r, bases = sb.q, sb.r, sb.bases
+    top = bases[r]
+    low = -(q - 1) * n % top
     coeffs = []
-    m = n
-    for i in range(r):
-        a = m % q
+    rest = low
+    for _ in range(r):
+        rest, a = divmod(rest, q)
         coeffs.append(a)
-        m = (m - a * gauss_int(r - i + 1, q)) // q
-    coeffs.append(m)
+    coeffs.append(((q - 1) * n + low - q * top * sum(coeffs)) // ((q - 1) * top))
     value = sum(a * s for a, s in zip(coeffs, bases))
     assert value == n, (n, coeffs, bases)
     return SqrExpansion(q, r, tuple(coeffs), n)
@@ -66,40 +69,49 @@ def sqr_expand(n: int, q: int, r: int) -> SqrExpansion:
 
 def divisible_exists(n: int, q: int, r: int) -> bool:
     """True iff a q^r-divisible multiset of points of cardinality n exists."""
-    return sqr_expand(n, q, r).leading >= 0
+    return _realizable(n, sqr_bases(q, r))
 
 
-def _scan_limit(q: int, r: int) -> int:
-    # All m >= (q-1) * sum_{i<r} sigma_i are realizable (digits bounded by
-    # q-1 force a non-negative leading coefficient), so a scan whose
-    # remainders sweep past that threshold must terminate.
-    bases = sqr_bases(q, r).bases
-    return (q - 1) * sum(bases[:r]) + q ** (r + 1) + 1
+def _realizable(n: int, sb: SqrBases) -> bool:
+    return _expand(n, sb).leading >= 0
 
 
-def sharp_floor(a: int, b: int, q: int, r: int):
+def _first_realizable(x: int, b: int, sb: SqrBases) -> int:
+    """The least j >= 0 such that x + j*b is a realizable cardinality.
+
+    Every m >= (q-1) * sum_{i<r} sigma_i is realizable (digits bounded by
+    q-1 force a non-negative leading coefficient), which bounds j.
+    Realizable cardinalities are closed under addition (disjoint unions of
+    divisible multisets), so when b is realizable the predicate can only
+    turn true as j grows, and j is bisected; otherwise the scan is linear."""
+    hi = max(0, -((x - (sb.q - 1) * sum(sb.bases[:sb.r])) // b))
+    if not _realizable(b, sb):
+        return next(j for j in range(hi + 1) if _realizable(x + j * b, sb))
+    lo = 0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _realizable(x + mid * b, sb):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def sharp_floor(a: int, b: int, q: int, r: int) -> int:
     """
     Largest n such that a - n*b is a realizable q^r-divisible cardinality;
     at most floor(a/b).  The fraction a/b is formal data: no reduction.
     """
     if b <= 0:
         raise ValueError("b must be a positive integer")
-    n = a // b
-    for _ in range(_scan_limit(q, r)):
-        if divisible_exists(a - n * b, q, r):
-            return n
-        n -= 1
-    return NEG_INF  # pragma: no cover - unreachable for b >= 1
+    n, x = divmod(a, b)
+    return n - _first_realizable(x, b, sqr_bases(q, r))
 
 
-def sharp_ceil(a: int, b: int, q: int, r: int):
+def sharp_ceil(a: int, b: int, q: int, r: int) -> int:
     """Smallest n such that n*b - a is a realizable q^r-divisible
     cardinality; at least ceil(a/b)."""
     if b <= 0:
         raise ValueError("b must be a positive integer")
     n = -((-a) // b)
-    for _ in range(_scan_limit(q, r)):
-        if divisible_exists(n * b - a, q, r):
-            return n
-        n += 1
-    return POS_INF  # pragma: no cover - unreachable for b >= 1
+    return n + _first_realizable(n * b - a, b, sqr_bases(q, r))

@@ -477,18 +477,6 @@ class ExtField:
         out[i] = 1
         return tuple(out)
 
-    def add(self, a, b):
-        F = self.base
-        return tuple(F.add(x, y) for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        F = self.base
-        return tuple(F.sub(x, y) for x, y in zip(a, b))
-
-    def scal(self, c: int, a):
-        F = self.base
-        return tuple(F.mul(c, x) for x in a)
-
     def mul(self, a, b):
         prod = poly_mul(self.base, a, b)
         if len(prod) >= len(self.modulus):

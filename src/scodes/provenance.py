@@ -9,7 +9,15 @@ facts it leaned on, so a reported number can be audited leaf by leaf.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from typing import Tuple
+
+
+def decimal_str(value: int) -> str:
+    """`value` in decimal, whatever its size: str() refuses ints of more
+    than sys.get_int_max_str_digits() digits (4300 by default), and bound
+    values for large n have more."""
+    return str(Decimal(value))
 
 
 @dataclass(frozen=True)
@@ -21,20 +29,24 @@ class BoundResult:
     assumptions: Tuple[str, ...] = ()
 
     def walk(self):
-        yield self
-        for c in self.children:
-            yield from c.walk()
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
 
     def uses_facts(self) -> bool:
         return any(n.rule.startswith("fact") for n in self.walk())
 
     def render(self, indent: int = 0) -> str:
-        pad = "  " * indent
-        cite = f"  [{self.citation}]" if self.citation else ""
-        extra = f"  ({'; '.join(self.assumptions)})" if self.assumptions else ""
-        lines = [f"{pad}{self.value}  <- {self.rule}{cite}{extra}"]
-        for c in self.children:
-            lines.append(c.render(indent + 1))
+        lines = []
+        stack = [(self, indent)]
+        while stack:
+            node, depth = stack.pop()
+            cite = f"  [{node.citation}]" if node.citation else ""
+            extra = f"  ({'; '.join(node.assumptions)})" if node.assumptions else ""
+            lines.append(f"{'  ' * depth}{decimal_str(node.value)}  <- {node.rule}{cite}{extra}")
+            stack.extend((c, depth + 1) for c in reversed(node.children))
         return "\n".join(lines)
 
     def __str__(self) -> str:

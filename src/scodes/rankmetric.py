@@ -352,14 +352,16 @@ class FdrmCode:
 def fdrm_upper_bound(F: FerrersDiagram, delta: int, q: int) -> int:
     """q to the minimum, over 0 <= i < delta, of the number of dots neither
     in the first i rows nor in the last delta-1-i columns."""
+    return q ** _fdrm_exponent(F.row_lengths, delta)
+
+
+def _fdrm_exponent(row_lengths: Sequence[int], delta: int) -> int:
+    """The exponent of `fdrm_upper_bound` for a diagram with these row
+    lengths (top to bottom, right-justified): t columns trimmed and
+    delta-1-t rows skipped, minimized over t."""
     if delta < 1:
         raise ValueError("delta must be >= 1")
-    best = None
-    for i in range(delta):
-        trim = delta - 1 - i
-        nu = sum(max(0, l - trim) for l in F.row_lengths[i:])
-        best = nu if best is None else min(best, nu)
-    return q**best
+    return min([sum([l - t for l in row_lengths[delta - 1 - t:] if l > t]) for t in range(delta)])
 
 
 def _fillings_to_words(field: FieldSpec, F: FerrersDiagram, vectors: Iterable[Sequence[int]]) -> tuple[MatGF, ...]:

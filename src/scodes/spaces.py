@@ -57,11 +57,6 @@ class MatGF:
     def transpose(self) -> "MatGF":
         return MatGF(self.field, list(zip(*self.entries)) if self.entries else [], self.rows)
 
-    def hstack(self, other: "MatGF") -> "MatGF":
-        if self.rows != other.rows:
-            raise ValueError("row count mismatch")
-        return MatGF(self.field, [a + b for a, b in zip(self.entries, other.entries)], self.cols + other.cols)
-
     def vstack(self, other: "MatGF") -> "MatGF":
         if self.cols != other.cols:
             raise ValueError("column count mismatch")
@@ -135,10 +130,6 @@ def _pack_row(row: Sequence[int]) -> int:
         if x:
             word |= 1 << j
     return word
-
-
-def _unpack_row(word: int, ncols: int) -> tuple[int, ...]:
-    return tuple((word >> j) & 1 for j in range(ncols))
 
 
 def _rank_bits(words: Iterable[int]) -> int:

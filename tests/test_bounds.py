@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from scodes.bounds import (
@@ -136,6 +138,46 @@ def test_ahlswede_reductions(engine):
     alt = engine.best_upper(q, n - 1, d - 2, k - 1).value
     assert aa.value <= alt
     assert engine.ahlswede_aydinian(2, 8, 8, 4).value <= 17
+
+
+def test_ahlswede_aydinian_never_beats_best_upper():
+    # best_upper leaves the Ahlswede-Aydinian rule out of its minimum
+    for use_facts in (True, False):
+        engine = BoundEngine(use_facts=use_facts)
+        for q in (2, 3):
+            for n in range(2, 13):
+                for k in range(1, n // 2 + 1):
+                    for d in range(2, 2 * k + 1, 2):
+                        aa = engine.ahlswede_aydinian(q, n, d, k).value
+                        assert aa >= engine.best_upper(q, n, d, k).value, (use_facts, q, n, d, k)
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_deep_queries_need_no_deep_stack():
+    # the engine runs its nodes on an explicit stack, so the improved
+    # Johnson chain (depth ~k) and the linkage chain (depth ~n/2) fit in
+    # 150 frames above the caller
+    queries = [("best_upper", (2, 200, 4, 100)), ("best_lower", (2, 400, 4, 2))]
+    expected = [getattr(BoundEngine(), name)(*args).value for name, args in queries]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 150)
+    try:
+        got = [getattr(BoundEngine(), name)(*args).value for name, args in queries]
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == expected
+
+
+def test_fact_table_cycle_is_an_error():
+    facts = FactTable.from_tsv("*\t9\t4\t3\tlower\t1+A(9,4;3)\tself-referential")
+    with pytest.raises(ValueError, match="depends on itself"):
+        BoundEngine(facts=facts).best_lower(2, 9, 4, 3)
 
 
 def test_best_upper_equals_best_lower_on_exact_cases(engine):

@@ -1,8 +1,10 @@
 import hashlib
 import os
+from decimal import Decimal
 
 import pytest
 
+from scodes.bounds import BoundEngine
 from scodes.cli import main, read_code_file, write_code_file
 from scodes.constructions import linkage, single_codeword
 from scodes.rankmetric import rect_mrd
@@ -30,6 +32,21 @@ def test_bound_convention(capsys):
     rc, out, _ = run(capsys, "bound", "--q", "2", "--n", "4", "--d", "10", "--k", "2", "--dir", "upper")
     assert rc == 0
     assert out.strip() == "1"
+
+
+def test_bound_prints_values_of_any_size(capsys):
+    # A_2(400,4;200) <= an integer of 11982 digits, past str()'s 4300-digit cap
+    argv = ["bound", "--q", "2", "--n", "400", "--d", "4", "--k", "200", "--dir", "upper"]
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0
+    value = out.strip()
+    assert len(value) == 11982 and value.isdigit()
+    assert int(Decimal(value)) == BoundEngine().best_upper(2, 400, 4, 200).value
+    rc, out, _ = run(capsys, *argv, "--explain")
+    assert rc == 0
+    lines = out.splitlines()
+    assert lines[0] == value
+    assert lines[1].startswith(f"{value}  <- ")
 
 
 def test_bound_explain_shows_provenance(capsys):
@@ -316,7 +333,9 @@ def test_ef_achievable_size_golden():
 
 # SHA-256 of `scodes table` CSVs and `scodes bound --explain` trees, frozen
 # before the bound engine gained its binomial and achievable-size memos; any
-# engine refactor must reproduce them byte for byte.
+# engine refactor must reproduce them byte for byte.  The two upper trees were
+# frozen again when `best_upper` stopped listing the Ahlswede-Aydinian
+# candidate: only its subtrees left them, and every value stayed.
 GOLDEN_TABLE_SHA256 = {
     ("2", "4"): "f8d296330459222bf19d43e904aa0b7e1531f6fcaa060ccd24bbb1e280931f84",
     ("2", "6"): "65199b35ea56b4d782a96f4f8ca7052473eb8afe57abdb3e6a7c222549b55851",
@@ -327,9 +346,9 @@ GOLDEN_TABLE_SHA256 = {
 }
 
 GOLDEN_EXPLAIN_SHA256 = {
-    ("2", "9", "6", "4", "upper"): "712f71b7d2fd0a2b9e3216b5213650be38bac0dfea9ee7959fe5ee2a901b2faf",
+    ("2", "9", "6", "4", "upper"): "4ddf0bdc2cfedf722d2906c23e8acc0a7dee551f848207d29a75ae4997831ae3",
     ("2", "12", "4", "6", "lower"): "ffb4d26da86ede1521862302955390899035bd66685d7fd1d06b40fc196c18d3",
-    ("3", "10", "4", "5", "upper"): "09f74fd64a04abfe87cce5c3e8a8cce1c2976f464bce22c1f967eef2aa1b2c36",
+    ("3", "10", "4", "5", "upper"): "03b64235f9e5aeb11fa03659abdbee6f0b71e359f94493d64008c1a6a2da6a26",
     ("3", "10", "4", "5", "lower"): "59ad443ed970629ac51ff1fe58e618acc49aeffd83023b8cedd9eae4a4679054",
 }
 

@@ -189,6 +189,25 @@ def test_skeleton_greedy_golden_digest():
     assert h.hexdigest() == SKELETON_GREEDY_SHA256
 
 
+# The same digest over every q in {2, 3, 4}, 1 <= n <= 13, 0 <= k <= n and even
+# 2 <= d <= 2 min(k, n - k) + 2 (921 skeletons), frozen while candidates were
+# still scored by building a Ferrers diagram and its bound q^nu.
+SKELETON_GREEDY_WIDE_SHA256 = "d0e34db70745a48aeb11daeb95517c0fe15ac6a5cae152f7f245823d038c35e0"
+
+
+def test_skeleton_greedy_wide_golden_digest():
+    h = hashlib.sha256()
+    count = 0
+    for q in (2, 3, 4):
+        for n in range(1, 14):
+            for k in range(n + 1):
+                for d in range(2, 2 * min(k, n - k) + 3, 2):
+                    h.update(repr(((q, n, k, d), skeleton_greedy(q, n, k, d).vectors)).encode())
+                    count += 1
+    assert count == 921
+    assert h.hexdigest() == SKELETON_GREEDY_WIDE_SHA256
+
+
 @pytest.mark.parametrize("k", [5, -1])
 def test_skeleton_greedy_rejects_dimension_outside_ambient(k):
     with pytest.raises(ValueError, match=r"need 0 <= k <= n"):

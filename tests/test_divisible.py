@@ -104,6 +104,24 @@ def test_bracket_monotone_chain():
                 assert floors[0] <= ceils[0]
 
 
+def test_brackets_match_definition():
+    # both search paths (bisection for a realizable step b, linear scan
+    # otherwise) against the definitions over a knapsack oracle
+    for q in (2, 3):
+        for r in range(4):
+            bases = sqr_bases(q, r).bases
+            limit = 6000
+            reachable = [True] + [False] * limit
+            for m in range(1, limit + 1):
+                reachable[m] = any(s <= m and reachable[m - s] for s in bases)
+            for a in range(0, 150, 11):
+                for b in range(1, 20):
+                    floor = max(n for n in range(-300, a // b + 1) if reachable[a - n * b])
+                    ceil = min(n for n in range(-((-a) // b), a // b + 300) if reachable[n * b - a])
+                    assert sharp_floor(a, b, q, r) == floor, (q, r, a, b)
+                    assert sharp_ceil(a, b, q, r) == ceil, (q, r, a, b)
+
+
 def test_bracket_rejects_bad_b():
     with pytest.raises(ValueError):
         sharp_floor(10, 0, 2, 2)
