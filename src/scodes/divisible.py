@@ -79,12 +79,13 @@ def _realizable(n: int, sb: SqrBases) -> bool:
 def _first_realizable(x: int, b: int, sb: SqrBases) -> int:
     """The least j >= 0 such that x + j*b is a realizable cardinality.
 
-    Every m >= (q-1) * sum_{i<r} sigma_i is realizable (digits bounded by
-    q-1 force a non-negative leading coefficient), which bounds j.
+    Every m >= threshold = (q-1) * sum_{i<r} sigma_i is realizable (digits
+    bounded by q-1 force a non-negative leading coefficient), which bounds j.
     Realizable cardinalities are closed under addition (disjoint unions of
     divisible multisets), so when b is realizable the predicate can only
     turn true as j grows, and j is bisected; otherwise the scan is linear."""
-    hi = max(0, -((x - (sb.q - 1) * sum(sb.bases[:sb.r])) // b))
+    threshold = (sb.q - 1) * sum(sb.bases[:sb.r])
+    hi = max(0, -((x - threshold) // b))  # the least j with x + j*b >= threshold
     if not _realizable(b, sb):
         return next(j for j in range(hi + 1) if _realizable(x + j * b, sb))
     lo = 0
