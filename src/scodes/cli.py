@@ -73,7 +73,7 @@ def write_code_file(path: str, code: Cdc) -> None:
     lines.append(header)
     for w in sorted(code.words, key=lambda s: s.rref.entries):
         for row in w.rref.entries:
-            lines.append(" ".join(str(x) for x in row))
+            lines.append(" ".join(map(str, row)))
         lines.append("")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -130,10 +130,10 @@ def _read_scode(path: str) -> tuple[dict, list[list[Subspace]]]:
                 parts.append([])
             continue
         try:
-            row = [int(x) for x in stripped.split()]
+            row = list(map(int, stripped.split()))
         except ValueError:
             row = None
-        if row is None or len(row) != n or any(not 0 <= x < q for x in row):
+        if row is None or len(row) != n or min(row) < 0 or max(row) >= q:
             raise FileError(f"{path}: bad codeword row {stripped!r}")
         row_buf.append(row)
         if len(row_buf) == k:

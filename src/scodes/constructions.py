@@ -122,17 +122,21 @@ class DPacking:
 
 def lift(M: MatGF) -> Subspace:
     """The row space of [I_k | M] in ambient k + cols."""
+    return _lift(MatGF.identity(M.field, M.rows).entries, M)
+
+
+def _lift(eye: tuple[tuple[int, ...], ...], M: MatGF) -> Subspace:
+    """`lift` with the rows of I_k passed in, so a code builds them once."""
     k = M.rows
-    eye = MatGF.identity(M.field, k)
-    rows = [er + mr for er, mr in zip(eye.entries, M.entries)]
-    return Subspace.from_rref(M.field, k + M.cols, rows, list(range(k)))
+    return Subspace.from_rref(M.field, k + M.cols, [er + mr for er, mr in zip(eye, M.entries)], range(k))
 
 
 def lifted_mrd(q: int, n: int, k: int, d: int, cap: int = WORD_CAP) -> Cdc:
     """Lift a k x (n-k) MRD code of rank distance d/2."""
     _check_cdc_params(q, n, k, d)
     rmc = rect_mrd(q, k, n - k, d // 2, cap)
-    return _mk(q, n, k, d, (lift(w) for w in rmc.words), "lifted_mrd", n1=k, n2=n - k)
+    eye = MatGF.identity(rmc.field, k).entries
+    return _mk(q, n, k, d, (_lift(eye, w) for w in rmc.words), "lifted_mrd", n1=k, n2=n - k)
 
 
 def _check_cdc_params(q, n, k, d):

@@ -9,6 +9,12 @@ that it falls back to polynomial arithmetic.  Odd-p extension fields with
 q^2 <= 2^16 also precompute addition and negation tables; larger ones add
 digit by digit.
 
+`FieldSpec.rowop` is the one row operation of the linear algebra in
+`spaces`: a - f*b or f*a on whole rows.  Fields with q^2 <= 2^16 run it on
+row tables (q x q addition, negated-product and product tables), built on
+first use and kept on the field; larger fields run the same loop on the
+per-element methods.
+
 `ExtField` builds GF(q^m) on top of an existing `FieldSpec` GF(q), with
 elements stored as coefficient tuples over the base field.  This is the
 representation used for linearized-polynomial evaluation, where the
@@ -54,7 +60,9 @@ class FieldSpec:
 
     Elements are plain ints in [0, q).  All operations take and return these
     int encodings; `element()` wraps one into a `Felt` for operator syntax.
-    Instances are immutable after construction and safe to share.
+    Instances are safe to share: the only state set after construction is
+    the row tables of `rowop`, a pure cache built on its first call when
+    q*q <= _TABLE_LIMIT (add[x][y], negmul[f][y] = -(f*y), mul[f][y]).
     """
 
     def __init__(self, p: int, e: int, modulus: Optional[Sequence[int]] = None):
@@ -89,6 +97,7 @@ class FieldSpec:
             digits = [self.coeffs(a) for a in range(self.q)]
             self._add = [self.from_coeffs(map(operator.add, x, y)) for x in digits for y in digits]
             self._neg = [self.from_coeffs(-c for c in x) for x in digits]
+        self._rows: Optional[tuple] = None  # rowop's tables, () when q*q is too large
 
     # -- encoding ----------------------------------------------------------
 
@@ -130,6 +139,35 @@ class FieldSpec:
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
+
+    def rowop(self, a: Sequence[int], f: int, b: Optional[Sequence[int]] = None) -> list[int]:
+        """a - f*b entrywise (zip stops at the shorter row), or f*a when b is
+        None.  Entries must lie in [0, q); callers check them."""
+        tables = self._rows
+        if tables is None:
+            tables = self._rows = self._row_tables()
+        if tables:
+            add, negmul, mul = tables
+            if b is None:
+                scaled = mul[f]
+                return [scaled[x] for x in a]
+            nf = negmul[f]
+            return [add[x][nf[y]] for x, y in zip(a, b)]
+        add, mul = self.add, self.mul
+        if b is None:
+            return [mul(f, x) for x in a]
+        nf = self.neg(f)
+        return [add(x, mul(nf, y)) for x, y in zip(a, b)]
+
+    def _row_tables(self) -> tuple:
+        q = self.q
+        if q * q > _TABLE_LIMIT:
+            return ()
+        els = range(q)
+        add = [[self.add(x, y) for y in els] for x in els]
+        mul = [[self.mul(f, y) for y in els] for f in els]
+        neg = [self.neg(x) for x in els]
+        return add, [[neg[v] for v in row] for row in mul], mul
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:

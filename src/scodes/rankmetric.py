@@ -383,9 +383,10 @@ def _span(field: FieldSpec, basis: Sequence[Sequence[int]]) -> list[tuple[int, .
     The span grows q-fold per basis vector, so each word costs one vector
     addition."""
     span = [(0,) * (len(basis[0]) if basis else 0)]
+    rowop, minus_one = field.rowop, field.neg(1)  # v + c*b is v - (-1)*(c*b)
     for b in basis:
-        multiples = [tuple(field.mul(c, x) for x in b) for c in range(1, field.q)]
-        span = [w for v in span for w in (v, *[tuple(map(field.add, v, cb)) for cb in multiples])]
+        multiples = [rowop(b, c) for c in range(1, field.q)]
+        span = [w for v in span for w in (v, *[tuple(rowop(v, minus_one, cb)) for cb in multiples])]
     return span
 
 

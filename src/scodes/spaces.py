@@ -7,6 +7,13 @@ A subspace's identity is its unique RREF generator matrix; equality and
 hashing go through it.  Binary matrices additionally carry a bit-packed
 row representation (bit j of a row int is column j) used by the fast rank
 and distance paths; semantics are identical to the generic path.
+
+Every row operation (a - f*b while eliminating, f*a while normalizing a
+pivot) is one `FieldSpec.rowop` call.  For q*q <= 2^16 it runs on the
+field's row tables, built on first use, so an eliminated entry costs one
+add[x][negmul[f][y]] lookup; larger fields run the same loop on the
+per-element methods.  RREF checks that every entry lies in [0, q) and
+keeps the rows that no operation touches as the tuples they were.
 """
 
 from __future__ import annotations
@@ -27,17 +34,18 @@ class MatGF:
     __slots__ = ("field", "rows", "cols", "entries")
 
     def __init__(self, field: FieldSpec, entries: Sequence[Sequence[int]], cols: Optional[int] = None):
-        rows = [tuple(r) for r in entries]
+        rows = tuple(map(tuple, entries))  # rows that are tuples already are kept, not copied
         if rows:
             cols = len(rows[0]) if cols is None else cols
-            if any(len(r) != cols for r in rows):
+            lengths = set(map(len, rows))
+            if len(lengths) != 1 or cols not in lengths:
                 raise ValueError("ragged matrix")
         elif cols is None:
             cols = 0
         self.field = field
         self.rows = len(rows)
         self.cols = cols
-        self.entries = tuple(rows)
+        self.entries = rows
 
     @classmethod
     def zero(cls, field: FieldSpec, rows: int, cols: int) -> "MatGF":
@@ -65,12 +73,8 @@ class MatGF:
     def sub(self, other: "MatGF") -> "MatGF":
         if (self.rows, self.cols) != (other.rows, other.cols) or self.field != other.field:
             raise ValueError("shape or field mismatch")
-        F = self.field
-        return MatGF(
-            self.field,
-            [tuple(F.sub(a, b) for a, b in zip(ra, rb)) for ra, rb in zip(self.entries, other.entries)],
-            self.cols,
-        )
+        rowop = self.field.rowop
+        return MatGF(self.field, [rowop(ra, 1, rb) for ra, rb in zip(self.entries, other.entries)], self.cols)
 
     def __eq__(self, other) -> bool:
         return (
@@ -89,39 +93,52 @@ class MatGF:
 
 
 def rref(M: MatGF) -> tuple[MatGF, list[int]]:
-    """Reduced row echelon form and pivot column indices (deterministic)."""
+    """Reduced row echelon form and pivot column indices (deterministic).
+    Raises ValueError for an entry outside [0, q)."""
+    rows, pivots = _reduce(M)
+    zero = (0,) * M.cols
+    return MatGF(M.field, rows + (zero,) * (M.rows - len(rows)), M.cols), pivots
+
+
+def _reduce(M: MatGF) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
+    """The nonzero rows of M's RREF, as tuples, and their pivot columns.
+
+    Rows are eliminated with `FieldSpec.rowop`; a row that no operation
+    touches stays the tuple it was in M."""
     F = M.field
-    rows = [list(r) for r in M.entries]
+    rows: list[Sequence[int]] = list(M.entries)
     nrows, ncols = M.rows, M.cols
+    if rows and ncols and (min(map(min, rows)) < 0 or max(map(max, rows)) >= F.q):
+        raise ValueError(f"matrix entry outside [0, {F.q})")
+    rowop = F.rowop
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        sel = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                sel = i
+        for sel in range(r, nrows):
+            if rows[sel][c]:
                 break
-        if sel is None:
+        else:
             continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        inv = F.inv(rows[r][c])
-        if inv != 1:
-            rows[r] = [F.mul(inv, x) for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[i], rows[r])]
+        lead = rows[sel]
+        if sel != r:
+            rows[sel] = rows[r]
+        if lead[c] != 1:
+            lead = rowop(lead, F.inv(lead[c]))
+        rows[r] = lead
+        for i, row in enumerate(rows):
+            if row[c] and i != r:
+                rows[i] = rowop(row, row[c], lead)
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return MatGF(F, rows, ncols), pivots
+    return tuple(map(tuple, rows[:r])), pivots
 
 
 def rank(M: MatGF) -> int:
     if M.field.q == 2:
         return _rank_bits([_pack_row(r) for r in M.entries])
-    return len(rref(M)[1])
+    return len(_reduce(M)[1])
 
 
 def _pack_row(row: Sequence[int]) -> int:
@@ -212,8 +229,8 @@ class Subspace:
 
     @classmethod
     def from_matrix(cls, M: MatGF) -> "Subspace":
-        E, pivots = rref(M)
-        return cls(M.field, M.cols, E.entries[: len(pivots)], pivots)
+        rows, pivots = _reduce(M)
+        return cls(M.field, M.cols, rows, pivots)
 
     @classmethod
     def from_rref(cls, field: FieldSpec, ambient_n: int, rows: Sequence[Sequence[int]], pivots: Sequence[int]) -> "Subspace":
@@ -233,12 +250,15 @@ class Subspace:
         return tuple(j for j, b in enumerate(self.pivot) if b)
 
     def contains_vector(self, vec: Sequence[int]) -> bool:
-        F = self.field
+        """Whether vec lies in the subspace; ValueError unless vec has
+        ambient_n entries, each in [0, q)."""
         v = list(vec)
+        if len(v) != self.ambient_n or (v and (min(v) < 0 or max(v) >= self.field.q)):
+            raise ValueError(f"not a vector of GF({self.field.q})^{self.ambient_n}")
+        rowop = self.field.rowop
         for row, p in zip(self.rref.entries, self.pivot_positions()):
             if v[p]:
-                c = v[p]
-                v = [F.sub(x, F.mul(c, y)) for x, y in zip(v, row)]
+                v = rowop(v, v[p], row)
         return not any(v)
 
     def points(self) -> Iterator[tuple[int, ...]]:

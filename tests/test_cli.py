@@ -131,7 +131,12 @@ def test_verify_corrupt_file(tmp_path, capsys):
      ["verify", "{path}"]),
     ("parallelism_q2_n4_k2.scode", "SCODE 1\nq=2 p=2 e=1 k=2 d=4 count=0\n",
      ["construct", "coset", "--q", "2", "-o", "{dir}/out.scode"]),
-], ids=["header-only", "row-token", "modulus-token", "packing-without-n"])
+    ("bad.scode", "SCODE 1\nq=3 p=3 e=1 n=4 k=2 d=4 count=1\n1 0 0 -1\n0 1 0 0\n\n",
+     ["verify", "{path}"]),
+    ("bad.scode", "SCODE 1\nq=3 p=3 e=1 n=4 k=2 d=4 count=1\n1 0 0 0\n0 1 3 0\n\n",
+     ["verify", "{path}"]),
+], ids=["header-only", "row-token", "modulus-token", "packing-without-n", "row-entry-minus-1",
+        "row-entry-q"])
 def test_malformed_input_exits_4(tmp_path, monkeypatch, capsys, name, text, argv):
     (tmp_path / name).write_text(text, encoding="utf-8")
     monkeypatch.setenv("SCODES_PACKINGS", str(tmp_path))

@@ -57,6 +57,20 @@ def test_lift():
         MatGF(F2, [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0]])).rref.entries
 
 
+def test_lifted_mrd_builds_identity_once(monkeypatch):
+    calls = []
+    identity = MatGF.identity.__func__
+
+    def spy(cls, field, n):
+        calls.append(n)
+        return identity(cls, field, n)
+
+    monkeypatch.setattr(MatGF, "identity", classmethod(spy))
+    code = lifted_mrd(2, 9, 3, 4)
+    assert len(code.words) == 4096
+    assert len(calls) <= 1
+
+
 def test_lifted_mrd_small():
     code = lifted_mrd(2, 4, 2, 4)
     assert len(code) == 4

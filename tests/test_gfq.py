@@ -200,3 +200,25 @@ def test_large_odd_extension_field_adds_without_tables():
     a, b = 500, 700
     assert F.sub(F.add(a, b), b) == a
     assert F.add(a, F.neg(a)) == 0
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 2**9, 3**6])
+def test_rowop_matches_elementwise_arithmetic(q):
+    F = FieldSpec(*_prime_power(q))
+    assert F._rows is None  # row tables are built on first use only
+    a = [(7 * i + 3) % q for i in range(q + 5)]
+    b = [(5 * i + 1) % q for i in range(q + 5)]
+    for f in {0, 1, q - 1, q // 2}:
+        assert F.rowop(a, f) == [F.mul(f, x) for x in a]
+        assert F.rowop(a, f, b) == [F.sub(x, F.mul(f, y)) for x, y in zip(a, b)]
+    # tables only while q*q stays within the limit, else the element methods
+    assert bool(F._rows) == (q * q <= 1 << 16)
+
+
+def _prime_power(q):
+    p = next(p for p in range(2, q + 1) if q % p == 0)
+    e = 0
+    while q > 1:
+        q //= p
+        e += 1
+    return p, e

@@ -1,7 +1,10 @@
+import hashlib
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scodes.gfq import GF
 from scodes.qcombi import gauss_binomial
@@ -259,3 +262,149 @@ def test_canonical_equality_and_hash():
     B = Subspace.from_matrix(MatGF(F2, [[1, 0, 1], [0, 1, 1]]))
     assert A == B
     assert len({A, B}) == 1
+
+
+# -- rref against a reference, a frozen digest and its input checks -----------
+
+# GF(2^9) and GF(3^6) lie past the row-table limit (q*q > 2^16), so rref
+# runs there on the per-element field methods.
+RREF_FIELDS = (2, 3, 4, 5, 7, 8, 9, 16, 27, 2**9, 3**6)
+
+
+def reference_rref(F, rows, ncols):
+    """Forward elimination to echelon form, then back substitution from the
+    bottom pivot up, on F.add, F.mul and F.inv only."""
+    minus_one = next(x for x in range(F.q) if F.add(1, x) == 0)
+
+    def axpy(f, b, a):  # a + f*b
+        return [F.add(x, F.mul(f, y)) for x, y in zip(a, b)]
+
+    rows = [list(r) for r in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        below = [i for i in range(r, len(rows)) if rows[i][c]]
+        if not below:
+            continue
+        rows[r], rows[below[0]] = rows[below[0]], rows[r]
+        rows[r] = [F.mul(F.inv(rows[r][c]), x) for x in rows[r]]
+        for i in range(r + 1, len(rows)):
+            if rows[i][c]:
+                rows[i] = axpy(F.mul(minus_one, rows[i][c]), rows[r], rows[i])
+        pivots.append(c)
+    for r in range(len(pivots) - 1, -1, -1):
+        c = pivots[r]
+        for i in range(r):
+            if rows[i][c]:
+                rows[i] = axpy(F.mul(minus_one, rows[i][c]), rows[r], rows[i])
+    return [tuple(r) for r in rows], pivots
+
+
+@st.composite
+def field_matrices(draw):
+    q = draw(st.sampled_from(RREF_FIELDS))
+    F = GF(q)
+    ncols = draw(st.integers(1, 10))
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(("random", "random", "zero", "combination")))
+        if kind == "zero":
+            rows.append([0] * ncols)
+        elif kind == "combination" and rows:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            fa, fb = draw(st.integers(0, q - 1)), draw(st.integers(0, q - 1))
+            rows.append([F.add(F.mul(fa, x), F.mul(fb, y)) for x, y in zip(a, b)])
+        else:
+            rows.append(draw(st.lists(st.integers(0, q - 1), min_size=ncols, max_size=ncols)))
+    return MatGF(F, rows, ncols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(field_matrices())
+def test_rref_matches_reference_elimination(M):
+    E, pivots = rref(M)
+    ref_rows, ref_pivots = reference_rref(M.field, M.entries, M.cols)
+    assert pivots == ref_pivots
+    assert list(E.entries) == ref_rows
+    assert rank(M) == len(ref_pivots)
+
+
+def seeded_matrices():
+    rng = random.Random(20211222)
+    for q in (2, 3, 4, 5, 7, 8, 9, 16, 27):
+        F = GF(q)
+        for _ in range(60):
+            nrows, ncols = rng.randint(0, 8), rng.randint(1, 10)
+            density = rng.choice((0.25, 0.6, 1.0))
+            rows = []
+            for _ in range(nrows):
+                kind = rng.random()
+                if kind < 0.15:
+                    rows.append([0] * ncols)
+                elif kind < 0.35 and rows:
+                    a, b = rng.choice(rows), rng.choice(rows)
+                    fa, fb = rng.randrange(q), rng.randrange(q)
+                    rows.append([F.add(F.mul(fa, x), F.mul(fb, y)) for x, y in zip(a, b)])
+                else:
+                    rows.append([rng.randrange(1, q) if rng.random() < density else 0 for _ in range(ncols)])
+            yield MatGF(F, rows, ncols)
+
+
+# SHA-256 over (q, RREF entries, pivots) of the 540 seeded matrices, frozen
+# from the elimination that ran F.sub(x, F.mul(f, y)) per entry.
+GOLDEN_RREF_SHA256 = "0c87681350a93a5cbabd358ead5f1f6521eed6b50ea6f97c9c1fb69acdef933d"
+
+
+def test_rref_matches_golden_digest():
+    h = hashlib.sha256()
+    for M in seeded_matrices():
+        E, pivots = rref(M)
+        h.update(repr((M.field.q, E.entries, pivots)).encode())
+    assert h.hexdigest() == GOLDEN_RREF_SHA256
+
+
+@pytest.mark.parametrize("bad", [3, -1], ids=["entry-q", "entry-minus-1"])
+def test_rref_rejects_entries_outside_field(bad):
+    M = MatGF(F3, [[1, 0, 2], [0, bad, 1]])
+    with pytest.raises(ValueError, match="outside"):
+        rref(M)
+    with pytest.raises(ValueError, match="outside"):
+        rank(M)
+    with pytest.raises(ValueError, match="outside"):
+        Subspace.from_matrix(M)
+
+
+def test_rref_rejects_unreduced_entry_it_used_to_copy():
+    with pytest.raises(ValueError):
+        rref(MatGF(F3, [[1, 7, 2]]))
+
+
+def test_matgf_rejects_ragged_rows_and_column_mismatch():
+    with pytest.raises(ValueError, match="ragged matrix"):
+        MatGF(F2, [[1, 0, 1], [1, 0]])
+    with pytest.raises(ValueError, match="ragged matrix"):
+        MatGF(F2, [[1, 0, 1], [1, 0, 1]], 4)
+    assert MatGF(F2, [], 5).cols == 5 and MatGF(F2, []).cols == 0
+
+
+def test_from_matrix_keeps_tuple_rows():
+    row = (1, 0, 2, 1)
+    U = Subspace.from_matrix(MatGF(F3, [row]))
+    assert U.rref.entries[0] is row
+
+
+@pytest.mark.parametrize("vec", [(1, 1), (1, 0, 0, 0, 5), (3, 0, 0, 0), (0, -1, 0, 0)],
+                         ids=["short", "long", "entry-q", "entry-minus-1"])
+def test_contains_vector_rejects_non_vectors(vec):
+    U = Subspace.from_matrix(MatGF(F3, [[1, 0, 0, 0], [0, 1, 0, 0]]))
+    with pytest.raises(ValueError):
+        U.contains_vector(vec)
+
+
+def test_contains_vector_gf3():
+    U = Subspace.from_matrix(MatGF(F3, [[1, 0, 2, 0], [0, 1, 1, 1]]))
+    for a, b in itertools.product(range(3), repeat=2):
+        v = tuple((a * x + b * y) % 3 for x, y in zip((1, 0, 2, 0), (0, 1, 1, 1)))
+        assert U.contains_vector(v)
+    assert not U.contains_vector((0, 0, 1, 0))
+    assert not U.contains_vector((0, 0, 0, 1))
