@@ -35,13 +35,10 @@ class MatGF:
 
     def __init__(self, field: FieldSpec, entries: Sequence[Sequence[int]], cols: Optional[int] = None):
         rows = tuple(map(tuple, entries))  # rows that are tuples already are kept, not copied
-        if rows:
-            cols = len(rows[0]) if cols is None else cols
-            lengths = set(map(len, rows))
-            if len(lengths) != 1 or cols not in lengths:
-                raise ValueError("ragged matrix")
-        elif cols is None:
-            cols = 0
+        if cols is None:
+            cols = len(rows[0]) if rows else 0
+        if rows and set(map(len, rows)) != {cols}:
+            raise ValueError("ragged matrix")
         self.field = field
         self.rows = len(rows)
         self.cols = cols
@@ -94,17 +91,10 @@ class MatGF:
 
 def rref(M: MatGF) -> tuple[MatGF, list[int]]:
     """Reduced row echelon form and pivot column indices (deterministic).
-    Raises ValueError for an entry outside [0, q)."""
-    rows, pivots = _reduce(M)
-    zero = (0,) * M.cols
-    return MatGF(M.field, rows + (zero,) * (M.rows - len(rows)), M.cols), pivots
 
-
-def _reduce(M: MatGF) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
-    """The nonzero rows of M's RREF, as tuples, and their pivot columns.
-
-    Rows are eliminated with `FieldSpec.rowop`; a row that no operation
-    touches stays the tuple it was in M."""
+    Raises ValueError for an entry outside [0, q).  Rows are eliminated
+    with `FieldSpec.rowop`; a row that no operation touches stays the tuple
+    it was in M."""
     F = M.field
     rows: list[Sequence[int]] = list(M.entries)
     nrows, ncols = M.rows, M.cols
@@ -132,13 +122,13 @@ def _reduce(M: MatGF) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
         r += 1
         if r == nrows:
             break
-    return tuple(map(tuple, rows[:r])), pivots
+    return MatGF(F, rows, ncols), pivots
 
 
 def rank(M: MatGF) -> int:
     if M.field.q == 2:
         return _rank_bits([_pack_row(r) for r in M.entries])
-    return len(_reduce(M)[1])
+    return len(rref(M)[1])
 
 
 def _pack_row(row: Sequence[int]) -> int:
@@ -229,8 +219,8 @@ class Subspace:
 
     @classmethod
     def from_matrix(cls, M: MatGF) -> "Subspace":
-        rows, pivots = _reduce(M)
-        return cls(M.field, M.cols, rows, pivots)
+        E, pivots = rref(M)
+        return cls(M.field, M.cols, E.entries[: len(pivots)], pivots)
 
     @classmethod
     def from_rref(cls, field: FieldSpec, ambient_n: int, rows: Sequence[Sequence[int]], pivots: Sequence[int]) -> "Subspace":
