@@ -2,7 +2,15 @@ import itertools
 
 import pytest
 
-from scodes.gfq import GF, ExtField, FieldSpec, field_create, find_irreducible_over, poly_irreducible_over
+from scodes.gfq import (
+    GF,
+    ExtField,
+    FieldSpec,
+    _factor_prime_power,
+    field_create,
+    find_irreducible_over,
+    poly_irreducible_over,
+)
 
 
 def brute_irreducible(p, poly):
@@ -204,7 +212,7 @@ def test_large_odd_extension_field_adds_without_tables():
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9, 2**9, 3**6])
 def test_rowop_matches_elementwise_arithmetic(q):
-    F = FieldSpec(*_prime_power(q))
+    F = FieldSpec(*_factor_prime_power(q))  # a fresh instance, not the shared GF(q)
     assert F._rows is None  # row tables are built on first use only
     a = [(7 * i + 3) % q for i in range(q + 5)]
     b = [(5 * i + 1) % q for i in range(q + 5)]
@@ -213,12 +221,3 @@ def test_rowop_matches_elementwise_arithmetic(q):
         assert F.rowop(a, f, b) == [F.sub(x, F.mul(f, y)) for x, y in zip(a, b)]
     # tables only while q*q stays within the limit, else the element methods
     assert bool(F._rows) == (q * q <= 1 << 16)
-
-
-def _prime_power(q):
-    p = next(p for p in range(2, q + 1) if q % p == 0)
-    e = 0
-    while q > 1:
-        q //= p
-        e += 1
-    return p, e
