@@ -4,9 +4,10 @@ subspaces with canonical generators, distances, duals, pivot vectors,
 Ferrers diagrams, and deterministic Grassmannian enumeration.
 
 A subspace's identity is its unique RREF generator matrix; equality and
-hashing go through it.  Binary matrices additionally carry a bit-packed
-row representation (bit j of a row int is column j) used by the fast rank
-and distance paths; semantics are identical to the generic path.
+hashing go through it.  Distances need the rank of U and W stacked: each
+RREF row of W is reduced against U's RREF rows, and the rows kept so far,
+at their pivot columns with `FieldSpec.rowop`, and an optional rank cap
+stops the reduction once the rank reaches it.  There is no q-specific path.
 
 Every row operation (a - f*b while eliminating, f*a while normalizing a
 pivot) is one `FieldSpec.rowop` call.  For q*q <= 2^16 it runs on the
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .gfq import GF, FieldSpec
 from .qcombi import gauss_binomial
@@ -126,49 +127,7 @@ def rref(M: MatGF) -> tuple[MatGF, list[int]]:
 
 
 def rank(M: MatGF) -> int:
-    if M.field.q == 2:
-        return _rank_bits([_pack_row(r) for r in M.entries])
     return len(rref(M)[1])
-
-
-def _pack_row(row: Sequence[int]) -> int:
-    word = 0
-    for j, x in enumerate(row):
-        if x:
-            word |= 1 << j
-    return word
-
-
-def _rank_bits(words: Iterable[int]) -> int:
-    basis: dict[int, int] = {}
-    r = 0
-    for w in words:
-        while w:
-            low = w & -w
-            if low in basis:
-                w ^= basis[low]
-            else:
-                basis[low] = w
-                r += 1
-                break
-    return r
-
-
-def _joint_rank_bits_capped(basis: dict[int, int], words: Iterable[int], base_rank: int, cap: int) -> int:
-    """Rank of basis + words, stopping early once it reaches cap."""
-    r = base_rank
-    for w in words:
-        while w:
-            low = w & -w
-            if low in basis:
-                w ^= basis[low]
-            else:
-                basis[low] = w
-                r += 1
-                if r >= cap:
-                    return r
-                break
-    return r
 
 
 @dataclass(frozen=True)
@@ -202,7 +161,7 @@ class FerrersDiagram:
 class Subspace:
     """A k-subspace of GF(q)^n held by its canonical RREF generator."""
 
-    __slots__ = ("field", "ambient_n", "k", "rref", "pivot", "_bits", "_hash")
+    __slots__ = ("field", "ambient_n", "k", "rref", "pivot", "_hash")
 
     def __init__(self, field: FieldSpec, ambient_n: int, rref_rows: Sequence[Sequence[int]], pivots: Sequence[int]):
         self.field = field
@@ -211,10 +170,6 @@ class Subspace:
         self.rref = MatGF(field, rref_rows, ambient_n)
         pivset = set(pivots)
         self.pivot = tuple(1 if j in pivset else 0 for j in range(ambient_n))
-        if field.q == 2:
-            self._bits = tuple(_pack_row(r) for r in rref_rows)
-        else:
-            self._bits = None
         self._hash = hash((field, ambient_n, self.rref.entries))
 
     @classmethod
@@ -300,12 +255,8 @@ def subspace_distance(U: Subspace, W: Subspace) -> int:
 def subspace_distance_capped(U: Subspace, W: Subspace, cap_distance: int) -> int:
     """Like subspace_distance but may return early with any value
     >= cap_distance once the distance is known to reach it."""
-    if U._bits is not None:
-        cap_rank = (cap_distance + U.k + W.k + 1) // 2
-        basis = {b & -b: b for b in U._bits}
-        r = _joint_rank_bits_capped(basis, W._bits, U.k, cap_rank)
-        return 2 * r - U.k - W.k
-    return subspace_distance(U, W)
+    _check_same_ambient(U, W)
+    return 2 * _stack_rank(U, W, cap=(cap_distance + U.k + W.k + 1) // 2) - U.k - W.k
 
 
 def injection_distance(U: Subspace, W: Subspace) -> int:
@@ -318,12 +269,34 @@ def _check_same_ambient(U: Subspace, W: Subspace) -> None:
         raise ValueError("ambient space mismatch")
 
 
-def _stack_rank(U: Subspace, W: Subspace) -> int:
-    if U._bits is not None:
-        basis = {b & -b: b for b in U._bits}
-        return _joint_rank_bits_capped(basis, W._bits, U.k, 1 << 30)
-    stacked = U.rref.vstack(W.rref)
-    return rank(stacked)
+def _stack_rank(U: Subspace, W: Subspace, cap: Optional[int] = None) -> int:
+    """Rank of U's rows stacked on W's, or some value >= cap once the rank
+    reaches cap.
+
+    Each RREF row of W is reduced at the pivot columns of U's rows and of
+    the rows kept so far; a nonzero remainder is scaled to a leading 1 and
+    kept.  A kept row is zero at every pivot before its own, so one pass in
+    order clears them all."""
+    F = U.field
+    rowop, inv = F.rowop, F.inv
+    basis = list(zip(U.pivot_positions(), U.rref.entries))
+    r = U.k
+    if cap is not None and r >= cap:
+        return r
+    for w in W.rref.entries:
+        for p, row in basis:
+            if w[p]:
+                w = rowop(w, w[p], row)
+        for p, x in enumerate(w):
+            if x:
+                break
+        else:
+            continue
+        basis.append((p, rowop(w, inv(x)) if x != 1 else w))
+        r += 1
+        if r == cap:
+            return r
+    return r
 
 
 def dual(U: Subspace) -> Subspace:

@@ -363,10 +363,14 @@ def test_rref_matches_golden_digest():
     assert h.hexdigest() == GOLDEN_RREF_SHA256
 
 
-@pytest.mark.parametrize("rows", [[[1, 0, 2], [0, 3, 1]], [[1, 0, 2], [0, -1, 1]], [[1, 7, 2]]],
-                         ids=["entry-q", "entry-minus-1", "entry-7"])
-def test_rref_rejects_entries_outside_field(rows):
-    M = MatGF(F3, rows)
+@pytest.mark.parametrize("field, rows", [
+    (F3, [[1, 0, 2], [0, 3, 1]]),
+    (F3, [[1, 0, 2], [0, -1, 1]]),
+    (F3, [[1, 7, 2]]),
+    (F2, [[3, 0], [0, 0]]),
+], ids=["entry-q", "entry-minus-1", "entry-7", "gf2-entry-3"])
+def test_rref_rejects_entries_outside_field(field, rows):
+    M = MatGF(field, rows)
     with pytest.raises(ValueError, match="outside"):
         rref(M)
     with pytest.raises(ValueError, match="outside"):

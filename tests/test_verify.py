@@ -171,6 +171,20 @@ def test_point_kernel_agrees_with_rank_and_dual_formulas(pair):
     assert rep.min_distance == subspace_distance(U, W) == U.k + W.k - 2 * meet
 
 
+@pytest.mark.parametrize("q", sorted(MAX_N))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_capped_distance_is_exact_below_the_cap(q, data):
+    """The capped distance equals the distance when that is below the cap,
+    and is at least the cap otherwise; mixed dimensions included."""
+    n = data.draw(st.integers(1, MAX_N[q]))
+    U, W = data.draw(subspace_of(q, n)), data.draw(subspace_of(q, n))
+    dist = subspace_distance(U, W)
+    for cap in range(2 * n + 1):
+        capped = spaces.subspace_distance_capped(U, W, cap)
+        assert capped == dist if dist < cap else capped >= cap
+
+
 @given(field_and_length().flatmap(lambda qn: subspace_of(*qn)))
 @settings(max_examples=150, deadline=None)
 def test_points_match_normalize_and_dedup(U):
