@@ -281,9 +281,9 @@ def _stack_rank(U: Subspace, W: Subspace, cap: Optional[int] = None) -> int:
     rowop, inv = F.rowop, F.inv
     basis = list(zip(U.pivot_positions(), U.rref.entries))
     r = U.k
-    if cap is not None and r >= cap:
-        return r
     for w in W.rref.entries:
+        if cap is not None and r >= cap:
+            break
         for p, row in basis:
             if w[p]:
                 w = rowop(w, w[p], row)
@@ -294,8 +294,6 @@ def _stack_rank(U: Subspace, W: Subspace, cap: Optional[int] = None) -> int:
             continue
         basis.append((p, rowop(w, inv(x)) if x != 1 else w))
         r += 1
-        if r == cap:
-            return r
     return r
 
 

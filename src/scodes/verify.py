@@ -10,12 +10,13 @@ point-incidence kernel for every q, sharing no rank or RREF code with the
 constructions: each word becomes a bitmask over the points of PG(n-1, q)
 it contains, and a pair's intersection has dimension t where its masks
 share [t]_q = (q^t - 1)/(q - 1) points.  The stored rows are checked to be
-in RREF first (point enumeration relies on it), and a shared count that is
-no [t]_q is an error.  When the masks would exceed a fixed memory cap the
-scan falls back to the stacked-rank kernel; `VerificationReport.kernel`
-names the kernel that ran ("points" or "rank"; sampled mode always uses
-"rank").  Both kernels report the same minimum, witness (the first pair in
-`itertools.combinations` order that attains it) and histogram.
+in RREF first (point enumeration and the stacked-rank reduction rely on
+it), and a shared count that is no [t]_q is an error.  When the masks
+would exceed a fixed memory cap the scan falls back to the stacked-rank
+kernel; `VerificationReport.kernel` names the kernel that ran ("points"
+or "rank"; sampled mode always uses "rank").  Both kernels report the same
+minimum, witness (the first pair in `itertools.combinations` order that
+attains it) and histogram.
 """
 
 from __future__ import annotations
@@ -104,6 +105,8 @@ def min_distance(C: Cdc, mode: str = "exact", sample_count: int = 20000,
     F, n = words[0].field, words[0].ambient_n
     if any(w.field != F or w.ambient_n != n for w in words):
         raise ValueError("ambient space mismatch")
+    for w in words:
+        _check_rref(w)
     points_bound = min(gauss_int(n, F.q), sum(gauss_int(w.k, F.q) for w in words))
     if len(words) * points_bound // 8 <= _MASK_BYTES_CAP:
         kernel, scan = "points", _point_scan
@@ -116,11 +119,9 @@ def min_distance(C: Cdc, mode: str = "exact", sample_count: int = 20000,
 
 def _point_scan(words: Sequence[Subspace], histogram: bool):
     """Exact scan by point incidence: dim(U∩W) = t where [t]_q points of
-    PG(n-1, q) lie in both U and W.  Uses no rank or RREF computation; the
-    stored rows are only checked to be in RREF, which `Subspace.points`
-    relies on."""
-    for w in words:
-        _check_rref(w)
+    PG(n-1, q) lie in both U and W.  Uses no rank or RREF computation;
+    `Subspace.points` relies on the rows being in RREF, which the caller
+    has checked."""
     q = words[0].field.q
     dim_of = {gauss_int(t, q): t for t in range(words[0].ambient_n + 1)}
     masks = _point_masks(words)

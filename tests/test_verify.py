@@ -236,11 +236,14 @@ def test_point_kernel_calls_no_rank_code(monkeypatch):
     ([[0, 1, 0, 0], [1, 0, 0, 0]], [1, 0]),
     ([[1, 0, 0, 0], [0, 0, 0, 0]], [0, 1]),
 ], ids=["pivot-column-not-cleared", "pivot-not-one", "pivots-not-increasing", "zero-row"])
-def test_exact_scan_rejects_rows_not_in_rref(rows, pivots):
+def test_exact_scan_rejects_rows_not_in_rref(rows, pivots, monkeypatch):
     bad = Subspace.from_rref(F3, 4, rows, pivots)
     good = Subspace.from_matrix(MatGF(F3, [[0, 0, 1, 0]]))
     with pytest.raises(ValueError, match="RREF"):
         min_distance(Cdc(3, 4, 1, 1, (good, bad)), "exact")
+    monkeypatch.setattr(verify, "_MASK_BYTES_CAP", -1)  # the rank kernel reduces at pivots too
+    with pytest.raises(ValueError, match="RREF"):
+        min_distance(Cdc(3, 4, 1, 1, (bad, good)), "exact")
 
 
 def test_point_count_outside_gauss_integers_is_an_error(monkeypatch):
