@@ -5,25 +5,27 @@ Field elements are encoded as integers in [0, q) whose base-p digits are the
 coefficients of the residue polynomial in the basis {1, x, ..., x^(e-1)}.
 For e = 1 the encoding is the residue class mod p.  When q <= 2^16 the field
 precomputes log/antilog tables for O(1) multiplication and inversion; above
-that it falls back to polynomial arithmetic.  Odd-p extension fields with
-q^2 <= 2^16 also precompute addition and negation tables; larger ones add
-digit by digit.
+that it falls back to polynomial arithmetic.
 
-`FieldSpec.rowop` is the one row operation of the linear algebra in
-`spaces`: a - f*b or f*a on whole rows.  Fields with q^2 <= 2^16 run it on
-row tables (q x q addition, negated-product and product tables), built on
-first use and kept on the field; larger fields run the same loop on the
-per-element methods.
+When q^2 <= 2^16 the field also builds one set of row tables at
+construction: q x q addition, negated-product and product tables.
+`FieldSpec.rowop`, the one row operation of the linear algebra in `spaces`
+(a - f*b or f*a on whole rows), runs on them, and so do `add` and `neg` of
+odd-p extension fields.  Larger fields run the same loop on the
+per-element methods, and their odd-p extension fields add digit by digit.
 
-`ExtField` builds GF(q^m) on top of an existing `FieldSpec` GF(q), with
-elements stored as coefficient tuples over the base field.  This is the
-representation used for linearized-polynomial evaluation, where the
-coefficient tuple doubles as the expansion of the element over GF(q).
+One set of polynomial routines over any `FieldSpec` (`poly_divmod`,
+`poly_irreducible_over`, `find_irreducible_over`) both checks and searches
+the moduli of `FieldSpec` over GF(p) and those of `ExtField`, which builds
+GF(q^m) on top of an existing `FieldSpec` GF(q), with elements stored as
+coefficient tuples over the base field.  This is the representation used
+for linearized-polynomial evaluation, where the coefficient tuple doubles as
+the expansion of the element over GF(q).
 """
 
 from __future__ import annotations
 
-import operator
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
@@ -60,9 +62,10 @@ class FieldSpec:
 
     Elements are plain ints in [0, q).  All operations take and return these
     int encodings; `element()` wraps one into a `Felt` for operator syntax.
-    Instances are safe to share: the only state set after construction is
-    the row tables of `rowop`, a pure cache built on its first call when
-    q*q <= _TABLE_LIMIT (add[x][y], negmul[f][y] = -(f*y), mul[f][y]).
+    Instances are immutable after construction and safe to share.  When
+    q*q <= _TABLE_LIMIT the constructor builds the one set of row tables,
+    add[x][y], negmul[f][y] = -(f*y) and mul[f][y], which `rowop` reads and
+    `add`/`neg` of odd-p extension fields read too.
     """
 
     def __init__(self, p: int, e: int, modulus: Optional[Sequence[int]] = None):
@@ -82,22 +85,16 @@ class FieldSpec:
                 raise ValueError(f"modulus must have degree {e}")
             if modulus[-1] != 1:
                 raise ValueError("modulus must be monic")
-            if e > 1 and not _is_irreducible_mod_p(p, modulus):
+            if e > 1 and not poly_irreducible_over(GF(p), modulus):
                 raise ValueError(f"modulus {list(modulus)} is reducible over GF({p})")
         self.modulus = tuple(modulus)
         self._exp: Optional[list[int]] = None
         self._log: Optional[list[int]] = None
         if 2 < self.q <= _TABLE_LIMIT:
             self._build_tables()
-        # odd-p extension fields add digit by digit (p = 2 has xor, e = 1
-        # has mod p), so the small ones get flat add/neg tables
-        self._add: Optional[list[int]] = None
-        self._neg: Optional[list[int]] = None
-        if self.p > 2 and self.e > 1 and self.q * self.q <= _TABLE_LIMIT:
-            digits = [self.coeffs(a) for a in range(self.q)]
-            self._add = [self.from_coeffs(map(operator.add, x, y)) for x in digits for y in digits]
-            self._neg = [self.from_coeffs(-c for c in x) for x in digits]
-        self._rows: Optional[tuple] = None  # rowop's tables, () when q*q is too large
+        self._rows: tuple = ()  # (add, negmul, mul), or () when q*q is too large
+        if self.q * self.q <= _TABLE_LIMIT:
+            self._rows = self._row_tables()
 
     # -- encoding ----------------------------------------------------------
 
@@ -122,8 +119,8 @@ class FieldSpec:
             return (a + b) % self.p
         if self.p == 2:
             return a ^ b
-        if self._add is not None:
-            return self._add[a * self.q + b]
+        if self._rows:
+            return self._rows[0][a][b]
         return self.from_coeffs(
             x + y for x, y in zip(self.coeffs(a), self.coeffs(b))
         )
@@ -133,8 +130,8 @@ class FieldSpec:
             return (-a) % self.p
         if self.p == 2:
             return a
-        if self._neg is not None:
-            return self._neg[a]
+        if self._rows:
+            return self._rows[1][1][a]
         return self.from_coeffs(-x for x in self.coeffs(a))
 
     def sub(self, a: int, b: int) -> int:
@@ -143,11 +140,8 @@ class FieldSpec:
     def rowop(self, a: Sequence[int], f: int, b: Optional[Sequence[int]] = None) -> list[int]:
         """a - f*b entrywise (zip stops at the shorter row), or f*a when b is
         None.  Entries must lie in [0, q); callers check them."""
-        tables = self._rows
-        if tables is None:
-            tables = self._rows = self._row_tables()
-        if tables:
-            add, negmul, mul = tables
+        if self._rows:
+            add, negmul, mul = self._rows
             if b is None:
                 scaled = mul[f]
                 return [scaled[x] for x in a]
@@ -160,13 +154,14 @@ class FieldSpec:
         return [add(x, mul(nf, y)) for x, y in zip(a, b)]
 
     def _row_tables(self) -> tuple:
-        q = self.q
-        if q * q > _TABLE_LIMIT:
-            return ()
-        els = range(q)
-        add = [[self.add(x, y) for y in els] for x in els]
+        p, els = self.p, range(self.q)
+        # x + y digit by digit, without carries: each round puts one more
+        # digit below those of the table built so far
+        add = [[0]]
+        for _ in range(self.e):
+            add = [[(x0 + y0) % p + p * s for s in row for y0 in range(p)] for row in add for x0 in range(p)]
         mul = [[self.mul(f, y) for y in els] for f in els]
-        neg = [self.neg(x) for x in els]
+        neg = [row.index(0) for row in add]  # -x is the y with x + y = 0
         return add, [[neg[v] for v in row] for row in mul], mul
 
     def mul(self, a: int, b: int) -> int:
@@ -259,7 +254,7 @@ class FieldSpec:
             x = 1
             ok = True
             for i in range(1, q - 1):
-                x = self._raw_mul(g, x)
+                x = self.mul(g, x)  # polynomial arithmetic: no log tables yet
                 if x == 1:
                     ok = False
                     break
@@ -273,11 +268,6 @@ class FieldSpec:
                 self._exp, self._log = exp, log
                 return
         raise RuntimeError(f"no generator found for GF({q})")  # pragma: no cover
-
-    def _raw_mul(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return (a * b) % self.p
-        return self._polymul_reduce(a, b)
 
     def __eq__(self, other) -> bool:
         return (
@@ -337,8 +327,8 @@ class Felt:
 
 
 def field_create(p: int, e: int, modulus: Optional[Sequence[int]] = None) -> FieldSpec:
-    """GF(p^e); modulus defaults to the lexicographically smallest monic
-    irreducible of degree e (coefficients compared low-degree-first)."""
+    """GF(p^e); modulus defaults to the first monic irreducible of degree e
+    in `find_irreducible_over` order."""
     return FieldSpec(p, e, modulus)
 
 
@@ -365,61 +355,14 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
     raise ValueError(f"{q} is not a prime power")  # pragma: no cover
 
 
-# -- polynomials over GF(p), coefficient tuples low-degree-first ------------
-
-
-def _polydiv_mod_p(p: int, num: Sequence[int], den: Sequence[int]):
-    num = list(num)
-    dd = len(den) - 1
-    inv_lead = pow(den[-1], p - 2, p)
-    quot = [0] * max(1, len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = (num[i] * inv_lead) % p
-        if c:
-            quot[i - dd] = c
-            for j in range(dd + 1):
-                num[i - dd + j] = (num[i - dd + j] - c * den[j]) % p
-    return quot, _trim(num)
-
-
-def _is_irreducible_mod_p(p: int, poly: Sequence[int]) -> bool:
-    """Trial division by all monic polynomials of degree <= deg/2."""
-    deg = len(poly) - 1
-    if deg == 1:
-        return True
-    if poly[0] == 0:  # divisible by x
-        return False
-    for d in range(1, deg // 2 + 1):
-        for rep in range(p**d):
-            cand = []
-            r = rep
-            for _ in range(d):
-                cand.append(r % p)
-                r //= p
-            cand.append(1)
-            _, rem = _polydiv_mod_p(p, poly, cand)
-            if not rem:
-                return False
-    return True
-
-
 @lru_cache(maxsize=None)
 def _smallest_irreducible(p: int, e: int) -> tuple[int, ...]:
     if e == 1:
-        return (0, 1)  # the polynomial x: arithmetic is plain mod p
-    for rep in range(p**e):
-        cand = []
-        r = rep
-        for _ in range(e):
-            cand.append(r % p)
-            r //= p
-        cand.append(1)
-        if _is_irreducible_mod_p(p, cand):
-            return tuple(cand)
-    raise RuntimeError(f"no irreducible of degree {e} over GF({p})")  # pragma: no cover
+        return (0, 1)  # the polynomial x; GF(p) itself is built with it
+    return find_irreducible_over(GF(p), e)
 
 
-# -- extension fields over an arbitrary FieldSpec ----------------------------
+# -- polynomials over a FieldSpec, coefficient tuples low-degree-first -------
 
 
 def poly_mul(F: FieldSpec, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
@@ -459,32 +402,23 @@ def poly_irreducible_over(F: FieldSpec, poly: Sequence[int]) -> bool:
     if poly[0] == 0:
         return False
     for d in range(1, deg // 2 + 1):
-        for rep in range(F.q**d):
-            cand = []
-            r = rep
-            for _ in range(d):
-                cand.append(r % F.q)
-                r //= F.q
-            cand.append(1)
-            _, rem = poly_divmod(F, poly, cand)
+        for digits in itertools.product(range(F.q), repeat=d):
+            _, rem = poly_divmod(F, poly, digits[::-1] + (1,))
             if not rem:
                 return False
     return True
 
 
 def find_irreducible_over(F: FieldSpec, degree: int) -> tuple[int, ...]:
-    """Lexicographically smallest monic irreducible of the given degree."""
+    """The first monic irreducible of the given degree, with the
+    candidates (c_0, ..., c_(degree-1), 1) taken in the order of the base-q
+    number sum c_i q^i: the constant term varies fastest."""
     if degree == 1:
         return (0, 1)
-    for rep in range(F.q**degree):
-        cand = []
-        r = rep
-        for _ in range(degree):
-            cand.append(r % F.q)
-            r //= F.q
-        cand.append(1)
+    for digits in itertools.product(range(F.q), repeat=degree):
+        cand = digits[::-1] + (1,)
         if poly_irreducible_over(F, cand):
-            return tuple(cand)
+            return cand
     raise RuntimeError("no irreducible found")  # pragma: no cover
 
 
@@ -503,9 +437,15 @@ class ExtField:
         self.base = base
         self.m = m
         self.size = base.q**m
-        self.modulus = tuple(modulus) if modulus is not None else find_irreducible_over(base, m)
-        if len(self.modulus) != m + 1 or self.modulus[-1] != 1:
-            raise ValueError(f"modulus must be monic of degree {m}")
+        if modulus is None:
+            modulus = find_irreducible_over(base, m)
+        else:
+            modulus = tuple(modulus)
+            if len(modulus) != m + 1 or modulus[-1] != 1:
+                raise ValueError(f"modulus must be monic of degree {m}")
+            if not all(0 <= c < base.q for c in modulus) or not poly_irreducible_over(base, modulus):
+                raise ValueError(f"modulus {list(modulus)} is not an irreducible polynomial over {base}")
+        self.modulus = modulus
         self.zero = (0,) * m
         self.one = tuple([1] + [0] * (m - 1)) if m > 1 else (1,)
 
@@ -536,11 +476,4 @@ class ExtField:
         return self.pow_int(a, self.base.q)
 
     def elements(self):
-        F = self.base
-        for rep in range(self.size):
-            coeffs = []
-            r = rep
-            for _ in range(self.m):
-                coeffs.append(r % F.q)
-                r //= F.q
-            yield tuple(coeffs)
+        return (t[::-1] for t in itertools.product(range(self.base.q), repeat=self.m))

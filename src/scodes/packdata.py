@@ -49,15 +49,13 @@ def fdrm_coset_partition(F: FerrersDiagram, q: int, cap: int = MATERIALIZE_CAP):
     inner_vecs = [to_vec(w) for w in inner.words]
     _, pivots = rref(MatGF(field, inner_vecs, dots))
     free_cells = [c for c in range(dots) if c not in set(pivots)]
+    rowop, minus_one = field.rowop, field.neg(1)  # iv + rep is iv - (-1)*rep
     cosets = []
     for rep_vals in itertools.product(range(q), repeat=len(free_cells)):
         rep = [0] * dots
         for c, x in zip(free_cells, rep_vals):
             rep[c] = x
-        words = []
-        for iv in inner_vecs:
-            words.append(to_word([field.add(a, b) for a, b in zip(rep, iv)]))
-        cosets.append(tuple(words))
+        cosets.append(tuple(to_word(rowop(iv, minus_one, rep)) for iv in inner_vecs))
     total = sum(len(c) for c in cosets)
     assert total == q**dots, (total, q**dots)
     return cosets

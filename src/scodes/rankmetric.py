@@ -22,7 +22,7 @@ from typing import Iterable, Optional, Sequence
 from .gfq import GF, ExtField, FieldSpec
 from .provenance import BoundResult
 from .qcombi import gauss_binomial
-from .spaces import FerrersDiagram, MatGF, rank, rref
+from .spaces import FerrersDiagram, MatGF, _null_space, rank, rref
 
 MATERIALIZE_CAP = 1 << 21
 
@@ -311,8 +311,7 @@ def two_block_sumrank_code(q: int) -> SumRankCode:
     proj = [v for v in vecs if v[next(i for i, x in enumerate(v) if x)] == 1]
     for u in proj:
         for v in vecs:
-            rows = [tuple(base.mul(a, b) for b in v) for a in u]
-            rank_one.append(MatGF(base, rows, 3))
+            rank_one.append(MatGF(base, [base.rowop(v, a) for a in u], 3))
     left = RankCode(base, 3, 3, 1, tuple(rank_one), rank_set=frozenset({1}))
 
     mrd2 = gabidulin(q, 3, 3, 2)
@@ -411,17 +410,9 @@ def _fdrm_delta2(F: FerrersDiagram, q: int, cap: int) -> tuple[MatGF, ...]:
     A = MatGF(field, [[c[s] for c in coeff] for s in range(t)], len(cells))
     Ech, pivots = rref(A)
     assert len(pivots) == t, "check map unexpectedly not onto"
-    pivset = set(pivots)
-    free = [j for j in range(len(cells)) if j not in pivset]
-    if q ** len(free) > cap:
+    if q ** (len(cells) - t) > cap:
         raise ValueError("distance-2 diagram code too large to materialize")
-    basis = []
-    for f in free:
-        v = [0] * len(cells)
-        v[f] = 1
-        for row, p in zip(Ech.entries, pivots):
-            v[p] = field.neg(row[f])
-        basis.append(v)
+    basis = _null_space(field, Ech.entries, pivots, len(cells))
     return _fillings_to_words(field, F, _span(field, basis))
 
 
@@ -438,12 +429,9 @@ def _fdrm_rect_subcode(F: FerrersDiagram, delta: int, q: int, cap: int) -> tuple
             best = (size, r, width)
     _, r, width = best
     inner = rect_mrd(q, r, width, delta, cap)
-    words = []
-    for w in inner.words:
-        rows = [(0,) * (F.num_cols - width) + tuple(row) for row in w.entries]
-        rows += [(0,) * F.num_cols] * (F.num_rows - r)
-        words.append(MatGF(field, rows, F.num_cols))
-    return tuple(words)
+    m = F.num_cols
+    left, below = (0,) * (m - width), [(0,) * m] * (F.num_rows - r)
+    return tuple(MatGF(field, [left + row for row in w.entries] + below, m) for w in inner.words)
 
 
 def _fdrm_greedy(F: FerrersDiagram, delta: int, q: int, cap: int) -> tuple[MatGF, ...]:
@@ -472,8 +460,8 @@ def _fdrm_greedy(F: FerrersDiagram, delta: int, q: int, cap: int) -> tuple[MatGF
             c //= q
         ok = True
         for s in span:
-            for lam in range(1, q):
-                w = [field.add(field.mul(lam, a), b) for a, b in zip(cand, s)]
+            for f in range(1, q):
+                w = field.rowop(s, f, cand)
                 if vec_rank(w) < delta:
                     ok = False
                     break
@@ -511,14 +499,7 @@ def fdrm_construct(F: FerrersDiagram, delta: int, q: int, cap: int = MATERIALIZE
         vectors = itertools.product(range(q), repeat=F.dot_count())
         return FdrmCode(F, delta, field, _fillings_to_words(field, F, vectors))
     if len(set(effective)) == 1:
-        kk, mm = len(effective), effective[0]
-        inner = rect_mrd(q, kk, mm, delta, cap)
-        pad = F.num_rows - kk
-        words = []
-        for w in inner.words:
-            rows = list(w.entries) + [(0,) * mm] * pad
-            words.append(MatGF(field, rows, mm))
-        return FdrmCode(F, delta, field, tuple(words))
+        return FdrmCode(F, delta, field, _fdrm_rect_subcode(F, delta, q, cap))
     if delta == 2:
         return FdrmCode(F, delta, field, _fdrm_delta2(F, q, cap))
     return FdrmCode(F, delta, field, _fdrm_greedy(F, delta, q, cap))

@@ -9,12 +9,13 @@ RREF row of W is reduced against U's RREF rows, and the rows kept so far,
 at their pivot columns with `FieldSpec.rowop`, and an optional rank cap
 stops the reduction once the rank reaches it.  There is no q-specific path.
 
-Every row operation (a - f*b while eliminating, f*a while normalizing a
-pivot) is one `FieldSpec.rowop` call.  For q*q <= 2^16 it runs on the
-field's row tables, built on first use, so an eliminated entry costs one
-add[x][negmul[f][y]] lookup; larger fields run the same loop on the
-per-element methods.  RREF checks that every entry lies in [0, q) and
-keeps the rows that no operation touches as the tuples they were.
+Every row operation (a - f*b while eliminating or summing, f*a while
+normalizing a pivot or scaling) is one `FieldSpec.rowop` call.  For
+q*q <= 2^16 it runs on the row tables the field built at construction, so
+an eliminated entry costs one add[x][negmul[f][y]] lookup; larger fields
+run the same loop on the per-element methods.  RREF checks that every
+entry lies in [0, q) and keeps the rows that no operation touches as the
+tuples they were.
 """
 
 from __future__ import annotations
@@ -216,16 +217,16 @@ class Subspace:
         combinations are distinct points.  The points led by row i are row i
         plus the span of the rows below it, which is built bottom-up."""
         F = self.field
-        add, mul = F.add, F.mul
+        rowop, minus_one = F.rowop, F.neg(1)  # v + c*row is v - (-1)*(c*row)
         rows = self.rref.entries
         span = [(0,) * self.ambient_n]  # span of rows i+1 .. k-1
         for i in range(self.k - 1, -1, -1):
             row = rows[i]
-            led = [tuple(map(add, row, v)) for v in span]
+            led = [tuple(rowop(v, minus_one, row)) for v in span]
             yield from led
             if i:
-                scaled = [tuple(mul(c, x) for x in row) for c in range(2, F.q)]
-                span += led + [tuple(map(add, s, v)) for s in scaled for v in span]
+                scaled = [rowop(row, c) for c in range(2, F.q)]
+                span += led + [tuple(rowop(v, minus_one, s)) for s in scaled for v in span]
 
     def __eq__(self, other) -> bool:
         return (
@@ -299,21 +300,25 @@ def _stack_rank(U: Subspace, W: Subspace, cap: Optional[int] = None) -> int:
 
 def dual(U: Subspace) -> Subspace:
     """Orthogonal complement under the standard dot product."""
-    F = U.field
     n = U.ambient_n
-    if U.k == 0:
-        return Subspace.full(F, n)
-    # kernel of rref * x^T = 0: free columns parameterize solutions
-    piv = U.pivot_positions()
-    free = [j for j in range(n) if j not in set(piv)]
-    rows = []
-    for f in free:
+    return Subspace.from_matrix(MatGF(U.field, _null_space(U.field, U.rref.entries, U.pivot_positions(), n), n))
+
+
+def _null_space(F: FieldSpec, rows: Sequence[Sequence[int]], pivots: Sequence[int], n: int) -> list[list[int]]:
+    """Basis of {x in GF(q)^n : row . x = 0 for every row}, for `rows` in
+    RREF with these pivot columns: e_f - sum_p row[f] e_p for each free
+    column f, in column order."""
+    pivset = set(pivots)
+    basis = []
+    for f in range(n):
+        if f in pivset:
+            continue
         v = [0] * n
         v[f] = 1
-        for row, p in zip(U.rref.entries, piv):
+        for row, p in zip(rows, pivots):
             v[p] = F.neg(row[f])
-        rows.append(v)
-    return Subspace.from_matrix(MatGF(F, rows, n))
+        basis.append(v)
+    return basis
 
 
 def pivot_vector(U: Subspace) -> tuple[int, ...]:

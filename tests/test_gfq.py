@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -79,9 +80,13 @@ def test_nonprime_p_rejected():
 
 
 def test_default_moduli_are_irreducible():
-    for p, e in [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2)]:
+    # the default is the first monic irreducible with the candidates
+    # (c_0, ..., c_(e-1), 1) in the order of sum c_i p^i
+    fields = [(2, e) for e in range(2, 10)] + [(3, e) for e in range(2, 7)] + [(5, 2), (5, 3), (7, 2)]
+    for p, e in fields:
         F = field_create(p, e)
-        assert brute_irreducible(p, F.modulus)
+        candidates = (tuple(r // p**i % p for i in range(e)) + (1,) for r in range(p**e))
+        assert F.modulus == next(c for c in candidates if brute_irreducible(p, c))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
@@ -164,6 +169,19 @@ def test_ext_field_tower():
     assert len(fixed) == 2
 
 
+@pytest.mark.parametrize(
+    "modulus",
+    [(1, 0, 1), (0, 1, 1), (3, 1, 1), (-1, 1, 1)],
+    ids=["reducible-x2+1", "reducible-x2+x", "coefficient-q", "coefficient-minus-1"],
+)
+def test_ext_field_rejects_bad_modulus(modulus):
+    # x^2 + 1 = (x + 1)^2 over GF(2) would make (1, 1) a zero divisor
+    with pytest.raises(ValueError):
+        ExtField(GF(2), 2, modulus)
+    E = ExtField(GF(2), 2, (1, 1, 1))
+    assert E.mul((1, 1), (1, 1)) == (0, 1)
+
+
 def test_ext_field_over_gf4():
     base = GF(4)
     E = ExtField(base, 2)  # GF(16) over GF(4)
@@ -185,39 +203,44 @@ def test_felt_pow_and_frobenius_tower():
     assert b.frobenius(1, 3).rep == F9.pow(5, 3)
 
 
-@pytest.mark.parametrize("q", [9, 25, 27])
+def digits(F, a):
+    return [a // F.p**i % F.p for i in range(F.e)]
+
+
+def digits_to_rep(F, coeffs):
+    return sum((c % F.p) * F.p**i for i, c in enumerate(coeffs))
+
+
+def check_add_against_digits(F, a, b):
+    da, db = digits(F, a), digits(F, b)
+    expected = digits_to_rep(F, [x + y for x, y in zip(da, db)])
+    assert F.add(a, b) == expected
+    assert F.neg(a) == digits_to_rep(F, [-x for x in da])
+    assert F.sub(expected, b) == a
+
+
+@pytest.mark.parametrize("q", [9, 25, 27, 243])
 def test_add_tables_match_digit_path(q):
     F = GF(q)
-    assert F._add is not None and F._neg is not None
-
-    def digits_to_rep(coeffs):
-        return sum((c % F.p) * F.p**i for i, c in enumerate(coeffs))
-
-    for a in range(q):
-        ca = F.coeffs(a)
-        assert F.neg(a) == digits_to_rep(-x for x in ca)
-        for b in range(q):
-            expected = digits_to_rep(x + y for x, y in zip(ca, F.coeffs(b)))
-            assert F.add(a, b) == expected
-            assert F.sub(expected, b) == a
+    for a, b in itertools.product(range(q), repeat=2):
+        check_add_against_digits(F, a, b)
 
 
 def test_large_odd_extension_field_adds_without_tables():
     F = GF(3**6)  # q * q is past the table limit
-    assert F._add is None and F._neg is None
-    a, b = 500, 700
-    assert F.sub(F.add(a, b), b) == a
-    assert F.add(a, F.neg(a)) == 0
+    rng = random.Random(6)
+    pairs = [(0, F.q - 1), (F.q - 1, F.q - 1)] + [(rng.randrange(F.q), rng.randrange(F.q)) for _ in range(500)]
+    for a, b in pairs:
+        check_add_against_digits(F, a, b)
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 9, 2**9, 3**6])
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 243, 256, 2**9, 3**6])
 def test_rowop_matches_elementwise_arithmetic(q):
     F = FieldSpec(*_factor_prime_power(q))  # a fresh instance, not the shared GF(q)
-    assert F._rows is None  # row tables are built on first use only
+    # the row tables exist from construction on, exactly while q*q stays within the limit
+    assert bool(F._rows) == (q * q <= 1 << 16)
     a = [(7 * i + 3) % q for i in range(q + 5)]
     b = [(5 * i + 1) % q for i in range(q + 5)]
     for f in {0, 1, q - 1, q // 2}:
         assert F.rowop(a, f) == [F.mul(f, x) for x in a]
         assert F.rowop(a, f, b) == [F.sub(x, F.mul(f, y)) for x, y in zip(a, b)]
-    # tables only while q*q stays within the limit, else the element methods
-    assert bool(F._rows) == (q * q <= 1 << 16)
