@@ -92,9 +92,8 @@ class FieldSpec:
         self._log: Optional[list[int]] = None
         if 2 < self.q <= _TABLE_LIMIT:
             self._build_tables()
-        self._rows: tuple = ()  # (add, negmul, mul), or () when q*q is too large
-        if self.q * self.q <= _TABLE_LIMIT:
-            self._rows = self._row_tables()
+        # (add, negmul, mul), or () when q*q is too large
+        self._rows = self._row_tables() if self.q * self.q <= _TABLE_LIMIT else ()
 
     # -- encoding ----------------------------------------------------------
 
