@@ -15,6 +15,11 @@ Packing data files use the same format, with a `# part=<i>` comment line
 opening each part; every codeword follows some part line, and `count` is
 the number of codewords over all parts.  One reader parses both kinds of
 file and checks the magic line, the header, every row and the count.
+Rows repeat across words, so the reader parses and checks each distinct
+row line once per file, and the writer formats each distinct row once;
+neither keeps anything between calls.  Every word still goes through
+`spaces.rref`: the reader does not trust a file to be in canonical form.
+A `mod=` header equal to the default modulus reads into the cached GF(q).
 
 Exit codes: 0 ok, 2 parameter error, 3 verification failure, 4 data-file
 error.  Every malformed or unreadable code or packing file exits 4 with a
@@ -65,15 +70,19 @@ DATA_ERROR = 4
 
 
 def write_code_file(path: str, code: Cdc) -> None:
-    field = GF(code.q)
+    field = code.words[0].field if code.words else GF(code.q)  # a read-back file keeps its modulus
     lines = ["SCODE 1"]
     header = f"q={code.q} p={field.p} e={field.e} n={code.n} k={code.k} d={code.d} count={len(code.words)}"
     if field.e > 1:
         header += " mod=" + ",".join(str(c) for c in field.modulus)
     lines.append(header)
+    text: dict[tuple[int, ...], str] = {}  # rows repeat across words; format each once
     for w in sorted(code.words, key=lambda s: s.rref.entries):
         for row in w.rref.entries:
-            lines.append(" ".join(map(str, row)))
+            line = text.get(row)
+            if line is None:
+                line = text[row] = " ".join(map(str, row))
+            lines.append(line)
         lines.append("")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -112,29 +121,35 @@ def _read_scode(path: str) -> tuple[dict, list[list[Subspace]]]:
         q, p, e = head["q"], head["p"], head["e"]
         if p**e != q:
             raise ValueError("q != p^e")
+        field = GF(q)
         if "mod" in fields:
-            field = field_create(p, e, [int(c) for c in fields["mod"].split(",")])
-        else:
-            field = GF(q)
+            modulus = tuple(int(c) for c in fields["mod"].split(","))
+            if modulus != field.modulus:
+                field = field_create(p, e, modulus)
     except (KeyError, ValueError) as exc:
         raise FileError(f"{path}: bad header ({exc})")
     n, k = head["n"], head["k"]
     parts: list[list[Subspace]] = [[]]
-    row_buf: list[list[int]] = []
+    row_buf: list[tuple[int, ...]] = []
+    checked: dict[str, tuple[int, ...]] = {}  # row line -> its row; rows repeat across words
     for line in raw[head_at + 1:]:
-        stripped = line.strip()
-        if not stripped:
-            continue
-        if stripped.startswith("#"):
-            if stripped.lstrip("#").strip().startswith("part="):
-                parts.append([])
-            continue
-        try:
-            row = list(map(int, stripped.split()))
-        except ValueError:
-            row = None
-        if row is None or len(row) != n or min(row) < 0 or max(row) >= q:
-            raise FileError(f"{path}: bad codeword row {stripped!r}")
+        row = checked.get(line)
+        if row is None:
+            stripped = line.strip()
+            if not stripped:
+                continue
+            if stripped.startswith("#"):
+                if stripped.lstrip("#").strip().startswith("part="):
+                    parts.append([])
+                continue
+            try:
+                row = tuple(map(int, stripped.split()))
+            except ValueError:
+                row = None
+            if row is None or len(row) != n or min(row) < 0 or max(row) >= q:
+                # the first line with this text is this one: no earlier copy passed
+                raise FileError(f"{path}:{raw.index(line, head_at + 1) + 1}: bad codeword row {stripped!r}")
+            checked[line] = row
         row_buf.append(row)
         if len(row_buf) == k:
             parts[-1].append(Subspace.from_matrix(MatGF(field, row_buf, n)))

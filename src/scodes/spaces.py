@@ -160,23 +160,32 @@ class FerrersDiagram:
 
 
 class Subspace:
-    """A k-subspace of GF(q)^n held by its canonical RREF generator."""
+    """A k-subspace of GF(q)^n held by its canonical RREF generator.
 
-    __slots__ = ("field", "ambient_n", "k", "rref", "pivot", "_hash")
+    It keeps its pivot columns as a tuple (`pivot_positions()`) beside the
+    0/1 `pivot` vector built from them, so the distance kernel, `dual` and
+    `contains_vector` read them without rebuilding."""
 
-    def __init__(self, field: FieldSpec, ambient_n: int, rref_rows: Sequence[Sequence[int]], pivots: Sequence[int]):
+    __slots__ = ("field", "ambient_n", "k", "rref", "pivot", "_pivots", "_hash")
+
+    def __init__(self, field: FieldSpec, ambient_n: int, rref_rows: Sequence[Sequence[int]] | MatGF,
+                 pivots: Sequence[int]):
         self.field = field
         self.ambient_n = ambient_n
-        self.k = len(rref_rows)
-        self.rref = MatGF(field, rref_rows, ambient_n)
-        pivset = set(pivots)
-        self.pivot = tuple(1 if j in pivset else 0 for j in range(ambient_n))
+        self.rref = rref_rows if type(rref_rows) is MatGF else MatGF(field, rref_rows, ambient_n)
+        self.k = self.rref.rows
+        self._pivots = pivots = tuple(pivots)
+        pivot = [0] * ambient_n
+        for p in pivots:
+            pivot[p] = 1
+        self.pivot = tuple(pivot)
         self._hash = hash((field, ambient_n, self.rref.entries))
 
     @classmethod
     def from_matrix(cls, M: MatGF) -> "Subspace":
         E, pivots = rref(M)
-        return cls(M.field, M.cols, E.entries[: len(pivots)], pivots)
+        # a full-rank result is kept as it is; otherwise its zero rows are dropped
+        return cls(M.field, M.cols, E if len(pivots) == E.rows else E.entries[: len(pivots)], pivots)
 
     @classmethod
     def from_rref(cls, field: FieldSpec, ambient_n: int, rows: Sequence[Sequence[int]], pivots: Sequence[int]) -> "Subspace":
@@ -190,10 +199,10 @@ class Subspace:
     @classmethod
     def full(cls, field: FieldSpec, ambient_n: int) -> "Subspace":
         eye = MatGF.identity(field, ambient_n)
-        return cls(field, ambient_n, eye.entries, list(range(ambient_n)))
+        return cls(field, ambient_n, eye, range(ambient_n))
 
     def pivot_positions(self) -> tuple[int, ...]:
-        return tuple(j for j, b in enumerate(self.pivot) if b)
+        return self._pivots
 
     def contains_vector(self, vec: Sequence[int]) -> bool:
         """Whether vec lies in the subspace; ValueError unless vec has
@@ -202,7 +211,7 @@ class Subspace:
         if len(v) != self.ambient_n or (v and (min(v) < 0 or max(v) >= self.field.q)):
             raise ValueError(f"not a vector of GF({self.field.q})^{self.ambient_n}")
         rowop = self.field.rowop
-        for row, p in zip(self.rref.entries, self.pivot_positions()):
+        for row, p in zip(self.rref.entries, self._pivots):
             if v[p]:
                 v = rowop(v, v[p], row)
         return not any(v)
@@ -280,7 +289,7 @@ def _stack_rank(U: Subspace, W: Subspace, cap: Optional[int] = None) -> int:
     order clears them all."""
     F = U.field
     rowop, inv = F.rowop, F.inv
-    basis = list(zip(U.pivot_positions(), U.rref.entries))
+    basis = list(zip(U._pivots, U.rref.entries))
     r = U.k
     for w in W.rref.entries:
         if cap is not None and r >= cap:
@@ -301,7 +310,7 @@ def _stack_rank(U: Subspace, W: Subspace, cap: Optional[int] = None) -> int:
 def dual(U: Subspace) -> Subspace:
     """Orthogonal complement under the standard dot product."""
     n = U.ambient_n
-    return Subspace.from_matrix(MatGF(U.field, _null_space(U.field, U.rref.entries, U.pivot_positions(), n), n))
+    return Subspace.from_matrix(MatGF(U.field, _null_space(U.field, U.rref.entries, U._pivots, n), n))
 
 
 def _null_space(F: FieldSpec, rows: Sequence[Sequence[int]], pivots: Sequence[int], n: int) -> list[list[int]]:

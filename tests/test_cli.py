@@ -5,9 +5,11 @@ from decimal import Decimal
 import pytest
 
 from scodes.bounds import BoundEngine
-from scodes.cli import main, read_code_file, write_code_file
-from scodes.constructions import linkage, single_codeword
+from scodes.cli import FileError, main, read_code_file, write_code_file
+from scodes.constructions import Cdc, lifted_mrd, linkage, single_codeword
+from scodes.gfq import GF, field_create
 from scodes.rankmetric import rect_mrd
+from scodes.spaces import MatGF, Subspace
 
 
 def run(capsys, *argv):
@@ -158,6 +160,96 @@ def test_code_file_roundtrip_canonical(tmp_path):
     path2 = str(tmp_path / "y.scode")
     write_code_file(path2, back)
     assert open(path).read() == open(path2).read()
+
+
+def scode_text(field, n, k, words):
+    """A .scode file over `field` holding `words`, each a list of row lines."""
+    header = f"q={field.q} p={field.p} e={field.e} n={n} k={k} d=2 count={len(words)}"
+    if field.e > 1:
+        header += " mod=" + ",".join(map(str, field.modulus))
+    return "SCODE 1\n" + header + "\n" + "".join("\n".join(rows) + "\n\n" for rows in words)
+
+
+# Per q: n, k, words whose row lines repeat (some not in RREF, some equal as
+# rows but not as text: extra spaces, tabs, leading zeros), and a block of
+# rank k-1 written with two texts of one row.
+ROW_MEMO_FILES = {
+    2: (4, 2, [["1 1 0 0", "0 1 1 0"], ["0 1 1 0", "0 0 1 1"], ["0  1 1 0", "1\t0 0 1"],
+               ["01 0 0 0", "0 0 01 1"], [" 0 0 1 1", "1 1 1 1 "]],
+        ["1 1 1 1", "1 1 1 01"]),
+    3: (4, 2, [["2 1 0 0", "1 2 1 0"], ["1 2 1 0", "0 0 2 2"], ["1  2 1 0", "0\t1 0 2"],
+               ["02 1 0 0", "0 0 0 1"], ["0 0 2 2 ", "  0 1 0 2"]],
+        ["1 2 1 0", "2 1 2 0"]),
+    4: (3, 2, [["3 2 1", "1 1 0"], ["1 1 0", "0 3 2"], ["1 1  0", "0\t0 1"],
+               ["03 2 1", "0 1 3"], ["0 3 2", "2 0 3"]],
+        ["0 3 2", "0\t3 2"]),
+    9: (3, 2, [["8 5 1", "3 7 2"], ["3 7 2", "0 0 6"], ["3 7  2", "1\t0 4"],
+               ["08 5 1", "0 2 05"], ["0 0 6", "5 4 0"]],
+        ["8 5 1", "8 05 01"]),
+}
+
+
+@pytest.mark.parametrize("q", list(ROW_MEMO_FILES))
+def test_reader_gives_every_word_its_own_rows(tmp_path, capsys, q):
+    n, k, words, deficient = ROW_MEMO_FILES[q]
+    F = GF(q)
+    path = tmp_path / "m.scode"
+    path.write_text(scode_text(F, n, k, words), encoding="utf-8")
+    expected = tuple(Subspace.from_matrix(MatGF(F, [[int(t) for t in line.split()] for line in rows], n))
+                     for rows in words)
+    assert read_code_file(str(path)).words == expected
+    path.write_text(scode_text(F, n, k, words + [deficient]), encoding="utf-8")
+    rc, _, err = run(capsys, "verify", str(path))
+    assert rc == 4
+    assert err.startswith("data error:") and f"codeword of dimension {k - 1}, expected {k}" in err
+
+
+def test_reader_row_memo_does_not_outlive_a_call(tmp_path):
+    gf3, gf2 = tmp_path / "gf3.scode", tmp_path / "gf2.scode"
+    gf3.write_text(scode_text(GF(3), 3, 1, [["0 2 1"]]), encoding="utf-8")
+    gf2.write_text(scode_text(GF(2), 3, 1, [["0 2 1"]]), encoding="utf-8")
+    assert read_code_file(str(gf3)).words == (Subspace.from_matrix(MatGF(GF(3), [[0, 2, 1]])),)
+    with pytest.raises(FileError, match="bad codeword row '0 2 1'"):
+        read_code_file(str(gf2))
+
+
+def test_repeated_bad_row_is_reported_at_its_first_line(tmp_path, capsys):
+    path = tmp_path / "bad.scode"
+    path.write_text("SCODE 1\n# comment\nq=3 p=3 e=1 n=4 k=2 d=2 count=3\n"
+                    "1 0 0 0\n0 1 0 0\n\n"
+                    "1 0 0 0\n0 1 0 3\n\n"
+                    "0 0 1 0\n0 1 0 3\n\n", encoding="utf-8")
+    with pytest.raises(FileError, match=r":8: bad codeword row '0 1 0 3'"):
+        read_code_file(str(path))
+    rc, _, err = run(capsys, "verify", str(path))
+    assert rc == 4
+    assert err.startswith("data error:") and ":8: bad codeword row" in err
+
+
+@pytest.mark.parametrize("q", [9, 25])
+def test_modulus_header_reads_into_the_default_field(tmp_path, q):
+    code = lifted_mrd(q, 4, 2, 4)
+    path = tmp_path / "c.scode"
+    write_code_file(str(path), code)
+    assert "mod=" + ",".join(map(str, GF(q).modulus)) in path.read_text()
+    back = read_code_file(str(path))
+    assert all(w.field is GF(q) for w in back.words)
+    assert set(back.words) == set(code.words)
+
+
+def test_other_modulus_reads_back_over_that_modulus(tmp_path):
+    F = field_create(3, 2, (2, 1, 1))  # x^2 + x + 2, not GF(9)'s default x^2 + 1
+    assert F.modulus != GF(9).modulus
+    words = tuple(Subspace.from_matrix(MatGF(F, rows)) for rows in
+                  ([[1, 3, 4, 0], [2, 2, 5, 7]], [[1, 0, 0, 0], [0, 0, 1, 0]], [[0, 1, 8, 8], [0, 0, 6, 1]]))
+    path, again = tmp_path / "c.scode", tmp_path / "again.scode"
+    write_code_file(str(path), Cdc(9, 4, 2, 2, words))
+    assert "mod=2,1,1" in path.read_text()
+    back = read_code_file(str(path))
+    assert all(w.field == F for w in back.words)
+    assert set(back.words) == set(words)
+    write_code_file(str(again), back)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_code_file_gf4_modulus_header(tmp_path):
@@ -313,6 +405,10 @@ GOLDEN_CONSTRUCT_SHA256 = {
     ("coset", "--q", "2"): "36e5b5473a907b41e5c343a15bffd14d56bc2812344c87e805612b0d5234564b",
     ("ef", "--q", "3", "--n", "7", "--k", "3", "--d", "4"):
         "1d0202fd4b888e1e8717971a2e8e3d55491f9dba99351eddd76045b9b070245f",
+    ("lmrd", "--q", "3", "--n", "7", "--k", "3", "--d", "4"):
+        "6b15fefdd7189c64e270034c757a6e9abdb356cd5348751f9c8da4a4bf253cfb",
+    ("lmrd", "--q", "9", "--n", "5", "--k", "2", "--d", "4"):  # has a mod= header
+        "11ab188f2f1b3f79bc95d0c594172793686963b824ce9aa9dfefb97e58d0840a",
 }
 
 
@@ -325,6 +421,10 @@ def test_construct_output_matches_golden_digest(tmp_path, capsys, monkeypatch, a
     rc, _, _ = run(capsys, "construct", *args, "-o", str(path), "--verify-cap", "1000")
     assert rc == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_CONSTRUCT_SHA256[args]
+    # reading the file and writing it again reproduces it byte for byte
+    again = tmp_path / "again.scode"
+    write_code_file(str(again), read_code_file(str(path)))
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_ef_achievable_size_golden():

@@ -329,6 +329,18 @@ def test_rref_matches_reference_elimination(M):
     assert rank(M) == len(ref_pivots)
 
 
+@settings(max_examples=200, deadline=None)
+@given(field_matrices())
+def test_subspace_keeps_its_pivot_columns(M):
+    # field_matrices draws zero rows and row combinations, so many inputs
+    # are rank deficient
+    U = Subspace.from_matrix(M)
+    E, pivots = rref(M)
+    assert U.pivot_positions() == tuple(j for j, b in enumerate(U.pivot) if b) == tuple(pivots)
+    assert U.k == U.rref.rows == len(pivots)
+    assert U.rref.entries == E.entries[: len(pivots)]
+
+
 def seeded_matrices():
     rng = random.Random(20211222)
     for q in (2, 3, 4, 5, 7, 8, 9, 16, 27):
