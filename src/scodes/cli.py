@@ -9,12 +9,14 @@ Code files (extension .scode) are line oriented, UTF-8, LF:
     q=<int> p=<int> e=<int> n=<int> k=<int> d=<int> count=<int> [mod=c0,...,ce]
     <k rows of n whitespace-separated integers in [0,q)>, blank line after
     each codeword; '#' starts a comment line.  Codewords are written in
-    canonical order (sorted reduced-row-echelon generators).
+    canonical order (sorted reduced-row-echelon generators); the one 0-space
+    of a k=0 file has no rows.
 
 Packing data files use the same format, with a `# part=<i>` comment line
 opening each part; every codeword follows some part line, and `count` is
 the number of codewords over all parts.  One reader parses both kinds of
-file and checks the magic line, the header, every row and the count.
+file and checks the magic line, the header (0 <= k <= n, d even and
+positive), every row and the count.
 Rows repeat across words, so the reader parses and checks each distinct
 row line once per file, and the writer formats each distinct row once;
 neither keeps anything between calls.  Every word still goes through
@@ -121,6 +123,7 @@ def _read_scode(path: str) -> tuple[dict, list[list[Subspace]]]:
         q, p, e = head["q"], head["p"], head["e"]
         if p**e != q:
             raise ValueError("q != p^e")
+        _check_cdc_params(q, head["n"], head["k"], head["d"])
         field = GF(q)
         if "mod" in fields:
             modulus = tuple(int(c) for c in fields["mod"].split(","))
@@ -156,6 +159,8 @@ def _read_scode(path: str) -> tuple[dict, list[list[Subspace]]]:
             row_buf = []
     if row_buf:
         raise FileError(f"{path}: trailing incomplete codeword")
+    if k == 0 and head["count"]:  # GF(q)^n has one 0-space, written with no row lines
+        parts[-1].append(Subspace.zero(field, n))
     words = [w for part in parts for w in part]
     if len(words) != head["count"]:
         raise FileError(f"{path}: header declares {head['count']} codewords, found {len(words)}")

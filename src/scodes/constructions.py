@@ -128,7 +128,7 @@ def lift(M: MatGF) -> Subspace:
 def _lift(eye: tuple[tuple[int, ...], ...], M: MatGF) -> Subspace:
     """`lift` with the rows of I_k passed in, so a code builds them once."""
     k = M.rows
-    return Subspace.from_rref(M.field, k + M.cols, [er + mr for er, mr in zip(eye, M.entries)], range(k))
+    return Subspace._trusted(M.field, k + M.cols, [er + mr for er, mr in zip(eye, M.entries)])
 
 
 def lifted_mrd(q: int, n: int, k: int, d: int, cap: int = WORD_CAP) -> Cdc:
@@ -148,18 +148,14 @@ def _check_cdc_params(q, n, k, d):
 
 def _prefix_embed(U: Subspace, left_zeros: int, total: int) -> Subspace:
     rows = [(0,) * left_zeros + tuple(r) + (0,) * (total - left_zeros - U.ambient_n) for r in U.rref.entries]
-    pivots = [left_zeros + p for p in U.pivot_positions()]
-    return Subspace.from_rref(U.field, total, rows, pivots)
+    return Subspace._trusted(U.field, total, rows)
 
 
 def single_codeword(q: int, n: int, k: int, d: int, position: str = "right") -> Cdc:
     """The one-word code spanned by unit vectors at the left or right end."""
+    _check_cdc_params(q, n, k, d)  # the rows below are RREF only for 0 <= k <= n
     off = 0 if position == "left" else n - k
-    U = Subspace.from_rref(
-        GF(q), n,
-        [tuple(1 if j == off + i else 0 for j in range(n)) for i in range(k)],
-        list(range(off, off + k)),
-    )
+    U = Subspace._trusted(GF(q), n, [tuple(1 if j == off + i else 0 for j in range(n)) for i in range(k)])
     return _mk(q, n, k, d, [U], "single", position=position)
 
 
@@ -172,10 +168,9 @@ def construction_d(C: Cdc, M: RankCode) -> Cdc:
     n = C.n + M.n
     words = []
     for U in C.words:
-        piv = U.pivot_positions()
         for w in M.words:
             rows = [tuple(r) + tuple(mr) for r, mr in zip(U.rref.entries, w.entries)]
-            words.append(Subspace.from_rref(U.field, n, rows, piv))
+            words.append(Subspace._trusted(U.field, n, rows))
     return _mk(C.q, n, C.k, C.d, words, "construction_d", n1=C.n, n2=M.n)
 
 
@@ -436,8 +431,7 @@ def coset_construction(pack1: DPacking, pack2: DPacking, M: RankCode,
         top_right = _pivot_embedding(Mw, U2, n2)
         rows = [tuple(r) + tr for r, tr in zip(U1.rref.entries, top_right)]
         rows += [(0,) * n1 + tuple(r) for r in U2.rref.entries]
-        piv = list(U1.pivot_positions()) + [n1 + p for p in U2.pivot_positions()]
-        return Subspace.from_rref(field, n1 + n2, rows, piv)
+        return Subspace._trusted(field, n1 + n2, rows)
 
     return _coset_family(pack1, pack2, M, d1, d2, "coset", (pack1.k, n2 - pack2.k), word)
 

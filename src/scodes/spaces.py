@@ -4,10 +4,19 @@ subspaces with canonical generators, distances, duals, pivot vectors,
 Ferrers diagrams, and deterministic Grassmannian enumeration.
 
 A subspace's identity is its unique RREF generator matrix; equality and
-hashing go through it.  Distances need the rank of U and W stacked: each
-RREF row of W is reduced against U's RREF rows, and the rows kept so far,
-at their pivot columns with `FieldSpec.rowop`, and an optional rank cap
-stops the reduction once the rank reaches it.  There is no q-specific path.
+hashing go through it, and its pivot columns are read off those rows.
+Rows are checked where they enter a `Subspace` and nowhere after:
+`from_matrix` puts any generator through `rref`, and `from_rref` raises
+ValueError unless its rows are the RREF generator.  Builders whose rows
+are RREF by construction (`subspace_from_filling`, `enumerate_grassmannian`,
+`zero`, `full`, and the lifts, embeddings and coset words of
+`constructions`) use the private, unchecked `Subspace._trusted`; only the
+exact scan in `verify` checks stored rows again.
+
+Distances need the rank of U and W stacked: each RREF row of W is reduced
+against U's RREF rows, and the rows kept so far, at their pivot columns
+with `FieldSpec.rowop`, and an optional rank cap stops the reduction once
+the rank reaches it.  There is no q-specific path.
 
 Every row operation (a - f*b while eliminating or summing, f*a while
 normalizing a pivot or scaling) is one `FieldSpec.rowop` call.  For
@@ -47,19 +56,20 @@ class MatGF:
         self.entries = rows
 
     @classmethod
+    def _trusted(cls, field: FieldSpec, rows: tuple[tuple[int, ...], ...], cols: int) -> "MatGF":
+        """The matrix of `rows`, a tuple of tuples of `cols` entries each,
+        taken as it is: nothing is copied or checked."""
+        M = object.__new__(cls)
+        M.field, M.rows, M.cols, M.entries = field, len(rows), cols, rows
+        return M
+
+    @classmethod
     def zero(cls, field: FieldSpec, rows: int, cols: int) -> "MatGF":
         return cls(field, [(0,) * cols] * rows, cols)
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "MatGF":
         return cls(field, [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)], n)
-
-    def __getitem__(self, ij) -> int:
-        i, j = ij
-        return self.entries[i][j]
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
 
     def transpose(self) -> "MatGF":
         return MatGF(self.field, list(zip(*self.entries)) if self.entries else [], self.rows)
@@ -96,7 +106,7 @@ def rref(M: MatGF) -> tuple[MatGF, list[int]]:
 
     Raises ValueError for an entry outside [0, q).  Rows are eliminated
     with `FieldSpec.rowop`; a row that no operation touches stays the tuple
-    it was in M."""
+    it was in M.  The result is built once, through `MatGF._trusted`."""
     F = M.field
     rows: list[Sequence[int]] = list(M.entries)
     nrows, ncols = M.rows, M.cols
@@ -124,7 +134,7 @@ def rref(M: MatGF) -> tuple[MatGF, list[int]]:
         r += 1
         if r == nrows:
             break
-    return MatGF(F, rows, ncols), pivots
+    return MatGF._trusted(F, tuple(map(tuple, rows)), ncols), pivots
 
 
 def rank(M: MatGF) -> int:
@@ -160,46 +170,51 @@ class FerrersDiagram:
 
 
 class Subspace:
-    """A k-subspace of GF(q)^n held by its canonical RREF generator.
-
-    It keeps its pivot columns as a tuple (`pivot_positions()`) beside the
-    0/1 `pivot` vector built from them, so the distance kernel, `dual` and
-    `contains_vector` read them without rebuilding."""
+    """A k-subspace of GF(q)^n held by its canonical RREF generator, built
+    through `from_matrix` or `from_rref` (see the module docstring).  Its
+    pivot columns are kept as a tuple (`pivot_positions()`) beside the 0/1
+    `pivot` vector, so the distance kernel, `dual` and `contains_vector`
+    read them without rebuilding."""
 
     __slots__ = ("field", "ambient_n", "k", "rref", "pivot", "_pivots", "_hash")
 
-    def __init__(self, field: FieldSpec, ambient_n: int, rref_rows: Sequence[Sequence[int]] | MatGF,
-                 pivots: Sequence[int]):
-        self.field = field
-        self.ambient_n = ambient_n
-        self.rref = rref_rows if type(rref_rows) is MatGF else MatGF(field, rref_rows, ambient_n)
-        self.k = self.rref.rows
-        self._pivots = pivots = tuple(pivots)
+    @classmethod
+    def _trusted(cls, field: FieldSpec, ambient_n: int, rows: Sequence[Sequence[int]] | MatGF) -> "Subspace":
+        """The subspace whose RREF generator is `rows`, which must be in RREF
+        with ambient_n entries per row; nothing is checked."""
+        E = rows if type(rows) is MatGF else MatGF._trusted(field, tuple(map(tuple, rows)), ambient_n)
+        U = object.__new__(cls)
+        U.field, U.ambient_n, U.rref, U.k = field, ambient_n, E, E.rows
+        U._pivots = pivots = tuple([row.index(1) for row in E.entries])
         pivot = [0] * ambient_n
         for p in pivots:
             pivot[p] = 1
-        self.pivot = tuple(pivot)
-        self._hash = hash((field, ambient_n, self.rref.entries))
+        U.pivot = tuple(pivot)
+        U._hash = hash((field, ambient_n, E.entries))
+        return U
 
     @classmethod
     def from_matrix(cls, M: MatGF) -> "Subspace":
         E, pivots = rref(M)
         # a full-rank result is kept as it is; otherwise its zero rows are dropped
-        return cls(M.field, M.cols, E if len(pivots) == E.rows else E.entries[: len(pivots)], pivots)
+        return cls._trusted(M.field, M.cols, E if len(pivots) == E.rows else E.entries[: len(pivots)])
 
     @classmethod
-    def from_rref(cls, field: FieldSpec, ambient_n: int, rows: Sequence[Sequence[int]], pivots: Sequence[int]) -> "Subspace":
-        """Trusted constructor: rows must already be in RREF."""
-        return cls(field, ambient_n, rows, pivots)
+    def from_rref(cls, field: FieldSpec, ambient_n: int, rows: Sequence[Sequence[int]]) -> "Subspace":
+        """The subspace whose RREF generator is `rows`; ValueError unless
+        the rows are exactly that (no zero row, entries in [0, q))."""
+        U = cls.from_matrix(MatGF(field, rows, ambient_n))
+        if U.rref.entries != tuple(map(tuple, rows)):
+            raise ValueError("rows are not in RREF")
+        return U
 
     @classmethod
     def zero(cls, field: FieldSpec, ambient_n: int) -> "Subspace":
-        return cls(field, ambient_n, [], [])
+        return cls._trusted(field, ambient_n, [])
 
     @classmethod
     def full(cls, field: FieldSpec, ambient_n: int) -> "Subspace":
-        eye = MatGF.identity(field, ambient_n)
-        return cls(field, ambient_n, eye, range(ambient_n))
+        return cls._trusted(field, ambient_n, MatGF.identity(field, ambient_n))
 
     def pivot_positions(self) -> tuple[int, ...]:
         return self._pivots
@@ -366,21 +381,16 @@ def subspace_from_filling(field: FieldSpec, v: Sequence[int], filling: Sequence[
     left cells outside the diagram ignored/zero).
     """
     n = len(v)
-    diagram = ferrers_of(v)
-    m = diagram.num_cols
-    piv = [j for j, b in enumerate(v) if b]
-    pivset = set(piv)
+    m = ferrers_of(v).num_cols
     rows = []
-    for i, p in enumerate(piv):
-        free_cols = [j for j in range(p + 1, n) if j not in pivset]
-        li = diagram.row_lengths[i]
-        assert len(free_cols) == li
+    for i, p in enumerate([j for j, b in enumerate(v) if b]):
+        free_cols = [j for j in range(p + 1, n) if not v[j]]
         row = [0] * n
         row[p] = 1
-        for idx, j in enumerate(free_cols):
-            row[j] = filling[i][m - li + idx] if li else 0
+        for j, x in zip(free_cols, filling[i][m - len(free_cols):]):
+            row[j] = x
         rows.append(row)
-    return Subspace.from_rref(field, n, rows, piv)
+    return Subspace._trusted(field, n, rows)
 
 
 def enumerate_grassmannian(q: int, n: int, k: int, cap: int = DEFAULT_ENUM_CAP) -> Iterator[Subspace]:
@@ -392,26 +402,16 @@ def enumerate_grassmannian(q: int, n: int, k: int, cap: int = DEFAULT_ENUM_CAP) 
     if total > cap:
         raise ValueError(f"Grassmannian size {total} exceeds cap {cap}")
     field = GF(q)
-    if k == 0:
-        yield Subspace.zero(field, n)
-        return
-    for piv in itertools.combinations(range(n), k):
-        pivset = set(piv)
-        free_cells = []
-        for i, p in enumerate(piv):
-            for j in range(p + 1, n):
-                if j not in pivset:
-                    free_cells.append((i, j))
-        f = len(free_cells)
-        for counter in range(q**f):
-            rows = [[0] * n for _ in range(k)]
-            for i, p in enumerate(piv):
-                rows[i][p] = 1
+    for piv in itertools.combinations(range(n), k):  # k = 0 gives one empty support: the zero space
+        free_cells = [(i, j) for i, p in enumerate(piv) for j in range(p + 1, n) if j not in piv]
+        units = [[int(j == p) for j in range(n)] for p in piv]
+        for counter in range(q ** len(free_cells)):
+            rows = [u.copy() for u in units]
             c = counter
             for (i, j) in free_cells:
                 rows[i][j] = c % q
                 c //= q
-            yield Subspace.from_rref(field, n, rows, piv)
+            yield Subspace._trusted(field, n, rows)
 
 
 def permute_columns(U: Subspace, perm: Sequence[int]) -> Subspace:

@@ -9,14 +9,18 @@ recomputed from generator matrices.  The exact scan runs one
 point-incidence kernel for every q, sharing no rank or RREF code with the
 constructions: each word becomes a bitmask over the points of PG(n-1, q)
 it contains, and a pair's intersection has dimension t where its masks
-share [t]_q = (q^t - 1)/(q - 1) points.  The stored rows are checked to be
-in RREF first (point enumeration and the stacked-rank reduction rely on
-it), and a shared count that is no [t]_q is an error.  When the masks
-would exceed a fixed memory cap the scan falls back to the stacked-rank
-kernel; `VerificationReport.kernel` names the kernel that ran ("points"
-or "rank"; sampled mode always uses "rank").  Both kernels report the same
-minimum, witness (the first pair in `itertools.combinations` order that
-attains it) and histogram.
+share [t]_q = (q^t - 1)/(q - 1) points.  A shared count that is no [t]_q
+is an error.  When the masks would exceed a fixed memory cap the scan
+falls back to the stacked-rank kernel; `VerificationReport.kernel` names
+the kernel that ran ("points" or "rank"; sampled mode always uses
+"rank").  Both kernels report the same minimum, witness (the first pair
+in `itertools.combinations` order that attains it) and histogram.
+
+`spaces` checks rows where they enter a `Subspace` (`from_matrix`, which
+every `.scode` read uses, and `from_rref`); builders whose rows are RREF by
+construction use the unchecked `Subspace._trusted`.  The exact scan trusts
+neither and checks every word again (RREF, entries in [0, q)) before
+either kernel runs; sampled mode does not certify and does not re-check.
 """
 
 from __future__ import annotations
@@ -81,8 +85,7 @@ def min_distance(C: Cdc, mode: str = "exact", sample_count: int = 20000,
 
     if mode == "sampled":
         rng = random.Random(seed)
-        best = None
-        witness = None
+        best = witness = None
         m = len(words)
         for _ in range(sample_count):
             i = rng.randrange(m)
@@ -152,15 +155,16 @@ def _point_scan(words: Sequence[Subspace], histogram: bool):
 
 
 def _check_rref(w: Subspace) -> None:
-    """Raise ValueError unless the stored rows are in RREF: nonzero rows,
-    strictly increasing pivots, unit pivot entries, and zeros elsewhere in
-    each pivot column."""
+    """Raise ValueError unless the stored rows are in RREF over GF(q): each
+    row's first nonzero entry is a 1, pivots strictly increase, each pivot
+    column is zero in every other row, and every entry lies in [0, q)."""
     rows = w.rref.entries
-    last = -1
+    q, others, last = w.field.q, len(rows) - 1, -1
     for r, row in enumerate(rows):
-        p = next((j for j, x in enumerate(row) if x), None)
-        if p is None or p <= last or row[p] != 1 or any(o[p] for s, o in enumerate(rows) if s != r):
-            raise ValueError(f"codeword rows are not in RREF (row {r}): {w!r}")
+        p = row.index(1) if 1 in row else -1
+        if (p <= last or any(row[:p]) or [o[p] for o in rows].count(0) != others
+                or min(row) < 0 or max(row) >= q):
+            raise ValueError(f"codeword rows are not in RREF over GF({q}) (row {r}): {w!r}")
         last = p
 
 
@@ -178,24 +182,19 @@ def _point_masks(words: Sequence[Subspace]) -> list[int]:
 
 
 def _rank_scan(words: Sequence[Subspace], histogram: bool):
-    """Exact scan by stacked rank, with early exit per pair once a pair can
-    no longer lower the current minimum."""
+    """Exact scan by stacked rank.  Without a histogram each pair stops
+    early once it can no longer lower the current minimum, and distances at
+    or above the reported minimum are not recorded."""
     hist: dict[int, int] = {}
-    best = None
-    witness = None
-    if histogram:
-        for i, j in itertools.combinations(range(len(words)), 2):
+    best = witness = None
+    for i, j in itertools.combinations(range(len(words)), 2):
+        if histogram:
             dist = subspace_distance(words[i], words[j])
             hist[dist] = hist.get(dist, 0) + 1
-            if best is None or dist < best:
-                best, witness = dist, (i, j)
-    else:
-        for i, j in itertools.combinations(range(len(words)), 2):
-            cur = best if best is not None else 1 << 30
-            dist = subspace_distance_capped(words[i], words[j], cur)
-            if dist < cur:
-                best, witness = dist, (i, j)
-        # early-exit distances at or above the reported min are not recorded
+        else:
+            dist = subspace_distance_capped(words[i], words[j], best if best is not None else 1 << 30)
+        if best is None or dist < best:
+            best, witness = dist, (i, j)
     return best, witness, hist
 
 

@@ -137,8 +137,14 @@ def test_verify_corrupt_file(tmp_path, capsys):
      ["verify", "{path}"]),
     ("bad.scode", "SCODE 1\nq=3 p=3 e=1 n=4 k=2 d=4 count=1\n1 0 0 0\n0 1 3 0\n\n",
      ["verify", "{path}"]),
+    ("bad.scode", "SCODE 1\nq=2 p=2 e=1 n=-1 k=1 d=2 count=0\n", ["verify", "{path}"]),
+    ("bad.scode", "SCODE 1\nq=2 p=2 e=1 n=3 k=-1 d=2 count=0\n", ["verify", "{path}"]),
+    ("bad.scode", "SCODE 1\nq=2 p=2 e=1 n=3 k=5 d=2 count=0\n", ["verify", "{path}"]),
+    ("bad.scode", "SCODE 1\nq=2 p=2 e=1 n=3 k=1 d=-2 count=0\n", ["verify", "{path}"]),
+    ("bad.scode", "SCODE 1\nq=2 p=2 e=1 n=3 k=0 d=2 count=2\n", ["verify", "{path}"]),
 ], ids=["header-only", "row-token", "modulus-token", "packing-without-n", "row-entry-minus-1",
-        "row-entry-q"])
+        "row-entry-q", "header-n-negative", "header-k-negative", "header-k-above-n",
+        "header-d-negative", "header-two-zero-spaces"])
 def test_malformed_input_exits_4(tmp_path, monkeypatch, capsys, name, text, argv):
     (tmp_path / name).write_text(text, encoding="utf-8")
     monkeypatch.setenv("SCODES_PACKINGS", str(tmp_path))
@@ -160,6 +166,15 @@ def test_code_file_roundtrip_canonical(tmp_path):
     path2 = str(tmp_path / "y.scode")
     write_code_file(path2, back)
     assert open(path).read() == open(path2).read()
+
+
+def test_zero_space_code_round_trips(tmp_path, capsys):
+    path = str(tmp_path / "z.scode")
+    rc, _, _ = run(capsys, "construct", "lmrd", "--q", "2", "--n", "4", "--k", "0", "--d", "2", "-o", path)
+    assert rc == 0
+    rc, out, _ = run(capsys, "verify", path)
+    assert rc == 0 and out.startswith("1 codewords")
+    assert read_code_file(path).words == (Subspace.zero(GF(2), 4),)
 
 
 def scode_text(field, n, k, words):

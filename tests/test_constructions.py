@@ -2,11 +2,14 @@ import hashlib
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scodes.constructions import (
     Cdc,
     DPacking,
     SkeletonCode,
+    _prefix_embed,
     auto_cdc,
     block_inserting_I,
     block_inserting_II,
@@ -37,7 +40,15 @@ from scodes.rankmetric import (
     rect_mrd,
     two_block_sumrank_code,
 )
-from scodes.spaces import MatGF, Subspace, ferrers_of, subspace_distance
+from scodes.spaces import (
+    MatGF,
+    Subspace,
+    enumerate_grassmannian,
+    ferrers_of,
+    rref,
+    subspace_distance,
+    subspace_from_filling,
+)
 from scodes.verify import is_partial_spread, min_distance, pivot_structure, spread_summary
 
 F2 = GF(2)
@@ -490,3 +501,95 @@ def test_improved_linkage_width_underflow():
 def test_lifted_mrd_rejects_odd_distance():
     with pytest.raises(ValueError):
         lifted_mrd(2, 8, 4, 3)
+
+
+@pytest.mark.parametrize("n, k, d", [(3, 5, 2), (3, -1, 2), (3, 2, 3)], ids=["k-above-n", "k-negative", "d-odd"])
+def test_single_codeword_checks_parameters(n, k, d):
+    with pytest.raises(ValueError, match="need 0 <= k <= n|even"):
+        single_codeword(2, n, k, d)
+
+
+# -- builders on the unchecked Subspace._trusted path ------------------------
+
+
+def _size(data, top):
+    return data.draw(st.integers(0, top))
+
+
+def _matrix(data, F, rows, cols):
+    entry = st.integers(0, F.q - 1)
+    return MatGF(F, data.draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                                       min_size=rows, max_size=rows)), cols)
+
+
+def _subspace(data, F):
+    """A subspace of GF(q)^n, n <= 4, built through the checked path."""
+    n = _size(data, 4)
+    return Subspace.from_matrix(_matrix(data, F, _size(data, 3), n))
+
+
+def _lift_words(data, F):
+    return [lift(_matrix(data, F, _size(data, 3), _size(data, 3)))]
+
+
+def _construction_d_words(data, F):
+    U, m = _subspace(data, F), _size(data, 3)
+    M = RankCode(F, U.k, m, 1, (_matrix(data, F, U.k, m),))
+    return construction_d(Cdc(F.q, U.ambient_n, U.k, 2, (U,)), M).words
+
+
+def _prefix_embed_words(data, F):
+    U, left = _subspace(data, F), _size(data, 2)
+    return [_prefix_embed(U, left, left + U.ambient_n + _size(data, 2))]
+
+
+def _single_codeword_words(data, F):
+    n = _size(data, 5)
+    return single_codeword(F.q, n, _size(data, n), 2, data.draw(st.sampled_from(["left", "right"]))).words
+
+
+def _coset_words(data, F):
+    U1, U2 = _subspace(data, F), _subspace(data, F)
+    p1 = DPacking(F.q, U1.ambient_n, U1.k, 4, ((U1,),))
+    p2 = DPacking(F.q, U2.ambient_n, U2.k, 4, ((U2,),))
+    cols = U2.ambient_n - U2.k
+    return coset_construction(p1, p2, RankCode(F, U1.k, cols, 2, (_matrix(data, F, U1.k, cols),)), 2, 2).words
+
+
+def _filling_words(data, F):
+    v = data.draw(st.lists(st.integers(0, 1), max_size=6))
+    D = ferrers_of(v)
+    return [subspace_from_filling(F, v, _matrix(data, F, D.num_rows, D.num_cols).entries)]
+
+
+def _grassmannian_words(data, F):
+    n = _size(data, 4)
+    return list(enumerate_grassmannian(F.q, n, _size(data, n)))
+
+
+def _zero_and_full(data, F):
+    n = _size(data, 4)
+    return [Subspace.zero(F, n), Subspace.full(F, n)]
+
+
+TRUSTED_BUILDERS = {
+    "lift": _lift_words,
+    "construction_d": _construction_d_words,
+    "prefix_embed": _prefix_embed_words,
+    "single_codeword": _single_codeword_words,
+    "coset": _coset_words,
+    "subspace_from_filling": _filling_words,
+    "enumerate_grassmannian": _grassmannian_words,
+    "zero_and_full": _zero_and_full,
+}
+
+
+@pytest.mark.parametrize("builder", list(TRUSTED_BUILDERS.values()), ids=list(TRUSTED_BUILDERS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_trusted_builders_give_rref_rows(builder, data):
+    F = GF(data.draw(st.sampled_from([2, 3, 4])))
+    for U in builder(data, F):
+        M = MatGF(F, U.rref.entries, U.ambient_n)  # ValueError unless every row has ambient_n entries
+        assert U.rref.entries == Subspace.from_matrix(M).rref.entries
+        assert U.pivot_positions() == tuple(rref(M)[1])

@@ -230,20 +230,39 @@ def test_point_kernel_calls_no_rank_code(monkeypatch):
         assert rep.kernel == "points" and rep.min_distance == 4
 
 
-@pytest.mark.parametrize("rows, pivots", [
-    ([[1, 2, 0, 0], [0, 1, 0, 1]], [0, 1]),
-    ([[2, 0, 0, 0]], [0]),
-    ([[0, 1, 0, 0], [1, 0, 0, 0]], [1, 0]),
-    ([[1, 0, 0, 0], [0, 0, 0, 0]], [0, 1]),
-], ids=["pivot-column-not-cleared", "pivot-not-one", "pivots-not-increasing", "zero-row"])
-def test_exact_scan_rejects_rows_not_in_rref(rows, pivots, monkeypatch):
-    bad = Subspace.from_rref(F3, 4, rows, pivots)
+NOT_RREF = {
+    "pivot-column-not-cleared": [[1, 2, 0, 0], [0, 1, 0, 1]],
+    "pivot-not-one": [[2, 0, 0, 0]],
+    "pivot-not-one-before-a-one": [[0, 2, 1, 0]],
+    "pivots-not-increasing": [[0, 1, 0, 0], [1, 0, 0, 0]],
+    "zero-row": [[1, 0, 0, 0], [0, 0, 0, 0]],
+    "entry-q": [[1, 0, 0, 3]],
+}
+
+
+@pytest.mark.parametrize("rows", list(NOT_RREF.values()), ids=list(NOT_RREF))
+def test_exact_scan_rejects_rows_not_in_rref(rows, monkeypatch):
+    # no checked entry point makes such a word: put the rows in place of a
+    # good word's, so that only the verifier's own check can catch them
+    bad = Subspace.from_matrix(MatGF(F3, [[1, 0, 0, 0], [0, 1, 0, 0]][:len(rows)]))
+    bad.rref = MatGF(F3, rows)
     good = Subspace.from_matrix(MatGF(F3, [[0, 0, 1, 0]]))
     with pytest.raises(ValueError, match="RREF"):
         min_distance(Cdc(3, 4, 1, 1, (good, bad)), "exact")
     monkeypatch.setattr(verify, "_MASK_BYTES_CAP", -1)  # the rank kernel reduces at pivots too
     with pytest.raises(ValueError, match="RREF"):
         min_distance(Cdc(3, 4, 1, 1, (bad, good)), "exact")
+
+
+@pytest.mark.parametrize("rows", [*NOT_RREF.values(), [[1, 0, 0]]], ids=[*NOT_RREF, "short-row"])
+def test_from_rref_rejects_rows_not_in_rref(rows):
+    with pytest.raises(ValueError):
+        Subspace.from_rref(F3, 4, rows)
+
+
+def test_from_rref_accepts_rref_rows():
+    for rows in ([], [[1, 0, 2, 0]], [[1, 2, 0, 0], [0, 0, 1, 1]]):
+        assert Subspace.from_rref(F3, 4, rows) == Subspace.from_matrix(MatGF(F3, rows, 4))
 
 
 def test_point_count_outside_gauss_integers_is_an_error(monkeypatch):
