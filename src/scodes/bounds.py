@@ -21,7 +21,7 @@ from .constructions import skeleton_greedy
 from .divisible import sharp_floor
 from .provenance import BoundResult
 from .qcombi import QPolynomial, gauss_binomial, gauss_int, qpoly_parse
-from .rankmetric import fdrm_upper_bound, mrd_size
+from .rankmetric import _fdrm_meets_bound, fdrm_upper_bound, mrd_size
 from .spaces import ferrers_of
 
 
@@ -417,24 +417,12 @@ def lp_witness_feasible(q: int, n: int, d: int, k: int) -> bool:
 
 
 def _ef_achievable_size(q: int, n: int, k: int, d: int) -> int:
-    """Sum of realizable diagram-code sizes over a greedy skeleton: exact
-    for delta <= 2 and rectangles, conservative (1) elsewhere."""
+    """Sum of diagram-code sizes over a greedy skeleton: the dot-count bound
+    where `fdrm_construct` meets it without search, conservatively 1
+    elsewhere."""
     delta = d // 2
-
-    def achievable(v) -> int:
-        diagram = ferrers_of(v)
-        eff = [l for l in diagram.row_lengths if l > 0]
-        if not eff:
-            return 1
-        if delta == 1:
-            return q ** diagram.dot_count()
-        if len(set(eff)) == 1:
-            return mrd_size(q, len(eff), eff[0], delta)
-        if delta == 2:
-            return fdrm_upper_bound(diagram, delta, q)
-        return 1
-
-    return sum(achievable(v) for v in skeleton_greedy(q, n, k, d).vectors)
+    return sum(fdrm_upper_bound(F, delta, q) if _fdrm_meets_bound(F, delta) else 1
+               for F in map(ferrers_of, skeleton_greedy(q, n, k, d).vectors))
 
 
 def _johnson_improved(q: int, n: int, d: int, k: int, inner: BoundResult) -> BoundResult:

@@ -35,9 +35,6 @@ from .spaces import (
     subspace_from_filling,
 )
 
-WORD_CAP = 1 << 21
-
-
 @dataclass(frozen=True)
 class Cdc:
     """A constant-dimension code with its construction provenance."""
@@ -131,10 +128,10 @@ def _lift(eye: tuple[tuple[int, ...], ...], M: MatGF) -> Subspace:
     return Subspace._trusted(M.field, k + M.cols, [er + mr for er, mr in zip(eye, M.entries)])
 
 
-def lifted_mrd(q: int, n: int, k: int, d: int, cap: int = WORD_CAP) -> Cdc:
+def lifted_mrd(q: int, n: int, k: int, d: int) -> Cdc:
     """Lift a k x (n-k) MRD code of rank distance d/2."""
     _check_cdc_params(q, n, k, d)
-    rmc = rect_mrd(q, k, n - k, d // 2, cap)
+    rmc = rect_mrd(q, k, n - k, d // 2)
     eye = MatGF.identity(rmc.field, k).entries
     return _mk(q, n, k, d, (_lift(eye, w) for w in rmc.words), "lifted_mrd", n1=k, n2=n - k)
 
@@ -227,8 +224,7 @@ def generalized_linkage(C1: Cdc, C2: Cdc, M1: RankCode, M2: RankCode) -> Cdc:
 # -- multilevel construction ---------------------------------------------------
 
 
-def echelon_ferrers(skeleton: SkeletonCode | Sequence[Sequence[int]], q: int, d: int,
-                    cap: int = WORD_CAP) -> Cdc:
+def echelon_ferrers(skeleton: SkeletonCode | Sequence[Sequence[int]], q: int, d: int) -> Cdc:
     """Union of lifted diagram codes, one per skeleton vector."""
     if isinstance(skeleton, SkeletonCode):
         vectors = skeleton.vectors
@@ -247,7 +243,7 @@ def echelon_ferrers(skeleton: SkeletonCode | Sequence[Sequence[int]], q: int, d:
     for v in skeleton.vectors:
         if len(v) != n or sum(v) != k:
             raise ValueError("skeleton vectors must share length and weight")
-        code = fdrm_construct(ferrers_of(v), d // 2, q, cap)
+        code = fdrm_construct(ferrers_of(v), d // 2, q)
         for w in code.words:
             words.append(subspace_from_filling(field, v, w.entries))
     return _mk(q, n, k, d, words, "echelon_ferrers",
@@ -287,7 +283,7 @@ def skeleton_greedy(q: int, n: int, k: int, d: int) -> SkeletonCode:
     return SkeletonCode(tuple(tuple((u >> (n - 1 - j)) & 1 for j in range(n)) for u in chosen), d)
 
 
-def partial_spread(q: int, n: int, k: int, cap: int = WORD_CAP) -> Cdc:
+def partial_spread(q: int, n: int, k: int) -> Cdc:
     """
     Block-skeleton multilevel code with pairwise trivial intersections:
     cardinality (q^n - q^k (q^(n mod k) - 1) - 1) / (q^k - 1); a full
@@ -299,7 +295,7 @@ def partial_spread(q: int, n: int, k: int, cap: int = WORD_CAP) -> Cdc:
     vectors = []
     for i in range(t):
         vectors.append(tuple(1 if i * k <= j < (i + 1) * k else 0 for j in range(n)))
-    code = echelon_ferrers(SkeletonCode(tuple(vectors), 2 * k), q, 2 * k, cap)
+    code = echelon_ferrers(SkeletonCode(tuple(vectors), 2 * k), q, 2 * k)
     expected = (q**n - q**k * (q ** (n % k) - 1) - 1) // (q**k - 1)
     assert len(code) == expected, (len(code), expected)
     return Cdc(q, n, k, 2 * k, code.words, ("partial_spread", (("n", n), ("k", k))))
@@ -679,7 +675,7 @@ def combine(subcodes: Sequence[Cdc], certify: str = "auto",
                pieces=tuple(c.rule for c in subcodes), certificates=tuple(certificates))
 
 
-def auto_cdc(q: int, n: int, d: int, k: int, cap: int = WORD_CAP) -> Cdc:
+def auto_cdc(q: int, n: int, d: int, k: int) -> Cdc:
     """Best materializable code for the parameters, used for component
     codes: a single word when forced, a partial spread at maximum
     distance, otherwise greedy multilevel."""
@@ -687,5 +683,5 @@ def auto_cdc(q: int, n: int, d: int, k: int, cap: int = WORD_CAP) -> Cdc:
     if d > 2 * min(k, n - k):
         return single_codeword(q, n, k, d, position="left")
     if d == 2 * k and 2 * k <= n:
-        return partial_spread(q, n, k, cap)
-    return echelon_ferrers(skeleton_greedy(q, n, k, d), q, d, cap)
+        return partial_spread(q, n, k)
+    return echelon_ferrers(skeleton_greedy(q, n, k, d), q, d)

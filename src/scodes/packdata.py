@@ -15,12 +15,12 @@ import itertools
 from typing import Callable
 
 from .gfq import GF
-from .rankmetric import MATERIALIZE_CAP, fdrm_construct
+from .rankmetric import _fillings_to_words, fdrm_construct
 from .spaces import FerrersDiagram, MatGF, ferrers_of, hamming_distance, rref, subspace_from_filling
 from .constructions import DPacking
 
 
-def fdrm_coset_partition(F: FerrersDiagram, q: int, cap: int = MATERIALIZE_CAP):
+def fdrm_coset_partition(F: FerrersDiagram, q: int):
     """
     Partition all q^dots fillings of the diagram into cosets of the
     distance-2 diagram code: each coset keeps inner rank distance >= 2.
@@ -30,23 +30,12 @@ def fdrm_coset_partition(F: FerrersDiagram, q: int, cap: int = MATERIALIZE_CAP):
     inner code is linear.
     """
     field = GF(q)
-    inner = fdrm_construct(F, 2, q, cap)
+    inner = fdrm_construct(F, 2, q)
     cells = F.cells()
     dots = len(cells)
     if not dots:
         return [tuple(inner.words)]
-
-    def to_vec(w: MatGF):
-        return [w.entries[i][j] for (i, j) in cells]
-
-    def to_word(vec):
-        k, m = F.num_rows, F.num_cols
-        rows = [[0] * m for _ in range(k)]
-        for (i, j), x in zip(cells, vec):
-            rows[i][j] = x
-        return MatGF(field, rows, m)
-
-    inner_vecs = [to_vec(w) for w in inner.words]
+    inner_vecs = [[w.entries[i][j] for (i, j) in cells] for w in inner.words]
     _, pivots = rref(MatGF(field, inner_vecs, dots))
     free_cells = [c for c in range(dots) if c not in set(pivots)]
     rowop, minus_one = field.rowop, field.neg(1)  # iv + rep is iv - (-1)*rep
@@ -55,7 +44,7 @@ def fdrm_coset_partition(F: FerrersDiagram, q: int, cap: int = MATERIALIZE_CAP):
         rep = [0] * dots
         for c, x in zip(free_cells, rep_vals):
             rep[c] = x
-        cosets.append(tuple(to_word(rowop(iv, minus_one, rep)) for iv in inner_vecs))
+        cosets.append(_fillings_to_words(field, F, [rowop(iv, minus_one, rep) for iv in inner_vecs]))
     total = sum(len(c) for c in cosets)
     assert total == q**dots, (total, q**dots)
     return cosets

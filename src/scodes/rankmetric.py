@@ -4,8 +4,11 @@ construction of linear MRD codes, rank distributions of additive MRD codes,
 restricted-rank lower bounds, coset partitions, product and diagonal
 combiners, sum-rank codes, and Ferrers-diagram rank-metric codes.
 
-Explicit codes are materialized as tuples of matrices; constructions that
-would exceed the materialization cap raise instead of thrashing.  Linear
+Explicit codes are materialized as tuples of matrices; a construction that
+would exceed `MATERIALIZE_CAP` words, the one materialization limit, raises
+instead of thrashing.  Which code a Ferrers diagram gets, and whether it
+meets the dot-count bound without search (`_fdrm_meets_bound`), is decided
+here alone; `bounds` books multilevel sizes through the same predicate.  Linear
 codes are enumerated by one span builder, `_span`, so only their basis words
 need field products: a Gabidulin code costs m*n*k extension-field products
 in all, not m*k per word.
@@ -70,7 +73,7 @@ def mrd_size(q: int, m: int, n: int, d: int) -> int:
     return q ** (max(m, n) * (min(m, n) - d + 1))
 
 
-def gabidulin(q: int, n: int, m: int, d: int, cap: int = MATERIALIZE_CAP) -> RankCode:
+def gabidulin(q: int, n: int, m: int, d: int) -> RankCode:
     """
     Linear MRD code of m x n matrices over GF(q) with min rank distance d,
     1 <= d <= m <= n.
@@ -92,8 +95,8 @@ def gabidulin(q: int, n: int, m: int, d: int, cap: int = MATERIALIZE_CAP) -> Ran
     E = ExtField(base, n)
     k = m - d + 1
     size = q ** (n * k)
-    if size > cap:
-        raise ValueError(f"code size {size} exceeds materialization cap {cap}")
+    if size > MATERIALIZE_CAP:
+        raise ValueError(f"code size {size} exceeds materialization cap {MATERIALIZE_CAP}")
     # basis word (j, t) evaluates x^t z^(q^j); f_0's top digit comes first
     conj = [[E.basis(i) for i in range(m)]]
     while len(conj) < k:
@@ -103,7 +106,7 @@ def gabidulin(q: int, n: int, m: int, d: int, cap: int = MATERIALIZE_CAP) -> Ran
     return RankCode(base, m, n, d, words)
 
 
-def rect_mrd(q: int, rows: int, cols: int, d: int, cap: int = MATERIALIZE_CAP) -> RankCode:
+def rect_mrd(q: int, rows: int, cols: int, d: int) -> RankCode:
     """MRD code of a rows x cols rectangle, transposing when rows > cols.
 
     For d > min(rows, cols) the only possibility is a single word."""
@@ -111,8 +114,8 @@ def rect_mrd(q: int, rows: int, cols: int, d: int, cap: int = MATERIALIZE_CAP) -
         zero = MatGF.zero(GF(q), rows, cols)
         return RankCode(GF(q), rows, cols, d, (zero,))
     if rows <= cols:
-        return gabidulin(q, cols, rows, d, cap)
-    inner = gabidulin(q, rows, cols, d, cap)
+        return gabidulin(q, cols, rows, d)
+    inner = gabidulin(q, rows, cols, d)
     words = tuple(w.transpose() for w in inner.words)
     return RankCode(inner.field, rows, cols, d, words)
 
@@ -180,16 +183,16 @@ def restricted_rank_lower_bound(q: int, m: int, n: int, d: int, R: Iterable[int]
     return BoundResult(best.value, best.rule, best.citation, tuple(candidates))
 
 
-def restricted_rank_code(q: int, m: int, n: int, d: int, R: Iterable[int], cap: int = MATERIALIZE_CAP) -> RankCode:
+def restricted_rank_code(q: int, m: int, n: int, d: int, R: Iterable[int]) -> RankCode:
     """Materialize a rank-restricted code by filtering an explicit MRD code
     (size permitting); realizes the additive-count lower bound."""
     R = frozenset(R)
-    base_code = rect_mrd(q, m, n, d, cap)
+    base_code = rect_mrd(q, m, n, d)
     words = tuple(w for w in base_code.words if rank(w) in R)
     return RankCode(base_code.field, m, n, d, words, rank_set=R)
 
 
-def mrd_coset_partition(q: int, m: int, n: int, d: int, dprime: int, cap: int = MATERIALIZE_CAP) -> list[RankCode]:
+def mrd_coset_partition(q: int, m: int, n: int, d: int, dprime: int) -> list[RankCode]:
     """
     Partition a distance-d linear MRD code of m x n matrices (m <= n) into
     cosets of its distance-d' subcode: each coset keeps min distance >= d',
@@ -200,12 +203,12 @@ def mrd_coset_partition(q: int, m: int, n: int, d: int, dprime: int, cap: int = 
     # `gabidulin` enumerates coefficient tuples with the highest q-degree
     # varying fastest, so the words sharing their d'-d highest coefficients
     # (one coset of the q-degree <= m-d' subcode) are every stride-th word.
-    code = gabidulin(q, n, m, d, cap)
+    code = gabidulin(q, n, m, d)
     stride = q ** (n * (dprime - d))
     return [RankCode(code.field, m, n, dprime, code.words[h::stride]) for h in range(stride)]
 
 
-def product_rmc(codes: Sequence[RankCode], cap: int = MATERIALIZE_CAP) -> RankCode:
+def product_rmc(codes: Sequence[RankCode]) -> RankCode:
     """Horizontal concatenation of all word tuples; distance >= min d_i."""
     if not codes:
         raise ValueError("need at least one factor")
@@ -216,7 +219,7 @@ def product_rmc(codes: Sequence[RankCode], cap: int = MATERIALIZE_CAP) -> RankCo
     total = 1
     for c in codes:
         total *= len(c)
-    if total > cap:
+    if total > MATERIALIZE_CAP:
         raise ValueError("product too large to materialize")
     d = min(c.d for c in codes)
     words = []
@@ -269,11 +272,11 @@ def _setsum(R1, R2):
     return frozenset(a + b for a in R1 for b in R2)
 
 
-def sumrank_product(M1: RankCode, M2: RankCode, d: int, cap: int = MATERIALIZE_CAP) -> SumRankCode:
+def sumrank_product(M1: RankCode, M2: RankCode, d: int) -> SumRankCode:
     """All pairs (A, B); sum-rank distance >= min(d1, d2) >= d."""
     if min(M1.d, M2.d) < d:
         raise ValueError("factors do not support the requested distance")
-    if len(M1) * len(M2) > cap:
+    if len(M1) * len(M2) > MATERIALIZE_CAP:
         raise ValueError("product too large to materialize")
     words = tuple((a, b) for a in M1.words for b in M2.words)
     return SumRankCode(M1.field, ((M1.m, M1.n), (M2.m, M2.n)), d, words,
@@ -389,7 +392,7 @@ def _span(field: FieldSpec, basis: Sequence[Sequence[int]]) -> list[tuple[int, .
     return span
 
 
-def _fdrm_delta2(F: FerrersDiagram, q: int, cap: int) -> tuple[MatGF, ...]:
+def _fdrm_delta2(F: FerrersDiagram, q: int) -> tuple[MatGF, ...]:
     """
     Distance-2 code meeting the dot-count bound: the kernel of one
     GF(q^t)-valued check, t = max(top row, last column).
@@ -400,8 +403,7 @@ def _fdrm_delta2(F: FerrersDiagram, q: int, cap: int) -> tuple[MatGF, ...]:
     """
     field = GF(q)
     cells = F.cells()
-    nonzero_rows = sum(1 for l in F.row_lengths if l > 0)
-    t = max(F.num_cols, nonzero_rows)
+    t = max(F.num_cols, len(F.row_lengths) - F.row_lengths.count(0))
     E = ExtField(field, t)
     coeff = []
     for (i, j) in cells:
@@ -410,96 +412,84 @@ def _fdrm_delta2(F: FerrersDiagram, q: int, cap: int) -> tuple[MatGF, ...]:
     A = MatGF(field, [[c[s] for c in coeff] for s in range(t)], len(cells))
     Ech, pivots = rref(A)
     assert len(pivots) == t, "check map unexpectedly not onto"
-    if q ** (len(cells) - t) > cap:
+    if q ** (len(cells) - t) > MATERIALIZE_CAP:
         raise ValueError("distance-2 diagram code too large to materialize")
     basis = _null_space(field, Ech.entries, pivots, len(cells))
     return _fillings_to_words(field, F, _span(field, basis))
 
 
-def _fdrm_rect_subcode(F: FerrersDiagram, delta: int, q: int, cap: int) -> tuple[MatGF, ...]:
+def _fdrm_rect_subcode(F: FerrersDiagram, delta: int, q: int) -> tuple[MatGF, ...]:
     """MRD code on the best rectangular sub-diagram (top r rows times the
-    r-th row length, right justified) -- the cheap all-purpose fallback."""
-    field = GF(q)
-    lengths = [l for l in F.row_lengths if l > 0]
-    best = (1, 1, lengths[0] if lengths else 0)
-    for r in range(1, len(lengths) + 1):
-        width = lengths[r - 1]
+    r-th row length, right justified) -- the whole diagram when it is
+    rectangular, and the cheap all-purpose fallback otherwise.  A zero row
+    scores 1 and is never chosen."""
+    m = F.num_cols
+    best = (1, 1, m)
+    for r, width in enumerate(F.row_lengths, 1):
         size = mrd_size(q, r, width, delta) if width else 1
         if size > best[0]:
             best = (size, r, width)
     _, r, width = best
-    inner = rect_mrd(q, r, width, delta, cap)
-    m = F.num_cols
+    inner = rect_mrd(q, r, width, delta)
     left, below = (0,) * (m - width), [(0,) * m] * (F.num_rows - r)
-    return tuple(MatGF(field, [left + row for row in w.entries] + below, m) for w in inner.words)
+    return tuple(MatGF(inner.field, [left + row for row in w.entries] + below, m) for w in inner.words)
 
 
-def _fdrm_greedy(F: FerrersDiagram, delta: int, q: int, cap: int) -> tuple[MatGF, ...]:
-    """Greedy linear span over the diagram cells; best-effort for small
-    diagrams when no direct construction applies."""
-    field = GF(q)
+def _fdrm_greedy(F: FerrersDiagram, delta: int, q: int) -> tuple[MatGF, ...]:
+    """Greedy linear code over the fillings of a diagram with at most 2^16
+    of them, or the rectangular sub-MRD code when that is larger.
+
+    Candidates come in counter order (the first cell is the least
+    significant base-q digit).  A candidate c joins the basis unless c +
+    span holds a filling of rank < delta, that is unless c lies in
+    `blocked` = span + {fillings of rank < delta}; each filling is ranked
+    once."""
+    rect = _fdrm_rect_subcode(F, delta, q)
     dots = F.dot_count()
     if q**dots > 1 << 16:
-        return _fdrm_rect_subcode(F, delta, q, cap)
-    cells = F.cells()
-    k, m = F.num_rows, F.num_cols
-
-    def vec_rank(v):
-        rows = [[0] * m for _ in range(k)]
-        for (i, j), x in zip(cells, v):
-            rows[i][j] = x
-        return rank(MatGF(field, rows, m))
-
-    basis: list[list[int]] = []
-    span = [[0] * dots]
-    for counter in range(1, q**dots):
-        cand = []
-        c = counter
-        for _ in range(dots):
-            cand.append(c % q)
-            c //= q
-        ok = True
-        for s in span:
-            for f in range(1, q):
-                w = field.rowop(s, f, cand)
-                if vec_rank(w) < delta:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            basis.append(cand)
-            span = _span(field, basis[::-1])
-            if len(span) > cap:
-                break
-    rect = _fdrm_rect_subcode(F, delta, q, cap)
-    if len(rect) > len(span):
         return rect
-    return _fillings_to_words(field, F, span)
+    field = GF(q)
+    rowop, minus_one = field.rowop, field.neg(1)  # b + c is b - (-1)*c
+    fillings = [p[::-1] for p in itertools.product(range(q), repeat=dots)]
+    blocked = {v for v, w in zip(fillings, _fillings_to_words(field, F, fillings)) if rank(w) < delta}
+    basis = []
+    for cand in fillings[1:]:
+        if cand not in blocked:
+            basis.append(cand)
+            multiples = [rowop(cand, c) for c in range(1, q)]
+            blocked |= {tuple(rowop(b, minus_one, cm)) for b in blocked for cm in multiples}
+    span = _span(field, basis[::-1])
+    return rect if len(rect) > len(span) else _fillings_to_words(field, F, span)
 
 
-def fdrm_construct(F: FerrersDiagram, delta: int, q: int, cap: int = MATERIALIZE_CAP) -> FdrmCode:
+def _fdrm_meets_bound(F: FerrersDiagram, delta: int) -> bool:
+    """Whether `fdrm_construct` meets `fdrm_upper_bound` without search:
+    all fillings (delta 1), the kernel check (delta 2), or an MRD code on
+    a rectangular diagram."""
+    return delta <= 2 or F.rectangular()
+
+
+def fdrm_construct(F: FerrersDiagram, delta: int, q: int) -> FdrmCode:
     """
     Construct a diagram-supported code with min rank distance >= delta.
 
-    Meets the dot-count upper bound for delta = 1 (all fillings),
-    rectangular diagrams (MRD, transposed as needed), and delta = 2
-    (kernel-check construction); otherwise falls back to a greedy search
-    over small diagrams and returns the best found.
+    Meets the dot-count upper bound wherever `_fdrm_meets_bound` holds: all
+    fillings for delta = 1, an MRD code (transposed as needed) on a
+    rectangular diagram, the kernel-check construction for delta = 2.
+    Otherwise returns the better of a greedy search over small diagrams and
+    an MRD code on a rectangular sub-diagram.
     """
     field = GF(q)
-    bound = fdrm_upper_bound(F, delta, q)
-    effective = [l for l in F.row_lengths if l > 0]
-    if bound == 1 or not effective:
-        zero = MatGF.zero(field, F.num_rows, F.num_cols)
-        return FdrmCode(F, delta, field, (zero,))
-    if delta == 1:
-        if q ** F.dot_count() > cap:
+    if fdrm_upper_bound(F, delta, q) == 1:
+        words = (MatGF.zero(field, F.num_rows, F.num_cols),)
+    elif delta == 1:
+        if q ** F.dot_count() > MATERIALIZE_CAP:
             raise ValueError("full diagram space too large to materialize")
-        vectors = itertools.product(range(q), repeat=F.dot_count())
-        return FdrmCode(F, delta, field, _fillings_to_words(field, F, vectors))
-    if len(set(effective)) == 1:
-        return FdrmCode(F, delta, field, _fdrm_rect_subcode(F, delta, q, cap))
-    if delta == 2:
-        return FdrmCode(F, delta, field, _fdrm_delta2(F, q, cap))
-    return FdrmCode(F, delta, field, _fdrm_greedy(F, delta, q, cap))
+        words = _fillings_to_words(field, F, itertools.product(range(q), repeat=F.dot_count()))
+    elif F.rectangular():
+        words = _fdrm_rect_subcode(F, delta, q)
+    elif delta == 2:
+        words = _fdrm_delta2(F, q)
+    else:
+        words = _fdrm_greedy(F, delta, q)
+    return FdrmCode(F, delta, field, words)

@@ -143,10 +143,16 @@ def rank(M: MatGF) -> int:
 
 @dataclass(frozen=True)
 class FerrersDiagram:
-    """Right-justified dot diagram; row_lengths top to bottom (weakly
-    decreasing when derived from a pivot vector)."""
+    """Right-justified dot diagram; row_lengths top to bottom, weakly
+    decreasing and >= 0 (ValueError otherwise), as `ferrers_of` derives
+    them from a pivot vector."""
 
     row_lengths: tuple[int, ...]
+
+    def __post_init__(self):
+        r = self.row_lengths
+        if any(a < b for a, b in zip(r, r[1:])) or (r and r[-1] < 0):
+            raise ValueError(f"row lengths must be weakly decreasing and >= 0, got {r}")
 
     @property
     def num_rows(self) -> int:
@@ -166,7 +172,10 @@ class FerrersDiagram:
         return [(i, j) for i, l in enumerate(self.row_lengths) for j in range(m - l, m)]
 
     def rectangular(self) -> bool:
-        return len(set(self.row_lengths)) <= 1
+        """Whether the nonzero rows share one length (zero rows are ignored),
+        so the dots fill a rectangle; the diagram-code constructions of
+        `rankmetric` and the multilevel bound of `bounds` all use this test."""
+        return len(set(self.row_lengths) - {0}) <= 1
 
 
 class Subspace:
@@ -378,7 +387,8 @@ def subspace_from_filling(field: FieldSpec, v: Sequence[int], filling: Sequence[
     a right-justified filling of the Ferrers diagram of v.
 
     `filling` is a num_rows x num_cols matrix (row lengths per the diagram,
-    left cells outside the diagram ignored/zero).
+    left cells outside the diagram ignored/zero).  Raises ValueError for a
+    diagram entry outside [0, q).
     """
     n = len(v)
     m = ferrers_of(v).num_cols
@@ -390,6 +400,8 @@ def subspace_from_filling(field: FieldSpec, v: Sequence[int], filling: Sequence[
         for j, x in zip(free_cols, filling[i][m - len(free_cols):]):
             row[j] = x
         rows.append(row)
+    if rows and (min(map(min, rows)) < 0 or max(map(max, rows)) >= field.q):
+        raise ValueError(f"filling entry outside [0, {field.q})")
     return Subspace._trusted(field, n, rows)
 
 

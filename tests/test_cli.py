@@ -414,12 +414,15 @@ def test_construct_gen_linkage(tmp_path, capsys):
 
 # SHA-256 of the files written by `scodes construct`: they pin the words of
 # the Gabidulin coset partition (insert1), the coset builder (coset) and the
-# greedy skeleton (ef) byte for byte.
+# greedy skeleton (ef) byte for byte; at d = 6 (ef-d6) the diagram codes of
+# the non-rectangular diagrams come from the delta = 3 greedy.
 GOLDEN_CONSTRUCT_SHA256 = {
     ("insert1", "--q", "2"): "999326e204bb3952b30aeae198bf3333eee26451213b69b0e41cc38fb3594157",
     ("coset", "--q", "2"): "36e5b5473a907b41e5c343a15bffd14d56bc2812344c87e805612b0d5234564b",
     ("ef", "--q", "3", "--n", "7", "--k", "3", "--d", "4"):
         "1d0202fd4b888e1e8717971a2e8e3d55491f9dba99351eddd76045b9b070245f",
+    ("ef", "--q", "2", "--n", "9", "--k", "4", "--d", "6"):
+        "511450296613ea65aa69458ccfb13784248e09de0ecec1ad719c54317d4b2900",
     ("lmrd", "--q", "3", "--n", "7", "--k", "3", "--d", "4"):
         "6b15fefdd7189c64e270034c757a6e9abdb356cd5348751f9c8da4a4bf253cfb",
     ("lmrd", "--q", "9", "--n", "5", "--k", "2", "--d", "4"):  # has a mod= header
@@ -427,7 +430,8 @@ GOLDEN_CONSTRUCT_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("args", list(GOLDEN_CONSTRUCT_SHA256), ids=lambda args: args[0])
+@pytest.mark.parametrize("args", list(GOLDEN_CONSTRUCT_SHA256),
+                         ids=lambda args: args[0] + "-d6" * (args[-1] == "6"))
 def test_construct_output_matches_golden_digest(tmp_path, capsys, monkeypatch, args):
     monkeypatch.delenv("SCODES_PACKINGS", raising=False)
     path = tmp_path / "c.scode"

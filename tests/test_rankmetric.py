@@ -4,11 +4,14 @@ from collections import Counter
 
 import pytest
 
+from scodes.bounds import _ef_achievable_size
+from scodes.constructions import skeleton_greedy
 from scodes.gfq import GF, ExtField
 from scodes.qcombi import gauss_binomial
 from scodes.rankmetric import (
     FdrmCode,
     RankCode,
+    _fdrm_meets_bound,
     diag_concat_rmc,
     fdrm_construct,
     fdrm_upper_bound,
@@ -156,7 +159,7 @@ def _fdrm_digest(delta, q, n_max):
         for k in range(2, n - 1):
             for support in itertools.combinations(range(n), k):
                 F = ferrers_of(tuple(1 if j in support else 0 for j in range(n)))
-                if len({l for l in F.row_lengths if l}) > 1:
+                if not F.rectangular():
                     _words_digest(h, support, fdrm_construct(F, delta, q).words)
     return h.hexdigest()
 
@@ -399,6 +402,44 @@ def test_fdrm_delta2_q3():
     assert len(code) == fdrm_upper_bound(F, 2, 3)
     for a, b in itertools.combinations(code.words, 2):
         assert rank_distance(a, b) >= 2
+
+
+@pytest.mark.parametrize("q, n_max", [(2, 7), (3, 6)])
+def test_fdrm_sizes_agree_with_bound_and_booked_sizes(q, n_max):
+    """Every pivot vector of length <= n_max and delta in {1, 2, 3}: the
+    built code has between 1 and fdrm_upper_bound words, exactly the bound
+    where `_fdrm_meets_bound` holds, and the multilevel lower bound never
+    books more than echelon_ferrers builds on the same greedy skeleton."""
+    built = {}
+    for n in range(1, n_max + 1):
+        for v in itertools.product((0, 1), repeat=n):
+            F = ferrers_of(v)
+            for delta in (1, 2, 3):
+                size, bound = len(fdrm_construct(F, delta, q)), fdrm_upper_bound(F, delta, q)
+                assert 1 <= size <= bound
+                assert size == bound or not _fdrm_meets_bound(F, delta)
+                built[v, delta] = size
+    for n in range(1, n_max + 1):
+        for k in range(n + 1):
+            for delta in (1, 2, 3):
+                skeleton = skeleton_greedy(q, n, k, 2 * delta).vectors
+                assert _ef_achievable_size(q, n, k, 2 * delta) <= sum(built[v, delta] for v in skeleton)
+
+
+@pytest.mark.parametrize("row_lengths", [(1, 3), (0, 2), (1, 3, 3), (2, -1)],
+                         ids=["rising", "zero-top-row", "rising-then-flat", "negative"])
+def test_ferrers_diagram_rejects_rows_out_of_order(row_lengths):
+    # "top r rows times the r-th row length" is a sub-diagram only when the
+    # rows weakly decrease: unchecked, (1, 3, 3) at delta 3 gave 8 words
+    # (bound 4) with entries off its dots
+    with pytest.raises(ValueError, match="weakly decreasing"):
+        FerrersDiagram(row_lengths)
+
+
+def test_rectangular_ignores_zero_rows():
+    assert FerrersDiagram((3, 3, 0, 0)).rectangular()
+    assert FerrersDiagram(()).rectangular() and FerrersDiagram((0, 0)).rectangular()
+    assert not FerrersDiagram((3, 2, 0)).rectangular()
 
 
 def test_fdrm_greedy_fallback():

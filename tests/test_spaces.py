@@ -24,6 +24,7 @@ from scodes.spaces import (
     row_space,
     rref,
     subspace_distance,
+    subspace_from_filling,
 )
 
 F2 = GF(2)
@@ -389,6 +390,20 @@ def test_rref_rejects_entries_outside_field(field, rows):
         rank(M)
     with pytest.raises(ValueError, match="outside"):
         Subspace.from_matrix(M)
+
+
+@pytest.mark.parametrize("q, v, filling", [
+    (3, (1, 0, 1, 0), [[1, 4], [0, 2]]),
+    (257, (1, 1, 0), [[300], [5]]),
+    (3, (1, 0, 0, 1), [[0, -1], [0, 0]]),
+], ids=["gf3-entry-4", "gf257-entry-300", "entry-minus-1"])
+def test_subspace_from_filling_rejects_entries_outside_field(q, v, filling):
+    with pytest.raises(ValueError, match="outside"):
+        subspace_from_filling(GF(q), v, filling)
+    # the same diagram with the entry reduced into [0, q) is a subspace
+    reduced = [[x % q for x in row] for row in filling]
+    U = subspace_from_filling(GF(q), v, reduced)
+    assert subspace_distance(U, U) == 0 and U.pivot == v
 
 
 def test_matgf_rejects_ragged_rows_and_column_mismatch():
