@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 
 from .constructions import skeleton_greedy
 from .divisible import sharp_floor
+from .gfq import _factor_prime_power
 from .provenance import BoundResult
 from .qcombi import QPolynomial, gauss_binomial, gauss_int, qpoly_parse
 from .rankmetric import _fdrm_meets_bound, fdrm_upper_bound, mrd_size
@@ -432,6 +433,10 @@ def _johnson_improved(q: int, n: int, d: int, k: int, inner: BoundResult) -> Bou
                        "sharpened rounding via divisible multisets", (inner,))
 
 
+# How many reverse-Johnson steps (n, k) <- (n+1, k+1) a lower query may take.
+_REVERSE_JOHNSON_DEPTH = 2
+
+
 class BoundEngine:
     """Memoized best-known upper/lower bounds with provenance trees.
 
@@ -504,7 +509,7 @@ class BoundEngine:
             children = ()
             if f.extra_term is not None:
                 # additive A-terms only occur in lower-bound formulas
-                sub = yield self._lower_request(q, *f.extra_term, 2)
+                sub = yield self._lower_request(q, *f.extra_term, _REVERSE_JOHNSON_DEPTH)
                 value += sub.value
                 children = (sub,)
             out.append(BoundResult(value, f"fact:{f.kind}", f.citation, children,
@@ -572,7 +577,10 @@ class BoundEngine:
         and Heinlein-Kurz, "Asymptotic bounds for the sizes of constant
         dimension codes and an improved lower bound" (2017), compare the
         two.  Leaving a valid upper bound out of a minimum can only weaken
-        the result, never make it wrong."""
+        the result, never make it wrong.
+
+        Raises ValueError unless q is a prime power."""
+        _factor_prime_power(q)
         return self._evaluate(self._upper_request(q, n, d, k))
 
     def _upper_node(self, q, n, d, k):
@@ -630,8 +638,11 @@ class BoundEngine:
 
     # ---- lower bounds
 
-    def best_lower(self, q: int, n: int, d: int, k: int, rev_depth: int = 2) -> BoundResult:
-        return self._evaluate(self._lower_request(q, n, d, k, rev_depth))
+    def best_lower(self, q: int, n: int, d: int, k: int) -> BoundResult:
+        """The greatest of the constructive lower bounds and the applicable
+        table facts; raises ValueError unless q is a prime power."""
+        _factor_prime_power(q)
+        return self._evaluate(self._lower_request(q, n, d, k, _REVERSE_JOHNSON_DEPTH))
 
     def _lower_node(self, q, n, d, k, rev_depth):
         conv = self._convention(q, n, d, k)

@@ -5,16 +5,17 @@ construction with packing inputs, block-inserting variants, and the
 combination rules that glue subcodes together.
 
 Every constructor materializes actual subspaces; declared distances are
-meant to be re-checked independently (see scodes.verify).  Provenance is
-recorded on each code so `combine` can match pairs of subcodes against the
-structural compatibility rules.
+meant to be re-checked independently (see scodes.verify).  Each code
+records its rule and block parameters as provenance, for the reader only:
+`combine` certifies a union of subcodes from their words (pivot vectors,
+then an exact cross scan), never from provenance.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .gfq import GF
 from .qcombi import gauss_binomial
@@ -32,6 +33,7 @@ from .spaces import (
     enumerate_grassmannian,
     ferrers_of,
     hamming_distance,
+    subspace_distance_capped,
     subspace_from_filling,
 )
 
@@ -52,10 +54,6 @@ class Cdc:
     @property
     def rule(self) -> str:
         return self.provenance[0]
-
-    @property
-    def params(self) -> dict:
-        return dict(self.provenance[1])
 
     def check_shape(self) -> None:
         for w in self.words:
@@ -217,8 +215,7 @@ def generalized_linkage(C1: Cdc, C2: Cdc, M1: RankCode, M2: RankCode) -> Cdc:
         for w in M2.words:
             rows = [tuple(mr) + tuple(r) for mr, r in zip(w.entries, W.rref.entries)]
             words.append(Subspace.from_matrix(MatGF(W.field, rows, n)))
-    return _mk(C1.q, n, k, d, words, "generalized_linkage",
-               n1=C1.n, n2=C2.n, m2_max_rank=max((rank(w) for w in M2.words), default=0))
+    return _mk(C1.q, n, k, d, words, "generalized_linkage", n1=C1.n, n2=C2.n)
 
 
 # -- multilevel construction ---------------------------------------------------
@@ -405,9 +402,8 @@ def _coset_family(pack1: DPacking, pack2: DPacking, M: RankCode, d1: int, d2: in
                     words.append(word(U1, U2, Mw))
     n1, n2 = pack1.n, pack2.n
     k1, k2 = pack1.k, pack2.k
-    max_rank = max((rank(w) for w in M.words), default=0)
     return _mk(pack1.q, n1 + n2, k1 + k2, d, words, rule,
-               n1=n1, n2=n2, d1=d1, d2=d2, k1=k1, k2=k2, rmc_max_rank=max_rank)
+               n1=n1, n2=n2, d1=d1, d2=d2, k1=k1, k2=k2)
 
 
 def coset_construction(pack1: DPacking, pack2: DPacking, M: RankCode,
@@ -440,10 +436,10 @@ def mirrored_coset_construction(pack1: DPacking, pack2: DPacking, M: RankCode,
         [ E(U1)    0   ]
         [ phi(M) E(U2) ]
 
-    with the rank block now under the first packing's columns.  Mixing its
-    output with standard coset subcodes is refused by `combine` unless
-    brute-force certification is requested (pivot-block bookkeeping alone
-    cannot separate them).
+    with the rank block now under the first packing's columns.  The two
+    layouts share pivot vectors and can share words (the zero rank-code
+    word gives [E(U1) 0; 0 E(U2)] in both), so `combine` checks a standard
+    + mirrored pair by an exact cross scan and refuses it when they do.
     """
     field = GF(pack1.q)
     n1, n2 = pack1.n, pack2.n
@@ -555,78 +551,20 @@ def block_inserting_II(dims: tuple[int, int, int, int], d: int,
 # -- combining subcodes ----------------------------------------------------------
 
 
-def _pivot_structure(C: Cdc) -> set[tuple[int, ...]]:
-    return {w.pivot for w in C.words}
+# Cross products `combine` scans exactly for one pair of subcodes that the
+# pivot structure does not separate; a larger pair is refused.
+_SCAN_CAP = 2_000_000
 
 
-def _structure_distance(A: Cdc, B: Cdc) -> int:
-    sa, sb = _pivot_structure(A), _pivot_structure(B)
-    return min(hamming_distance(a, b) for a in sa for b in sb)
-
-
-def _lemma_certificate(A: Cdc, B: Cdc, d: int) -> Optional[str]:
-    """Structural cross-distance certificate, trying both orientations."""
-    return _lemma_oriented(A, B, d) or _lemma_oriented(B, A, d)
-
-
-def _lemma_oriented(A: Cdc, B: Cdc, d: int) -> Optional[str]:
-    ra, rb = A.rule, B.rule
-    pa, pb = A.params, B.params
-    if ra in ("construction_d", "lifted_mrd") and rb == "coset":
-        if (
-            pa.get("n1") == pb["n1"]
-            and pb["k1"] + pb["k2"] == A.k
-            and pb["d1"] + pb["d2"] == d
-            and pb["k2"] >= d // 2
-        ):
-            return "construction-d + coset"
-    if ra in ("construction_d", "lifted_mrd") and rb == "mirrored_coset":
-        if (
-            pa.get("n1") == pb["n1"]
-            and pb["k1"] + pb["k2"] == A.k
-            and pb["d1"] + pb["d2"] == d
-            and pb["k2"] - pb["rmc_max_rank"] >= d // 2
-        ):
-            return "construction-d + mirrored coset"
-    if ra == "coset" and rb == "coset":
-        if (
-            pa["n1"] == pb["n1"]
-            and abs(pa["k1"] - pb["k1"]) + abs(pa["k2"] - pb["k2"]) >= d
-        ):
-            return "coset + coset"
-    if ra == "generalized_linkage" and rb == "coset":
-        if (
-            pa["n1"] == pb["n1"]
-            and pb["k2"] >= d // 2
-            and pb["k1"] - pb["rmc_max_rank"] >= d // 2
-        ):
-            return "generalized linkage + coset"
-    if ra == "generalized_linkage" and rb == "block_inserting_I":
-        if pa["n1"] == pb["n1"] + pb["n2"] and pa["n2"] == pb["n3"] + pb["n4"]:
-            return "generalized linkage + block inserting I"
-    if ra == "generalized_linkage" and rb == "block_inserting_II":
-        if (
-            pa["n1"] == pb["n1"] + pb["n2"]
-            and pa["n2"] == pb["n3"] + pb["n4"]
-            and pb["k1"] >= d // 2
-            and pb["k2"] >= d // 2
-        ):
-            return "generalized linkage + block inserting II"
-    if ra == "block_inserting_I" and rb == "block_inserting_II":
-        if all(pa[x] == pb[x] for x in ("n1", "n2", "n3", "n4")):
-            return "block inserting I + II"
-    return None
-
-
-def combine(subcodes: Sequence[Cdc], certify: str = "auto",
-            brute_cap: int = 2_000_000) -> Cdc:
+def combine(subcodes: Sequence[Cdc]) -> Cdc:
     """
-    Union of subcodes with cross-distance certification per pair: a known
-    structural rule, then the pivot-structure Hamming bound, then brute
-    force over all cross pairs (within brute_cap products).
+    Union of subcodes, certifying the cross distance of each pair one way.
 
-    certify='brute' forces the brute-force check for every pair;
-    'lemma' refuses pairs with no structural certificate.
+    A pair passes if the Hamming distance between any pivot vector of one
+    subcode and any of the other is at least d, since d_S(U, W) >=
+    d_H(v(U), v(W)) (Etzion and Silberstein, IEEE T-IT 2009).  Otherwise
+    every cross product is checked exactly, up to _SCAN_CAP products; a
+    pair above the cap is refused.
     """
     if not subcodes:
         raise ValueError("nothing to combine")
@@ -637,32 +575,20 @@ def combine(subcodes: Sequence[Cdc], certify: str = "auto",
     for c in subcodes:
         if (c.q, c.n, c.k) != (q, n, k):
             raise ValueError("subcodes live in different spaces")
+    pivots = [{w.pivot for w in c.words} for c in subcodes]
     certificates = []
-    from .spaces import subspace_distance_capped
-
-    for A, B in itertools.combinations(subcodes, 2):
-        how = None
-        mixed_coset = {A.rule, B.rule} == {"coset", "mirrored_coset"}
-        if certify != "brute" and mixed_coset:
-            raise ValueError(
-                "mixing mirrored and standard coset subcodes needs certify='brute' "
-                "(the structural bookkeeping for this pair is unsound)"
-            )
-        if certify != "brute":
-            how = _lemma_certificate(A, B, d)
-            if how is None and _structure_distance(A, B) >= d:
-                how = "pivot-structure Hamming distance"
-        if how is None or certify == "brute":
-            if len(A.words) * len(B.words) > brute_cap:
-                raise ValueError(
-                    f"no structural certificate for {A.rule} + {B.rule} and cross product too large to brute force"
-                )
-            for u in A.words:
-                for w in B.words:
-                    if subspace_distance_capped(u, w, d) < d:
-                        raise ValueError(f"cross distance violation between {A.rule} and {B.rule}")
-            how = "brute force"
-        certificates.append(how)
+    for (A, pa), (B, pb) in itertools.combinations(zip(subcodes, pivots), 2):
+        if min((hamming_distance(a, b) for a in pa for b in pb), default=d) >= d:
+            certificates.append("pivot-structure Hamming distance")
+            continue
+        if len(A.words) * len(B.words) > _SCAN_CAP:
+            raise ValueError(f"pivot structure does not separate {A.rule} and {B.rule}, "
+                             f"and their cross product is too large to scan")
+        for u in A.words:
+            for w in B.words:
+                if subspace_distance_capped(u, w, d) < d:
+                    raise ValueError(f"cross distance violation between {A.rule} and {B.rule}")
+        certificates.append("brute force")
     words = []
     seen = set()
     for c in subcodes:

@@ -36,7 +36,7 @@ from typing import Iterator, Optional, Sequence
 from .gfq import GF, FieldSpec
 from .qcombi import gauss_binomial
 
-DEFAULT_ENUM_CAP = 10**7
+_ENUM_CAP = 10**7
 
 
 class MatGF:
@@ -405,14 +405,15 @@ def subspace_from_filling(field: FieldSpec, v: Sequence[int], filling: Sequence[
     return Subspace._trusted(field, n, rows)
 
 
-def enumerate_grassmannian(q: int, n: int, k: int, cap: int = DEFAULT_ENUM_CAP) -> Iterator[Subspace]:
+def enumerate_grassmannian(q: int, n: int, k: int) -> Iterator[Subspace]:
     """
     All k-subspaces of GF(q)^n, each exactly once, in canonical order:
     pivot supports in lexicographic order, then free entries counted base q.
+    Raises ValueError above _ENUM_CAP subspaces.
     """
     total = gauss_binomial(n, k, q)
-    if total > cap:
-        raise ValueError(f"Grassmannian size {total} exceeds cap {cap}")
+    if total > _ENUM_CAP:
+        raise ValueError(f"Grassmannian size {total} exceeds cap {_ENUM_CAP}")
     field = GF(q)
     for piv in itertools.combinations(range(n), k):  # k = 0 gives one empty support: the zero space
         free_cells = [(i, j) for i, p in enumerate(piv) for j in range(p + 1, n) if j not in piv]

@@ -180,6 +180,16 @@ def test_fact_table_cycle_is_an_error():
         BoundEngine(facts=facts).best_lower(2, 9, 4, 3)
 
 
+@pytest.mark.parametrize("q", [0, 1, 6, 10, 12])
+def test_bound_queries_reject_q_not_prime_power(q):
+    engine = BoundEngine()
+    for query in (engine.best_upper, engine.best_lower):
+        with pytest.raises(ValueError, match="not a prime power"):
+            query(q, 6, 4, 3)
+    with pytest.raises(ValueError, match="not a prime power"):
+        engine.bounds(q, 6, 4, 3)
+
+
 def test_best_upper_equals_best_lower_on_exact_cases(engine):
     for (q, n, d, k, v) in [(2, 4, 4, 2, 5), (2, 5, 4, 2, 9), (2, 6, 6, 3, 9),
                             (2, 6, 4, 3, 77), (2, 8, 6, 4, 257), (2, 7, 6, 3, 17)]:

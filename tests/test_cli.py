@@ -71,6 +71,27 @@ def test_bound_param_error(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("bound", "--q", "6", "--n", "6", "--d", "4", "--k", "3", "--dir", "upper"),
+    ("bound", "--q", "6", "--n", "6", "--d", "4", "--k", "3", "--dir", "lower"),
+    ("table", "--q", "6", "--n-max", "6", "--d", "4"),
+], ids=["upper", "lower", "table"])
+def test_bound_queries_reject_q_not_prime_power(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert "6 is not a prime power" in err
+
+
+@pytest.mark.parametrize("q", ["4", "8", "9"])
+def test_bound_queries_accept_prime_powers(capsys, q):
+    for direction in ("upper", "lower"):
+        rc, out, _ = run(capsys, "bound", "--q", q, "--n", "6", "--d", "4", "--k", "3", "--dir", direction)
+        assert rc == 0 and int(out) > 1
+    rc, out, _ = run(capsys, "table", "--q", q, "--n-max", "6", "--d", "4", "--format", "csv")
+    assert rc == 0 and len(out.splitlines()) == 5  # the header and 4 rows
+
+
 def test_construct_and_verify_roundtrip(tmp_path, capsys):
     path = str(tmp_path / "c.scode")
     rc, out, _ = run(capsys, "construct", "linkage", "--q", "2", "--n", "8", "--k", "4",
@@ -427,6 +448,8 @@ GOLDEN_CONSTRUCT_SHA256 = {
         "6b15fefdd7189c64e270034c757a6e9abdb356cd5348751f9c8da4a4bf253cfb",
     ("lmrd", "--q", "9", "--n", "5", "--k", "2", "--d", "4"):  # has a mod= header
         "11ab188f2f1b3f79bc95d0c594172793686963b824ce9aa9dfefb97e58d0840a",
+    ("assemble", "--q", "2"):  # the 4797-word union certified by `combine`
+        "8cd710f30cf1a09016b8142b0c8bcbda87a2116289f554c54433858161ee0d2f",
 }
 
 

@@ -45,6 +45,7 @@ from scodes.spaces import (
     Subspace,
     enumerate_grassmannian,
     ferrers_of,
+    hamming_distance,
     rref,
     subspace_distance,
     subspace_from_filling,
@@ -344,7 +345,20 @@ def test_combine_single_and_detects_violation():
     assert combine([w1]) is w1
     w_bad = single_codeword(2, 6, 3, 4, position="left")  # overlaps the lifted code's pivot block
     with pytest.raises(ValueError):
-        combine([w1, w_bad], certify="brute")
+        combine([w1, w_bad])
+
+
+def test_combine_refuses_a_scan_above_the_cap(monkeypatch):
+    import scodes.constructions as constructions
+
+    ef = echelon_ferrers(skeleton_greedy(2, 6, 3, 4), 2, 4)
+    halves = [Cdc(2, 6, 3, 4, ef.words[i::2]) for i in (0, 1)]
+    assert dict(combine(halves).provenance[1])["certificates"] == ("brute force",)
+    monkeypatch.setattr(constructions, "_SCAN_CAP", len(halves[0]) * len(halves[1]) - 1)
+    with pytest.raises(ValueError, match="too large to scan"):
+        combine(halves)
+    # an empty subcode needs no scan
+    assert len(combine([halves[0], Cdc(2, 6, 3, 4, ())])) == len(halves[0])
 
 
 def test_block_inserting_I_512():
@@ -388,6 +402,46 @@ def test_combined_12_6_6_reduced_scale():
     code = combine([w1, w2, w3])
     assert len(code) == len(w1) + 512 + 58
     assert exact_min(code) == 6
+
+
+@pytest.mark.parametrize("q, n, k", [(2, 5, 2), (3, 4, 2)])
+def test_pivot_hamming_bound_against_verifier(q, n, k):
+    # combine's one shortcut, d_S(U, W) >= d_H(v(U), v(W)), judged on every
+    # pair of a Grassmannian by the verifier's exact scan
+    words = list(enumerate_grassmannian(q, n, k))
+    for U, W in itertools.combinations(words, 2):
+        pair = Cdc(q, n, k, 2, (U, W))
+        assert min_distance(pair, "exact").min_distance >= hamming_distance(U.pivot, W.pivot)
+
+
+def _small_subcodes(q, n, k, d):
+    ef = echelon_ferrers(skeleton_greedy(q, n, k, d), q, d)
+    # the two halves of one code share pivot vectors, so only a scan passes them
+    halves = [Cdc(q, n, k, d, ef.words[i::2], ("half", ())) for i in (0, 1)]
+    m = n - k  # linkage: C1 in the first m columns, a k x k rank block
+    return [
+        lifted_mrd(q, n, k, d),
+        single_codeword(q, n, k, d, position="left"),
+        single_codeword(q, n, k, d, position="right"),
+        ef,
+        linkage(auto_cdc(q, m, d, k), auto_cdc(q, k, d, k), rect_mrd(q, k, k, d // 2)),
+        *halves,
+    ]
+
+
+@pytest.mark.parametrize("q, n, k, d", [(2, 6, 3, 4), (2, 7, 3, 4), (3, 5, 2, 4), (2, 6, 2, 4)])
+def test_combine_pairs_against_verifier(q, n, k, d):
+    # combine either refuses a pair or returns a union the verifier passes
+    outcomes = set()
+    for A, B in itertools.combinations(_small_subcodes(q, n, k, d), 2):
+        try:
+            code = combine([A, B])
+        except ValueError:
+            outcomes.add("refused")
+            continue
+        assert exact_min(code) >= d
+        outcomes.update(dict(code.provenance[1])["certificates"])
+    assert outcomes == {"refused", "pivot-structure Hamming distance", "brute force"}
 
 
 def test_auto_cdc_degenerate_and_spread():

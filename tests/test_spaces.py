@@ -242,7 +242,7 @@ def test_enumerate_grassmannian_counts():
 
 def test_enumerate_cap():
     with pytest.raises(ValueError):
-        list(enumerate_grassmannian(2, 30, 15, cap=1000))
+        list(enumerate_grassmannian(2, 30, 15))
 
 
 def test_permute_columns_identity_and_errors():

@@ -109,12 +109,12 @@ def test_mirrored_coset_construction():
     assert min_distance(mirrored, "exact").min_distance == 4
 
 
-def test_combine_refuses_mixed_coset_without_brute():
+def test_combine_refuses_mixed_coset():
     par = find_parallelism(2, 4, 2)
     M = rect_mrd(2, 2, 2, 2)
     standard = coset_construction(par, par, M, 2, 2)
     mirrored = mirrored_coset_construction(par, par, M, 2, 2)
-    with pytest.raises(ValueError, match="brute"):
+    with pytest.raises(ValueError, match="cross distance violation"):
         combine([standard, mirrored])
 
 
