@@ -5,7 +5,7 @@ independent brute-force verification, and a provenance-carrying bound
 engine for maximum code sizes.
 """
 
-from .gfq import GF, FieldSpec, Felt, field_create
+from .gfq import GF, FieldSpec
 from .qcombi import QPolynomial, gauss_binomial, gauss_int
 from .spaces import (
     FerrersDiagram,
@@ -16,14 +16,12 @@ from .spaces import (
     ferrers_of,
     hamming_distance,
     injection_distance,
-    pivot_vector,
     rank,
     rref,
     subspace_distance,
 )
 from .divisible import divisible_exists, sharp_ceil, sharp_floor, sqr_bases, sqr_expand
 from .rankmetric import (
-    FdrmCode,
     RankCode,
     SumRankCode,
     fdrm_construct,
@@ -36,7 +34,6 @@ from .rankmetric import (
 from .constructions import (
     Cdc,
     DPacking,
-    SkeletonCode,
     coset_construction,
     echelon_ferrers,
     improved_linkage,

@@ -96,10 +96,12 @@ def load_default_facts() -> FactTable:
 
 
 def _check_query(q: int, n: int, d: int, k: int) -> None:
-    if q < 2:
-        raise ValueError("q must be >= 2")
+    """ValueError unless q is a prime power, d >= 1 and 0 <= k <= n."""
+    _factor_prime_power(q)
     if d < 1:
         raise ValueError("d must be >= 1")
+    if not 0 <= k <= n:
+        raise ValueError("need 0 <= k <= n")
 
 
 def _norm(n: int, d: int, k: int) -> tuple[int, int, int]:
@@ -212,6 +214,7 @@ def _ceil_lambda_term(lam: int, inner: int) -> Optional[int]:
 
 def partial_spread_upper(q: int, n: int, k: int) -> BoundResult:
     """Tightest classical upper bound for partial k-spreads in GF(q)^n."""
+    _check_query(q, n, 2 * k, k)
     if not 1 <= k <= n - k:
         raise ValueError("need 1 <= k <= n - k")
     t, r = divmod(n, k)
@@ -259,6 +262,7 @@ def partial_spread_upper(q: int, n: int, k: int) -> BoundResult:
 
 
 def partial_spread_lower(q: int, n: int, k: int) -> BoundResult:
+    _check_query(q, n, 2 * k, k)
     if not 1 <= k <= n - k:
         raise ValueError("need 1 <= k <= n - k")
     r = n % k
@@ -288,28 +292,6 @@ def grassmann_eigenvalue(q: int, n: int, k: int, i: int, j: int) -> int:
             * gauss_binomial(n - k - j + m, m, q)
         )
     return total
-
-
-@dataclass
-class LpTableau:
-    """The linear program's exact data, kept for auditability: variables
-    x_i for i in [d/2, k], constraints sum_i -Q_j(i) x_i <= u_j.
-
-    v uses the association-scheme valencies q^(i^2) C(k,i) C(n-k,i); the
-    variant printed in parts of the literature, q^(i^2) C(l,i) - C(n-1,i)
-    with an unspecified l, is kept available through `v_as_printed` so the
-    discrepancy can be audited rather than silently patched."""
-
-    q: int
-    n: int
-    k: int
-    d: int
-    u: dict[int, int]
-    v: dict[int, int]
-    eigen: dict[tuple[int, int], int]
-
-    def v_as_printed(self, i: int, l: int) -> int:
-        return self.q ** (i * i) * gauss_binomial(l, i, self.q) - gauss_binomial(self.n - 1, i, self.q)
 
 
 def _simplex_max(c: list[Fraction], A: list[list[Fraction]], b: list[Fraction]) -> Fraction:
@@ -344,12 +326,20 @@ def _simplex_max(c: list[Fraction], A: list[list[Fraction]], b: list[Fraction]) 
         basis[row] = enter
 
 
-def lp_tableau(q: int, n: int, d: int, k: int) -> LpTableau:
-    u = {j: gauss_binomial(n, j, q) - gauss_binomial(n, j - 1, q) for j in range(1, k + 1)}
-    v = {i: grassmann_valency(q, n, k, i) for i in range(d // 2, k + 1)}
-    ev = {(i, j): grassmann_eigenvalue(q, n, k, i, j)
-          for i in range(d // 2, k + 1) for j in range(1, k + 1)}
-    return LpTableau(q, n, k, d, u, v, ev)
+def _lp_rows(q: int, n: int, d: int, k: int) -> list[list[Fraction]]:
+    """The linear program's constraint rows, one per eigenspace j in [1, k]:
+    the coefficients -Q_j(i)/v_i of x_i for i in [d/2, k], each row's sum
+    bounded by 1.  v_i = q^(i^2) [k i]_q [n-k i]_q are the
+    association-scheme valencies (`grassmann_valency`)."""
+    idxs = range(d // 2, k + 1)
+    v = [grassmann_valency(q, n, k, i) for i in idxs]
+    return [[Fraction(-grassmann_eigenvalue(q, n, k, i, j), vi) for i, vi in zip(idxs, v)]
+            for j in range(1, k + 1)]
+
+
+def _anticode_ratio(q: int, n: int, d: int, k: int) -> Fraction:
+    """[n k]_q / [n-k+d/2-1 d/2-1]_q, the value the anticode witness targets."""
+    return Fraction(gauss_binomial(n, k, q), gauss_binomial(n - k + d // 2 - 1, d // 2 - 1, q))
 
 
 def lp_bound(q: int, n: int, d: int, k: int) -> BoundResult:
@@ -362,16 +352,8 @@ def lp_bound(q: int, n: int, d: int, k: int) -> BoundResult:
     n, d, k = _norm(n, d, k)
     if not (2 <= d <= 2 * k and k >= 1):
         raise Inapplicable("LP bound needs 2 <= d <= 2 min(k, n-k)")
-    tab = lp_tableau(q, n, d, k)
-    idxs = list(range(d // 2, k + 1))
-    c = [Fraction(1)] * len(idxs)
-    A = []
-    b = []
-    for j in range(1, k + 1):
-        A.append([Fraction(-tab.eigen[(i, j)], tab.v[i]) for i in idxs])
-        b.append(Fraction(1))
-    opt = _simplex_max(c, A, b)
-    total = 1 + opt
+    A = _lp_rows(q, n, d, k)
+    total = 1 + _simplex_max([Fraction(1)] * len(A[0]), A, [Fraction(1)] * k)
     value = total.numerator // total.denominator
     return BoundResult(value, "linear-programming",
                        "Delsarte LP on the q-Johnson scheme, exact simplex")
@@ -383,8 +365,7 @@ def lp_anticode_witness(q: int, n: int, d: int, k: int) -> dict[int, Fraction]:
     z_0 = 1, z_i = x_i [k]_q / [k-i]_q from the (n-1, k-1) witness, and the
     top coordinate absorbs the remaining mass.
     """
-    ratio = Fraction(gauss_binomial(n, k, q),
-                     gauss_binomial(n - k + d // 2 - 1, d // 2 - 1, q))
+    ratio = _anticode_ratio(q, n, d, k)
     if k == d // 2:
         return {0: Fraction(1), k: ratio - 1}
     prev = lp_anticode_witness(q, n - 1, d, k - 1)
@@ -396,22 +377,15 @@ def lp_anticode_witness(q: int, n: int, d: int, k: int) -> dict[int, Fraction]:
 def lp_witness_feasible(q: int, n: int, d: int, k: int) -> bool:
     """Check the transported witness against the exact LP constraints and
     the anticode target value."""
+    _check_query(q, n, d, k)
     n, d, k = _norm(n, d, k)
     z = lp_anticode_witness(q, n, d, k)
     if any(x < 0 for x in z.values()):
         return False
-    tab = lp_tableau(q, n, d, k)
-    for j in range(1, k + 1):
-        lhs = sum(
-            Fraction(-tab.eigen[(i, j)], tab.v[i]) * x
-            for i, x in z.items()
-            if i >= d // 2
-        )
-        if lhs > 1:
-            return False
-    target = Fraction(gauss_binomial(n, k, q),
-                      gauss_binomial(n - k + d // 2 - 1, d // 2 - 1, q))
-    return sum(z.values()) == target
+    x = [z.get(i, 0) for i in range(d // 2, k + 1)]
+    if any(sum(a * xi for a, xi in zip(row, x)) > 1 for row in _lp_rows(q, n, d, k)):
+        return False
+    return sum(z.values()) == _anticode_ratio(q, n, d, k)
 
 
 # -- the recursive engine --------------------------------------------------------
@@ -423,7 +397,7 @@ def _ef_achievable_size(q: int, n: int, k: int, d: int) -> int:
     elsewhere."""
     delta = d // 2
     return sum(fdrm_upper_bound(F, delta, q) if _fdrm_meets_bound(F, delta) else 1
-               for F in map(ferrers_of, skeleton_greedy(q, n, k, d).vectors))
+               for F in map(ferrers_of, skeleton_greedy(q, n, k, d)))
 
 
 def _johnson_improved(q: int, n: int, d: int, k: int, inner: BoundResult) -> BoundResult:
@@ -449,10 +423,7 @@ class BoundEngine:
     shared between engines: a fresh engine starts cold.
 
     Bound nodes run as generators on an explicit stack (`_evaluate`), so a
-    query's Python stack depth does not grow with n or k.
-
-    Memo writes are idempotent (a key always maps to the same value), so
-    racing recomputation across threads is harmless."""
+    query's Python stack depth does not grow with n or k."""
 
     def __init__(self, facts: Optional[FactTable] = None, use_facts: bool = True):
         self.facts = facts if facts is not None else load_default_facts()
@@ -744,31 +715,11 @@ class BoundEngine:
         return self.mdc_layer_bounds(q, n, d)
 
 
-_DEFAULT_ENGINE: Optional[BoundEngine] = None
-
-
-def default_engine() -> BoundEngine:
-    global _DEFAULT_ENGINE
-    if _DEFAULT_ENGINE is None:
-        _DEFAULT_ENGINE = BoundEngine()
-    return _DEFAULT_ENGINE
-
-
 def best_upper(q: int, n: int, d: int, k: int) -> BoundResult:
-    return default_engine().best_upper(q, n, d, k)
+    """`BoundEngine().best_upper` on a fresh engine."""
+    return BoundEngine().best_upper(q, n, d, k)
 
 
 def best_lower(q: int, n: int, d: int, k: int) -> BoundResult:
-    return default_engine().best_lower(q, n, d, k)
-
-
-def johnson_II(q: int, n: int, d: int, k: int) -> BoundResult:
-    return default_engine().johnson_II(q, n, d, k)
-
-
-def johnson_II_improved(q: int, n: int, d: int, k: int) -> BoundResult:
-    return default_engine().johnson_II_improved(q, n, d, k)
-
-
-def ahlswede_aydinian(q: int, n: int, d: int, k: int) -> BoundResult:
-    return default_engine().ahlswede_aydinian(q, n, d, k)
+    """`BoundEngine().best_lower` on a fresh engine."""
+    return BoundEngine().best_lower(q, n, d, k)

@@ -15,8 +15,8 @@ Code files (extension .scode) are line oriented, UTF-8, LF:
 Packing data files use the same format, with a `# part=<i>` comment line
 opening each part; every codeword follows some part line, and `count` is
 the number of codewords over all parts.  One reader parses both kinds of
-file and checks the magic line, the header (0 <= k <= n, d even and
-positive), every row and the count.
+file and checks the magic line, the header (q a prime power p^e of its own
+p and e, 0 <= k <= n, d even and positive), every row and the count.
 Rows repeat across words, so the reader parses and checks each distinct
 row line once per file, and the writer formats each distinct row once;
 neither keeps anything between calls.  Every word still goes through
@@ -57,7 +57,7 @@ from .constructions import (
     skeleton_greedy,
 )
 from .divisible import sharp_floor, sqr_expand
-from .gfq import GF, field_create
+from .gfq import GF, FieldSpec
 from .provenance import decimal_str
 from .rankmetric import RankCode, rect_mrd, restricted_rank_code, two_block_sumrank_code
 from .spaces import MatGF, Subspace
@@ -121,14 +121,14 @@ def _read_scode(path: str) -> tuple[dict, list[list[Subspace]]]:
     try:
         head = {key: int(fields[key]) for key in ("q", "p", "e", "n", "k", "d", "count")}
         q, p, e = head["q"], head["p"], head["e"]
-        if p**e != q:
-            raise ValueError("q != p^e")
         _check_cdc_params(q, head["n"], head["k"], head["d"])
-        field = GF(q)
+        field = GF(q)  # ValueError unless q is a prime power
+        if (p, e) != (field.p, field.e):  # compared, not computed: p**e could be huge
+            raise ValueError("q != p^e")
         if "mod" in fields:
             modulus = tuple(int(c) for c in fields["mod"].split(","))
             if modulus != field.modulus:
-                field = field_create(p, e, modulus)
+                field = FieldSpec(p, e, modulus)
     except (KeyError, ValueError) as exc:
         raise FileError(f"{path}: bad header ({exc})")
     n, k = head["n"], head["k"]
@@ -310,9 +310,10 @@ def cmd_verify(args) -> int:
     except FileError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return DATA_ERROR
-    exact = len(code.words) <= args.verify_cap and not args.sampled
+    exact = len(code.words) <= args.verify_cap and args.sampled is None
     report = min_distance(code, "exact" if exact else "sampled",
-                          sample_count=args.sampled or 20000, seed=args.seed, cap=args.verify_cap)
+                          sample_count=20000 if args.sampled is None else args.sampled,
+                          seed=args.seed, cap=args.verify_cap)
     expected = args.expect_d if args.expect_d is not None else code.d
     dist = report.min_distance
     print(f"{len(code.words)} codewords; computed min distance {dist} "

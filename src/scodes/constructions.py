@@ -71,19 +71,6 @@ def _mk(q, n, k, d, words, rule, **params) -> Cdc:
 
 
 @dataclass(frozen=True)
-class SkeletonCode:
-    """Binary constant-weight vectors steering the multilevel construction."""
-
-    vectors: tuple[tuple[int, ...], ...]
-    d: int
-
-    def validate(self) -> None:
-        for a, b in itertools.combinations(self.vectors, 2):
-            if hamming_distance(a, b) < self.d:
-                raise ValueError("skeleton distance violated")
-
-
-@dataclass(frozen=True)
 class DPacking:
     """Pairwise-disjoint subcodes, each of inner minimum distance >= d_inner.
 
@@ -221,35 +208,35 @@ def generalized_linkage(C1: Cdc, C2: Cdc, M1: RankCode, M2: RankCode) -> Cdc:
 # -- multilevel construction ---------------------------------------------------
 
 
-def echelon_ferrers(skeleton: SkeletonCode | Sequence[Sequence[int]], q: int, d: int) -> Cdc:
-    """Union of lifted diagram codes, one per skeleton vector."""
-    if isinstance(skeleton, SkeletonCode):
-        vectors = skeleton.vectors
-    else:
-        vectors = tuple(tuple(v) for v in skeleton)
+def echelon_ferrers(skeleton: Sequence[Sequence[int]], q: int, d: int) -> Cdc:
+    """Union of lifted diagram codes, one per skeleton vector.  The pivot
+    vectors must share one length and weight and lie at pairwise Hamming
+    distance >= d (ValueError otherwise)."""
+    vectors = tuple(tuple(v) for v in skeleton)
     if not vectors:
         raise ValueError("empty skeleton")
     n = len(vectors[0])
     k = sum(vectors[0])
     _check_cdc_params(q, n, k, d)
-    # re-validate at the requested distance, whatever the skeleton declared
-    skeleton = SkeletonCode(vectors, d)
-    skeleton.validate()
+    for a, b in itertools.combinations(vectors, 2):
+        if hamming_distance(a, b) < d:
+            raise ValueError("skeleton distance violated")
     field = GF(q)
     words = []
-    for v in skeleton.vectors:
+    for v in vectors:
         if len(v) != n or sum(v) != k:
             raise ValueError("skeleton vectors must share length and weight")
         code = fdrm_construct(ferrers_of(v), d // 2, q)
         for w in code.words:
             words.append(subspace_from_filling(field, v, w.entries))
     return _mk(q, n, k, d, words, "echelon_ferrers",
-               skeleton=tuple("".join(map(str, v)) for v in skeleton.vectors))
+               skeleton=tuple("".join(map(str, v)) for v in vectors))
 
 
-def skeleton_greedy(q: int, n: int, k: int, d: int) -> SkeletonCode:
+def skeleton_greedy(q: int, n: int, k: int, d: int) -> tuple[tuple[int, ...], ...]:
     """
-    Greedy skeleton: vectors considered in descending diagram-bound order
+    Greedy skeleton, a tuple of 0/1 pivot vectors at pairwise Hamming
+    distance >= d: vectors considered in descending diagram-bound order
     (ties lexicographic), seeded with the all-left vector 1^k 0^(n-k).
 
     Candidates are held as ints with position 0 as the top bit, so int
@@ -277,7 +264,7 @@ def skeleton_greedy(q: int, n: int, k: int, d: int) -> SkeletonCode:
                 break
         else:
             chosen.append(bits)
-    return SkeletonCode(tuple(tuple((u >> (n - 1 - j)) & 1 for j in range(n)) for u in chosen), d)
+    return tuple(tuple((u >> (n - 1 - j)) & 1 for j in range(n)) for u in chosen)
 
 
 def partial_spread(q: int, n: int, k: int) -> Cdc:
@@ -292,7 +279,7 @@ def partial_spread(q: int, n: int, k: int) -> Cdc:
     vectors = []
     for i in range(t):
         vectors.append(tuple(1 if i * k <= j < (i + 1) * k else 0 for j in range(n)))
-    code = echelon_ferrers(SkeletonCode(tuple(vectors), 2 * k), q, 2 * k)
+    code = echelon_ferrers(vectors, q, 2 * k)
     expected = (q**n - q**k * (q ** (n % k) - 1) - 1) // (q**k - 1)
     assert len(code) == expected, (len(code), expected)
     return Cdc(q, n, k, 2 * k, code.words, ("partial_spread", (("n", n), ("k", k))))
@@ -360,8 +347,14 @@ def find_parallelism(q: int, n: int, k: int) -> DPacking:
 
 def load_packing(q: int, n: int, k: int, d_inner: int, parts: Sequence[Sequence[Subspace]],
                  d_ambient: int = 2) -> DPacking:
+    """A packing from outside data; ValueError unless its parts are pairwise
+    disjoint and each has inner distance >= d_inner."""
     pk = DPacking(q, n, k, d_inner, tuple(tuple(p) for p in parts), d_ambient)
     pk.validate_disjoint()
+    for part in pk.parts:
+        for U, W in itertools.combinations(part, 2):
+            if subspace_distance_capped(U, W, d_inner) < d_inner:
+                raise ValueError(f"packing part has inner distance below {d_inner}")
     return pk
 
 

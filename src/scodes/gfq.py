@@ -26,7 +26,7 @@ the expansion of the element over GF(q).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
@@ -58,14 +58,15 @@ def _trim(poly: Sequence[int]) -> tuple[int, ...]:
 
 class FieldSpec:
     """
-    GF(p^e) with a fixed monic irreducible modulus of degree e over GF(p).
+    GF(p^e) with a fixed monic irreducible modulus of degree e over GF(p);
+    the modulus defaults to the first monic irreducible of degree e in
+    `find_irreducible_over` order.
 
     Elements are plain ints in [0, q).  All operations take and return these
-    int encodings; `element()` wraps one into a `Felt` for operator syntax.
-    Instances are immutable after construction and safe to share.  When
-    q*q <= _TABLE_LIMIT the constructor builds the one set of row tables,
-    add[x][y], negmul[f][y] = -(f*y) and mul[f][y], which `rowop` reads and
-    `add`/`neg` of odd-p extension fields read too.
+    int encodings.  Instances are immutable after construction and safe to
+    share.  When q*q <= _TABLE_LIMIT the constructor builds the one set of
+    row tables, add[x][y], negmul[f][y] = -(f*y) and mul[f][y], which
+    `rowop` reads and `add`/`neg` of odd-p extension fields read too.
     """
 
     def __init__(self, p: int, e: int, modulus: Optional[Sequence[int]] = None):
@@ -209,24 +210,6 @@ class FieldSpec:
             return 0
         return self.pow(a, pow(base, i, self.q - 1))
 
-    # -- helpers -----------------------------------------------------------
-
-    def element(self, rep: int) -> "Felt":
-        if not 0 <= rep < self.q:
-            raise ValueError(f"element encoding {rep} out of range [0, {self.q})")
-        return Felt(self, rep)
-
-    @property
-    def zero(self) -> "Felt":
-        return Felt(self, 0)
-
-    @property
-    def one(self) -> "Felt":
-        return Felt(self, 1)
-
-    def elements(self):
-        return (Felt(self, r) for r in range(self.q))
-
     def _polymul_reduce(self, a: int, b: int) -> int:
         p, e = self.p, self.e
         ca, cb = self.coeffs(a), self.coeffs(b)
@@ -285,52 +268,6 @@ class FieldSpec:
         return f"GF({self.p}^{self.e})"
 
 
-@dataclass(frozen=True)
-class Felt:
-    """A field element: a `FieldSpec` reference plus its int encoding."""
-
-    field: FieldSpec
-    rep: int
-
-    def _check(self, other: "Felt") -> None:
-        if self.field != other.field:
-            raise ValueError("mixed-field arithmetic")
-
-    def __add__(self, other: "Felt") -> "Felt":
-        self._check(other)
-        return Felt(self.field, self.field.add(self.rep, other.rep))
-
-    def __sub__(self, other: "Felt") -> "Felt":
-        self._check(other)
-        return Felt(self.field, self.field.sub(self.rep, other.rep))
-
-    def __mul__(self, other: "Felt") -> "Felt":
-        self._check(other)
-        return Felt(self.field, self.field.mul(self.rep, other.rep))
-
-    def __neg__(self) -> "Felt":
-        return Felt(self.field, self.field.neg(self.rep))
-
-    def inv(self) -> "Felt":
-        return Felt(self.field, self.field.inv(self.rep))
-
-    def __pow__(self, k: int) -> "Felt":
-        return Felt(self.field, self.field.pow(self.rep, k))
-
-    def frobenius(self, i: int, base: Optional[int] = None) -> "Felt":
-        base = self.field.p if base is None else base
-        return Felt(self.field, self.field.frobenius(self.rep, i, base))
-
-    def __bool__(self) -> bool:
-        return self.rep != 0
-
-
-def field_create(p: int, e: int, modulus: Optional[Sequence[int]] = None) -> FieldSpec:
-    """GF(p^e); modulus defaults to the first monic irreducible of degree e
-    in `find_irreducible_over` order."""
-    return FieldSpec(p, e, modulus)
-
-
 @lru_cache(maxsize=None)
 def GF(q: int) -> FieldSpec:
     """The default field of order q (q a prime power)."""
@@ -339,19 +276,18 @@ def GF(q: int) -> FieldSpec:
 
 
 def _factor_prime_power(q: int) -> tuple[int, int]:
+    """(p, e) with q = p^e; ValueError unless q is a prime power.  Trial
+    division stops at isqrt(q): a q with no divisor up to it is prime."""
     if q < 2:
         raise ValueError(f"{q} is not a prime power")
-    for p in range(2, q + 1):
-        if q % p == 0:
-            e = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                e += 1
-            if m != 1:
-                raise ValueError(f"{q} is not a prime power")
-            return p, e
-    raise ValueError(f"{q} is not a prime power")  # pragma: no cover
+    p = next((f for f in range(2, math.isqrt(q) + 1) if q % f == 0), q)
+    e, m = 0, q
+    while m % p == 0:
+        m //= p
+        e += 1
+    if m != 1:
+        raise ValueError(f"{q} is not a prime power")
+    return p, e
 
 
 @lru_cache(maxsize=None)

@@ -35,8 +35,7 @@ class RankCode:
     """A set of m x n matrices over GF(q) with declared min rank distance d.
 
     rank_set, when present, is the set of ranks the words are allowed to
-    take (checked by `validate`, relied on by the linkage-style
-    constructions)."""
+    take, checked by `validate`."""
 
     field: FieldSpec
     m: int
@@ -252,7 +251,6 @@ class SumRankCode:
     shapes: tuple[tuple[int, int], ...]
     d: int
     words: tuple[tuple[MatGF, ...], ...]
-    rank_set: Optional[frozenset[int]] = None
 
     def __len__(self) -> int:
         return len(self.words)
@@ -266,12 +264,6 @@ def sumrank_distance(x: Sequence[MatGF], y: Sequence[MatGF]) -> int:
     return sum(rank(a.sub(b)) for a, b in zip(x, y))
 
 
-def _setsum(R1, R2):
-    if R1 is None or R2 is None:
-        return None
-    return frozenset(a + b for a in R1 for b in R2)
-
-
 def sumrank_product(M1: RankCode, M2: RankCode, d: int) -> SumRankCode:
     """All pairs (A, B); sum-rank distance >= min(d1, d2) >= d."""
     if min(M1.d, M2.d) < d:
@@ -279,15 +271,13 @@ def sumrank_product(M1: RankCode, M2: RankCode, d: int) -> SumRankCode:
     if len(M1) * len(M2) > MATERIALIZE_CAP:
         raise ValueError("product too large to materialize")
     words = tuple((a, b) for a in M1.words for b in M2.words)
-    return SumRankCode(M1.field, ((M1.m, M1.n), (M2.m, M2.n)), d, words,
-                       _setsum(M1.rank_set, M2.rank_set))
+    return SumRankCode(M1.field, ((M1.m, M1.n), (M2.m, M2.n)), d, words)
 
 
 def sumrank_pair(M1: RankCode, M2: RankCode) -> SumRankCode:
     """Index-paired tuples; sum-rank distance >= d1 + d2."""
     words = tuple((a, b) for a, b in zip(M1.words, M2.words))
-    return SumRankCode(M1.field, ((M1.m, M1.n), (M2.m, M2.n)), M1.d + M2.d, words,
-                       _setsum(M1.rank_set, M2.rank_set))
+    return SumRankCode(M1.field, ((M1.m, M1.n), (M2.m, M2.n)), M1.d + M2.d, words)
 
 
 def two_block_sumrank_code(q: int) -> SumRankCode:
@@ -331,24 +321,10 @@ def two_block_sumrank_code(q: int) -> SumRankCode:
     words.extend(middle.words)
     words.extend((w, zero3) for w in invertible)
     words.append((zero3, d_word))
-    return SumRankCode(base, ((3, 3), (3, 3)), 3, tuple(words), frozenset({0, 1, 2, 3}))
+    return SumRankCode(base, ((3, 3), (3, 3)), 3, tuple(words))
 
 
 # -- Ferrers-diagram rank-metric codes ---------------------------------------
-
-
-@dataclass(frozen=True)
-class FdrmCode:
-    """Words are num_rows x num_cols matrices supported inside the
-    (right-justified) diagram."""
-
-    diagram: FerrersDiagram
-    delta: int
-    field: FieldSpec
-    words: tuple[MatGF, ...]
-
-    def __len__(self) -> int:
-        return len(self.words)
 
 
 def fdrm_upper_bound(F: FerrersDiagram, delta: int, q: int) -> int:
@@ -469,9 +445,11 @@ def _fdrm_meets_bound(F: FerrersDiagram, delta: int) -> bool:
     return delta <= 2 or F.rectangular()
 
 
-def fdrm_construct(F: FerrersDiagram, delta: int, q: int) -> FdrmCode:
+def fdrm_construct(F: FerrersDiagram, delta: int, q: int) -> RankCode:
     """
-    Construct a diagram-supported code with min rank distance >= delta.
+    Construct a diagram-supported code with min rank distance >= delta: its
+    words are num_rows x num_cols matrices supported inside the
+    (right-justified) diagram.
 
     Meets the dot-count upper bound wherever `_fdrm_meets_bound` holds: all
     fillings for delta = 1, an MRD code (transposed as needed) on a
@@ -492,4 +470,4 @@ def fdrm_construct(F: FerrersDiagram, delta: int, q: int) -> FdrmCode:
         words = _fdrm_delta2(F, q)
     else:
         words = _fdrm_greedy(F, delta, q)
-    return FdrmCode(F, delta, field, words)
+    return RankCode(field, F.num_rows, F.num_cols, delta, words)

@@ -276,10 +276,6 @@ class Subspace:
         return f"Subspace(dim {self.k} of {self.field}^{self.ambient_n}, pivot {''.join(map(str, self.pivot))})"
 
 
-def row_space(M: MatGF) -> Subspace:
-    return Subspace.from_matrix(M)
-
-
 def subspace_distance(U: Subspace, W: Subspace) -> int:
     """dim(U+W) - dim(U∩W) = 2 rank(stack) - dim U - dim W."""
     _check_same_ambient(U, W)
@@ -354,10 +350,6 @@ def _null_space(F: FieldSpec, rows: Sequence[Sequence[int]], pivots: Sequence[in
     return basis
 
 
-def pivot_vector(U: Subspace) -> tuple[int, ...]:
-    return U.pivot
-
-
 def hamming_distance(v: Sequence[int], w: Sequence[int]) -> int:
     if len(v) != len(w):
         raise ValueError("length mismatch")
@@ -375,10 +367,6 @@ def ferrers_of(v: Sequence[int]) -> FerrersDiagram:
         else:
             zeros_after += 1
     return FerrersDiagram(tuple(reversed(lengths_rev)))
-
-
-def dot_count(F: FerrersDiagram) -> int:
-    return F.dot_count()
 
 
 def subspace_from_filling(field: FieldSpec, v: Sequence[int], filling: Sequence[Sequence[int]]) -> Subspace:

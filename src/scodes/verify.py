@@ -1,8 +1,7 @@
 """
 Independent brute-force verification of emitted codes: exact or sampled
 minimum subspace distance with witness pairs, point-coverage checks for
-partial spreads, pivot structures, and an exhaustive optimum search for
-tiny parameter sets.
+partial spreads, and an exhaustive optimum search for tiny parameter sets.
 
 Nothing here trusts construction-time declarations; distances are
 recomputed from generator matrices.  The exact scan runs one
@@ -52,8 +51,6 @@ class VerificationReport:
     certifies: bool
     witness: Optional[tuple[int, int]] = None
     histogram: Optional[dict[int, int]] = None
-    constant_dimension: bool = True
-    pivot_structure: frozenset = frozenset()
     seed: Optional[int] = None
     kernel: Optional[str] = None  # "points" | "rank"; None when no pair was compared
 
@@ -73,15 +70,14 @@ def min_distance(C: Cdc, mode: str = "exact", sample_count: int = 20000,
 
     Exact mode scans all pairs on the point-incidence kernel (or, above the
     mask memory cap, the rank kernel) and certifies the result; sampled
-    mode draws seeded random pairs and is explicitly non-certifying.
+    mode draws sample_count >= 1 seeded random pairs and is explicitly
+    non-certifying.
     """
     words = list(C.words)
-    dims = {w.k for w in words}
-    const_dim = len(dims) <= 1
-    piv = frozenset(w.pivot for w in words)
+    if mode == "sampled" and sample_count < 1:
+        raise ValueError(f"sample count must be >= 1, got {sample_count}")
     if len(words) < 2:
-        return VerificationReport(len(words), C.d, INFINITE, "exact", True,
-                                  constant_dimension=const_dim, pivot_structure=piv)
+        return VerificationReport(len(words), C.d, INFINITE, "exact", True)
 
     if mode == "sampled":
         rng = random.Random(seed)
@@ -95,9 +91,7 @@ def min_distance(C: Cdc, mode: str = "exact", sample_count: int = 20000,
             dist = subspace_distance(words[i], words[j])
             if best is None or dist < best:
                 best, witness = dist, (i, j)
-        return VerificationReport(m, C.d, best, "sampled", False, witness,
-                                  constant_dimension=const_dim, pivot_structure=piv, seed=seed,
-                                  kernel="rank")
+        return VerificationReport(m, C.d, best, "sampled", False, witness, seed=seed, kernel="rank")
 
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
@@ -117,7 +111,7 @@ def min_distance(C: Cdc, mode: str = "exact", sample_count: int = 20000,
         kernel, scan = "rank", _rank_scan
     best, witness, hist = scan(words, histogram)
     return VerificationReport(len(words), C.d, best, "exact", True, witness,
-                              hist or None, const_dim, piv, kernel=kernel)
+                              hist or None, kernel=kernel)
 
 
 def _point_scan(words: Sequence[Subspace], histogram: bool):
@@ -218,10 +212,6 @@ def spread_summary(C: Cdc) -> dict:
         "holes": total_points - covered,
         "max_multiplicity": max(coverage.values(), default=0),
     }
-
-
-def pivot_structure(C: Cdc) -> frozenset:
-    return frozenset(w.pivot for w in C.words)
 
 
 def max_code_exhaustive(q: int, n: int, k: int, d: int) -> int:

@@ -180,14 +180,36 @@ def test_fact_table_cycle_is_an_error():
         BoundEngine(facts=facts).best_lower(2, 9, 4, 3)
 
 
+# every standalone rule: those that take (q, n, d, k) and the two partial-spread
+# rules, which take (q, n, k)
+DISTANCE_RULES = [sphere_packing, singleton, anticode, johnson_I, lp_bound, lp_witness_feasible]
+SPREAD_RULES = [partial_spread_upper, partial_spread_lower]
+
+
 @pytest.mark.parametrize("q", [0, 1, 6, 10, 12])
 def test_bound_queries_reject_q_not_prime_power(q):
     engine = BoundEngine()
-    for query in (engine.best_upper, engine.best_lower):
+    for query in (engine.best_upper, engine.best_lower, *DISTANCE_RULES):
         with pytest.raises(ValueError, match="not a prime power"):
             query(q, 6, 4, 3)
+    for rule in SPREAD_RULES:
+        with pytest.raises(ValueError, match="not a prime power"):
+            rule(q, 6, 3)
     with pytest.raises(ValueError, match="not a prime power"):
         engine.bounds(q, 6, 4, 3)
+
+
+@pytest.mark.parametrize("n, d, k", [(5, 4, 9), (5, 4, -1), (6, 0, 3), (6, -2, 3)],
+                         ids=["k-above-n", "k-negative", "d-zero", "d-negative"])
+def test_standalone_rules_reject_parameters_outside_their_range(n, d, k):
+    # unchecked, sphere_packing(2, 5, 4, 9) would divide by zero and singleton and anticode return 0
+    for rule in DISTANCE_RULES:
+        with pytest.raises(ValueError):
+            rule(2, n, d, k)
+    for rule in SPREAD_RULES:
+        if not 0 <= k <= n:
+            with pytest.raises(ValueError):
+                rule(2, n, k)
 
 
 def test_best_upper_equals_best_lower_on_exact_cases(engine):

@@ -1,13 +1,20 @@
+import contextlib
+import functools
 import hashlib
+import io
 import os
+import tempfile
+import time
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scodes.bounds import BoundEngine
 from scodes.cli import FileError, main, read_code_file, write_code_file
 from scodes.constructions import Cdc, lifted_mrd, linkage, single_codeword
-from scodes.gfq import GF, field_create
+from scodes.gfq import GF, FieldSpec
 from scodes.rankmetric import rect_mrd
 from scodes.spaces import MatGF, Subspace
 
@@ -92,6 +99,15 @@ def test_bound_queries_accept_prime_powers(capsys, q):
     assert rc == 0 and len(out.splitlines()) == 5  # the header and 4 rows
 
 
+def test_bound_query_at_a_large_prime_q_finishes(capsys):
+    # q = 10^9 + 7 is prime: the prime-power check trial-divides up to isqrt(q)
+    start = time.perf_counter()
+    rc, out, _ = run(capsys, "bound", "--q", "1000000007", "--n", "6", "--d", "4", "--k", "3",
+                     "--dir", "upper")
+    assert rc == 0 and int(out) > 1
+    assert time.perf_counter() - start < 5
+
+
 def test_construct_and_verify_roundtrip(tmp_path, capsys):
     path = str(tmp_path / "c.scode")
     rc, out, _ = run(capsys, "construct", "linkage", "--q", "2", "--n", "8", "--k", "4",
@@ -172,6 +188,24 @@ def test_malformed_input_exits_4(tmp_path, monkeypatch, capsys, name, text, argv
     rc, _, err = run(capsys, *(a.format(path=tmp_path / name, dir=tmp_path) for a in argv))
     assert rc == 4
     assert err.startswith("data error:")
+
+
+@pytest.mark.parametrize("text, expected_rc", [
+    ("SCODE 1\nq=1000000007 p=1000000007 e=1 n=4 k=2 d=4 count=3\n1 0 5 7\n0 1 1000000006 3\n\n", 4),
+    ("SCODE 1\nq=1000000007 p=1000000007 e=1 n=4 k=2 d=4 count=2\n1 0 5 7\n0 1 1000000006 3\n\n"
+     "1 0 0 0\n0 1 0 0\n\n", 0),
+    ("SCODE 1\nq=2 p=2 e=99999999999 n=4 k=2 d=4 count=1\n1 0 0 0\n0 1 0 0\n\n", 4),
+], ids=["large-prime-q-bad-count", "large-prime-q", "huge-e"])
+def test_header_checks_finish_fast(tmp_path, capsys, text, expected_rc):
+    # neither the prime-power check of q nor the p^e check may take time that
+    # grows with q or e
+    path = tmp_path / "h.scode"
+    path.write_text(text, encoding="utf-8")
+    start = time.perf_counter()
+    rc, _, err = run(capsys, "verify", str(path))
+    assert time.perf_counter() - start < 1
+    assert rc == expected_rc
+    assert err.startswith("data error:") or expected_rc == 0
 
 
 def test_code_file_roundtrip_canonical(tmp_path):
@@ -274,7 +308,7 @@ def test_modulus_header_reads_into_the_default_field(tmp_path, q):
 
 
 def test_other_modulus_reads_back_over_that_modulus(tmp_path):
-    F = field_create(3, 2, (2, 1, 1))  # x^2 + x + 2, not GF(9)'s default x^2 + 1
+    F = FieldSpec(3, 2, (2, 1, 1))  # x^2 + x + 2, not GF(9)'s default x^2 + 1
     assert F.modulus != GF(9).modulus
     words = tuple(Subspace.from_matrix(MatGF(F, rows)) for rows in
                   ([[1, 3, 4, 0], [2, 2, 5, 7]], [[1, 0, 0, 0], [0, 0, 1, 0]], [[0, 1, 8, 8], [0, 0, 6, 1]]))
@@ -369,6 +403,22 @@ def test_packing_file_rejects_overlap(tmp_path):
         read_packing_file(str(path), 4)
 
 
+def test_packing_file_rejects_inner_distance_below_d(tmp_path, monkeypatch, capsys):
+    # swapping one line between two spreads keeps the parts a partition, but
+    # each of the two now holds lines that meet in a point (distance 2 < 4)
+    from scodes.constructions import DPacking, find_parallelism
+
+    par = find_parallelism(2, 4, 2)
+    parts = [list(p) for p in par.parts]
+    parts[0][0], parts[1][0] = parts[1][0], parts[0][0]
+    swapped = DPacking(par.q, par.n, par.k, par.d_inner, tuple(map(tuple, parts)))
+    write_parallelism_file(tmp_path / "parallelism_q2_n4_k2.scode", swapped)
+    monkeypatch.setenv("SCODES_PACKINGS", str(tmp_path))
+    rc, _, err = run(capsys, "construct", "coset", "--q", "2", "-o", str(tmp_path / "out.scode"))
+    assert rc == 4
+    assert err.startswith("data error:") and "inner distance below 4" in err
+
+
 def write_parallelism_file(path, packing):
     lines = ["SCODE 1", f"q={packing.q} p=2 e=1 n={packing.n} k={packing.k} d=4 count={packing.total_words()}"]
     for i, part in enumerate(packing.parts):
@@ -423,6 +473,16 @@ def test_verify_sampled_flag(tmp_path, capsys):
     rc, out, _ = run(capsys, "verify", path, "--sampled", "300", "--expect-d", "4")
     assert rc == 0
     assert "non-certifying" in out
+
+
+@pytest.mark.parametrize("count", ["0", "-5"])
+def test_verify_sampled_count_must_be_positive(tmp_path, capsys, count):
+    path = str(tmp_path / "s.scode")
+    rc, _, _ = run(capsys, "construct", "spread", "--q", "2", "--n", "6", "--k", "2", "-o", path)
+    assert rc == 0
+    rc, out, err = run(capsys, "verify", path, "--sampled", count)
+    assert rc == 2
+    assert out == "" and err.startswith("error:")
 
 
 def test_construct_gen_linkage(tmp_path, capsys):
@@ -527,3 +587,72 @@ def test_construct_ef_rejects_odd_distance(tmp_path, capsys, d, skeleton):
     assert rc == 2
     assert "subspace distance must be a positive even integer" in err
     assert not path.exists()
+
+
+@functools.lru_cache(maxsize=None)
+def _fuzz_base(q):
+    """The .scode text of lifted_mrd(q, 4, 2, 4); GF(4) writes a mod= token."""
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "c.scode")
+        write_code_file(path, lifted_mrd(q, 4, 2, 4))
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+
+
+# a huge e (p**e would not finish) and a large prime q (trial division up to
+# q would not finish) among the ordinary bad values
+FUZZ_HEADER_VALUES = ["0", "1", "-1", "2", "3", "4", "5", "9", "x", "", "1,1,1", "0,1",
+                      "99999999999", "1000000007"]
+FUZZ_ROW_TOKENS = ["0", "1", "2", "3", "4", "-1", "x", "1.0", "99999999999", "1000000007"]
+
+
+@st.composite
+def mutated_scode(draw):
+    lines = _fuzz_base(draw(st.sampled_from([2, 4]))).split("\n")
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["header-value", "header-drop", "row-token", "row-drop",
+                                     "line-drop", "line-copy", "line-insert"]))
+        if kind.startswith("header"):
+            tokens = lines[1].split()
+            if not tokens:
+                continue
+            i = draw(st.integers(0, len(tokens) - 1))
+            if kind == "header-drop":
+                del tokens[i]
+            else:
+                tokens[i] = tokens[i].partition("=")[0] + "=" + draw(st.sampled_from(FUZZ_HEADER_VALUES))
+            lines[1] = " ".join(tokens)
+            continue
+        if len(lines) < 3:
+            continue
+        j = draw(st.integers(2, len(lines) - 1))
+        tokens = lines[j].split()
+        if kind == "row-token" and tokens:
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(FUZZ_ROW_TOKENS))
+            lines[j] = " ".join(tokens)
+        elif kind == "row-drop" and tokens:
+            del tokens[draw(st.integers(0, len(tokens) - 1))]
+            lines[j] = " ".join(tokens)
+        elif kind == "line-drop":
+            del lines[j]
+        elif kind == "line-copy":
+            lines.insert(j, lines[j])
+        elif kind == "line-insert":
+            lines.insert(j, draw(st.sampled_from(["", "#", "# part=1", "0 0 0 0", "1 1 1 1"])))
+    return "\n".join(lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_scode())
+def test_verify_survives_mutated_files(text):
+    # any file: a verdict (0 or 3) or a data error (4), never a traceback or a hang
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "m.scode")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+            rc = main(["verify", path])
+        assert time.perf_counter() - start < 5, text
+    assert rc in (0, 3, 4), text
+    assert rc != 4 or err.getvalue().startswith("data error:"), text

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from scodes.constructions import (
     Cdc,
     DPacking,
-    SkeletonCode,
     _prefix_embed,
     auto_cdc,
     block_inserting_I,
@@ -50,7 +49,7 @@ from scodes.spaces import (
     subspace_distance,
     subspace_from_filling,
 )
-from scodes.verify import is_partial_spread, min_distance, pivot_structure, spread_summary
+from scodes.verify import is_partial_spread, min_distance, spread_summary
 
 F2 = GF(2)
 
@@ -89,7 +88,7 @@ def test_lifted_mrd_small():
     assert exact_min(code) == 4
     big = lifted_mrd(2, 8, 4, 6)
     assert len(big) == 256
-    assert pivot_structure(big) == frozenset({(1, 1, 1, 1, 0, 0, 0, 0)})
+    assert {w.pivot for w in big.words} == {(1, 1, 1, 1, 0, 0, 0, 0)}
 
 
 def test_construction_d():
@@ -99,7 +98,7 @@ def test_construction_d():
     assert len(W) == 256
     assert exact_min(W) == 6
     # pivot structure confined to the first block
-    for v in pivot_structure(W):
+    for v in {w.pivot for w in W.words}:
         assert sum(v[4:]) == 0
     # degenerate factors
     zero = RankCode(F2, 4, 3, 3, (MatGF.zero(F2, 4, 3),))
@@ -168,7 +167,7 @@ def test_echelon_ferrers_17():
     assert len(code) == 17
     assert exact_min(code) == 6
     # output pivots stay inside the skeleton
-    assert pivot_structure(code) <= {(1, 1, 1, 0, 0, 0, 0), (0, 0, 0, 1, 1, 0, 1)}
+    assert {w.pivot for w in code.words} <= {(1, 1, 1, 0, 0, 0, 0), (0, 0, 0, 1, 1, 0, 1)}
 
 
 def test_echelon_ferrers_rejects_bad_skeleton():
@@ -187,16 +186,16 @@ def test_ef_size_equals_sum_of_diagram_codes():
 
 def test_skeleton_greedy():
     sk = skeleton_greedy(2, 7, 3, 6)
-    assert (1, 1, 1, 0, 0, 0, 0) in sk.vectors
-    assert len(sk.vectors) == 2
+    assert (1, 1, 1, 0, 0, 0, 0) in sk
+    assert len(sk) == 2
     code = echelon_ferrers(sk, 2, 6)
     assert len(code) == 17
     # maximal-distance case: only block-disjoint supports qualify
     sk2 = skeleton_greedy(2, 8, 4, 8)
-    assert set(sk2.vectors) == {(1, 1, 1, 1, 0, 0, 0, 0), (0, 0, 0, 0, 1, 1, 1, 1)}
+    assert set(sk2) == {(1, 1, 1, 1, 0, 0, 0, 0), (0, 0, 0, 0, 1, 1, 1, 1)}
 
 
-# SHA-256 over repr(((q, n, k, d), skeleton_greedy(q, n, k, d).vectors)) for
+# SHA-256 over repr(((q, n, k, d), skeleton_greedy(q, n, k, d))) for
 # every q in {2, 3}, n <= 10, 1 <= k <= n - 1 and even 2 <= d <= 2 min(k, n - k),
 # frozen from the tuple-comparing greedy loop that preceded the popcount one.
 SKELETON_GREEDY_SHA256 = "75db4f89feb51219b7d15c5248fdf0d3f6cee7a2b280a258d5ae1ef4e04d9757"
@@ -209,7 +208,7 @@ def test_skeleton_greedy_golden_digest():
         for n in range(2, 11):
             for k in range(1, n):
                 for d in range(2, 2 * min(k, n - k) + 1, 2):
-                    h.update(repr(((q, n, k, d), skeleton_greedy(q, n, k, d).vectors)).encode())
+                    h.update(repr(((q, n, k, d), skeleton_greedy(q, n, k, d))).encode())
                     count += 1
     assert count == 190
     assert h.hexdigest() == SKELETON_GREEDY_SHA256
@@ -228,7 +227,7 @@ def test_skeleton_greedy_wide_golden_digest():
         for n in range(1, 14):
             for k in range(n + 1):
                 for d in range(2, 2 * min(k, n - k) + 3, 2):
-                    h.update(repr(((q, n, k, d), skeleton_greedy(q, n, k, d).vectors)).encode())
+                    h.update(repr(((q, n, k, d), skeleton_greedy(q, n, k, d))).encode())
                     count += 1
     assert count == 921
     assert h.hexdigest() == SKELETON_GREEDY_WIDE_SHA256
@@ -241,8 +240,9 @@ def test_skeleton_greedy_rejects_dimension_outside_ambient(k):
 
 
 def test_skeleton_greedy_keeps_odd_distance():
-    # only k is checked up front: library callers may still ask for odd d
-    assert skeleton_greedy(2, 4, 2, 3).d == 3
+    # only k is checked up front: library callers may still ask for odd d;
+    # weight-2 vectors at Hamming distance >= 3 are at distance 4
+    assert skeleton_greedy(2, 4, 2, 3) == ((1, 1, 0, 0), (0, 0, 1, 1))
 
 
 def test_skeleton_greedy_2_8_4_4():
@@ -308,7 +308,7 @@ def test_coset_construction_700():
     assert len(code) == 700
     assert exact_min(code) == 4
     # pivot structure: two ones in each half
-    for v in pivot_structure(code):
+    for v in {w.pivot for w in code.words}:
         assert sum(v[:4]) == 2 and sum(v[4:]) == 2
 
 
@@ -513,7 +513,7 @@ def test_pivot_structure_lemmas():
     C = auto_cdc(2, 5, 4, 2)
     M = rect_mrd(2, 2, 3, 2)
     W = construction_d(C, M)
-    for v in pivot_structure(W):
+    for v in {w.pivot for w in W.words}:
         assert sum(v[:5]) == 2 and sum(v[5:]) == 0
 
 

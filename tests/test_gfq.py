@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -8,7 +9,6 @@ from scodes.gfq import (
     ExtField,
     FieldSpec,
     _factor_prime_power,
-    field_create,
     find_irreducible_over,
     poly_irreducible_over,
 )
@@ -45,16 +45,36 @@ def brute_irreducible(p, poly):
 
 
 def test_prime_field_create():
-    F = field_create(2, 1)
+    F = FieldSpec(2, 1)
     assert F.q == 2
     assert F.add(1, 1) == 0
 
 
 def test_gf4_unique_modulus():
-    F = field_create(2, 2)
+    F = FieldSpec(2, 2)
     assert F.modulus == (1, 1, 1)  # x^2 + x + 1, the only degree-2 irreducible
-    x = F.element(2)
-    assert (x * x).rep == 3  # x^2 = x + 1
+    assert F.mul(2, 2) == 3  # x^2 = x + 1
+
+
+def test_factor_prime_power_against_an_oracle():
+    composites = {a * b for a in range(2, 45) for b in range(a, 2000 // a + 1)}
+    primes = [p for p in range(2, 2000) if p not in composites]
+    powers = {p**e: (p, e) for p in primes for e in range(1, 11) if p**e < 2000}
+    for q in range(-1, 2000):
+        if q in powers:
+            assert _factor_prime_power(q) == powers[q]
+        else:
+            with pytest.raises(ValueError, match="not a prime power"):
+                _factor_prime_power(q)
+
+
+def test_factor_prime_power_of_a_large_prime_is_fast():
+    # trial division stops at isqrt(q) = 31622, not at q
+    start = time.perf_counter()
+    assert _factor_prime_power(1000000007) == (1000000007, 1)
+    with pytest.raises(ValueError, match="not a prime power"):
+        _factor_prime_power(2 * 1000000007)
+    assert time.perf_counter() - start < 1
 
 
 def test_gf5_inverse():
@@ -65,18 +85,18 @@ def test_reducible_modulus_rejected():
     # x^2 + 2 has the root 1 over GF(3)
     assert not brute_irreducible(3, (2, 0, 1))
     with pytest.raises(ValueError):
-        field_create(3, 2, (2, 0, 1))
+        FieldSpec(3, 2, (2, 0, 1))
     # x^2 + 1 has no root mod 3, x^2 + x + 2 neither
     assert brute_irreducible(3, (1, 0, 1))
-    field_create(3, 2, (1, 0, 1))
-    field_create(3, 2, (2, 1, 1))
+    FieldSpec(3, 2, (1, 0, 1))
+    FieldSpec(3, 2, (2, 1, 1))
 
 
 def test_nonprime_p_rejected():
     with pytest.raises(ValueError):
-        field_create(4, 1)
+        FieldSpec(4, 1)
     with pytest.raises(ValueError):
-        field_create(2, 0)
+        FieldSpec(2, 0)
 
 
 def test_default_moduli_are_irreducible():
@@ -84,7 +104,7 @@ def test_default_moduli_are_irreducible():
     # (c_0, ..., c_(e-1), 1) in the order of sum c_i p^i
     fields = [(2, e) for e in range(2, 10)] + [(3, e) for e in range(2, 7)] + [(5, 2), (5, 3), (7, 2)]
     for p, e in fields:
-        F = field_create(p, e)
+        F = FieldSpec(p, e)
         candidates = (tuple(r // p**i % p for i in range(e)) + (1,) for r in range(p**e))
         assert F.modulus == next(c for c in candidates if brute_irreducible(p, c))
 
@@ -144,13 +164,12 @@ def test_square_and_reduce_oracle():
 
 
 def test_felt_operators():
+    # field arithmetic on the int encodings
     F = GF(9)
-    a, b = F.element(5), F.element(7)
-    assert (a + b - b).rep == 5
-    assert (a * a.inv()).rep == 1
-    assert bool(F.zero) is False
-    with pytest.raises(ValueError):
-        _ = a + GF(3).element(1)
+    a, b = 5, 7
+    assert F.sub(F.add(a, b), b) == 5
+    assert F.mul(a, F.inv(a)) == 1
+    assert F.add(a, F.neg(a)) == 0
     with pytest.raises(ZeroDivisionError):
         F.inv(0)
 
@@ -194,13 +213,14 @@ def test_ext_field_over_gf4():
 
 def test_felt_pow_and_frobenius_tower():
     F = GF(8)
-    a = F.element(5)
-    assert (a ** 7).rep == 1
-    assert (a ** 0).rep == 1
-    assert (a ** -1).rep == F.inv(5)
+    assert F.pow(5, 7) == 1
+    assert F.pow(5, 0) == 1
+    assert F.pow(5, -1) == F.inv(5)
     F9 = GF(9)
-    b = F9.element(5)
-    assert b.frobenius(1, 3).rep == F9.pow(5, 3)
+    assert F9.frobenius(5, 1, 3) == F9.pow(5, 3)
+    assert F9.frobenius(5, 1, 9) == 5  # x -> x^9 is the identity on GF(9)
+    with pytest.raises(ValueError):
+        F9.frobenius(5, 1, 2)  # 2 is no subfield size of GF(9)
 
 
 def digits(F, a):

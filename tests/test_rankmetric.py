@@ -9,7 +9,6 @@ from scodes.constructions import skeleton_greedy
 from scodes.gfq import GF, ExtField
 from scodes.qcombi import gauss_binomial
 from scodes.rankmetric import (
-    FdrmCode,
     RankCode,
     _fdrm_meets_bound,
     diag_concat_rmc,
@@ -422,7 +421,7 @@ def test_fdrm_sizes_agree_with_bound_and_booked_sizes(q, n_max):
     for n in range(1, n_max + 1):
         for k in range(n + 1):
             for delta in (1, 2, 3):
-                skeleton = skeleton_greedy(q, n, k, 2 * delta).vectors
+                skeleton = skeleton_greedy(q, n, k, 2 * delta)
                 assert _ef_achievable_size(q, n, k, 2 * delta) <= sum(built[v, delta] for v in skeleton)
 
 

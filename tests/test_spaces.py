@@ -12,16 +12,13 @@ from scodes.spaces import (
     FerrersDiagram,
     MatGF,
     Subspace,
-    dot_count,
     dual,
     enumerate_grassmannian,
     ferrers_of,
     hamming_distance,
     injection_distance,
     permute_columns,
-    pivot_vector,
     rank,
-    row_space,
     rref,
     subspace_distance,
     subspace_from_filling,
@@ -69,22 +66,22 @@ def test_rank_transpose_oracle():
 
 def test_pivot_vector_worked_example():
     U = Subspace.from_matrix(MatGF(F2, UNIQUE_GEN_MATRIX))
-    assert "".join(map(str, pivot_vector(U))) == "101101000"
+    assert "".join(map(str, U.pivot)) == "101101000"
 
 
 def test_subspace_distance_gf3_example():
     U = Subspace.from_matrix(MatGF(F3, [[1, 0, 0, 0], [0, 1, 0, 0]]))
     W = Subspace.from_matrix(MatGF(F3, [[1, 0, 2, 1], [0, 1, 0, 1]]))
-    assert pivot_vector(U) == (1, 1, 0, 0)
-    assert pivot_vector(W) == (1, 1, 0, 0)
-    assert hamming_distance(pivot_vector(U), pivot_vector(W)) == 0
+    assert U.pivot == (1, 1, 0, 0)
+    assert W.pivot == (1, 1, 0, 0)
+    assert hamming_distance(U.pivot, W.pivot) == 0
     assert subspace_distance(U, W) == 4
     # permuting with (13)(24) exposes the distance in the pivot vectors
     perm = [2, 3, 0, 1]
     pU, pW = permute_columns(U, perm), permute_columns(W, perm)
-    assert pivot_vector(pU) == (0, 0, 1, 1)
-    assert pivot_vector(pW) == (1, 1, 0, 0)
-    assert hamming_distance(pivot_vector(pU), pivot_vector(pW)) == 4
+    assert pU.pivot == (0, 0, 1, 1)
+    assert pW.pivot == (1, 1, 0, 0)
+    assert hamming_distance(pU.pivot, pW.pivot) == 4
     assert subspace_distance(pU, pW) == 4
 
 
@@ -209,7 +206,7 @@ def test_ferrers_worked_example():
     v = (1, 0, 1, 1, 0, 1, 0, 0, 0)
     F = ferrers_of(v)
     assert F.row_lengths == (5, 4, 4, 3)
-    assert dot_count(F) == 16
+    assert F.dot_count() == 16
     # closed formula: sum over ones of later zeros
     n = len(v)
     formula = sum(v[i] * sum(1 - v[j] for j in range(i + 1, n)) for i in range(n))
@@ -218,16 +215,16 @@ def test_ferrers_worked_example():
 
 def test_ferrers_extremes():
     assert ferrers_of((1, 1, 0, 0, 0)).row_lengths == (3, 3)
-    assert dot_count(ferrers_of((1, 1, 0, 0, 0))) == 6
+    assert ferrers_of((1, 1, 0, 0, 0)).dot_count() == 6
     assert ferrers_of((0, 0, 0, 1, 1)).row_lengths == (0, 0)
-    assert dot_count(ferrers_of((0, 0, 0, 1, 1))) == 0
+    assert ferrers_of((0, 0, 0, 1, 1)).dot_count() == 0
 
 
 def test_ferrers_closed_formula_grid():
     for v in itertools.product((0, 1), repeat=7):
         n = len(v)
         formula = sum(v[i] * sum(1 - v[j] for j in range(i + 1, n)) for i in range(n))
-        assert dot_count(ferrers_of(v)) == formula
+        assert ferrers_of(v).dot_count() == formula
 
 
 def test_enumerate_grassmannian_counts():
@@ -254,7 +251,7 @@ def test_permute_columns_identity_and_errors():
 
 def test_row_space_drops_zero_rows():
     M = MatGF(F2, [[1, 1, 0], [1, 1, 0], [0, 0, 0]])
-    U = row_space(M)
+    U = Subspace.from_matrix(M)
     assert U.k == 1
 
 

@@ -13,7 +13,6 @@ from scodes.verify import (
     is_partial_spread,
     max_code_exhaustive,
     min_distance,
-    pivot_structure,
     spread_summary,
 )
 
@@ -96,6 +95,12 @@ def test_min_distance_sampled_not_certifying():
     assert rep2.min_distance == rep.min_distance  # deterministic per seed
 
 
+@pytest.mark.parametrize("count", [0, -5])
+def test_min_distance_sampled_needs_a_positive_count(count):
+    with pytest.raises(ValueError, match="sample count"):
+        min_distance(partial_spread(2, 6, 2), "sampled", sample_count=count)
+
+
 def test_min_distance_cap():
     code = partial_spread(2, 8, 2)
     with pytest.raises(ValueError):
@@ -132,7 +137,7 @@ def test_spread_summary_full():
 
 def test_pivot_structure():
     code = lifted_mrd(2, 7, 3, 4)
-    assert pivot_structure(code) == frozenset({(1, 1, 1, 0, 0, 0, 0)})
+    assert {w.pivot for w in code.words} == {(1, 1, 1, 0, 0, 0, 0)}
 
 
 def test_max_code_exhaustive_general_distance():
