@@ -21,7 +21,7 @@ from .constructions import skeleton_greedy
 from .divisible import sharp_floor
 from .gfq import _factor_prime_power
 from .provenance import BoundResult
-from .qcombi import QPolynomial, gauss_binomial, gauss_int, qpoly_parse
+from .qcombi import QPolynomial, count_large_intersection, gauss_binomial, gauss_int, qpoly_parse
 from .rankmetric import _fdrm_meets_bound, fdrm_upper_bound, mrd_size
 from .spaces import ferrers_of
 
@@ -587,19 +587,13 @@ class BoundEngine:
     def _ahlswede(self, q, n, d, k) -> BoundResult:
         r = d // 2
         best: Optional[tuple[int, int, int, BoundResult]] = None
-        binomial = self._gauss_binomial
-        numerator = binomial(n, k, q)
+        numerator = self._gauss_binomial(n, k, q)
         for t in range(0, r):
             for m in range(max(k - t, 1), n - t + 1):
                 if (m, 2 * r - 2 * t, k - t) == (n, d, k):
                     continue
                 inner = self.best_upper(q, m, 2 * r - 2 * t, k - t)
-                denom = 0
-                for i in range(t + 1):
-                    b = binomial(m, k - i, q) * binomial(n - m, i, q)
-                    if b:  # zero binomial whenever the exponent would be negative
-                        denom += q ** (i * (m + i - k)) * b
-                value = numerator * inner.value // denom
+                value = numerator * inner.value // count_large_intersection(n, m, k, t, q)
                 if best is None or value < best[0]:
                     best = (value, t, m, inner)
         if best is None:

@@ -61,7 +61,7 @@ from .gfq import GF, FieldSpec
 from .provenance import decimal_str
 from .rankmetric import RankCode, rect_mrd, restricted_rank_code, two_block_sumrank_code
 from .spaces import MatGF, Subspace
-from .verify import min_distance
+from .verify import DEFAULT_PAIR_CAP, min_distance
 
 PARAM_ERROR = 2
 VERIFY_ERROR = 3
@@ -198,11 +198,10 @@ def _packing_for(q: int, n: int, k: int, d_inner: int) -> DPacking:
         cand = os.path.join(root, f"parallelism_q{q}_n{n}_k{k}.scode")
         if os.path.exists(cand):
             return read_packing_file(cand, d_inner)
-    if (q, n, k) == (2, 4, 2):
+    try:
         return find_parallelism(q, n, k)
-    raise FileError(
-        f"no parallelism available for (q,n,k)=({q},{n},{k}); set SCODES_PACKINGS"
-    )
+    except ValueError as exc:
+        raise FileError(f"{exc}: set SCODES_PACKINGS")
 
 
 # -- construction dispatch -------------------------------------------------------
@@ -312,7 +311,7 @@ def cmd_verify(args) -> int:
         return DATA_ERROR
     exact = len(code.words) <= args.verify_cap and args.sampled is None
     report = min_distance(code, "exact" if exact else "sampled",
-                          sample_count=20000 if args.sampled is None else args.sampled,
+                          sample_count=DEFAULT_PAIR_CAP if args.sampled is None else args.sampled,
                           seed=args.seed, cap=args.verify_cap)
     expected = args.expect_d if args.expect_d is not None else code.d
     dist = report.min_distance
@@ -388,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", type=int, help="width of the first column block")
     p.add_argument("--skeleton", help="comma-separated pivot vectors for ef")
     p.add_argument("-o", "--out", required=True)
-    p.add_argument("--verify-cap", type=int, default=20000)
+    p.add_argument("--verify-cap", type=int, default=DEFAULT_PAIR_CAP)
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("verify", help="recompute a code file's min distance")
@@ -396,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expect-d", type=int)
     p.add_argument("--sampled", type=int, help="sample this many pairs instead of exact scan")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--verify-cap", type=int, default=20000)
+    p.add_argument("--verify-cap", type=int, default=DEFAULT_PAIR_CAP)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("table", help="best-bound table")

@@ -158,32 +158,30 @@ def construction_d(C: Cdc, M: RankCode) -> Cdc:
 
 def linkage(C1: Cdc, C2: Cdc, M: RankCode) -> Cdc:
     """Prefix subcode C1 x M plus zero-prefixed C2."""
-    if C1.k != C2.k or C1.q != C2.q:
-        raise ValueError("component codes incompatible")
-    if C2.n != M.n:
-        raise ValueError("C2 ambient must match rank-code columns")
-    d = min(C1.d, C2.d, 2 * M.d)
-    first = construction_d(C1, M)
-    n = C1.n + M.n
-    words = list(first.words)
-    words += [_prefix_embed(W, C1.n, n) for W in C2.words]
-    return _mk(C1.q, n, C1.k, d, words, "linkage", n1=C1.n, n2=M.n)
+    return _linkage(C1, C2, M, 0, "linkage")
 
 
 def improved_linkage(C1: Cdc, C2: Cdc, M: RankCode) -> Cdc:
     """Like linkage but C2 lives in n2 + k - d/2 columns, overlapping the
     rank-code block by k - d/2."""
-    k = C1.k
     d = min(C1.d, C2.d, 2 * M.d)
-    if C2.n != M.n + k - d // 2:
-        raise ValueError("C2 ambient must be n2 + k - d/2")
-    prefix = C1.n - k + d // 2
+    return _linkage(C1, C2, M, C1.k - d // 2, "improved_linkage")
+
+
+def _linkage(C1: Cdc, C2: Cdc, M: RankCode, overlap: int, rule: str) -> Cdc:
+    """Construction D of C1 with M, plus C2 zero-prefixed into the last
+    n2 + overlap columns, so it overlaps the rank-code block by `overlap`."""
+    if C1.k != C2.k or C1.q != C2.q:
+        raise ValueError("component codes incompatible")
+    if C2.n != M.n + overlap:
+        raise ValueError(f"C2 ambient must be n2 + {overlap} = {M.n + overlap}")
+    prefix = C1.n - overlap
     if prefix < 0:
         raise ValueError("zero prefix width underflow")
     n = C1.n + M.n
     words = list(construction_d(C1, M).words)
     words += [_prefix_embed(W, prefix, n) for W in C2.words]
-    return _mk(C1.q, n, k, d, words, "improved_linkage", n1=C1.n, n2=M.n)
+    return _mk(C1.q, n, C1.k, min(C1.d, C2.d, 2 * M.d), words, rule, n1=C1.n, n2=M.n)
 
 
 def generalized_linkage(C1: Cdc, C2: Cdc, M1: RankCode, M2: RankCode) -> Cdc:
@@ -568,10 +566,11 @@ def combine(subcodes: Sequence[Cdc]) -> Cdc:
     for c in subcodes:
         if (c.q, c.n, c.k) != (q, n, k):
             raise ValueError("subcodes live in different spaces")
-    pivots = [{w.pivot for w in c.words} for c in subcodes]
+    # d_H of two pivot vectors is |P ^ Q| for their pivot-column sets P, Q
+    pivots = [{frozenset(w.pivot_positions()) for w in c.words} for c in subcodes]
     certificates = []
     for (A, pa), (B, pb) in itertools.combinations(zip(subcodes, pivots), 2):
-        if min((hamming_distance(a, b) for a in pa for b in pb), default=d) >= d:
+        if min((len(a ^ b) for a in pa for b in pb), default=d) >= d:
             certificates.append("pivot-structure Hamming distance")
             continue
         if len(A.words) * len(B.words) > _SCAN_CAP:
@@ -582,15 +581,8 @@ def combine(subcodes: Sequence[Cdc]) -> Cdc:
                 if subspace_distance_capped(u, w, d) < d:
                     raise ValueError(f"cross distance violation between {A.rule} and {B.rule}")
         certificates.append("brute force")
-    words = []
-    seen = set()
-    for c in subcodes:
-        for w in c.words:
-            if w in seen:
-                raise ValueError("subcodes overlap")
-            seen.add(w)
-            words.append(w)
-    return _mk(q, n, k, d, words, "combine",
+    # a word shared by two subcodes is refused by `_mk`'s duplicate check
+    return _mk(q, n, k, d, (w for c in subcodes for w in c.words), "combine",
                pieces=tuple(c.rule for c in subcodes), certificates=tuple(certificates))
 
 

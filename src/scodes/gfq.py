@@ -5,7 +5,7 @@ Field elements are encoded as integers in [0, q) whose base-p digits are the
 coefficients of the residue polynomial in the basis {1, x, ..., x^(e-1)}.
 For e = 1 the encoding is the residue class mod p.  When q <= 2^16 the field
 precomputes log/antilog tables for O(1) multiplication and inversion; above
-that it falls back to polynomial arithmetic.
+that it multiplies with `poly_mul` and `poly_divmod` over GF(p).
 
 When q^2 <= 2^16 the field also builds one set of row tables at
 construction: q x q addition, negated-product and product tables.
@@ -14,9 +14,10 @@ construction: q x q addition, negated-product and product tables.
 odd-p extension fields.  Larger fields run the same loop on the
 per-element methods, and their odd-p extension fields add digit by digit.
 
-One set of polynomial routines over any `FieldSpec` (`poly_divmod`,
-`poly_irreducible_over`, `find_irreducible_over`) both checks and searches
-the moduli of `FieldSpec` over GF(p) and those of `ExtField`, which builds
+One set of polynomial routines over any `FieldSpec` (`poly_mul`,
+`poly_divmod`, Rabin's `poly_irreducible_over`, `find_irreducible_over`)
+multiplies in both field types and both checks and searches the moduli of
+`FieldSpec` over GF(p) and those of `ExtField`, which builds
 GF(q^m) on top of an existing `FieldSpec` GF(q), with elements stored as
 coefficient tuples over the base field.  This is the representation used
 for linearized-polynomial evaluation, where the coefficient tuple doubles as
@@ -26,26 +27,57 @@ the expansion of the element over GF(q).
 from __future__ import annotations
 
 import itertools
-import math
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 _TABLE_LIMIT = 1 << 16
 
 
+# Miller-Rabin on the first 13 primes is exact below _MR_LIMIT (Sorenson and
+# Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin on the bases 2..41.  At or above
+    _MR_LIMIT a base that witnesses compositeness still gives False; a
+    number that passes every base there raises ValueError."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
+    if n >= _MR_LIMIT:
+        raise ValueError(f"{n} passes Miller-Rabin on the bases 2..41 but lies above {_MR_LIMIT}, "
+                         f"where that test is not known to be exact")
     return True
+
+
+def _power(mul, one, a, k: int):
+    """a^k (k >= 0) by square and multiply, for any associative `mul`."""
+    result = one
+    while k:
+        if k & 1:
+            result = mul(result, a)
+        k >>= 1
+        if k:
+            a = mul(a, a)
+    return result
 
 
 def _trim(poly: Sequence[int]) -> tuple[int, ...]:
@@ -171,7 +203,7 @@ class FieldSpec:
             return self._exp[self._log[a] + self._log[b]]
         if self.e == 1:
             return (a * b) % self.p
-        return self._polymul_reduce(a, b)
+        return self.from_coeffs(_poly_mulmod(GF(self.p), self.coeffs(a), self.coeffs(b), self.modulus))
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -187,15 +219,7 @@ class FieldSpec:
             return self.pow(self.inv(a), -k)
         if a == 0:
             return 1 if k == 0 else 0
-        k %= self.q - 1
-        result = 1
-        base = a
-        while k:
-            if k & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return result
+        return _power(self.mul, 1, a, k % (self.q - 1))
 
     def frobenius(self, a: int, i: int, base: int) -> int:
         """a^(base^i) where base = p^d is a subfield size (d | e)."""
@@ -209,23 +233,6 @@ class FieldSpec:
         if a == 0:
             return 0
         return self.pow(a, pow(base, i, self.q - 1))
-
-    def _polymul_reduce(self, a: int, b: int) -> int:
-        p, e = self.p, self.e
-        ca, cb = self.coeffs(a), self.coeffs(b)
-        prod = [0] * (2 * e - 1)
-        for i, x in enumerate(ca):
-            if x:
-                for j, y in enumerate(cb):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-        # reduce modulo the monic modulus
-        for deg in range(2 * e - 2, e - 1, -1):
-            c = prod[deg]
-            if c:
-                prod[deg] = 0
-                for j in range(self.e):
-                    prod[deg - self.e + j] = (prod[deg - self.e + j] - c * self.modulus[j]) % p
-        return self.from_coeffs(prod[:e])
 
     def _build_tables(self) -> None:
         # If g^i != 1 for 1 <= i < q-1 then g generates the (cyclic)
@@ -275,19 +282,32 @@ def GF(q: int) -> FieldSpec:
     return FieldSpec(p, e)
 
 
+@lru_cache(maxsize=None)
 def _factor_prime_power(q: int) -> tuple[int, int]:
-    """(p, e) with q = p^e; ValueError unless q is a prime power.  Trial
-    division stops at isqrt(q): a q with no divisor up to it is prime."""
+    """(p, e) with q = p^e; ValueError unless q is a prime power.  A prime
+    power p^a is an exact e-th power only for e dividing a, so the root for
+    the largest exact e is p when q is a prime power, and one `is_prime`
+    call on that root decides."""
     if q < 2:
         raise ValueError(f"{q} is not a prime power")
-    p = next((f for f in range(2, math.isqrt(q) + 1) if q % f == 0), q)
-    e, m = 0, q
-    while m % p == 0:
-        m //= p
-        e += 1
-    if m != 1:
-        raise ValueError(f"{q} is not a prime power")
-    return p, e
+    for e in range(q.bit_length() - 1, 0, -1):
+        p = _iroot(q, e)
+        if p**e == q:
+            if is_prime(p):
+                return p, e
+            break
+    raise ValueError(f"{q} is not a prime power")
+
+
+def _iroot(n: int, e: int) -> int:
+    """floor(n^(1/e)) for n >= 1: integer Newton steps down from a power of
+    two above the root, until a step stops decreasing."""
+    r = 1 << -(-n.bit_length() // e)
+    while True:
+        s = ((e - 1) * r + n // r ** (e - 1)) // e
+        if s >= r:
+            return r
+        r = s
 
 
 @lru_cache(maxsize=None)
@@ -327,7 +347,14 @@ def poly_divmod(F: FieldSpec, num: Sequence[int], den: Sequence[int]):
     return _trim(quot), _trim(num)
 
 
+def _poly_mulmod(F: FieldSpec, a: Sequence[int], b: Sequence[int], mod: Sequence[int]) -> tuple[int, ...]:
+    return poly_divmod(F, poly_mul(F, a, b), mod)[1]
+
+
 def poly_irreducible_over(F: FieldSpec, poly: Sequence[int]) -> bool:
+    """Rabin's test (SIAM J. Comput. 1980): f of degree e >= 2 over GF(q)
+    is irreducible iff x^(q^e) = x mod f and gcd(x^(q^(e/r)) - x, f) = 1
+    for every prime r dividing e."""
     poly = _trim(poly)
     deg = len(poly) - 1
     if deg < 1:
@@ -336,10 +363,22 @@ def poly_irreducible_over(F: FieldSpec, poly: Sequence[int]) -> bool:
         return True
     if poly[0] == 0:
         return False
-    for d in range(1, deg // 2 + 1):
-        for digits in itertools.product(range(F.q), repeat=d):
-            _, rem = poly_divmod(F, poly, digits[::-1] + (1,))
-            if not rem:
+    x = (0, 1)
+
+    def x_power(i: int) -> tuple[int, ...]:
+        """x^(q^i) mod f."""
+        return _power(lambda a, b: _poly_mulmod(F, a, b, poly), (1,), x, F.q**i)
+
+    if x_power(deg) != x:
+        return False
+    for r in range(2, deg + 1):
+        if deg % r == 0 and is_prime(r):
+            h = list(x_power(deg // r)) + [0, 0]
+            h[1] = F.sub(h[1], 1)
+            a, b = poly, _trim(h)
+            while b:  # Euclid: a ends as gcd(h, f) up to a unit
+                a, b = b, poly_divmod(F, a, b)[1]
+            if len(a) > 1:
                 return False
     return True
 
@@ -350,8 +389,12 @@ def find_irreducible_over(F: FieldSpec, degree: int) -> tuple[int, ...]:
     number sum c_i q^i: the constant term varies fastest."""
     if degree == 1:
         return (0, 1)
-    for digits in itertools.product(range(F.q), repeat=degree):
-        cand = digits[::-1] + (1,)
+    for number in range(F.q**degree):
+        digits = []
+        for _ in range(degree):
+            number, c = divmod(number, F.q)
+            digits.append(c)
+        cand = tuple(digits) + (1,)
         if poly_irreducible_over(F, cand):
             return cand
     raise RuntimeError("no irreducible found")  # pragma: no cover
@@ -397,14 +440,7 @@ class ExtField:
         return tuple(prod) + (0,) * (self.m - len(prod))
 
     def pow_int(self, a, k: int):
-        result = self.one
-        base = a
-        while k:
-            if k & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return result
+        return _power(self.mul, self.one, a, k)
 
     def frobenius_q(self, a):
         """a^q, the base-field Frobenius of the extension."""

@@ -181,11 +181,11 @@ class FerrersDiagram:
 class Subspace:
     """A k-subspace of GF(q)^n held by its canonical RREF generator, built
     through `from_matrix` or `from_rref` (see the module docstring).  Its
-    pivot columns are kept as a tuple (`pivot_positions()`) beside the 0/1
-    `pivot` vector, so the distance kernel, `dual` and `contains_vector`
-    read them without rebuilding."""
+    pivot columns are kept as a tuple (`pivot_positions()`), which the
+    distance kernel, `dual` and `contains_vector` read; the 0/1 `pivot`
+    vector is computed from them on read."""
 
-    __slots__ = ("field", "ambient_n", "k", "rref", "pivot", "_pivots", "_hash")
+    __slots__ = ("field", "ambient_n", "k", "rref", "_pivots", "_hash")
 
     @classmethod
     def _trusted(cls, field: FieldSpec, ambient_n: int, rows: Sequence[Sequence[int]] | MatGF) -> "Subspace":
@@ -194,11 +194,7 @@ class Subspace:
         E = rows if type(rows) is MatGF else MatGF._trusted(field, tuple(map(tuple, rows)), ambient_n)
         U = object.__new__(cls)
         U.field, U.ambient_n, U.rref, U.k = field, ambient_n, E, E.rows
-        U._pivots = pivots = tuple([row.index(1) for row in E.entries])
-        pivot = [0] * ambient_n
-        for p in pivots:
-            pivot[p] = 1
-        U.pivot = tuple(pivot)
+        U._pivots = tuple([row.index(1) for row in E.entries])
         U._hash = hash((field, ambient_n, E.entries))
         return U
 
@@ -227,6 +223,14 @@ class Subspace:
 
     def pivot_positions(self) -> tuple[int, ...]:
         return self._pivots
+
+    @property
+    def pivot(self) -> tuple[int, ...]:
+        """The pivot vector v(U): 1 at each pivot column, 0 elsewhere."""
+        v = [0] * self.ambient_n
+        for p in self._pivots:
+            v[p] = 1
+        return tuple(v)
 
     def contains_vector(self, vec: Sequence[int]) -> bool:
         """Whether vec lies in the subspace; ValueError unless vec has

@@ -35,6 +35,8 @@ from .qcombi import gauss_int
 from .spaces import Subspace, enumerate_grassmannian, subspace_distance, subspace_distance_capped
 
 INFINITE = "infinite"
+# The most words an exact scan takes by default, and the default number of
+# pairs a sampled scan draws; the CLI's --verify-cap defaults to it too.
 DEFAULT_PAIR_CAP = 20000
 # Exact scans whose point masks would take more than this many bytes
 # (|C| words times at most min([n]_q, sum of [k]_q) points, one bit each)
@@ -62,7 +64,7 @@ class VerificationReport:
         return self.min_distance >= self.declared_d
 
 
-def min_distance(C: Cdc, mode: str = "exact", sample_count: int = 20000,
+def min_distance(C: Cdc, mode: str = "exact", sample_count: int = DEFAULT_PAIR_CAP,
                  seed: int = 0, cap: int = DEFAULT_PAIR_CAP,
                  histogram: bool = False) -> VerificationReport:
     """

@@ -3,6 +3,8 @@ import functools
 import hashlib
 import io
 import os
+import subprocess
+import sys
 import tempfile
 import time
 from decimal import Decimal
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scodes
 from scodes.bounds import BoundEngine
 from scodes.cli import FileError, main, read_code_file, write_code_file
 from scodes.constructions import Cdc, lifted_mrd, linkage, single_codeword
@@ -100,7 +103,7 @@ def test_bound_queries_accept_prime_powers(capsys, q):
 
 
 def test_bound_query_at_a_large_prime_q_finishes(capsys):
-    # q = 10^9 + 7 is prime: the prime-power check trial-divides up to isqrt(q)
+    # q = 10^9 + 7 is prime: the prime-power check is one Miller-Rabin test
     start = time.perf_counter()
     rc, out, _ = run(capsys, "bound", "--q", "1000000007", "--n", "6", "--d", "4", "--k", "3",
                      "--dir", "upper")
@@ -206,6 +209,27 @@ def test_header_checks_finish_fast(tmp_path, capsys, text, expected_rc):
     assert time.perf_counter() - start < 1
     assert rc == expected_rc
     assert err.startswith("data error:") or expected_rc == 0
+
+
+@pytest.mark.parametrize("argv, header", [
+    (["verify"], "q=1000000014000000049 p=1000000007 e=2 n=4 k=2 d=4 count=0"),
+    (["verify"], "q=1099511627776 p=2 e=40 n=4 k=2 d=4 count=0"),
+    (["bound", "--q", "1000000014000000049", "--n", "6", "--d", "4", "--k", "3", "--dir", "upper"], None),
+    (["bound", "--q", "2305843009213693951", "--n", "6", "--d", "4", "--k", "3", "--dir", "upper"], None),
+], ids=["verify-gf-p2-p-near-1e9", "verify-gf-2-40", "bound-q-p2-p-near-1e9", "bound-q-2-61-minus-1"])
+def test_large_field_queries_finish(tmp_path, argv, header):
+    # q = (10^9+7)^2 and GF(2^40) need their default moduli (Rabin's test),
+    # q = 2^61 - 1 a primality test that does not grow with sqrt(q)
+    if header is not None:
+        path = tmp_path / "h.scode"
+        path.write_text(f"SCODE 1\n{header}\n", encoding="utf-8")
+        argv = argv + [str(path)]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(scodes.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "scodes", *argv], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip()
 
 
 def test_code_file_roundtrip_canonical(tmp_path):

@@ -133,6 +133,20 @@ def test_improved_linkage_1025():
     assert exact_min(code) == 6
 
 
+def test_linkage_family_keeps_its_rule_names():
+    q, d, k = 2, 6, 4
+    C1 = auto_cdc(q, 4, d, k)
+    plain = linkage(C1, auto_cdc(q, 5, d, k), rect_mrd(q, k, 5, d // 2))
+    improved = improved_linkage(C1, auto_cdc(q, 6, d, k), rect_mrd(q, k, 5, d // 2))
+    assert (plain.rule, improved.rule) == ("linkage", "improved_linkage")
+    assert dict(plain.provenance[1]) == dict(improved.provenance[1]) == {"n1": 4, "n2": 5}
+    # C2 must fill the rank-code block plus the overlap, 0 or k - d/2
+    with pytest.raises(ValueError, match="ambient"):
+        linkage(C1, auto_cdc(q, 6, d, k), rect_mrd(q, k, 5, d // 2))
+    with pytest.raises(ValueError, match="ambient"):
+        improved_linkage(C1, auto_cdc(q, 5, d, k), rect_mrd(q, k, 5, d // 2))
+
+
 def test_improved_linkage_at_least_linkage():
     for (q, n, d, k) in [(2, 8, 4, 3), (2, 9, 6, 4), (2, 8, 6, 4)]:
         n1 = k

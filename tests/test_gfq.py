@@ -10,36 +10,35 @@ from scodes.gfq import (
     FieldSpec,
     _factor_prime_power,
     find_irreducible_over,
+    is_prime,
     poly_irreducible_over,
 )
 
 
-def brute_irreducible(p, poly):
-    """Trial-division oracle over all monic polynomials of degree <= deg/2."""
+def brute_irreducible(F, poly):
+    """Exhaustive oracle over a field F: no monic divisor of degree 1 ..
+    deg/2, found by long division on F's own element arithmetic."""
     deg = len(poly) - 1
 
-    def polydiv(num, den):
+    def remainder(num, den):
         num = list(num)
         dd = len(den) - 1
-        inv = pow(den[-1], p - 2, p)
         for i in range(len(num) - 1, dd - 1, -1):
-            c = (num[i] * inv) % p
+            c = num[i]  # den is monic
             if c:
                 for j in range(dd + 1):
-                    num[i - dd + j] = (num[i - dd + j] - c * den[j]) % p
-        while num and num[-1] == 0:
-            num.pop()
-        return num
+                    num[i - dd + j] = F.sub(num[i - dd + j], F.mul(c, den[j]))
+        return any(num)
 
     for d in range(1, deg // 2 + 1):
-        for rep in range(p**d):
+        for rep in range(F.q**d):
             cand = []
             r = rep
             for _ in range(d):
-                cand.append(r % p)
-                r //= p
+                cand.append(r % F.q)
+                r //= F.q
             cand.append(1)
-            if not polydiv(poly, cand):
+            if not remainder(poly, cand):
                 return False
     return True
 
@@ -68,12 +67,44 @@ def test_factor_prime_power_against_an_oracle():
                 _factor_prime_power(q)
 
 
+@pytest.mark.parametrize("q, max_degree", [(2, 4), (3, 4), (4, 3), (5, 3)])
+def test_rabin_irreducibility_against_divisor_search(q, max_degree):
+    F = GF(q)
+    for degree in range(1, max_degree + 1):
+        for digits in itertools.product(range(q), repeat=degree):
+            poly = digits + (1,)
+            assert poly_irreducible_over(F, poly) == brute_irreducible(F, poly), poly
+
+
+def test_is_prime_against_trial_division():
+    for n in range(-2, 10**5):
+        assert is_prime(n) == (n > 1 and all(n % f for f in range(2, int(n**0.5) + 1))), n
+
+
+def test_is_prime_on_strong_pseudoprimes_and_above_its_exact_range():
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to every prime base up to 31
+    assert not is_prime(3215031751)
+    assert not is_prime(3825123056546413051)
+    assert is_prime(2**61 - 1)
+    # 2^89 - 1 is prime and above 3,317,044,064,679,887,385,961,981, where
+    # Miller-Rabin on the bases 2..41 is not known to be exact
+    with pytest.raises(ValueError):
+        is_prime(2**89 - 1)
+    # a base that witnesses compositeness still decides above that bound
+    assert not is_prime((2**61 - 1) * (2**89 - 1))
+
+
 def test_factor_prime_power_of_a_large_prime_is_fast():
-    # trial division stops at isqrt(q) = 31622, not at q
+    # one integer root per exponent and one Miller-Rabin test, however
+    # large q's least prime factor is
     start = time.perf_counter()
     assert _factor_prime_power(1000000007) == (1000000007, 1)
-    with pytest.raises(ValueError, match="not a prime power"):
-        _factor_prime_power(2 * 1000000007)
+    assert _factor_prime_power((10**9 + 7) ** 2) == (10**9 + 7, 2)
+    assert _factor_prime_power(2**61 - 1) == (2**61 - 1, 1)
+    assert _factor_prime_power(2**40) == (2, 40)
+    for q in [2 * 1000000007, (10**9 + 7) * (10**9 + 9), 3 * (2**61 - 1), 6**20]:
+        with pytest.raises(ValueError, match="not a prime power"):
+            _factor_prime_power(q)
     assert time.perf_counter() - start < 1
 
 
@@ -83,11 +114,11 @@ def test_gf5_inverse():
 
 def test_reducible_modulus_rejected():
     # x^2 + 2 has the root 1 over GF(3)
-    assert not brute_irreducible(3, (2, 0, 1))
+    assert not brute_irreducible(GF(3), (2, 0, 1))
     with pytest.raises(ValueError):
         FieldSpec(3, 2, (2, 0, 1))
     # x^2 + 1 has no root mod 3, x^2 + x + 2 neither
-    assert brute_irreducible(3, (1, 0, 1))
+    assert brute_irreducible(GF(3), (1, 0, 1))
     FieldSpec(3, 2, (1, 0, 1))
     FieldSpec(3, 2, (2, 1, 1))
 
@@ -106,7 +137,7 @@ def test_default_moduli_are_irreducible():
     for p, e in fields:
         F = FieldSpec(p, e)
         candidates = (tuple(r // p**i % p for i in range(e)) + (1,) for r in range(p**e))
-        assert F.modulus == next(c for c in candidates if brute_irreducible(p, c))
+        assert F.modulus == next(c for c in candidates if brute_irreducible(GF(p), c))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
