@@ -4,22 +4,25 @@ minimum subspace distance with witness pairs, point-coverage checks for
 partial spreads, and an exhaustive optimum search for tiny parameter sets.
 
 Nothing here trusts construction-time declarations; distances are
-recomputed from generator matrices.  The exact scan runs one
-point-incidence kernel for every q, sharing no rank or RREF code with the
-constructions: each word becomes a bitmask over the points of PG(n-1, q)
-it contains, and a pair's intersection has dimension t where its masks
-share [t]_q = (q^t - 1)/(q - 1) points.  A shared count that is no [t]_q
-is an error.  When the masks would exceed a fixed memory cap the scan
-falls back to the stacked-rank kernel; `VerificationReport.kernel` names
-the kernel that ran ("points" or "rank"; sampled mode always uses
-"rank").  Both kernels report the same minimum, witness (the first pair
-in `itertools.combinations` order that attains it) and histogram.
+recomputed from generator matrices.  The exact scan takes
+constant-dimension codes only and runs one point-incidence kernel for
+every q, sharing no rank or RREF code with the constructions: two k-spaces
+meet in a t-space exactly when they share [t]_q = (q^t - 1)/(q - 1) points
+of PG(n-1, q), and then d_S = 2(k - t).  It walks the words in order with
+a dict from each point to the earlier words that hold it, so its cost is
+the number of (pair, shared point) incidences, not |C|^2 pairs, and its
+memory |C|·[k]_q list entries.  A shared count that is no [t]_q is an
+error.  Only a field so large that the words hold more than
+_POINT_INCIDENCE_CAP points in all is scanned pair by pair on stacked
+rank, as sampled mode is.  Both report the minimum, the witness (the first
+pair in `itertools.combinations` order that attains it) and, on request,
+the histogram.
 
 `spaces` checks rows where they enter a `Subspace` (`from_matrix`, which
 every `.scode` read uses, and `from_rref`); builders whose rows are RREF by
 construction use the unchecked `Subspace._trusted`.  The exact scan trusts
-neither and checks every word again (RREF, entries in [0, q)) before
-either kernel runs; sampled mode does not certify and does not re-check.
+neither and checks every word again (RREF, entries in [0, q)) before the
+kernel runs; sampled mode does not re-check.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .constructions import Cdc
 from .qcombi import gauss_int
@@ -38,14 +41,20 @@ INFINITE = "infinite"
 # The most words an exact scan takes by default, and the default number of
 # pairs a sampled scan draws; the CLI's --verify-cap defaults to it too.
 DEFAULT_PAIR_CAP = 20000
-# Exact scans whose point masks would take more than this many bytes
-# (|C| words times at most min([n]_q, sum of [k]_q) points, one bit each)
-# run on the rank kernel instead.
-_MASK_BYTES_CAP = 64 << 20
+# The most (word, point) incidences |C|·[k]_q the exact scan indexes; a code
+# over a field so large that its words hold more points (two lines of
+# GF(10^9 + 7)^4 hold 2·10^9) is scanned pair by pair on stacked rank.
+_POINT_INCIDENCE_CAP = 1 << 20
 
 
 @dataclass
 class VerificationReport:
+    """What a scan found and how: `kernel` is "points" for the
+    point-incidence scan and "rank" for pairs compared by stacked rank
+    (sampled mode, or exact mode past the incidence cap); only exact mode
+    `certifies`.  `histogram` counts the pairs at each distance (exact mode,
+    on request)."""
+
     code_size: int
     declared_d: Optional[int]
     min_distance: object  # int or the string "infinite"
@@ -54,7 +63,7 @@ class VerificationReport:
     witness: Optional[tuple[int, int]] = None
     histogram: Optional[dict[int, int]] = None
     seed: Optional[int] = None
-    kernel: Optional[str] = None  # "points" | "rank"; None when no pair was compared
+    kernel: Optional[str] = None  # None when no pair was compared
 
     def ok(self) -> bool:
         if self.declared_d is None:
@@ -70,10 +79,12 @@ def min_distance(C: Cdc, mode: str = "exact", sample_count: int = DEFAULT_PAIR_C
     """
     Minimum pairwise subspace distance of a code.
 
-    Exact mode scans all pairs on the point-incidence kernel (or, above the
-    mask memory cap, the rank kernel) and certifies the result; sampled
-    mode draws sample_count >= 1 seeded random pairs and is explicitly
-    non-certifying.
+    Exact mode covers all pairs on the point-incidence kernel, in time
+    linear in the (pair, shared point) incidences, and certifies the
+    result; it raises ValueError for more than cap words, for words of
+    different dimensions or ambient spaces, and for rows not in RREF.
+    Sampled mode draws sample_count >= 1 seeded random pairs of any
+    dimensions and is explicitly non-certifying.
     """
     words = list(C.words)
     if mode == "sampled" and sample_count < 1:
@@ -82,17 +93,13 @@ def min_distance(C: Cdc, mode: str = "exact", sample_count: int = DEFAULT_PAIR_C
         return VerificationReport(len(words), C.d, INFINITE, "exact", True)
 
     if mode == "sampled":
-        rng = random.Random(seed)
-        best = witness = None
-        m = len(words)
-        for _ in range(sample_count):
-            i = rng.randrange(m)
-            j = rng.randrange(m - 1)
-            if j >= i:
-                j += 1
-            dist = subspace_distance(words[i], words[j])
-            if best is None or dist < best:
-                best, witness = dist, (i, j)
+        rng, m = random.Random(seed), len(words)
+
+        def draw() -> tuple[int, int]:
+            i, j = rng.randrange(m), rng.randrange(m - 1)
+            return i, j + (j >= i)
+
+        best, witness, _ = _pair_scan(words, (draw() for _ in range(sample_count)), False)
         return VerificationReport(m, C.d, best, "sampled", False, witness, seed=seed, kernel="rank")
 
     if mode != "exact":
@@ -101,53 +108,66 @@ def min_distance(C: Cdc, mode: str = "exact", sample_count: int = DEFAULT_PAIR_C
     if n_pairs > cap * (cap - 1) // 2:
         raise ValueError(f"{n_pairs} pairs exceed the exact-mode cap; raise cap or sample")
 
-    F, n = words[0].field, words[0].ambient_n
+    F, n, k = words[0].field, words[0].ambient_n, words[0].k
     if any(w.field != F or w.ambient_n != n for w in words):
         raise ValueError("ambient space mismatch")
+    if any(w.k != k for w in words):
+        raise ValueError("exact mode takes words of one dimension")
     for w in words:
         _check_rref(w)
-    points_bound = min(gauss_int(n, F.q), sum(gauss_int(w.k, F.q) for w in words))
-    if len(words) * points_bound // 8 <= _MASK_BYTES_CAP:
-        kernel, scan = "points", _point_scan
+    if len(words) * gauss_int(k, F.q) <= _POINT_INCIDENCE_CAP:
+        kernel, (best, witness, hist) = "points", _point_scan(words, histogram)
     else:
-        kernel, scan = "rank", _rank_scan
-    best, witness, hist = scan(words, histogram)
+        pairs = itertools.combinations(range(len(words)), 2)
+        kernel, (best, witness, hist) = "rank", _pair_scan(words, pairs, histogram)
     return VerificationReport(len(words), C.d, best, "exact", True, witness,
                               hist or None, kernel=kernel)
 
 
 def _point_scan(words: Sequence[Subspace], histogram: bool):
-    """Exact scan by point incidence: dim(U∩W) = t where [t]_q points of
-    PG(n-1, q) lie in both U and W.  Uses no rank or RREF computation;
-    `Subspace.points` relies on the rows being in RREF, which the caller
-    has checked."""
-    q = words[0].field.q
-    dim_of = {gauss_int(t, q): t for t in range(words[0].ambient_n + 1)}
-    masks = _point_masks(words)
-    ks = [w.k for w in words]
-    const_dim = len(set(ks)) == 1
-    best = witness = None
-    hist: dict[int, int] = {}
-    for i in range(len(words) - 1):
-        mi, ki = masks[i], ks[i]
-        counts = [(mi & mj).bit_count() for mj in masks[i + 1:]]
-        bad = set(counts).difference(dim_of)
+    """Exact scan over k-spaces: word j shares [t]_q points with each earlier
+    word i that it meets, counted through a dict from each point to the
+    earlier words holding it, and d_S = 2(k - t).  Uses no rank or RREF
+    code; `Subspace.points` relies on the rows being in RREF, which the
+    caller has checked."""
+    q, k = words[0].field.q, words[0].k
+    dim_of = {gauss_int(t, q): t for t in range(k + 1)}
+    holders: dict[tuple, list[int]] = {}
+    shared: Counter = Counter()  # pairs by shared point count
+    best = (2 * k + 1, 0, 0)  # (distance, i, j) of the witness so far
+    for j, w in enumerate(words):
+        lists = [holders.setdefault(p, []) for p in w.points()]
+        counts = Counter(itertools.chain.from_iterable(lists))
+        for held in lists:
+            held.append(j)
+        bad = set(counts.values()).difference(dim_of)
         if bad:
             raise ValueError(f"{min(bad)} shared points is not a point count [t]_{q}")
-        if const_dim and not histogram:
-            # the distance 2(k - dim_of[c]) falls as the count c grows
-            c = max(counts)
-            dist, j = 2 * (ki - dim_of[c]), counts.index(c)
-        else:
-            dists = [ki + kj - 2 * dim_of[c] for kj, c in zip(ks[i + 1:], counts)]
-            if histogram:
-                for d, cnt in Counter(dists).items():
-                    hist[d] = hist.get(d, 0) + cnt
-            dist = min(dists)
-            j = dists.index(dist)
+        if histogram:
+            shared.update(counts.values())
+            shared[0] += j - len(counts)
+        # the distance falls as the count grows; no shared point means 2k
+        c = max(counts.values(), default=0)
+        dist = 2 * (k - dim_of[c])
+        if j and (dist, 0) < best[:2]:
+            i = min(h for h, ch in counts.items() if ch == c) if c else 0
+            best = min(best, (dist, i, j))
+    hist = {2 * (k - dim_of[c]): m for c, m in shared.items() if m}
+    return best[0], best[1:], hist
+
+
+def _pair_scan(words: Sequence[Subspace], pairs: Iterable[tuple[int, int]], histogram: bool):
+    """The least stacked-rank distance over the given pairs of word
+    indices, the first pair that attains it and, on request, the histogram."""
+    hist: Counter = Counter()
+    best = witness = None
+    for i, j in pairs:
+        dist = subspace_distance(words[i], words[j])
+        if histogram:
+            hist[dist] += 1
         if best is None or dist < best:
-            best, witness = dist, (i, i + 1 + j)
-    return best, witness, hist
+            best, witness = dist, (i, j)
+    return best, witness, dict(hist)
 
 
 def _check_rref(w: Subspace) -> None:
@@ -162,36 +182,6 @@ def _check_rref(w: Subspace) -> None:
                 or min(row) < 0 or max(row) >= q):
             raise ValueError(f"codeword rows are not in RREF over GF({q}) (row {r}): {w!r}")
         last = p
-
-
-def _point_masks(words: Sequence[Subspace]) -> list[int]:
-    """Each word's bitmask over the projective points it contains; a point
-    gets the next index the first time it is seen."""
-    index: dict[tuple, int] = {}
-    masks = []
-    for w in words:
-        mask = 0
-        for p in w.points():
-            mask |= 1 << index.setdefault(p, len(index))
-        masks.append(mask)
-    return masks
-
-
-def _rank_scan(words: Sequence[Subspace], histogram: bool):
-    """Exact scan by stacked rank.  Without a histogram each pair stops
-    early once it can no longer lower the current minimum, and distances at
-    or above the reported minimum are not recorded."""
-    hist: dict[int, int] = {}
-    best = witness = None
-    for i, j in itertools.combinations(range(len(words)), 2):
-        if histogram:
-            dist = subspace_distance(words[i], words[j])
-            hist[dist] = hist.get(dist, 0) + 1
-        else:
-            dist = subspace_distance_capped(words[i], words[j], best if best is not None else 1 << 30)
-        if best is None or dist < best:
-            best, witness = dist, (i, j)
-    return best, witness, hist
 
 
 def is_partial_spread(C: Cdc) -> tuple[bool, dict]:
@@ -259,14 +249,15 @@ def _max_partial_spread(q: int, n: int, k: int, words: Sequence[Subspace]) -> in
     it or it is declared a hole.  Point sets are bitmasks."""
     if len(words) <= 1:  # k > n or k = 0: no search, and no point to branch on
         return len(words)
-    word_masks = _point_masks(words)
-    by_point: dict[int, list[int]] = {}
-    for wi, mask in enumerate(word_masks):
-        m = mask
-        while m:
-            low = m & -m
-            by_point.setdefault(low.bit_length() - 1, []).append(wi)
-            m ^= low
+    holders: dict[tuple, list[int]] = {}  # point -> the words that hold it
+    for wi, w in enumerate(words):
+        for p in w.points():
+            holders.setdefault(p, []).append(wi)
+    by_point = list(holders.values())  # point b is bit b of a word's mask
+    word_masks = [0] * len(words)
+    for b, held in enumerate(by_point):
+        for wi in held:
+            word_masks[wi] |= 1 << b
     total_points = len(by_point)
     full = (1 << total_points) - 1
     per_word = gauss_int(k, q)

@@ -1,7 +1,9 @@
 import itertools
+import time
+from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from scodes import spaces, verify
@@ -32,6 +34,16 @@ def subspace_of(draw, q, n):
 
 
 @st.composite
+def k_space_of(draw, q, n, k):
+    """A random k-space: k pivot columns, random entries right of each
+    pivot outside the pivot columns."""
+    pivots = sorted(draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True)))
+    rows = [[1 if c == p else 0 if c < p or c in pivots else draw(st.integers(0, q - 1))
+             for c in range(n)] for p in pivots]
+    return Subspace.from_rref(GF(q), n, rows)
+
+
+@st.composite
 def field_and_length(draw, n_max=6):
     q = draw(st.sampled_from(sorted(MAX_N)))
     return q, draw(st.integers(1, min(n_max, MAX_N[q])))
@@ -44,11 +56,20 @@ def subspace_pairs(draw):
 
 
 @st.composite
-def small_codes(draw):
-    """Mixed-dimension codes, repeated words allowed."""
+def same_dimension_pairs(draw):
+    q, n = draw(field_and_length())
+    k = draw(st.integers(0, n))
+    return q, n, draw(k_space_of(q, n, k)), draw(k_space_of(q, n, k))
+
+
+@st.composite
+def constant_dimension_codes(draw):
+    """2 to 12 k-spaces drawn from a pool of at most 12, so words repeat."""
     q, n = draw(field_and_length(n_max=5))
-    words = draw(st.lists(subspace_of(q, n), min_size=2, max_size=12))
-    return Cdc(q, n, words[0].k, 0, tuple(words))
+    k = draw(st.integers(0, n))
+    pool = draw(st.lists(k_space_of(q, n, k), min_size=1, max_size=12))
+    words = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=12))
+    return Cdc(q, n, k, 0, tuple(words))
 
 
 def test_min_distance_exact_with_witness():
@@ -165,7 +186,16 @@ def test_histogram_pair_count_random_code():
     assert rep2.min_distance == rep.min_distance
 
 
-@given(subspace_pairs())
+def test_exact_scan_of_a_large_partial_spread_is_fast():
+    """8737 4-spaces of GF(2)^17 that share no point: the scan meets no
+    pair through a point (a scan over all 38 million pairs takes minutes)."""
+    start = time.perf_counter()
+    rep = min_distance(partial_spread(2, 17, 4), "exact")
+    assert (rep.code_size, rep.min_distance, rep.witness, rep.kernel) == (8737, 8, (0, 1), "points")
+    assert time.perf_counter() - start < 30
+
+
+@given(same_dimension_pairs())
 @settings(max_examples=150, deadline=None)
 def test_point_kernel_agrees_with_rank_and_dual_formulas(pair):
     q, n, U, W = pair
@@ -207,17 +237,49 @@ def test_points_match_normalize_and_dedup(U):
     assert set(pts) == brute
 
 
-@given(small_codes(), st.booleans())
-@settings(max_examples=100, deadline=None)
-def test_point_and_rank_kernels_report_the_same(code, histogram):
-    by_points = min_distance(code, "exact", histogram=histogram)
+@given(constant_dimension_codes(), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_exact_scan_matches_a_brute_force_pair_loop(code, histogram):
+    dists = {(i, j): subspace_distance(U, W)
+             for (i, U), (j, W) in itertools.combinations(enumerate(code.words), 2)}
+    best = min(dists.values())
+    rep = min_distance(code, "exact", histogram=histogram)
+    assert rep.kernel == "points" and rep.certifies
+    assert rep.min_distance == best
+    assert rep.witness == next(pair for pair, dist in dists.items() if dist == best)
+    assert rep.histogram == (dict(Counter(dists.values())) if histogram else None)
+    # past the incidence cap the same pairs are compared one by one
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(verify, "_MASK_BYTES_CAP", -1)
-        by_rank = min_distance(code, "exact", histogram=histogram)
-    assert (by_points.kernel, by_rank.kernel) == ("points", "rank")
-    assert by_points.min_distance == by_rank.min_distance
-    assert by_points.witness == by_rank.witness
-    assert by_points.histogram == by_rank.histogram
+        mp.setattr(verify, "_POINT_INCIDENCE_CAP", -1)
+        by_pairs = min_distance(code, "exact", histogram=histogram)
+    assert by_pairs.kernel == "rank" and by_pairs.certifies
+    assert (by_pairs.min_distance, by_pairs.witness, by_pairs.histogram) == \
+        (rep.min_distance, rep.witness, rep.histogram)
+
+
+def test_exact_scan_over_a_large_field_compares_pairs():
+    # each line of GF(10^9 + 7)^4 holds 10^9 + 1 points: too many to index
+    F = GF(1000000007)
+    lines = [Subspace.from_rref(F, 4, rows) for rows in
+             ([[1, 0, 5, 7], [0, 1, 1000000006, 3]], [[1, 0, 0, 0], [0, 1, 0, 0]],
+              [[1, 0, 0, 0], [0, 0, 1, 0]])]
+    rep = min_distance(Cdc(F.q, 4, 2, 2, tuple(lines)), "exact", histogram=True)
+    assert (rep.min_distance, rep.witness, rep.kernel, rep.certifies) == (2, (1, 2), "rank", True)
+    assert rep.histogram == {4: 2, 2: 1}
+
+
+@given(subspace_pairs())
+@settings(max_examples=100, deadline=None)
+def test_exact_mode_rejects_mixed_dimensions_and_sampled_mode_takes_them(pair):
+    q, n, U, W = pair
+    assume(U.k != W.k)
+    code = Cdc(q, n, U.k, 0, (U, W))
+    with pytest.raises(ValueError, match="one dimension"):
+        min_distance(code, "exact")
+    rep = min_distance(code, "sampled", sample_count=1)
+    assert not rep.certifies and rep.kernel == "rank"
+    meet = n - rank(dual(U).rref.vstack(dual(W).rref))
+    assert rep.min_distance == U.k + W.k - 2 * meet
 
 
 def test_point_kernel_calls_no_rank_code(monkeypatch):
@@ -246,17 +308,16 @@ NOT_RREF = {
 
 
 @pytest.mark.parametrize("rows", list(NOT_RREF.values()), ids=list(NOT_RREF))
-def test_exact_scan_rejects_rows_not_in_rref(rows, monkeypatch):
+def test_exact_scan_rejects_rows_not_in_rref(rows):
     # no checked entry point makes such a word: put the rows in place of a
     # good word's, so that only the verifier's own check can catch them
     bad = Subspace.from_matrix(MatGF(F3, [[1, 0, 0, 0], [0, 1, 0, 0]][:len(rows)]))
     bad.rref = MatGF(F3, rows)
-    good = Subspace.from_matrix(MatGF(F3, [[0, 0, 1, 0]]))
-    with pytest.raises(ValueError, match="RREF"):
-        min_distance(Cdc(3, 4, 1, 1, (good, bad)), "exact")
-    monkeypatch.setattr(verify, "_MASK_BYTES_CAP", -1)  # the rank kernel reduces at pivots too
-    with pytest.raises(ValueError, match="RREF"):
-        min_distance(Cdc(3, 4, 1, 1, (bad, good)), "exact")
+    good = Subspace.from_matrix(MatGF(F3, [[0, 0, 1, 0], [0, 0, 0, 1]][:len(rows)]))
+    assert bad.k == good.k
+    for words in ((good, bad), (bad, good)):
+        with pytest.raises(ValueError, match="RREF"):
+            min_distance(Cdc(3, 4, good.k, 2, words), "exact")
 
 
 @pytest.mark.parametrize("rows", [*NOT_RREF.values(), [[1, 0, 0]]], ids=[*NOT_RREF, "short-row"])
@@ -268,6 +329,18 @@ def test_from_rref_rejects_rows_not_in_rref(rows):
 def test_from_rref_accepts_rref_rows():
     for rows in ([], [[1, 0, 2, 0]], [[1, 2, 0, 0], [0, 0, 1, 1]]):
         assert Subspace.from_rref(F3, 4, rows) == Subspace.from_matrix(MatGF(F3, rows, 4))
+
+
+def test_every_shared_count_is_checked(monkeypatch):
+    # word 2 shares 3 = [2]_2 points with word 0 and 2 points, no [t]_2, with
+    # word 1: the bad count is not the largest
+    planes = tuple(itertools.islice(enumerate_grassmannian(2, 4, 3), 3))
+    fake = dict(zip(planes, ([(p,) for p in range(1, 8)], [(p,) for p in range(8, 15)],
+                             [(p,) for p in (1, 2, 3, 8, 9, 20, 21)])))
+    monkeypatch.setattr(Subspace, "points", lambda self: iter(fake[self]))
+    for histogram in (False, True):
+        with pytest.raises(ValueError, match="2 shared points is not a point count"):
+            min_distance(Cdc(2, 4, 3, 2, planes), "exact", histogram=histogram)
 
 
 def test_point_count_outside_gauss_integers_is_an_error(monkeypatch):
