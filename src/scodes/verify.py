@@ -7,16 +7,15 @@ Nothing here trusts construction-time declarations; distances are
 recomputed from generator matrices.  The exact scan takes
 constant-dimension codes only and runs one point-incidence kernel for
 every q, sharing no rank or RREF code with the constructions: two k-spaces
-meet in a t-space exactly when they share [t]_q = (q^t - 1)/(q - 1) points
-of PG(n-1, q), and then d_S = 2(k - t).  It walks the words in order with
-a dict from each point to the earlier words that hold it, so its cost is
-the number of (pair, shared point) incidences, not |C|^2 pairs, and its
-memory |C|·[k]_q list entries.  A shared count that is no [t]_q is an
-error.  Only a field so large that the words hold more than
-_POINT_INCIDENCE_CAP points in all is scanned pair by pair on stacked
-rank, as sampled mode is.  Both report the minimum, the witness (the first
-pair in `itertools.combinations` order that attains it) and, on request,
-the histogram.
+share [t]_q = (q^t - 1)/(q - 1) points of PG(n-1, q) exactly when they
+meet in a t-space, at d_S = 2(k - t).  A dict from each point to the
+earlier words that hold it makes the cost the (pair, shared point)
+incidences, not |C|^2 pairs; a shared count that is no [t]_q is an error.
+Words with 2k > n are scanned as their orthogonal complements, which hold
+fewer points.  A code whose index would outgrow _INDEX_BYTES_CAP (large
+fields) is compared pair by pair on stacked rank, as in sampled mode.
+Both give the minimum, the witness (the first pair in
+`itertools.combinations` order that attains it) and the histogram.
 
 `spaces` checks rows where they enter a `Subspace` (`from_matrix`, which
 every `.scode` read uses, and `from_rref`); builders whose rows are RREF by
@@ -35,25 +34,23 @@ from typing import Iterable, Optional, Sequence
 
 from .constructions import Cdc
 from .qcombi import gauss_int
-from .spaces import Subspace, enumerate_grassmannian, subspace_distance, subspace_distance_capped
+from .spaces import Subspace, _null_space, enumerate_grassmannian, subspace_distance_capped
 
 INFINITE = "infinite"
 # The most words an exact scan takes by default, and the default number of
 # pairs a sampled scan draws; the CLI's --verify-cap defaults to it too.
 DEFAULT_PAIR_CAP = 20000
-# The most (word, point) incidences |C|·[k]_q the exact scan indexes; a code
-# over a field so large that its words hold more points (two lines of
-# GF(10^9 + 7)^4 hold 2·10^9) is scanned pair by pair on stacked rank.
-_POINT_INCIDENCE_CAP = 1 << 20
+# The most bytes the exact scan's point index may take, as `_index_bytes`
+# estimates it; past this, exact mode compares pairs on stacked rank.  The
+# 16384-word lifted MRD code of 7-spaces in GF(2)^14 needs 23 MB.
+_INDEX_BYTES_CAP = 512 << 20
 
 
 @dataclass
 class VerificationReport:
-    """What a scan found and how: `kernel` is "points" for the
-    point-incidence scan and "rank" for pairs compared by stacked rank
-    (sampled mode, or exact mode past the incidence cap); only exact mode
-    `certifies`.  `histogram` counts the pairs at each distance (exact mode,
-    on request)."""
+    """What a scan found: `kernel` is "points" for the point index and
+    "rank" for pairs compared by stacked rank (sampled mode, or exact mode
+    past the index cap); only exact mode `certifies`."""
 
     code_size: int
     declared_d: Optional[int]
@@ -79,12 +76,11 @@ def min_distance(C: Cdc, mode: str = "exact", sample_count: int = DEFAULT_PAIR_C
     """
     Minimum pairwise subspace distance of a code.
 
-    Exact mode covers all pairs on the point-incidence kernel, in time
-    linear in the (pair, shared point) incidences, and certifies the
-    result; it raises ValueError for more than cap words, for words of
-    different dimensions or ambient spaces, and for rows not in RREF.
-    Sampled mode draws sample_count >= 1 seeded random pairs of any
-    dimensions and is explicitly non-certifying.
+    Exact mode covers all pairs on the point index (past its memory cap,
+    on stacked rank) and certifies the result; it raises ValueError for
+    more than cap words, words of different dimensions or ambient spaces,
+    and rows not in RREF.  Sampled mode draws sample_count >= 1 seeded
+    random pairs of any dimensions and is explicitly non-certifying.
     """
     words = list(C.words)
     if mode == "sampled" and sample_count < 1:
@@ -94,12 +90,8 @@ def min_distance(C: Cdc, mode: str = "exact", sample_count: int = DEFAULT_PAIR_C
 
     if mode == "sampled":
         rng, m = random.Random(seed), len(words)
-
-        def draw() -> tuple[int, int]:
-            i, j = rng.randrange(m), rng.randrange(m - 1)
-            return i, j + (j >= i)
-
-        best, witness, _ = _pair_scan(words, (draw() for _ in range(sample_count)), False)
+        draws = ((rng.randrange(m), rng.randrange(m - 1)) for _ in range(sample_count))
+        best, witness, _ = _pair_scan(words, ((i, j + (j >= i)) for i, j in draws), False)
         return VerificationReport(m, C.d, best, "sampled", False, witness, seed=seed, kernel="rank")
 
     if mode != "exact":
@@ -115,7 +107,9 @@ def min_distance(C: Cdc, mode: str = "exact", sample_count: int = DEFAULT_PAIR_C
         raise ValueError("exact mode takes words of one dimension")
     for w in words:
         _check_rref(w)
-    if len(words) * gauss_int(k, F.q) <= _POINT_INCIDENCE_CAP:
+    if 2 * k > n:
+        words, k = [_reversed_dual(w) for w in words], n - k
+    if _index_bytes(len(words), F.q, n, k) <= _INDEX_BYTES_CAP:
         kernel, (best, witness, hist) = "points", _point_scan(words, histogram)
     else:
         pairs = itertools.combinations(range(len(words)), 2)
@@ -125,11 +119,9 @@ def min_distance(C: Cdc, mode: str = "exact", sample_count: int = DEFAULT_PAIR_C
 
 
 def _point_scan(words: Sequence[Subspace], histogram: bool):
-    """Exact scan over k-spaces: word j shares [t]_q points with each earlier
-    word i that it meets, counted through a dict from each point to the
-    earlier words holding it, and d_S = 2(k - t).  Uses no rank or RREF
-    code; `Subspace.points` relies on the rows being in RREF, which the
-    caller has checked."""
+    """Exact scan over k-spaces through a point -> earlier-words dict.  Uses
+    no rank or RREF code, but `Subspace.points` needs RREF rows, which the
+    caller has checked (or, for complements, built so)."""
     q, k = words[0].field.q, words[0].k
     dim_of = {gauss_int(t, q): t for t in range(k + 1)}
     holders: dict[tuple, list[int]] = {}
@@ -156,13 +148,32 @@ def _point_scan(words: Sequence[Subspace], histogram: bool):
     return best[0], best[1:], hist
 
 
+def _index_bytes(m: int, q: int, n: int, k: int) -> int:
+    """Peak memory of `_point_scan` over m k-spaces of GF(q)^n, measured on
+    64-bit CPython 3.11: 9 bytes per (word, point) entry and 160 + 8n per
+    distinct point (key tuple, list, dict slot), of which there are at most
+    min([n]_q, m·[k]_q)."""
+    entries = m * gauss_int(k, q)
+    return 9 * entries + (160 + 8 * n) * min(gauss_int(n, q), entries)
+
+
+def _reversed_dual(w: Subspace) -> Subspace:
+    """U⊥ with its columns reversed, which keeps every distance, built with
+    no rank code: the null-space basis e_f - sum_p row[f]·e_p is in RREF once
+    the columns are reversed and the vectors taken from the last free column f."""
+    basis = _null_space(w.field, w.rref.entries, w.pivot_positions(), w.ambient_n)
+    return Subspace._trusted(w.field, w.ambient_n, [v[::-1] for v in reversed(basis)])
+
+
 def _pair_scan(words: Sequence[Subspace], pairs: Iterable[tuple[int, int]], histogram: bool):
     """The least stacked-rank distance over the given pairs of word
-    indices, the first pair that attains it and, on request, the histogram."""
+    indices, the first pair that attains it and, on request, the histogram.
+    Without a histogram a pair stops once it cannot lower the minimum."""
     hist: Counter = Counter()
     best = witness = None
     for i, j in pairs:
-        dist = subspace_distance(words[i], words[j])
+        cap = 1 << 30 if histogram or best is None else best
+        dist = subspace_distance_capped(words[i], words[j], cap)
         if histogram:
             hist[dist] += 1
         if best is None or dist < best:

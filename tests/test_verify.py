@@ -10,7 +10,8 @@ from scodes import spaces, verify
 from scodes.constructions import Cdc, lifted_mrd, partial_spread, single_codeword
 from scodes.gfq import GF
 from scodes.qcombi import gauss_int
-from scodes.spaces import MatGF, Subspace, dual, enumerate_grassmannian, rank, subspace_distance
+from scodes.spaces import (MatGF, Subspace, dual, enumerate_grassmannian, permute_columns, rank,
+                           subspace_distance)
 from scodes.verify import (
     is_partial_spread,
     max_code_exhaustive,
@@ -248,9 +249,9 @@ def test_exact_scan_matches_a_brute_force_pair_loop(code, histogram):
     assert rep.min_distance == best
     assert rep.witness == next(pair for pair, dist in dists.items() if dist == best)
     assert rep.histogram == (dict(Counter(dists.values())) if histogram else None)
-    # past the incidence cap the same pairs are compared one by one
+    # past the index memory cap the same pairs are compared one by one
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(verify, "_POINT_INCIDENCE_CAP", -1)
+        mp.setattr(verify, "_INDEX_BYTES_CAP", -1)
         by_pairs = min_distance(code, "exact", histogram=histogram)
     assert by_pairs.kernel == "rank" and by_pairs.certifies
     assert (by_pairs.min_distance, by_pairs.witness, by_pairs.histogram) == \
@@ -283,18 +284,50 @@ def test_exact_mode_rejects_mixed_dimensions_and_sampled_mode_takes_them(pair):
 
 
 def test_point_kernel_calls_no_rank_code(monkeypatch):
-    code = lifted_mrd(3, 5, 2, 4)
+    # the second code's 3-spaces of GF(3)^5 are scanned as their complements
+    codes = (lifted_mrd(3, 5, 2, 4), lifted_mrd(3, 5, 3, 4))
 
     def forbidden(*args, **kwargs):
         raise AssertionError("rank code called by the point kernel")
 
     for name in ("rref", "rank", "_stack_rank", "subspace_distance", "subspace_distance_capped"):
         monkeypatch.setattr(spaces, name, forbidden)
-    for name in ("subspace_distance", "subspace_distance_capped"):
-        monkeypatch.setattr(verify, name, forbidden)
-    for histogram in (False, True):
+    monkeypatch.setattr(verify, "subspace_distance_capped", forbidden)
+    for code, histogram in itertools.product(codes, (False, True)):
         rep = min_distance(code, "exact", histogram=histogram)
         assert rep.kernel == "points" and rep.min_distance == 4
+
+
+@given(field_and_length().flatmap(lambda qn: subspace_of(*qn)))
+@settings(max_examples=100, deadline=None)
+def test_reversed_dual_is_the_complement_with_columns_reversed(U):
+    n = U.ambient_n
+    # equal stored rows: the formula's rows are the canonical RREF
+    assert verify._reversed_dual(U) == permute_columns(dual(U), range(n - 1, -1, -1))
+
+
+# the 4-spaces of GF(2)^6 are indexed as their complements, 2-spaces
+@pytest.mark.parametrize("k, indexed_k", [(3, 3), (4, 2)])
+def test_index_gate_sits_at_the_estimated_memory(monkeypatch, k, indexed_k):
+    code = lifted_mrd(2, 6, k, 4)
+    need = verify._index_bytes(len(code.words), 2, 6, indexed_k)
+    reports = []
+    for cap in (need, need - 1):
+        monkeypatch.setattr(verify, "_INDEX_BYTES_CAP", cap)
+        reports.append(min_distance(code, "exact", histogram=True))
+    at, past = reports
+    assert (at.kernel, past.kernel) == ("points", "rank")
+    assert (at.min_distance, at.witness, at.histogram) == \
+        (past.min_distance, past.witness, past.histogram)
+
+
+@pytest.mark.parametrize("m, q, n, k", [
+    (16384, 2, 14, 7),  # lifted_mrd(2, 14, 7, 12)
+    (8737, 2, 17, 4),  # partial_spread(2, 17, 4)
+    (20000, 2, 12, 6), (20000, 4, 8, 4), (20000, 8, 6, 3), (20000, 3, 10, 5),
+])
+def test_codes_of_ordinary_fields_fit_the_index(m, q, n, k):
+    assert verify._index_bytes(m, q, n, k) <= verify._INDEX_BYTES_CAP
 
 
 NOT_RREF = {
@@ -334,13 +367,13 @@ def test_from_rref_accepts_rref_rows():
 def test_every_shared_count_is_checked(monkeypatch):
     # word 2 shares 3 = [2]_2 points with word 0 and 2 points, no [t]_2, with
     # word 1: the bad count is not the largest
-    planes = tuple(itertools.islice(enumerate_grassmannian(2, 4, 3), 3))
+    planes = tuple(itertools.islice(enumerate_grassmannian(2, 6, 3), 3))
     fake = dict(zip(planes, ([(p,) for p in range(1, 8)], [(p,) for p in range(8, 15)],
                              [(p,) for p in (1, 2, 3, 8, 9, 20, 21)])))
     monkeypatch.setattr(Subspace, "points", lambda self: iter(fake[self]))
     for histogram in (False, True):
         with pytest.raises(ValueError, match="2 shared points is not a point count"):
-            min_distance(Cdc(2, 4, 3, 2, planes), "exact", histogram=histogram)
+            min_distance(Cdc(2, 6, 3, 2, planes), "exact", histogram=histogram)
 
 
 def test_point_count_outside_gauss_integers_is_an_error(monkeypatch):
