@@ -6,7 +6,7 @@ engine for maximum code sizes.
 """
 
 from .gfq import GF, FieldSpec
-from .qcombi import QPolynomial, gauss_binomial, gauss_int
+from .qcombi import gauss_binomial, gauss_int
 from .spaces import (
     FerrersDiagram,
     MatGF,

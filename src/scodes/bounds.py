@@ -21,7 +21,7 @@ from .constructions import skeleton_greedy
 from .divisible import sharp_floor
 from .gfq import _factor_prime_power
 from .provenance import BoundResult
-from .qcombi import QPolynomial, count_large_intersection, gauss_binomial, gauss_int, qpoly_parse
+from .qcombi import count_large_intersection, gauss_binomial, gauss_int, qpoly_eval, qpoly_parse
 from .rankmetric import _fdrm_meets_bound, fdrm_upper_bound, mrd_size
 from .spaces import ferrers_of
 
@@ -40,7 +40,7 @@ class Fact:
     d: int
     k: int
     kind: str  # exact | lower | upper
-    value_poly: QPolynomial
+    value_poly: tuple[int, ...]  # coefficients in q, low degree first
     extra_term: Optional[tuple[int, int, int]]  # (n, d, k) of an additive A-term
     citation: str
 
@@ -476,7 +476,7 @@ class BoundEngine:
             return []
         out = []
         for f in self.facts.lookup(q, n, d, k, kinds):
-            value = f.value_poly(q)
+            value = qpoly_eval(f.value_poly, q)
             children = ()
             if f.extra_term is not None:
                 # additive A-terms only occur in lower-bound formulas

@@ -352,8 +352,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_expand(args) -> int:
-    exp = sqr_expand(args.value, args.q, args.r)
-    print(" ".join(str(c) for c in exp.coefficients))
+    print(" ".join(str(c) for c in sqr_expand(args.value, args.q, args.r)))
     return 0
 
 

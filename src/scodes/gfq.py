@@ -414,7 +414,6 @@ class ExtField:
             raise ValueError("extension degree must be >= 1")
         self.base = base
         self.m = m
-        self.size = base.q**m
         if modulus is None:
             modulus = find_irreducible_over(base, m)
         else:

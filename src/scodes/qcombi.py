@@ -1,15 +1,15 @@
 """
 Exact q-analogue combinatorics on arbitrary-precision integers.
 
-Everything here is exact: Gaussian binomials and q-integers as Python ints,
-the q-Pochhammer reciprocal as a rational with a proven enclosing interval,
-and integer polynomials in the field-size variable q.  All functions are
-pure and safe for concurrent use.
+Everything here is exact: Gaussian binomials, q-integers and intersection
+counts are Python ints, the q-Pochhammer reciprocal is a proven bracket
+(low, high) of Fractions, and a polynomial in the field size q is its tuple
+of int coefficients, low degree first, as in `gfq`.  All functions are pure
+and safe for concurrent use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -52,28 +52,15 @@ def count_large_intersection(n: int, m: int, k: int, t: int, q: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class PochhammerEnclosure:
-    """Exact rational bracket for 1 / prod_{i>=1} (1 - q^-i)."""
-
-    q: int
-    terms: int
-    partial: Fraction  # reciprocal of the partial product, exact
-    low: Fraction
-    high: Fraction
-
-    def contains(self, x) -> bool:
-        return self.low <= Fraction(x) <= self.high
-
-
-def qpochhammer_reciprocal_limit(q: int, terms: int) -> PochhammerEnclosure:
+def qpochhammer_reciprocal_limit(q: int, terms: int) -> tuple[Fraction, Fraction]:
     """
-    Bracket the reciprocal of the infinite product prod_{i>=1}(1 - q^-i).
+    Bracket (low, high) of the reciprocal of the infinite product
+    prod_{i>=1}(1 - q^-i).
 
     The partial product P_t over the first `terms` factors satisfies
         P_t * (1 - S) <= P_inf <= P_t,  S = sum_{i>t} q^-i = q^-t/(q-1),
     by the Weierstrass product inequality, so the reciprocal lies in
-    [1/P_t, 1/(P_t (1 - S))].  All bounds are exact rationals.
+    [1/P_t, 1/(P_t (1 - S))].  Both ends are exact rationals.
     """
     if q < 2:
         raise ValueError(f"q must be >= 2, got {q}")
@@ -83,94 +70,25 @@ def qpochhammer_reciprocal_limit(q: int, terms: int) -> PochhammerEnclosure:
     for i in range(1, terms + 1):
         partial_prod *= 1 - Fraction(1, q**i)
     tail = Fraction(1, q**terms * (q - 1))
-    low = 1 / partial_prod
-    high = 1 / (partial_prod * (1 - tail))
-    return PochhammerEnclosure(q=q, terms=terms, partial=low, low=low, high=high)
+    return 1 / partial_prod, 1 / (partial_prod * (1 - tail))
 
 
-class QPolynomial:
-    """Integer polynomial in the field-size variable, low degree first."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Sequence[int] = ()):
-        c = list(coeffs)
-        while c and c[-1] == 0:
-            c.pop()
-        self.coeffs = tuple(c)
-
-    @classmethod
-    def monomial(cls, coeff: int, degree: int) -> "QPolynomial":
-        return cls([0] * degree + [coeff])
-
-    def __add__(self, other: "QPolynomial") -> "QPolynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0] * (n - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            a[i] += c
-        return QPolynomial(a)
-
-    def __sub__(self, other: "QPolynomial") -> "QPolynomial":
-        return self + other.scale(-1)
-
-    def __mul__(self, other: "QPolynomial") -> "QPolynomial":
-        if not self.coeffs or not other.coeffs:
-            return QPolynomial()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return QPolynomial(out)
-
-    def scale(self, c: int) -> "QPolynomial":
-        return QPolynomial([c * x for x in self.coeffs])
-
-    def __call__(self, q: int) -> int:
-        return qpoly_eval(self, q)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, QPolynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for d in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[d]
-            if c == 0:
-                continue
-            if d == 0:
-                parts.append(f"{c}")
-            else:
-                mono = "q" if d == 1 else f"q^{d}"
-                if c == 1:
-                    parts.append(mono)
-                elif c == -1:
-                    parts.append(f"-{mono}")
-                else:
-                    parts.append(f"{c}{mono}")
-        s = "+".join(parts).replace("+-", "-")
-        return s
-
-
-def qpoly_eval(P: QPolynomial, q: int) -> int:
-    """Exact Horner evaluation."""
+def qpoly_eval(coeffs: Sequence[int], q: int) -> int:
+    """Exact Horner evaluation of the coefficient tuple (low degree first)."""
     acc = 0
-    for c in reversed(P.coeffs):
+    for c in reversed(coeffs):
         acc = acc * q + c
     return acc
 
 
-def qpoly_parse(text: str) -> QPolynomial:
-    """Parse compact sums like 'q^6+2q^2+2q+1' or '-q^3+q-2'."""
+def qpoly_parse(text: str) -> tuple[int, ...]:
+    """Parse compact sums like 'q^6+2q^2+2q+1' or '-q^3+q-2' into the
+    coefficient tuple, low degree first, with no trailing zeros (() is 0)."""
     s = text.replace(" ", "").replace("-", "+-")
-    terms = [t for t in s.split("+") if t]
-    poly = QPolynomial()
-    for t in terms:
+    coeffs: list[int] = []
+    for t in s.split("+"):
+        if not t:
+            continue
         sign = 1
         if t.startswith("-"):
             sign = -1
@@ -187,5 +105,8 @@ def qpoly_parse(text: str) -> QPolynomial:
         else:
             coeff = int(t)
             deg = 0
-        poly = poly + QPolynomial.monomial(sign * coeff, deg)
-    return poly
+        coeffs += [0] * (deg + 1 - len(coeffs))
+        coeffs[deg] += sign * coeff
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)

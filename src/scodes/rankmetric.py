@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .gfq import GF, ExtField, FieldSpec
 from .provenance import BoundResult
@@ -32,31 +32,16 @@ MATERIALIZE_CAP = 1 << 21
 
 @dataclass(frozen=True)
 class RankCode:
-    """A set of m x n matrices over GF(q) with declared min rank distance d.
-
-    rank_set, when present, is the set of ranks the words are allowed to
-    take, checked by `validate`."""
+    """A set of m x n matrices over GF(q) with declared min rank distance d."""
 
     field: FieldSpec
     m: int
     n: int
     d: int
     words: tuple[MatGF, ...]
-    rank_set: Optional[frozenset[int]] = None
 
     def __len__(self) -> int:
         return len(self.words)
-
-    def validate(self, exhaustive_pairs: bool = True) -> None:
-        for w in self.words:
-            if (w.rows, w.cols) != (self.m, self.n):
-                raise ValueError("word shape mismatch")
-            if self.rank_set is not None and rank(w) not in self.rank_set:
-                raise ValueError("word rank outside declared rank set")
-        if exhaustive_pairs and len(self.words) > 1:
-            for a, b in itertools.combinations(self.words, 2):
-                if rank_distance(a, b) < self.d:
-                    raise ValueError("declared min rank distance violated")
 
 
 def rank_distance(A: MatGF, B: MatGF) -> int:
@@ -188,7 +173,7 @@ def restricted_rank_code(q: int, m: int, n: int, d: int, R: Iterable[int]) -> Ra
     R = frozenset(R)
     base_code = rect_mrd(q, m, n, d)
     words = tuple(w for w in base_code.words if rank(w) in R)
-    return RankCode(base_code.field, m, n, d, words, rank_set=R)
+    return RankCode(base_code.field, m, n, d, words)
 
 
 def mrd_coset_partition(q: int, m: int, n: int, d: int, dprime: int) -> list[RankCode]:
@@ -305,11 +290,11 @@ def two_block_sumrank_code(q: int) -> SumRankCode:
     for u in proj:
         for v in vecs:
             rank_one.append(MatGF(base, [base.rowop(v, a) for a in u], 3))
-    left = RankCode(base, 3, 3, 1, tuple(rank_one), rank_set=frozenset({1}))
+    left = RankCode(base, 3, 3, 1, tuple(rank_one))
 
     mrd2 = gabidulin(q, 3, 3, 2)
     rank_two = tuple(w for w in mrd2.words if rank(w) == 2)
-    right = RankCode(base, 3, 3, 2, rank_two, rank_set=frozenset({2}))
+    right = RankCode(base, 3, 3, 2, rank_two)
     assert len(left) == len(right)
     middle = sumrank_pair(left, right)
 

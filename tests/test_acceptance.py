@@ -89,12 +89,12 @@ def test_criterion_02_johnson_chain(engine):
 
 def test_criterion_03_divisible_expansions():
     with criterion(3, "base-sequence expansions and bracket"):
-        assert sqr_bases(2, 3).bases == (15, 14, 12, 8)
-        assert sqr_expand(11, 2, 2).coefficients == (1, 0, 1)
-        assert sqr_expand(9, 2, 2).coefficients == (1, 1, -1)
-        assert sqr_expand(19, 2, 3).leading == -1
-        assert sqr_expand(34, 2, 3).coefficients == (0, 1, 1, 1)
-        assert sqr_expand(137, 3, 3).leading == -2
+        assert sqr_bases(2, 3) == (15, 14, 12, 8)
+        assert sqr_expand(11, 2, 2) == (1, 0, 1)
+        assert sqr_expand(9, 2, 2) == (1, 1, -1)
+        assert sqr_expand(19, 2, 3)[-1] == -1
+        assert sqr_expand(34, 2, 3) == (0, 1, 1, 1)
+        assert sqr_expand(137, 3, 3)[-1] == -2
         assert sharp_floor(17374, 15, 2, 3) == 1156
 
 
@@ -236,10 +236,10 @@ def test_criterion_11_property_suites():
 
         for q in (2, 3, 4, 5):
             for r in range(5):
-                bases = sqr_bases(q, r).bases
+                bases = sqr_bases(q, r)
                 for n in range(-500, 501):
                     exp = sqr_expand(n, q, r)
-                    assert sum(a * s for a, s in zip(exp.coefficients, bases)) == n
+                    assert sum(a * s for a, s in zip(exp, bases)) == n
         for q in (2, 3):
             for a in range(0, 100, 9):
                 for b in (7, 15):

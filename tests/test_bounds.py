@@ -1,4 +1,6 @@
+import hashlib
 import sys
+from importlib import resources
 
 import pytest
 
@@ -17,7 +19,7 @@ from scodes.bounds import (
     singleton,
     sphere_packing,
 )
-from scodes.qcombi import gauss_binomial
+from scodes.qcombi import gauss_binomial, qpoly_eval
 
 
 @pytest.fixture(scope="module")
@@ -326,6 +328,20 @@ def test_fact_table_parsing(tmp_path):
     assert hits and hits[0].citation == "test cite"
     # facts apply under duality: (6,4;3) matches k = n-k = 3 queries either way
     assert engine.best_upper(2, 6, 4, 3).value == 77
+
+
+# SHA-256 of every row of the shipped fact table evaluated at seven field
+# sizes, frozen while facts were still parsed into a polynomial class: a
+# change to how values are parsed or evaluated must give the same numbers.
+GOLDEN_FACT_VALUES_SHA256 = "5cbf381dbc9cc66724ad854c285782b6a4b7aca4dd54c2f4dab55f297f71e483"
+
+
+def test_shipped_fact_values_match_golden_digest():
+    text = resources.files("scodes").joinpath("data/facts.tsv").read_text(encoding="utf-8")
+    lines = [f"{f.q_spec} {f.n} {f.d} {f.k} {f.kind} {f.extra_term} q={q} {qpoly_eval(f.value_poly, q)}\n"
+             for f in FactTable.from_tsv(text).facts for q in (2, 3, 4, 5, 7, 8, 9)]
+    assert len(lines) == 168
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == GOLDEN_FACT_VALUES_SHA256
 
 
 def test_fact_table_env_override(tmp_path, monkeypatch):

@@ -380,6 +380,27 @@ def test_expand_and_sharpfloor(capsys):
     assert out.strip() == "1156"
 
 
+# SHA-256 of `scodes expand` and `scodes sharpfloor` over a grid of q, r and
+# values, frozen while expansions were still returned in a wrapper class.
+GOLDEN_EXPAND_SHARPFLOOR_SHA256 = "dcded0f3b2e4d88269321f20c3676158b051b84fa7697a809635a71b59184a85"
+
+
+def test_expand_and_sharpfloor_match_golden_digest(capsys):
+    out = []
+    for q in ("2", "3", "4"):
+        for r in ("1", "2", "3"):
+            for v in range(-40, 300, 13):
+                rc, text, _ = run(capsys, "expand", "--value", str(v), "--q", q, "--r", r)
+                assert rc == 0
+                out.append(text)
+            for a, b in ((0, 5), (17374, 15), (765, 7), (1000, 13), (5000, 31), (123456, 63)):
+                rc, text, _ = run(capsys, "sharpfloor", "--a", str(a), "--b", str(b), "--q", q, "--r", r)
+                assert rc == 0
+                out.append(text)
+    assert len("".join(out).splitlines()) == 297
+    assert hashlib.sha256("".join(out).encode()).hexdigest() == GOLDEN_EXPAND_SHARPFLOOR_SHA256
+
+
 def test_table_contains_fact_row(capsys):
     rc, out, _ = run(capsys, "table", "--q", "2", "--n-max", "9", "--d", "4", "--format", "md")
     assert rc == 0
@@ -542,10 +563,9 @@ GOLDEN_CONSTRUCT_SHA256 = {
 def test_construct_output_matches_golden_digest(tmp_path, capsys, monkeypatch, args):
     monkeypatch.delenv("SCODES_PACKINGS", raising=False)
     path = tmp_path / "c.scode"
-    # exact verification of the 6685-word GF(3) code would take minutes;
-    # the written file does not depend on the verification mode
-    rc, _, _ = run(capsys, "construct", *args, "-o", str(path), "--verify-cap", "1000")
+    rc, out, _ = run(capsys, "construct", *args, "-o", str(path))
     assert rc == 0
+    assert "verified by exact scan" in out
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_CONSTRUCT_SHA256[args]
     # reading the file and writing it again reproduces it byte for byte
     again = tmp_path / "again.scode"

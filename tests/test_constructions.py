@@ -406,7 +406,7 @@ def test_combined_12_6_6_reduced_scale():
     q = 2
     C6 = single_codeword(q, 6, 6, 6, position="left")
     M1 = gabidulin(q, 6, 6, 6)
-    zero66 = RankCode(GF(q), 6, 6, 3, (MatGF.zero(GF(q), 6, 6),), rank_set=frozenset({0}))
+    zero66 = RankCode(GF(q), 6, 6, 3, (MatGF.zero(GF(q), 6, 6),))
     w1 = generalized_linkage(C6, C6, M1, zero66)
     C3 = single_codeword(q, 3, 3, 6, position="left")
     zero33 = RankCode(GF(q), 3, 3, 3, (MatGF.zero(GF(q), 3, 3),))
