@@ -123,10 +123,11 @@ class FieldSpec:
         self.modulus = tuple(modulus)
         self._exp: Optional[list[int]] = None
         self._log: Optional[list[int]] = None
+        self._rows: tuple = ()  # (add, negmul, mul) once built, () when q*q is too large
         if 2 < self.q <= _TABLE_LIMIT:
             self._build_tables()
-        # (add, negmul, mul), or () when q*q is too large
-        self._rows = self._row_tables() if self.q * self.q <= _TABLE_LIMIT else ()
+        if self.q * self.q <= _TABLE_LIMIT:
+            self._rows = self._row_tables()
 
     # -- encoding ----------------------------------------------------------
 
@@ -235,28 +236,27 @@ class FieldSpec:
         return self.pow(a, pow(base, i, self.q - 1))
 
     def _build_tables(self) -> None:
-        # If g^i != 1 for 1 <= i < q-1 then g generates the (cyclic)
-        # multiplicative group, since any proper order would divide q-1.
-        q = self.q
-        for g in range(2, q):
-            exp = [1] * (2 * q)
-            x = 1
-            ok = True
-            for i in range(1, q - 1):
-                x = self.mul(g, x)  # polynomial arithmetic: no log tables yet
-                if x == 1:
-                    ok = False
-                    break
-                exp[i] = x
-            if ok:
-                log = [0] * q
-                for i in range(q - 1):
-                    log[exp[i]] = i
-                for i in range(q - 1, 2 * q):
-                    exp[i] = exp[i - (q - 1)]
-                self._exp, self._log = exp, log
-                return
-        raise RuntimeError(f"no generator found for GF({q})")  # pragma: no cover
+        # g generates the (cyclic) multiplicative group iff g^((q-1)/r) != 1
+        # for every prime r dividing q - 1; for e > 1 no element of GF(p)
+        # does, so the search starts at x.  Multiplying by g is GF(p)-linear,
+        # so g·v is the sum of g times v's low and high base-p digits, each
+        # looked up in a table of about sqrt(q) products.
+        q, p, e = self.q, self.p, self.e
+        cofactors = [(q - 1) // r for r in range(2, q) if (q - 1) % r == 0 and is_prime(r)]
+        g = next(g for g in range(p if e > 1 else 2, q) if all(self.pow(g, c) != 1 for c in cofactors))
+        low = p ** (e // 2)
+        times_low = [self.mul(g, v) for v in range(low)]
+        times_high = [self.mul(g, v * low) for v in range(q // low)]
+        add = self.add
+        exp, x = [1] * (2 * q), 1
+        for i in range(1, q - 1):
+            x = exp[i] = add(times_low[x % low], times_high[x // low])
+        log = [0] * q
+        for i in range(q - 1):
+            log[exp[i]] = i
+        for i in range(q - 1, 2 * q):
+            exp[i] = exp[i - (q - 1)]
+        self._exp, self._log = exp, log
 
     def __eq__(self, other) -> bool:
         return (

@@ -5,23 +5,46 @@ partial spreads, and an exhaustive optimum search for tiny parameter sets.
 
 Nothing here trusts construction-time declarations; distances are
 recomputed from generator matrices.  The exact scan takes
-constant-dimension codes only and runs one point-incidence kernel for
-every q, sharing no rank or RREF code with the constructions: two k-spaces
-share [t]_q = (q^t - 1)/(q - 1) points of PG(n-1, q) exactly when they
-meet in a t-space, at d_S = 2(k - t).  A dict from each point to the
-earlier words that hold it makes the cost the (pair, shared point)
-incidences, not |C|^2 pairs; a shared count that is no [t]_q is an error.
-Words with 2k > n are scanned as their orthogonal complements, which hold
-fewer points.  A code whose index would outgrow _INDEX_BYTES_CAP (large
-fields) is compared pair by pair on stacked rank, as in sampled mode.
-Both give the minimum, the witness (the first pair in
-`itertools.combinations` order that attains it) and the histogram.
+constant-dimension codes only and shares no rank or RREF code with the
+constructions.  Two k-spaces meet in a t-space exactly when their
+subspace distance is at most 2(k - t), so a code has d_S >= d exactly when
+no t-space, t = k - d/2 + 1, lies in two of its words (the packing-design
+view of Etzion and Vardy, "Error-correcting codes in projective space",
+IEEE T-IT 2011).  The exact scan indexes every word's t-subspaces at that
+level in a dict from each key to the first word that holds it.  No key
+seen twice certifies d; the levels below are then indexed down to the
+first with a collision.  A collision means d is not met; the levels above
+are then indexed up to the first without one.  The highest level t with a
+collision gives the minimum 2(k - t), and a code with none at level 1 has
+minimum 2k.
+
+A key needs no rank or RREF routine.  With G a word's RREF generator and
+A an RREF t x k matrix, A·G is in RREF: column p_r of G is the unit vector
+e_r, so the column of A·G at the pivot p_a of G's row a, for a a pivot of
+A's row i, is column a of A, the unit vector e_i; and row i of A·G is zero
+before p_a, since A's row i is zero before a and G's rows from a on are
+zero before p_a.  As A runs over the [k t]_q RREF t x k matrices (the
+templates), A·G runs over the word's t-subspaces, each once.  Column j of
+A·G is A times column j of G, so one dict per level maps a column of G to
+its codes (base q) over every template; it is filled on first use and is
+the only place the scan does field arithmetic.
+
+For histogram=True, and when a level's index would outgrow
+_INDEX_BYTES_CAP, the scan counts (pair, shared point) incidences on the
+level-1 keys, the points of PG(n-1, q): two k-spaces share
+[t]_q = (q^t - 1)/(q - 1) points exactly when they meet in a t-space, and
+a shared count that is no [t]_q is an error.  Words with 2k > n are
+scanned as their orthogonal complements, which have fewer subspaces of
+each dimension.  A code whose level-1 index would outgrow the cap too
+(large fields) is compared pair by pair on stacked rank, as in sampled
+mode.  Each gives the minimum and the witness, the first pair in
+`itertools.combinations` order that attains it.
 
 `spaces` checks rows where they enter a `Subspace` (`from_matrix`, which
 every `.scode` read uses, and `from_rref`); builders whose rows are RREF by
 construction use the unchecked `Subspace._trusted`.  The exact scan trusts
 neither and checks every word again (RREF, entries in [0, q)) before the
-kernel runs; sampled mode does not re-check.
+keys are built; sampled mode does not re-check.
 """
 
 from __future__ import annotations
@@ -30,27 +53,34 @@ import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .constructions import Cdc
-from .qcombi import gauss_int
+from .qcombi import gauss_binomial, gauss_int
 from .spaces import Subspace, _null_space, enumerate_grassmannian, subspace_distance_capped
 
 INFINITE = "infinite"
 # The most words an exact scan takes by default, and the default number of
 # pairs a sampled scan draws; the CLI's --verify-cap defaults to it too.
 DEFAULT_PAIR_CAP = 20000
-# The most bytes the exact scan's point index may take, as `_index_bytes`
-# estimates it; past this, exact mode compares pairs on stacked rank.  The
-# 16384-word lifted MRD code of 7-spaces in GF(2)^14 needs 23 MB.
+# The most bytes one level's index may take, as `_index_bytes` estimates
+# it.  Past this at the first level, exact mode counts points on level 1;
+# past it there too, it compares pairs on stacked rank.  The 16384-word
+# lifted MRD code of 7-spaces in GF(2)^14 needs 23 MB at level 1.
 _INDEX_BYTES_CAP = 512 << 20
 
 
 @dataclass
 class VerificationReport:
-    """What a scan found: `kernel` is "points" for the point index and
-    "rank" for pairs compared by stacked rank (sampled mode, or exact mode
-    past the index cap); only exact mode `certifies`."""
+    """What a scan found.  `kernel` is "subspaces" for the t-subspace
+    collision search, "points" for the level-1 incidence count (histograms,
+    and codes whose first level would outgrow the index cap) and "rank" for
+    pairs compared by stacked rank (sampled mode, or exact mode past the
+    cap at level 1 too).  `level` is the first level indexed: for
+    "subspaces" t = k - d/2 + 1, clamped to 1..k (0 for k = 0), with k of
+    the complements for words with 2k > n; 1 for "points"; None for
+    "rank".  `keys` counts the (word, t-subspace) keys hashed over every
+    level.  Only exact mode `certifies`."""
 
     code_size: int
     declared_d: Optional[int]
@@ -61,6 +91,8 @@ class VerificationReport:
     histogram: Optional[dict[int, int]] = None
     seed: Optional[int] = None
     kernel: Optional[str] = None  # None when no pair was compared
+    level: Optional[int] = None
+    keys: int = 0
 
     def ok(self) -> bool:
         if self.declared_d is None:
@@ -76,11 +108,14 @@ def min_distance(C: Cdc, mode: str = "exact", sample_count: int = DEFAULT_PAIR_C
     """
     Minimum pairwise subspace distance of a code.
 
-    Exact mode covers all pairs on the point index (past its memory cap,
-    on stacked rank) and certifies the result; it raises ValueError for
-    more than cap words, words of different dimensions or ambient spaces,
-    and rows not in RREF.  Sampled mode draws sample_count >= 1 seeded
-    random pairs of any dimensions and is explicitly non-certifying.
+    Exact mode covers all pairs and certifies the result: by the t-subspace
+    collision search from the level of the declared distance (d = 0 when
+    C.d is None), or by the level-1 point count when a histogram is asked
+    for or that level's index would outgrow its memory cap, and past the
+    cap at level 1 too on stacked rank.  It raises ValueError for more than
+    cap words, words of different dimensions or ambient spaces, and rows
+    not in RREF.  Sampled mode draws sample_count >= 1 seeded random pairs
+    of any dimensions and is explicitly non-certifying.
     """
     words = list(C.words)
     if mode == "sampled" and sample_count < 1:
@@ -109,26 +144,121 @@ def min_distance(C: Cdc, mode: str = "exact", sample_count: int = DEFAULT_PAIR_C
         _check_rref(w)
     if 2 * k > n:
         words, k = [_reversed_dual(w) for w in words], n - k
-    if _index_bytes(len(words), F.q, n, k) <= _INDEX_BYTES_CAP:
-        kernel, (best, witness, hist) = "points", _point_scan(words, histogram)
-    else:
+    # the level whose collisions decide d_S >= d, clamped to 1..k (0 for k = 0)
+    t0 = min(max(k - ((C.d or 0) + 1) // 2 + 1, 1), k)
+    best = witness = hist = None
+    kernel, level, keys = "subspaces", t0, 0
+    if not histogram and _fits(words, t0):
+        best, witness, keys = _subspace_search(words, t0)
+    if best is None and _fits(words, 1):
+        kernel, level = "points", 1
+        best, witness, hist, more = _point_scan(words, histogram)
+        keys += more
+    elif best is None:
         pairs = itertools.combinations(range(len(words)), 2)
-        kernel, (best, witness, hist) = "rank", _pair_scan(words, pairs, histogram)
-    return VerificationReport(len(words), C.d, best, "exact", True, witness,
-                              hist or None, kernel=kernel)
+        kernel, level = "rank", None
+        best, witness, hist = _pair_scan(words, pairs, histogram)
+    return VerificationReport(len(words), C.d, best, "exact", True, witness, hist or None,
+                              kernel=kernel, level=level, keys=keys)
+
+
+def _fits(words: Sequence[Subspace], t: int) -> bool:
+    w = words[0]
+    return _index_bytes(len(words), w.field.q, w.ambient_n, w.k, t) <= _INDEX_BYTES_CAP
+
+
+def _subspace_search(words: Sequence[Subspace], t0: int):
+    """The minimum distance, its witness and the keys hashed, by collision
+    scans from level t0 down to the first level with a collision or up to
+    the last; the minimum is None when a level the search needs would
+    outgrow the index cap."""
+    k = words[0].k
+    t = t0
+    witness, keys = _collision(words, t)
+    if witness is None:
+        while witness is None:  # d is met: the first level below with a collision
+            t -= 1
+            if t and not _fits(words, t):
+                return None, None, keys
+            witness, more = _collision(words, t)
+            keys += more
+    else:
+        while t < k:  # d is not met: the last level above with a collision
+            if not _fits(words, t + 1):
+                return None, None, keys
+            above, more = _collision(words, t + 1)
+            keys += more
+            if above is None:
+                break
+            t, witness = t + 1, above
+    return 2 * (k - t), witness, keys
+
+
+def _collision(words: Sequence[Subspace], t: int):
+    """The first pair (i, j) in `itertools.combinations` order whose words
+    share a t-space, or None, and the keys hashed.  Each word's keys map to
+    the first word that holds them, so the least value its keys find is
+    the least i that shares a t-space with word j; the scan goes on past a
+    collision with i > 0, since a later j may have a smaller i."""
+    if t == 0:
+        return (0, 1), 0  # every pair shares the zero space
+    first: dict[tuple, int] = {}
+    best = None
+    for j, word_keys in enumerate(_level_keys(words, t)):
+        i = min(map(first.setdefault, word_keys, itertools.repeat(j)))
+        if i < j and (best is None or i < best[0]):
+            best = (i, j)
+            if i == 0:
+                break
+    return best, (j + 1) * gauss_binomial(words[0].k, t, words[0].field.q)
+
+
+class _Columns(dict):
+    """A column of a word's generator -> its codes in A·G over every
+    template A, each column c of A·G read as the base-q int c_0 + c_1 q + ...;
+    filled on first use."""
+
+    def __init__(self, F, templates):
+        super().__init__()
+        self.F, self.templates = F, templates
+
+    def __missing__(self, col):
+        add, mul, q = self.F.add, self.F.mul, self.F.q
+        codes = []
+        for A in self.templates:
+            code = 0
+            for row in reversed(A):
+                entry = 0
+                for a, c in zip(row, col):
+                    if a and c:
+                        entry = add(entry, mul(a, c))
+                code = code * q + entry
+            codes.append(code)
+        codes = self[col] = tuple(codes)
+        return codes
+
+
+def _level_keys(words: Sequence[Subspace], t: int) -> Iterator[Iterator[tuple]]:
+    """For each word, the keys of its t-subspaces: A·G for every RREF t x k
+    template A, column by column, for G the word's RREF rows."""
+    F, k = words[0].field, words[0].k
+    columns = _Columns(F, [A.rref.entries for A in enumerate_grassmannian(F.q, k, t)])
+    for w in words:
+        yield zip(*map(columns.__getitem__, zip(*w.rref.entries)))
 
 
 def _point_scan(words: Sequence[Subspace], histogram: bool):
-    """Exact scan over k-spaces through a point -> earlier-words dict.  Uses
-    no rank or RREF code, but `Subspace.points` needs RREF rows, which the
-    caller has checked (or, for complements, built so)."""
+    """Exact scan over k-spaces through a point -> earlier-words dict on
+    the level-1 keys, the points of PG(n-1, q), which need RREF rows: the
+    caller has checked them (or, for complements, built them so).  Also
+    returns the keys hashed."""
     q, k = words[0].field.q, words[0].k
     dim_of = {gauss_int(t, q): t for t in range(k + 1)}
     holders: dict[tuple, list[int]] = {}
     shared: Counter = Counter()  # pairs by shared point count
     best = (2 * k + 1, 0, 0)  # (distance, i, j) of the witness so far
-    for j, w in enumerate(words):
-        lists = [holders.setdefault(p, []) for p in w.points()]
+    for j, points in enumerate(_level_keys(words, 1)):
+        lists = [holders.setdefault(p, []) for p in points]
         counts = Counter(itertools.chain.from_iterable(lists))
         for held in lists:
             held.append(j)
@@ -145,16 +275,27 @@ def _point_scan(words: Sequence[Subspace], histogram: bool):
             i = min(h for h, ch in counts.items() if ch == c) if c else 0
             best = min(best, (dist, i, j))
     hist = {2 * (k - dim_of[c]): m for c, m in shared.items() if m}
-    return best[0], best[1:], hist
+    return best[0], best[1:], hist, len(words) * gauss_int(k, q)
 
 
-def _index_bytes(m: int, q: int, n: int, k: int) -> int:
-    """Peak memory of `_point_scan` over m k-spaces of GF(q)^n, measured on
-    64-bit CPython 3.11: 9 bytes per (word, point) entry and 160 + 8n per
-    distinct point (key tuple, list, dict slot), of which there are at most
-    min([n]_q, m·[k]_q)."""
-    entries = m * gauss_int(k, q)
-    return 9 * entries + (160 + 8 * n) * min(gauss_int(n, q), entries)
+def _index_bytes(m: int, q: int, n: int, k: int, t: int) -> int:
+    """Peak memory of one level's index over m k-spaces of GF(q)^n at level
+    t, fitted with tracemalloc on 64-bit CPython 3.11.  A distinct key (a
+    tuple of n ints and its dict slot) takes 90 + 8n bytes, of which there
+    are at most min([n t]_q, m·[k t]_q), and a word's index, which its keys
+    share, 32.  Level 1 is costed as the point count, whose holder lists
+    add 70 bytes per distinct key and 9 per (word, point) entry.  A
+    distinct column (a k-tuple, its dict slot and its [k t]_q codes, each
+    an int object of 32 bytes when it may exceed 256) takes 100 + 8k bytes
+    plus 8 or 40 per code, and a word in RREF has k unit columns, so there
+    are at most min(q^k, k + m(n - k))."""
+    per_word = gauss_binomial(k, t, q)
+    entries = m * per_word
+    keys = min(gauss_binomial(n, t, q), entries) * (90 + 8 * n + (70 if t == 1 else 0)) + 32 * m
+    holders = 9 * entries if t == 1 else 0
+    per_code = 8 if q**t <= 257 else 40
+    columns = min(q**k, k + m * (n - k)) * (100 + 8 * k + per_code * per_word)
+    return keys + holders + columns
 
 
 def _reversed_dual(w: Subspace) -> Subspace:

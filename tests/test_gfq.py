@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import time
@@ -295,3 +296,36 @@ def test_rowop_matches_elementwise_arithmetic(q):
     for f in {0, 1, q - 1, q // 2}:
         assert F.rowop(a, f) == [F.mul(f, x) for x in a]
         assert F.rowop(a, f, b) == [F.sub(x, F.mul(f, y)) for x, y in zip(a, b)]
+
+
+# Every field size p^e <= 2^16 of the listed primes up to 13, a few larger
+# p^2 and p^3, and prime fields from 3 to 65521: all build log tables.
+TABLE_FIELDS = ([(2, e) for e in range(2, 17)] + [(3, e) for e in range(2, 11)]
+                + [(5, e) for e in range(2, 7)] + [(7, e) for e in range(2, 6)]
+                + [(p, e) for p in (11, 13) for e in (2, 3, 4)]
+                + [(17, 3), (37, 3), (101, 2), (241, 2), (251, 2)]
+                + [(p, 1) for p in (3, 5, 7, 251, 257, 4099, 65521)])
+TABLE_FIELDS_DIGEST = "6f930c7b9f1c014a9ffd45f5e78e87b86c222943d4fdfb336c503a9b0131fb0e"
+
+
+def test_table_fields_multiply_and_invert_as_recorded():
+    """Golden SHA-256 of mul(a, b) and inv(a) over 300 seeded pairs in each
+    field: the log tables hold the same field whichever primitive element
+    the generator search finds, and however it steps through its powers."""
+    h = hashlib.sha256()
+    for p, e in TABLE_FIELDS:
+        F = FieldSpec(p, e)  # a fresh instance, not the shared GF(q)
+        rng = random.Random(p**e)
+        for _ in range(300):
+            a, b = rng.randrange(F.q), rng.randrange(F.q)
+            h.update(f"{F.q} {a} {b} {F.mul(a, b)} {F.inv(a) if a else '-'}\n".encode())
+    assert h.hexdigest() == TABLE_FIELDS_DIGEST
+
+
+def test_the_largest_table_field_builds_fast():
+    # x is not primitive under GF(2^16)'s default modulus (x^21845 = 1), so
+    # its generator is x + 1, stepped through by two table lookups a power
+    start = time.perf_counter()
+    F = FieldSpec(2, 16)
+    assert time.perf_counter() - start < 1.5
+    assert F.pow(2, 21845) == 1 and F._exp[1] == 3

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import time
 from collections import Counter
@@ -188,11 +189,23 @@ def test_histogram_pair_count_random_code():
 
 
 def test_exact_scan_of_a_large_partial_spread_is_fast():
-    """8737 4-spaces of GF(2)^17 that share no point: the scan meets no
-    pair through a point (a scan over all 38 million pairs takes minutes)."""
+    """8737 4-spaces of GF(2)^17 that share no point: the level-1 index
+    meets no key twice (a scan over all 38 million pairs takes minutes)."""
     start = time.perf_counter()
     rep = min_distance(partial_spread(2, 17, 4), "exact")
-    assert (rep.code_size, rep.min_distance, rep.witness, rep.kernel) == (8737, 8, (0, 1), "points")
+    assert (rep.code_size, rep.min_distance, rep.witness, rep.kernel) == (8737, 8, (0, 1), "subspaces")
+    assert (rep.level, rep.keys) == (1, 8737 * 15)
+    assert time.perf_counter() - start < 30
+
+
+def test_exact_scan_of_a_whole_grassmannian_is_fast():
+    """All 11,811 3-spaces of GF(2)^7 at d = 2: level 3 (one key per word)
+    certifies d, and level 2 stops at word 1, which shares a 2-space with
+    word 0 (the point count walks 70 million pairs through shared points)."""
+    start = time.perf_counter()
+    rep = min_distance(Cdc(2, 7, 3, 2, tuple(enumerate_grassmannian(2, 7, 3))), "exact")
+    assert (rep.code_size, rep.min_distance, rep.witness, rep.kernel) == (11811, 2, (0, 1), "subspaces")
+    assert (rep.level, rep.keys) == (3, 11811 + 2 * 7)
     assert time.perf_counter() - start < 30
 
 
@@ -200,11 +213,12 @@ def test_exact_scan_of_a_large_partial_spread_is_fast():
 @settings(max_examples=150, deadline=None)
 def test_point_kernel_agrees_with_rank_and_dual_formulas(pair):
     q, n, U, W = pair
-    rep = min_distance(Cdc(q, n, U.k, 0, (U, W)), "exact")
-    assert rep.kernel == "points"
+    code = Cdc(q, n, U.k, 0, (U, W))
+    rep, counted = min_distance(code, "exact"), min_distance(code, "exact", histogram=True)
+    assert (rep.kernel, counted.kernel) == ("subspaces", "points")
     # dim(U∩W) by duality, (U∩W)⊥ = U⊥ + W⊥, with no stack of U and W
     meet = n - rank(dual(U).rref.vstack(dual(W).rref))
-    assert rep.min_distance == subspace_distance(U, W) == U.k + W.k - 2 * meet
+    assert rep.min_distance == counted.min_distance == subspace_distance(U, W) == U.k + W.k - 2 * meet
 
 
 @pytest.mark.parametrize("q", sorted(MAX_N))
@@ -238,24 +252,54 @@ def test_points_match_normalize_and_dedup(U):
     assert set(pts) == brute
 
 
-@given(constant_dimension_codes(), st.booleans())
-@settings(max_examples=150, deadline=None)
-def test_exact_scan_matches_a_brute_force_pair_loop(code, histogram):
+def only_level_1_fits(mp):
+    """Put every level's index but level 1's past the memory cap."""
+    mp.setattr(verify, "_index_bytes", lambda m, q, n, k, t: 0 if t == 1 else verify._INDEX_BYTES_CAP + 1)
+
+
+@given(constant_dimension_codes(), st.integers(-3, 3), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_exact_scan_matches_a_brute_force_pair_loop(code, offset, histogram):
     dists = {(i, j): subspace_distance(U, W)
              for (i, U), (j, W) in itertools.combinations(enumerate(code.words), 2)}
     best = min(dists.values())
+    # a declared distance below, at or above the minimum: the collision
+    # search then goes down from its first level, or up
+    code = dataclasses.replace(code, d=best + offset)
+    k = min(code.k, code.n - code.k)  # words with 2k > n are scanned as complements
+    t0 = min(max(k - (code.d + 1) // 2 + 1, 1), k)
     rep = min_distance(code, "exact", histogram=histogram)
-    assert rep.kernel == "points" and rep.certifies
+    assert (rep.kernel, rep.level) == (("points", 1) if histogram else ("subspaces", t0))
+    assert rep.certifies and rep.ok() == (best >= code.d)
     assert rep.min_distance == best
     assert rep.witness == next(pair for pair, dist in dists.items() if dist == best)
     assert rep.histogram == (dict(Counter(dists.values())) if histogram else None)
-    # past the index memory cap the same pairs are compared one by one
+    # with only level 1 under the index memory cap, a search from level 1
+    # ends there when it meets no key twice or k = 1, and the point count
+    # runs otherwise
+    with pytest.MonkeyPatch.context() as mp:
+        only_level_1_fits(mp)
+        counted = min_distance(code, "exact", histogram=histogram)
+    searched = not histogram and t0 == 1 and (best == 2 * k or k == 1)
+    assert counted.kernel == ("subspaces" if searched else "points") and counted.certifies
+    # past the cap at level 1 too, the same pairs are compared one by one
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verify, "_INDEX_BYTES_CAP", -1)
         by_pairs = min_distance(code, "exact", histogram=histogram)
     assert by_pairs.kernel == "rank" and by_pairs.certifies
-    assert (by_pairs.min_distance, by_pairs.witness, by_pairs.histogram) == \
-        (rep.min_distance, rep.witness, rep.histogram)
+    for other in (counted, by_pairs):
+        assert (other.min_distance, other.witness, other.histogram) == \
+            (rep.min_distance, rep.witness, rep.histogram)
+
+
+def test_witness_is_the_first_pair_in_combinations_order():
+    # lines of GF(2)^3: words 1 and 2 collide first, but (0, 3) comes first
+    # in pair order
+    F = GF(2)
+    e0, e1 = Subspace.from_rref(F, 3, [[1, 0, 0]]), Subspace.from_rref(F, 3, [[0, 1, 0]])
+    for d in (0, 2):
+        rep = min_distance(Cdc(2, 3, 1, d, (e0, e1, e1, e0)), "exact")
+        assert (rep.min_distance, rep.witness, rep.kernel) == (0, (0, 3), "subspaces")
 
 
 def test_exact_scan_over_a_large_field_compares_pairs():
@@ -284,18 +328,23 @@ def test_exact_mode_rejects_mixed_dimensions_and_sampled_mode_takes_them(pair):
 
 
 def test_point_kernel_calls_no_rank_code(monkeypatch):
-    # the second code's 3-spaces of GF(3)^5 are scanned as their complements
-    codes = (lifted_mrd(3, 5, 2, 4), lifted_mrd(3, 5, 3, 4))
+    # the second code's 3-spaces of GF(3)^5 are scanned as their complements;
+    # declared at d = 2 the search goes down from level 2, and the third
+    # code (30 lines, some meeting) makes it go up from level 1
+    lines = tuple(itertools.islice(enumerate_grassmannian(3, 5, 2), 30))
+    codes = (lifted_mrd(3, 5, 2, 4), lifted_mrd(3, 5, 3, 4),
+             dataclasses.replace(lifted_mrd(3, 5, 2, 4), d=2), Cdc(3, 5, 2, 4, lines))
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("rank code called by the point kernel")
+        raise AssertionError("rank code called by the exact scan")
 
     for name in ("rref", "rank", "_stack_rank", "subspace_distance", "subspace_distance_capped"):
         monkeypatch.setattr(spaces, name, forbidden)
     monkeypatch.setattr(verify, "subspace_distance_capped", forbidden)
     for code, histogram in itertools.product(codes, (False, True)):
         rep = min_distance(code, "exact", histogram=histogram)
-        assert rep.kernel == "points" and rep.min_distance == 4
+        assert rep.kernel == ("points" if histogram else "subspaces")
+        assert rep.min_distance == (2 if code.words == lines else 4)
 
 
 @given(field_and_length().flatmap(lambda qn: subspace_of(*qn)))
@@ -310,15 +359,20 @@ def test_reversed_dual_is_the_complement_with_columns_reversed(U):
 @pytest.mark.parametrize("k, indexed_k", [(3, 3), (4, 2)])
 def test_index_gate_sits_at_the_estimated_memory(monkeypatch, k, indexed_k):
     code = lifted_mrd(2, 6, k, 4)
-    need = verify._index_bytes(len(code.words), 2, 6, indexed_k)
-    reports = []
-    for cap in (need, need - 1):
-        monkeypatch.setattr(verify, "_INDEX_BYTES_CAP", cap)
-        reports.append(min_distance(code, "exact", histogram=True))
-    at, past = reports
-    assert (at.kernel, past.kernel) == ("points", "rank")
-    assert (at.min_distance, at.witness, at.histogram) == \
-        (past.min_distance, past.witness, past.histogram)
+    m, t0 = len(code.words), indexed_k - 1  # d = 4
+    need = {t: verify._index_bytes(m, 2, 6, indexed_k, t) for t in (1, t0)}
+    # the search's first level, with the point count (histograms) at level 1
+    gates = [(False, need[t0], "subspaces", "points" if need[1] < need[t0] else "rank"),
+             (True, need[1], "points", "rank")]
+    for histogram, cap, at_kernel, past_kernel in gates:
+        reports = []
+        for cap in (cap, cap - 1):
+            monkeypatch.setattr(verify, "_INDEX_BYTES_CAP", cap)
+            reports.append(min_distance(code, "exact", histogram=histogram))
+        at, past = reports
+        assert (at.kernel, past.kernel) == (at_kernel, past_kernel)
+        assert (at.min_distance, at.witness, at.histogram) == \
+            (past.min_distance, past.witness, past.histogram)
 
 
 @pytest.mark.parametrize("m, q, n, k", [
@@ -327,7 +381,12 @@ def test_index_gate_sits_at_the_estimated_memory(monkeypatch, k, indexed_k):
     (20000, 2, 12, 6), (20000, 4, 8, 4), (20000, 8, 6, 3), (20000, 3, 10, 5),
 ])
 def test_codes_of_ordinary_fields_fit_the_index(m, q, n, k):
-    assert verify._index_bytes(m, q, n, k) <= verify._INDEX_BYTES_CAP
+    assert verify._index_bytes(m, q, n, k, 1) <= verify._INDEX_BYTES_CAP
+
+
+def test_a_level_past_the_cap_leaves_the_point_count():
+    # lifted_mrd(2, 14, 7, 12) would index 16384 * 2667 keys at its first level
+    assert verify._index_bytes(16384, 2, 14, 7, 2) > verify._INDEX_BYTES_CAP
 
 
 NOT_RREF = {
@@ -370,7 +429,8 @@ def test_every_shared_count_is_checked(monkeypatch):
     planes = tuple(itertools.islice(enumerate_grassmannian(2, 6, 3), 3))
     fake = dict(zip(planes, ([(p,) for p in range(1, 8)], [(p,) for p in range(8, 15)],
                              [(p,) for p in (1, 2, 3, 8, 9, 20, 21)])))
-    monkeypatch.setattr(Subspace, "points", lambda self: iter(fake[self]))
+    monkeypatch.setattr(verify, "_level_keys", lambda words, t: (iter(fake[w]) for w in words))
+    only_level_1_fits(monkeypatch)  # without a histogram, the point count runs past the cap
     for histogram in (False, True):
         with pytest.raises(ValueError, match="2 shared points is not a point count"):
             min_distance(Cdc(2, 6, 3, 2, planes), "exact", histogram=histogram)
@@ -379,6 +439,8 @@ def test_every_shared_count_is_checked(monkeypatch):
 def test_point_count_outside_gauss_integers_is_an_error(monkeypatch):
     lines = tuple(itertools.islice(enumerate_grassmannian(2, 4, 2), 2))
     # two points shared by every word: 2 is no [t]_2
-    monkeypatch.setattr(Subspace, "points", lambda self: iter([(1, 0, 0, 0), (0, 1, 0, 0)]))
+    monkeypatch.setattr(verify, "_level_keys", lambda words, t: (iter([(1, 0, 0, 0), (0, 1, 0, 0)])
+                                                                for _ in words))
+    only_level_1_fits(monkeypatch)
     with pytest.raises(ValueError, match="not a point count"):
         min_distance(Cdc(2, 4, 2, 2, lines), "exact")
