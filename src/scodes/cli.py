@@ -212,19 +212,19 @@ def _build(name: str, q: int, n: int, k: int, d: int, split: Optional[int],
     if name == "lmrd":
         return lifted_mrd(q, n, k, d)
     if name == "linkage":
-        n1 = split if split else k
+        n1 = split if split is not None else k
         n2 = n - n1
         C1 = auto_cdc(q, n1, d, k)
         C2 = auto_cdc(q, n2, d, k)
         return linkage(C1, C2, rect_mrd(q, k, n2, d // 2))
     if name == "improved-linkage":
-        n1 = split if split else k
+        n1 = split if split is not None else k
         n2 = n - n1
         C1 = auto_cdc(q, n1, d, k)
         C2 = auto_cdc(q, n2 + k - d // 2, d, k)
         return improved_linkage(C1, C2, rect_mrd(q, k, n2, d // 2))
     if name == "gen-linkage":
-        n1 = split if split else n // 2
+        n1 = split if split is not None else n // 2
         n2 = n - n1
         C1 = auto_cdc(q, n1, d, k)
         C2 = auto_cdc(q, n2, d, k)

@@ -23,6 +23,7 @@ from .rankmetric import (
     RankCode,
     SumRankCode,
     _fdrm_exponent,
+    _span,
     fdrm_construct,
     rank,
     rect_mrd,
@@ -208,13 +209,18 @@ def generalized_linkage(C1: Cdc, C2: Cdc, M1: RankCode, M2: RankCode) -> Cdc:
 
 def echelon_ferrers(skeleton: Sequence[Sequence[int]], q: int, d: int) -> Cdc:
     """Union of lifted diagram codes, one per skeleton vector.  The pivot
-    vectors must share one length and weight and lie at pairwise Hamming
-    distance >= d (ValueError otherwise)."""
+    vectors must have 0/1 entries, share one length and weight and lie at
+    pairwise Hamming distance >= d (ValueError otherwise)."""
     vectors = tuple(tuple(v) for v in skeleton)
     if not vectors:
         raise ValueError("empty skeleton")
     n = len(vectors[0])
     k = sum(vectors[0])
+    for v in vectors:
+        if set(v) - {0, 1}:
+            raise ValueError(f"skeleton entry {min(set(v) - {0, 1})} is not 0 or 1")
+        if len(v) != n or sum(v) != k:
+            raise ValueError("skeleton vectors must share length and weight")
     _check_cdc_params(q, n, k, d)
     for a, b in itertools.combinations(vectors, 2):
         if hamming_distance(a, b) < d:
@@ -222,8 +228,6 @@ def echelon_ferrers(skeleton: Sequence[Sequence[int]], q: int, d: int) -> Cdc:
     field = GF(q)
     words = []
     for v in vectors:
-        if len(v) != n or sum(v) != k:
-            raise ValueError("skeleton vectors must share length and weight")
         code = fdrm_construct(ferrers_of(v), d // 2, q)
         for w in code.words:
             words.append(subspace_from_filling(field, v, w.entries))
@@ -298,7 +302,8 @@ def find_parallelism(q: int, n: int, k: int) -> DPacking:
         )
     lines = list(enumerate_grassmannian(q, n, k))
     spread_size = (q**n - 1) // (q**k - 1)
-    point_sets = [frozenset(w.points()) for w in lines]
+    # over GF(2) a line's points are its nonzero vectors
+    point_sets = [frozenset(filter(any, _span(w.field, w.rref.entries))) for w in lines]
     all_points = sorted({p for ps in point_sets for p in ps})
 
     def spreads_using(first: int, available: list[int]):

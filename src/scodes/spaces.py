@@ -18,8 +18,8 @@ against U's RREF rows, and the rows kept so far, at their pivot columns
 with `FieldSpec.rowop`, and an optional rank cap stops the reduction once
 the rank reaches it.  There is no q-specific path.
 
-Every row operation (a - f*b while eliminating or summing, f*a while
-normalizing a pivot or scaling) is one `FieldSpec.rowop` call.  For
+Every row operation (a - f*b while eliminating or subtracting, f*a while
+normalizing a pivot) is one `FieldSpec.rowop` call.  For
 q*q <= 2^16 it runs on the row tables the field built at construction, so
 an eliminated entry costs one add[x][negmul[f][y]] lookup; larger fields
 run the same loop on the per-element methods.  RREF checks that every
@@ -243,27 +243,6 @@ class Subspace:
             if v[p]:
                 v = rowop(v, v[p], row)
         return not any(v)
-
-    def points(self) -> Iterator[tuple[int, ...]]:
-        """The [k]_q projective points of the subspace, each as its canonical
-        representative (first nonzero coordinate 1).
-
-        Only combinations of the RREF rows whose first nonzero coefficient
-        is 1 are walked: such a combination led by row i is 1 at row i's
-        pivot and 0 before it, so it is already normalized, and distinct
-        combinations are distinct points.  The points led by row i are row i
-        plus the span of the rows below it, which is built bottom-up."""
-        F = self.field
-        rowop, minus_one = F.rowop, F.neg(1)  # v + c*row is v - (-1)*(c*row)
-        rows = self.rref.entries
-        span = [(0,) * self.ambient_n]  # span of rows i+1 .. k-1
-        for i in range(self.k - 1, -1, -1):
-            row = rows[i]
-            led = [tuple(rowop(v, minus_one, row)) for v in span]
-            yield from led
-            if i:
-                scaled = [rowop(row, c) for c in range(2, F.q)]
-                span += led + [tuple(rowop(v, minus_one, s)) for s in scaled for v in span]
 
     def __eq__(self, other) -> bool:
         return (

@@ -40,11 +40,15 @@ each dimension.  A code whose level-1 index would outgrow the cap too
 mode.  Each gives the minimum and the witness, the first pair in
 `itertools.combinations` order that attains it.
 
+The spread checks (`is_partial_spread`, `spread_summary`) and the
+partial-spread branch of `max_code_exhaustive` read points off the level-1
+keys of the words themselves, never of their complements.
+
 `spaces` checks rows where they enter a `Subspace` (`from_matrix`, which
 every `.scode` read uses, and `from_rref`); builders whose rows are RREF by
-construction use the unchecked `Subspace._trusted`.  The exact scan trusts
-neither and checks every word again (RREF, entries in [0, q)) before the
-keys are built; sampled mode does not re-check.
+construction use the unchecked `Subspace._trusted`.  The exact scan and the
+spread checks trust neither and check every word again (one ambient space
+and dimension, RREF, entries in [0, q)); sampled mode does not re-check.
 """
 
 from __future__ import annotations
@@ -135,13 +139,8 @@ def min_distance(C: Cdc, mode: str = "exact", sample_count: int = DEFAULT_PAIR_C
     if n_pairs > cap * (cap - 1) // 2:
         raise ValueError(f"{n_pairs} pairs exceed the exact-mode cap; raise cap or sample")
 
-    F, n, k = words[0].field, words[0].ambient_n, words[0].k
-    if any(w.field != F or w.ambient_n != n for w in words):
-        raise ValueError("ambient space mismatch")
-    if any(w.k != k for w in words):
-        raise ValueError("exact mode takes words of one dimension")
-    for w in words:
-        _check_rref(w)
+    _check_words(words)
+    n, k = words[0].ambient_n, words[0].k
     if 2 * k > n:
         words, k = [_reversed_dual(w) for w in words], n - k
     # the level whose collisions decide d_S >= d, clamped to 1..k (0 for k = 0)
@@ -322,6 +321,18 @@ def _pair_scan(words: Sequence[Subspace], pairs: Iterable[tuple[int, int]], hist
     return best, witness, dict(hist)
 
 
+def _check_words(words: Sequence[Subspace]) -> None:
+    """Raise ValueError unless the words share one ambient space and one
+    dimension and each word's stored rows are in RREF over GF(q)."""
+    F, n, k = words[0].field, words[0].ambient_n, words[0].k
+    if any(w.field != F or w.ambient_n != n for w in words):
+        raise ValueError("ambient space mismatch")
+    if any(w.k != k for w in words):
+        raise ValueError("exact mode takes words of one dimension")
+    for w in words:
+        _check_rref(w)
+
+
 def _check_rref(w: Subspace) -> None:
     """Raise ValueError unless the stored rows are in RREF over GF(q): each
     row's first nonzero entry is a 1, pivots strictly increase, each pivot
@@ -337,11 +348,12 @@ def _check_rref(w: Subspace) -> None:
 
 
 def is_partial_spread(C: Cdc) -> tuple[bool, dict]:
-    """Every point covered at most once?  Returns the full coverage map."""
+    """Every point covered at most once?  Returns the full coverage map,
+    point -> words holding it; ValueError for words the exact scan rejects."""
     coverage: dict[tuple, int] = {}
-    for w in C.words:
-        for p in w.points():
-            coverage[p] = coverage.get(p, 0) + 1
+    if C.words:
+        _check_words(C.words)
+        coverage = dict(Counter(itertools.chain.from_iterable(_level_keys(C.words, 1))))
     ok = all(v <= 1 for v in coverage.values())
     return ok, coverage
 
@@ -402,8 +414,8 @@ def _max_partial_spread(q: int, n: int, k: int, words: Sequence[Subspace]) -> in
     if len(words) <= 1:  # k > n or k = 0: no search, and no point to branch on
         return len(words)
     holders: dict[tuple, list[int]] = {}  # point -> the words that hold it
-    for wi, w in enumerate(words):
-        for p in w.points():
+    for wi, points in enumerate(_level_keys(words, 1)):
+        for p in points:
             holders.setdefault(p, []).append(wi)
     by_point = list(holders.values())  # point b is bit b of a word's mask
     word_masks = [0] * len(words)

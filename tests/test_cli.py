@@ -364,6 +364,24 @@ def test_construct_ef_with_skeleton(tmp_path, capsys):
     assert "17 codewords" in out
 
 
+def test_construct_ef_rejects_a_skeleton_entry_other_than_0_or_1(tmp_path, capsys):
+    path = tmp_path / "ef.scode"
+    rc, _, err = run(capsys, "construct", "ef", "--q", "2", "--skeleton", "1200", "--d", "2",
+                     "-o", str(path))
+    assert rc == 2
+    assert "skeleton entry 2 is not 0 or 1" in err
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("name", ["linkage", "improved-linkage", "gen-linkage"])
+def test_construct_linkage_rejects_an_empty_first_block(tmp_path, capsys, name):
+    path = tmp_path / "c.scode"
+    rc, _, err = run(capsys, "construct", name, "--q", "2", "--n", "6", "--k", "3", "--d", "4",
+                     "--split", "0", "-o", str(path))
+    assert rc == 2 and err.startswith("error:")
+    assert not path.exists()
+
+
 def test_construct_insert2(tmp_path, capsys):
     path = str(tmp_path / "i2.scode")
     rc, out, _ = run(capsys, "construct", "insert2", "--q", "2", "-o", path)

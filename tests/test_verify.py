@@ -4,7 +4,7 @@ import time
 from collections import Counter
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from scodes import spaces, verify
@@ -235,9 +235,9 @@ def test_capped_distance_is_exact_below_the_cap(q, data):
         assert capped == dist if dist < cap else capped >= cap
 
 
-@given(field_and_length().flatmap(lambda qn: subspace_of(*qn)))
-@settings(max_examples=150, deadline=None)
-def test_points_match_normalize_and_dedup(U):
+def brute_points(U):
+    """The points of U: every nonzero combination of its rows, scaled to a
+    leading 1."""
     F, n = U.field, U.ambient_n
     brute = set()
     for coeffs in itertools.product(range(F.q), repeat=U.k):
@@ -247,9 +247,51 @@ def test_points_match_normalize_and_dedup(U):
         if any(v):
             inv = F.inv(next(x for x in v if x))
             brute.add(tuple(F.mul(inv, x) for x in v))
-    pts = list(U.points())
-    assert len(pts) == len(set(pts)) == gauss_int(U.k, F.q)
-    assert set(pts) == brute
+    return brute
+
+
+@given(field_and_length().flatmap(lambda qn: subspace_of(*qn)))
+@settings(max_examples=150, deadline=None)
+def test_points_match_normalize_and_dedup(U):
+    pts = list(next(verify._level_keys([U], 1)))
+    assert len(pts) == len(set(pts)) == gauss_int(U.k, U.field.q)
+    assert set(pts) == brute_points(U)
+
+
+@st.composite
+def spread_check_codes(draw):
+    """0 to 8 k-spaces of GF(q)^n, q in {2, 3, 4}, drawn from a pool of at
+    most 4, so words repeat and distinct words share points."""
+    q = draw(st.sampled_from([2, 3, 4]))
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(0, n))
+    pool = draw(st.lists(k_space_of(q, n, k), min_size=1, max_size=4))
+    return Cdc(q, n, k, 2 * k, tuple(draw(st.lists(st.sampled_from(pool), max_size=8))))
+
+
+@given(spread_check_codes())
+@example(Cdc(2, 3, 1, 2, ()))
+@example(Cdc(3, 3, 0, 0, (Subspace.zero(F3, 3),) * 2))
+@settings(max_examples=200, deadline=None)
+def test_spread_checks_match_a_brute_force_count(code):
+    counts = Counter(p for w in code.words for p in brute_points(w))
+    top = max(counts.values(), default=0)
+    assert is_partial_spread(code) == (top <= 1, dict(counts))
+    assert spread_summary(code) == {"is_partial_spread": top <= 1, "points_covered": len(counts),
+                                    "holes": gauss_int(code.n, code.q) - len(counts),
+                                    "max_multiplicity": top}
+
+
+def test_spread_checks_reject_mixed_words():
+    line = Subspace.from_matrix(MatGF(F2, [[1, 0, 0, 0], [0, 1, 0, 0]]))
+    plane = Subspace.from_matrix(MatGF(F2, [[1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]))
+    wide = Subspace.from_matrix(MatGF(F2, [[0, 0, 1, 0, 0], [0, 0, 0, 1, 0]]))
+    over_gf3 = Subspace.from_matrix(MatGF(F3, [[0, 0, 1, 0], [0, 0, 0, 1]]))
+    for words, message in (((line, plane), "one dimension"), ((line, wide), "ambient"),
+                           ((line, over_gf3), "ambient")):
+        for check in (is_partial_spread, spread_summary):
+            with pytest.raises(ValueError, match=message):
+                check(Cdc(2, 4, 2, 4, words))
 
 
 def only_level_1_fits(mp):
@@ -410,6 +452,8 @@ def test_exact_scan_rejects_rows_not_in_rref(rows):
     for words in ((good, bad), (bad, good)):
         with pytest.raises(ValueError, match="RREF"):
             min_distance(Cdc(3, 4, good.k, 2, words), "exact")
+        with pytest.raises(ValueError, match="RREF"):
+            is_partial_spread(Cdc(3, 4, good.k, 2, words))
 
 
 @pytest.mark.parametrize("rows", [*NOT_RREF.values(), [[1, 0, 0]]], ids=[*NOT_RREF, "short-row"])
