@@ -18,10 +18,14 @@ the number of codewords over all parts.  One reader parses both kinds of
 file and checks the magic line, the header (q a prime power p^e of its own
 p and e, 0 <= k <= n, d even and positive), every row and the count.
 Rows repeat across words, so the reader parses and checks each distinct
-row line once per file, and the writer formats each distinct row once;
-neither keeps anything between calls.  Every word still goes through
-`spaces.rref`: the reader does not trust a file to be in canonical form.
-A `mod=` header equal to the default modulus reads into the cached GF(q).
+row line once per file, with its leading column when the entry there is
+1, and the writer formats each distinct row once; neither keeps anything
+between calls.  A word whose rows pass the RREF shape check of `spaces`
+(leads strictly increase, each earlier row is zero at every later lead)
+is its own RREF and is taken with those leads as its pivots, as every
+word `write_code_file` writes is; any other word goes through
+`Subspace.from_matrix`, so a file need not be in canonical form.  A
+`mod=` header equal to the default modulus reads into the cached GF(q).
 
 Exit codes: 0 ok, 2 parameter error, 3 verification failure, 4 data-file
 error.  Every malformed or unreadable code or packing file exits 4 with a
@@ -60,7 +64,7 @@ from .divisible import sharp_floor, sqr_expand
 from .gfq import GF, FieldSpec
 from .provenance import decimal_str
 from .rankmetric import RankCode, rect_mrd, restricted_rank_code, two_block_sumrank_code
-from .spaces import MatGF, Subspace
+from .spaces import MatGF, Subspace, _in_rref, _unit_lead
 from .verify import DEFAULT_PAIR_CAP, min_distance
 
 PARAM_ERROR = 2
@@ -134,10 +138,12 @@ def _read_scode(path: str) -> tuple[dict, list[list[Subspace]]]:
     n, k = head["n"], head["k"]
     parts: list[list[Subspace]] = [[]]
     row_buf: list[tuple[int, ...]] = []
-    checked: dict[str, tuple[int, ...]] = {}  # row line -> its row; rows repeat across words
+    lead_buf: list[Optional[int]] = []
+    # row line -> its row and `_unit_lead`; rows repeat across words
+    checked: dict[str, tuple[tuple[int, ...], Optional[int]]] = {}
     for line in raw[head_at + 1:]:
-        row = checked.get(line)
-        if row is None:
+        entry = checked.get(line)
+        if entry is None:
             stripped = line.strip()
             if not stripped:
                 continue
@@ -152,11 +158,17 @@ def _read_scode(path: str) -> tuple[dict, list[list[Subspace]]]:
             if row is None or len(row) != n or min(row) < 0 or max(row) >= q:
                 # the first line with this text is this one: no earlier copy passed
                 raise FileError(f"{path}:{raw.index(line, head_at + 1) + 1}: bad codeword row {stripped!r}")
-            checked[line] = row
-        row_buf.append(row)
+            entry = checked[line] = (row, _unit_lead(row))
+        row_buf.append(entry[0])
+        lead_buf.append(entry[1])
         if len(row_buf) == k:
-            parts[-1].append(Subspace.from_matrix(MatGF(field, row_buf, n)))
-            row_buf = []
+            rows = tuple(row_buf)
+            if _in_rref(rows, lead_buf):  # as `write_code_file` writes every word
+                word = Subspace._trusted(field, n, MatGF._trusted(field, rows, n), lead_buf)
+            else:
+                word = Subspace.from_matrix(MatGF(field, rows, n))
+            parts[-1].append(word)
+            row_buf, lead_buf = [], []
     if row_buf:
         raise FileError(f"{path}: trailing incomplete codeword")
     if k == 0 and head["count"]:  # GF(q)^n has one 0-space, written with no row lines

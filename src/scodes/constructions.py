@@ -35,7 +35,7 @@ from .spaces import (
     ferrers_of,
     hamming_distance,
     subspace_distance_capped,
-    subspace_from_filling,
+    subspaces_from_fillings,
 )
 
 @dataclass(frozen=True)
@@ -109,9 +109,11 @@ def lift(M: MatGF) -> Subspace:
 
 
 def _lift(eye: tuple[tuple[int, ...], ...], M: MatGF) -> Subspace:
-    """`lift` with the rows of I_k passed in, so a code builds them once."""
+    """`lift` with the rows of I_k passed in, so a code builds them once;
+    the pivots are the first k columns."""
     k = M.rows
-    return Subspace._trusted(M.field, k + M.cols, [er + mr for er, mr in zip(eye, M.entries)])
+    rows = MatGF._trusted(M.field, tuple([er + mr for er, mr in zip(eye, M.entries)]), k + M.cols)
+    return Subspace._trusted(M.field, k + M.cols, rows, range(k))
 
 
 def lifted_mrd(q: int, n: int, k: int, d: int) -> Cdc:
@@ -229,8 +231,7 @@ def echelon_ferrers(skeleton: Sequence[Sequence[int]], q: int, d: int) -> Cdc:
     words = []
     for v in vectors:
         code = fdrm_construct(ferrers_of(v), d // 2, q)
-        for w in code.words:
-            words.append(subspace_from_filling(field, v, w.entries))
+        words += subspaces_from_fillings(field, v, [w.entries for w in code.words])
     return _mk(q, n, k, d, words, "echelon_ferrers",
                skeleton=tuple("".join(map(str, v)) for v in vectors))
 

@@ -121,6 +121,7 @@ class FieldSpec:
             if e > 1 and not poly_irreducible_over(GF(p), modulus):
                 raise ValueError(f"modulus {list(modulus)} is reducible over GF({p})")
         self.modulus = tuple(modulus)
+        self._hash = hash((p, e, self.modulus))  # every Subspace hash includes it
         self._exp: Optional[list[int]] = None
         self._log: Optional[list[int]] = None
         self._rows: tuple = ()  # (add, negmul, mul) once built, () when q*q is too large
@@ -267,7 +268,7 @@ class FieldSpec:
         )
 
     def __hash__(self) -> int:
-        return hash((self.p, self.e, self.modulus))
+        return self._hash
 
     def __repr__(self) -> str:
         if self.e == 1:

@@ -16,7 +16,7 @@ from typing import Callable
 
 from .gfq import GF
 from .rankmetric import _fillings_to_words, fdrm_construct
-from .spaces import FerrersDiagram, MatGF, ferrers_of, hamming_distance, rref, subspace_from_filling
+from .spaces import FerrersDiagram, MatGF, Subspace, ferrers_of, hamming_distance, rref, subspaces_from_fillings
 from .constructions import DPacking
 
 
@@ -92,12 +92,15 @@ def line_packing(q: int, n: int) -> DPacking:
     scheme = _SCHEMES[n]
     field = GF(q)
     cursors: dict[str, int] = {}
-    cosets: dict[str, list] = {}
+    cosets: dict[str, list[list[Subspace]]] = {}
     for vectors, _count in scheme:
         for vs in vectors:
             if vs not in cosets:
                 v = tuple(int(c) for c in vs)
-                cosets[vs] = fdrm_coset_partition(ferrers_of(v), q)
+                fillings = fdrm_coset_partition(ferrers_of(v), q)
+                # every coset's words in one call, so v is laid out once
+                words = iter(subspaces_from_fillings(field, v, [w.entries for c in fillings for w in c]))
+                cosets[vs] = [list(itertools.islice(words, len(c))) for c in fillings]
                 cursors[vs] = 0
     for vectors, _ in scheme:
         for a, b in itertools.combinations(vectors, 2):
@@ -113,9 +116,7 @@ def line_packing(q: int, n: int) -> DPacking:
         for i in range(count):
             part = []
             for vs in vectors:
-                v = tuple(int(c) for c in vs)
-                coset = cosets[vs][cursors[vs] + i]
-                part.extend(subspace_from_filling(field, v, w.entries) for w in coset)
+                part += cosets[vs][cursors[vs] + i]
             parts.append(tuple(part))
         for vs in vectors:
             cursors[vs] += count

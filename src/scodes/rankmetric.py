@@ -86,7 +86,9 @@ def gabidulin(q: int, n: int, m: int, d: int) -> RankCode:
     while len(conj) < k:
         conj.append([E.frobenius_q(z) for z in conj[-1]])
     basis = [[c for z in zs for c in E.mul(E.basis(t), z)] for zs in conj for t in reversed(range(n))]
-    words = tuple(MatGF(base, [v[i * n:(i + 1) * n] for i in range(m)], n) for v in _span(base, basis))
+    # every span vector is m*n entries in [0, q), so its m slices are whole rows
+    words = tuple([MatGF._trusted(base, tuple([v[i * n:(i + 1) * n] for i in range(m)]), n)
+                   for v in _span(base, basis)])
     return RankCode(base, m, n, d, words)
 
 

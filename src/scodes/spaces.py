@@ -7,10 +7,14 @@ A subspace's identity is its unique RREF generator matrix; equality and
 hashing go through it, and its pivot columns are read off those rows.
 Rows are checked where they enter a `Subspace` and nowhere after:
 `from_matrix` puts any generator through `rref`, and `from_rref` raises
-ValueError unless its rows are the RREF generator.  Builders whose rows
-are RREF by construction (`subspace_from_filling`, `enumerate_grassmannian`,
-`zero`, `full`, and the lifts, embeddings and coset words of
-`constructions`) use the private, unchecked `Subspace._trusted`; only the
+ValueError unless its rows are the RREF generator.  `from_rref` and the
+`.scode` reader share one shape check, `_in_rref`, on the rows' leads
+(`_unit_lead`): rows whose leads strictly increase and are each 1, with
+every earlier row zero at every later lead, are in RREF, which is unique.
+Builders whose rows are RREF by construction (`subspaces_from_fillings`,
+`enumerate_grassmannian`, `zero`, `full`, and the lifts, embeddings and
+coset words of `constructions`) use the private, unchecked
+`Subspace._trusted`, passing the pivots where they know them; only the
 exact scan in `verify` checks stored rows again.
 
 Distances need the rank of U and W stacked: each RREF row of W is reduced
@@ -31,7 +35,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .gfq import GF, FieldSpec
 from .qcombi import gauss_binomial
@@ -72,7 +76,7 @@ class MatGF:
         return cls(field, [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)], n)
 
     def transpose(self) -> "MatGF":
-        return MatGF(self.field, list(zip(*self.entries)) if self.entries else [], self.rows)
+        return MatGF._trusted(self.field, tuple(zip(*self.entries)), self.rows)
 
     def vstack(self, other: "MatGF") -> "MatGF":
         if self.cols != other.cols:
@@ -141,6 +145,31 @@ def rank(M: MatGF) -> int:
     return len(rref(M)[1])
 
 
+def _unit_lead(row: Sequence[int]) -> Optional[int]:
+    """The column of row's first nonzero entry when that entry is 1; None
+    when it is not 1 or the row is zero, since no RREF row is like that."""
+    for j, x in enumerate(row):
+        if x:
+            return j if x == 1 else None
+    return None
+
+
+def _in_rref(rows: Sequence[Sequence[int]], leads: Sequence[Optional[int]]) -> bool:
+    """Whether `rows`, whose `_unit_lead`s are `leads`, are in RREF: every
+    lead is set, the leads strictly increase and each earlier row is zero at
+    every later lead.  RREF is unique, so such rows are the RREF generator
+    of their span and `leads` are its pivots.  Entries are not checked."""
+    last = -1
+    for i, p in enumerate(leads):
+        if p is None or p <= last:
+            return False
+        for row in rows[:i]:
+            if row[p]:
+                return False
+        last = p
+    return True
+
+
 @dataclass(frozen=True)
 class FerrersDiagram:
     """Right-justified dot diagram; row_lengths top to bottom, weakly
@@ -188,13 +217,18 @@ class Subspace:
     __slots__ = ("field", "ambient_n", "k", "rref", "_pivots", "_hash")
 
     @classmethod
-    def _trusted(cls, field: FieldSpec, ambient_n: int, rows: Sequence[Sequence[int]] | MatGF) -> "Subspace":
+    def _trusted(cls, field: FieldSpec, ambient_n: int, rows: Sequence[Sequence[int]] | MatGF,
+                 pivots: Optional[Sequence[int]] = None) -> "Subspace":
         """The subspace whose RREF generator is `rows`, which must be in RREF
-        with ambient_n entries per row; nothing is checked."""
+        with ambient_n entries per row; nothing is checked.  `pivots`, the
+        rows' pivot columns, is read off the rows unless the caller knows
+        it: lifts, Ferrers fillings, `from_matrix`, and `from_rref` and the
+        `.scode` reader once the rows pass `_in_rref` (the reader sends a
+        word that fails it to `from_matrix`)."""
         E = rows if type(rows) is MatGF else MatGF._trusted(field, tuple(map(tuple, rows)), ambient_n)
         U = object.__new__(cls)
         U.field, U.ambient_n, U.rref, U.k = field, ambient_n, E, E.rows
-        U._pivots = tuple([row.index(1) for row in E.entries])
+        U._pivots = tuple([row.index(1) for row in E.entries] if pivots is None else pivots)
         U._hash = hash((field, ambient_n, E.entries))
         return U
 
@@ -202,16 +236,19 @@ class Subspace:
     def from_matrix(cls, M: MatGF) -> "Subspace":
         E, pivots = rref(M)
         # a full-rank result is kept as it is; otherwise its zero rows are dropped
-        return cls._trusted(M.field, M.cols, E if len(pivots) == E.rows else E.entries[: len(pivots)])
+        return cls._trusted(M.field, M.cols, E if len(pivots) == E.rows else E.entries[: len(pivots)], pivots)
 
     @classmethod
     def from_rref(cls, field: FieldSpec, ambient_n: int, rows: Sequence[Sequence[int]]) -> "Subspace":
         """The subspace whose RREF generator is `rows`; ValueError unless
         the rows are exactly that (no zero row, entries in [0, q))."""
-        U = cls.from_matrix(MatGF(field, rows, ambient_n))
-        if U.rref.entries != tuple(map(tuple, rows)):
+        E = MatGF(field, rows, ambient_n)
+        if E.rows and ambient_n and (min(map(min, E.entries)) < 0 or max(map(max, E.entries)) >= field.q):
+            raise ValueError(f"matrix entry outside [0, {field.q})")
+        leads = [_unit_lead(row) for row in E.entries]
+        if not _in_rref(E.entries, leads):
             raise ValueError("rows are not in RREF")
-        return U
+        return cls._trusted(field, ambient_n, E, leads)
 
     @classmethod
     def zero(cls, field: FieldSpec, ambient_n: int) -> "Subspace":
@@ -361,19 +398,34 @@ def subspace_from_filling(field: FieldSpec, v: Sequence[int], filling: Sequence[
     left cells outside the diagram ignored/zero).  Raises ValueError for a
     diagram entry outside [0, q).
     """
+    return subspaces_from_fillings(field, v, [filling])[0]
+
+
+def subspaces_from_fillings(field: FieldSpec, v: Sequence[int],
+                            fillings: Iterable[Sequence[Sequence[int]]]) -> list[Subspace]:
+    """`subspace_from_filling` of each filling in turn, with v's pivot
+    columns, free columns and filling offsets laid out once for all."""
     n = len(v)
     m = ferrers_of(v).num_cols
-    rows = []
-    for i, p in enumerate([j for j, b in enumerate(v) if b]):
+    pivots = tuple(j for j, b in enumerate(v) if b)
+    layout = []  # per row: its pivot, its free columns, where its dots start in a filling row
+    for p in pivots:
         free_cols = [j for j in range(p + 1, n) if not v[j]]
-        row = [0] * n
-        row[p] = 1
-        for j, x in zip(free_cols, filling[i][m - len(free_cols):]):
-            row[j] = x
-        rows.append(row)
-    if rows and (min(map(min, rows)) < 0 or max(map(max, rows)) >= field.q):
-        raise ValueError(f"filling entry outside [0, {field.q})")
-    return Subspace._trusted(field, n, rows)
+        layout.append((p, free_cols, m - len(free_cols)))
+    q = field.q
+    words = []
+    for filling in fillings:
+        rows = []
+        for i, (p, free_cols, start) in enumerate(layout):
+            row = [0] * n
+            row[p] = 1
+            for j, x in zip(free_cols, filling[i][start:]):
+                row[j] = x
+            rows.append(tuple(row))
+        if rows and (min(map(min, rows)) < 0 or max(map(max, rows)) >= q):
+            raise ValueError(f"filling entry outside [0, {q})")
+        words.append(Subspace._trusted(field, n, MatGF._trusted(field, tuple(rows), n), pivots))
+    return words
 
 
 def enumerate_grassmannian(q: int, n: int, k: int) -> Iterator[Subspace]:

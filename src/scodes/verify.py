@@ -44,11 +44,14 @@ The spread checks (`is_partial_spread`, `spread_summary`) and the
 partial-spread branch of `max_code_exhaustive` read points off the level-1
 keys of the words themselves, never of their complements.
 
-`spaces` checks rows where they enter a `Subspace` (`from_matrix`, which
-every `.scode` read uses, and `from_rref`); builders whose rows are RREF by
-construction use the unchecked `Subspace._trusted`.  The exact scan and the
-spread checks trust neither and check every word again (one ambient space
-and dimension, RREF, entries in [0, q)); sampled mode does not re-check.
+`spaces` checks rows where they enter a `Subspace`: `from_matrix` through
+`rref`, and `from_rref` and the `.scode` reader through one RREF shape
+check, the reader sending any word that fails it to `from_matrix`;
+builders whose rows are RREF by construction use the unchecked
+`Subspace._trusted`.  The exact scan and the spread checks trust none of
+these and check every word again with their own `_check_rref` (one ambient
+space and dimension, RREF, entries in [0, q)); sampled mode does not
+re-check.
 """
 
 from __future__ import annotations
@@ -328,7 +331,7 @@ def _check_words(words: Sequence[Subspace]) -> None:
     if any(w.field != F or w.ambient_n != n for w in words):
         raise ValueError("ambient space mismatch")
     if any(w.k != k for w in words):
-        raise ValueError("exact mode takes words of one dimension")
+        raise ValueError("words must share one dimension")
     for w in words:
         _check_rref(w)
 
@@ -374,8 +377,12 @@ def max_code_exhaustive(q: int, n: int, k: int, d: int) -> int:
     """
     Exhaustively computed maximum size of a code in the Grassmannian with
     pairwise distance >= d (branch and bound).  Only intended for tiny
-    parameters; used as an independent optimality oracle.
+    parameters; used as an independent optimality oracle.  For 2k > n it
+    searches the (n-k)-spaces instead: taking orthogonal complements maps
+    the k-spaces onto them and keeps every distance.
     """
+    if n < 2 * k <= 2 * n:
+        return max_code_exhaustive(q, n, n - k, d)
     words = list(enumerate_grassmannian(q, n, k))
     if d >= 2 * k:
         return _max_partial_spread(q, n, k, words)

@@ -320,6 +320,73 @@ def test_repeated_bad_row_is_reported_at_its_first_line(tmp_path, capsys):
     assert err.startswith("data error:") and ":8: bad codeword row" in err
 
 
+NEAR_RREF_DEFECTS = ["none", "above-pivot", "lead-2", "swap", "zero-row", "repeat-row", "random"]
+
+
+@st.composite
+def near_rref_words(draw):
+    """(q, n, k, words): 1 to 4 generators of k x n over GF(q), each an RREF
+    generator or one with a defect close to RREF."""
+    q = draw(st.sampled_from([2, 3, 4, 9]))
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(k, 5))
+    entry = st.integers(0, q - 1)
+    words = []
+    for _ in range(draw(st.integers(1, 4))):
+        pivots = sorted(draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True)))
+        rows = [[int(j == p) if j <= p or j in pivots else draw(entry) for j in range(n)] for p in pivots]
+        defect = draw(st.sampled_from(NEAR_RREF_DEFECTS))
+        i, j = sorted(draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True))
+                      if k > 1 else [0, 0])
+        if defect == "above-pivot" and i < j:  # one nonzero above a later pivot
+            rows[i][pivots[j]] = draw(st.integers(1, q - 1))
+        elif defect == "lead-2" and q > 2:
+            rows[j][pivots[j]] = 2
+        elif defect == "swap":
+            rows[i], rows[j] = rows[j], rows[i]
+        elif defect == "zero-row":
+            rows[j] = [0] * n
+        elif defect == "repeat-row":
+            rows[j] = list(rows[i])
+        elif defect == "random":
+            rows = [[draw(entry) for _ in range(n)] for _ in range(k)]
+        words.append(rows)
+    return q, n, k, words
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_rref_words())
+def test_reader_and_from_rref_agree_with_rref(case):
+    q, n, k, words = case
+    F = GF(q)
+    expected = [Subspace.from_matrix(MatGF(F, rows, n)) for rows in words]
+    for rows, U in zip(words, expected):
+        # from_rref accepts exactly the rows that rref gives back unchanged
+        if U.rref.entries == tuple(map(tuple, rows)):
+            V = Subspace.from_rref(F, n, rows)
+            assert V == U and V.pivot_positions() == U.pivot_positions() and hash(V) == hash(U)
+        else:
+            with pytest.raises(ValueError, match="not in RREF"):
+                Subspace.from_rref(F, n, rows)
+    deficient = [U.k for U in expected if U.k != k]
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "w.scode")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(scode_text(F, n, k, [[" ".join(map(str, row)) for row in rows] for rows in words]))
+        if len(set(expected)) != len(expected):
+            with pytest.raises(FileError, match="duplicate codewords"):
+                read_code_file(path)
+        elif deficient:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+                assert main(["verify", path]) == 4
+            assert err.getvalue().startswith("data error:")
+            assert f"codeword of dimension {deficient[0]}, expected {k}" in err.getvalue()
+        else:
+            back = read_code_file(path).words
+            assert back == tuple(expected)
+            assert [U.pivot_positions() for U in back] == [U.pivot_positions() for U in expected]
+
+
 @pytest.mark.parametrize("q", [9, 25])
 def test_modulus_header_reads_into_the_default_field(tmp_path, q):
     code = lifted_mrd(q, 4, 2, 4)

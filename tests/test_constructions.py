@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scodes import constructions, packdata
 from scodes.constructions import (
     Cdc,
     DPacking,
@@ -661,3 +662,52 @@ def test_trusted_builders_give_rref_rows(builder, data):
         M = MatGF(F, U.rref.entries, U.ambient_n)  # ValueError unless every row has ambient_n entries
         assert U.rref.entries == Subspace.from_matrix(M).rref.entries
         assert U.pivot_positions() == tuple(rref(M)[1])
+
+
+def _one_filling_at_a_time(field, v, fillings):
+    """A stand-in for `subspaces_from_fillings` that builds every word on
+    its own through `subspace_from_filling`, and checks it against rows laid
+    out cell by cell from the diagram of v."""
+    n, pivots, cells = len(v), [j for j, b in enumerate(v) if b], ferrers_of(v).cells()
+    words = []
+    for filling in fillings:
+        rows = [[int(j == p) for j in range(n)] for p in pivots]
+        free = [iter([j for j in range(p + 1, n) if not v[j]]) for p in pivots]
+        for i, j in cells:  # row by row, left to right
+            rows[i][next(free[i])] = filling[i][j]
+        words.append(subspace_from_filling(field, v, filling))
+        assert words[-1] == Subspace.from_rref(field, n, rows)
+    return words
+
+
+def _same_words(words, reference):
+    assert words == reference
+    for U, V in zip(words, reference):
+        assert U.pivot_positions() == V.pivot_positions() and hash(U) == hash(V)
+        assert Subspace.from_rref(U.field, U.ambient_n, U.rref.entries) == U
+
+
+FERRERS_SKELETONS = [
+    (2, skeleton_greedy(2, 7, 3, 4), 4),
+    (2, skeleton_greedy(2, 9, 4, 6), 6),  # non-rectangular diagrams at delta = 3
+    (2, ((1, 1, 1, 0, 0, 0, 0, 0), (1, 0, 0, 1, 1, 0, 0, 0), (0, 1, 0, 1, 0, 1, 0, 0)), 4),
+    (3, skeleton_greedy(3, 7, 3, 4), 4),
+    (3, ((1, 1, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0), (0, 0, 0, 0, 1, 1)), 4),  # a spread
+]
+
+
+@pytest.mark.parametrize("q, skeleton, d", FERRERS_SKELETONS)
+def test_echelon_ferrers_lays_out_each_vector_once_with_the_same_words(monkeypatch, q, skeleton, d):
+    code = echelon_ferrers(skeleton, q, d)
+    monkeypatch.setattr(constructions, "subspaces_from_fillings", _one_filling_at_a_time)
+    _same_words(code.words, echelon_ferrers(skeleton, q, d).words)
+
+
+@pytest.mark.parametrize("q, n", [(2, 5), (3, 6)])
+def test_line_packing_lays_out_each_vector_once_with_the_same_words(monkeypatch, q, n):
+    packing = line_packing(q, n)
+    monkeypatch.setattr(packdata, "subspaces_from_fillings", _one_filling_at_a_time)
+    reference = line_packing(q, n)
+    assert len(packing.parts) == len(reference.parts)
+    for part, ref in zip(packing.parts, reference.parts):
+        _same_words(part, ref)

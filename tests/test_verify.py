@@ -175,6 +175,14 @@ def test_max_code_exhaustive_degenerate_dimensions():
     assert max_code_exhaustive(2, 3, 3, 6) == 1  # the whole space alone
 
 
+def test_max_code_exhaustive_searches_complements_when_2k_exceeds_n():
+    # planes of GF(2)^5 are the complements of its lines: the same optimum,
+    # found as fast as the (2, 5, 2, 4) search
+    t0 = time.perf_counter()
+    assert max_code_exhaustive(2, 5, 3, 4) == max_code_exhaustive(2, 5, 2, 4) == 9
+    assert time.perf_counter() - t0 < 10
+
+
 def test_histogram_pair_count_random_code():
     import random
 
