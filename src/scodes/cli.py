@@ -64,7 +64,7 @@ from .divisible import sharp_floor, sqr_expand
 from .gfq import GF, FieldSpec
 from .provenance import decimal_str
 from .rankmetric import RankCode, rect_mrd, restricted_rank_code, two_block_sumrank_code
-from .spaces import MatGF, Subspace, _in_rref, _unit_lead
+from .spaces import MatGF, Subspace, _unit_lead
 from .verify import DEFAULT_PAIR_CAP, min_distance
 
 PARAM_ERROR = 2
@@ -163,9 +163,8 @@ def _read_scode(path: str) -> tuple[dict, list[list[Subspace]]]:
         lead_buf.append(entry[1])
         if len(row_buf) == k:
             rows = tuple(row_buf)
-            if _in_rref(rows, lead_buf):  # as `write_code_file` writes every word
-                word = Subspace._trusted(field, n, MatGF._trusted(field, rows, n), lead_buf)
-            else:
+            word = Subspace._if_rref(field, n, rows, lead_buf)  # as `write_code_file` writes every word
+            if word is None:
                 word = Subspace.from_matrix(MatGF(field, rows, n))
             parts[-1].append(word)
             row_buf, lead_buf = [], []

@@ -8,8 +8,8 @@ hashing go through it, and its pivot columns are read off those rows.
 Rows are checked where they enter a `Subspace` and nowhere after:
 `from_matrix` puts any generator through `rref`, and `from_rref` raises
 ValueError unless its rows are the RREF generator.  `from_rref` and the
-`.scode` reader share one shape check, `_in_rref`, on the rows' leads
-(`_unit_lead`): rows whose leads strictly increase and are each 1, with
+`.scode` reader share one shape check, `Subspace._if_rref`, on the rows'
+leads (`_unit_lead`): rows whose leads strictly increase and are each 1, with
 every earlier row zero at every later lead, are in RREF, which is unique.
 Builders whose rows are RREF by construction (`subspaces_from_fillings`,
 `enumerate_grassmannian`, `zero`, `full`, and the lifts, embeddings and
@@ -105,6 +105,13 @@ class MatGF:
         return f"MatGF({self.field}, {self.rows}x{self.cols})\n{body}"
 
 
+def _check_entries(rows: Sequence[Sequence[int]], q: int) -> None:
+    """ValueError unless every entry of `rows`, rows of one length, lies in
+    [0, q); `rref` and `Subspace.from_rref` check their input with it."""
+    if rows and rows[0] and (min(map(min, rows)) < 0 or max(map(max, rows)) >= q):
+        raise ValueError(f"matrix entry outside [0, {q})")
+
+
 def rref(M: MatGF) -> tuple[MatGF, list[int]]:
     """Reduced row echelon form and pivot column indices (deterministic).
 
@@ -114,8 +121,7 @@ def rref(M: MatGF) -> tuple[MatGF, list[int]]:
     F = M.field
     rows: list[Sequence[int]] = list(M.entries)
     nrows, ncols = M.rows, M.cols
-    if rows and ncols and (min(map(min, rows)) < 0 or max(map(max, rows)) >= F.q):
-        raise ValueError(f"matrix entry outside [0, {F.q})")
+    _check_entries(rows, F.q)
     rowop = F.rowop
     pivots: list[int] = []
     r = 0
@@ -152,22 +158,6 @@ def _unit_lead(row: Sequence[int]) -> Optional[int]:
         if x:
             return j if x == 1 else None
     return None
-
-
-def _in_rref(rows: Sequence[Sequence[int]], leads: Sequence[Optional[int]]) -> bool:
-    """Whether `rows`, whose `_unit_lead`s are `leads`, are in RREF: every
-    lead is set, the leads strictly increase and each earlier row is zero at
-    every later lead.  RREF is unique, so such rows are the RREF generator
-    of their span and `leads` are its pivots.  Entries are not checked."""
-    last = -1
-    for i, p in enumerate(leads):
-        if p is None or p <= last:
-            return False
-        for row in rows[:i]:
-            if row[p]:
-                return False
-        last = p
-    return True
 
 
 @dataclass(frozen=True)
@@ -222,9 +212,9 @@ class Subspace:
         """The subspace whose RREF generator is `rows`, which must be in RREF
         with ambient_n entries per row; nothing is checked.  `pivots`, the
         rows' pivot columns, is read off the rows unless the caller knows
-        it: lifts, Ferrers fillings, `from_matrix`, and `from_rref` and the
-        `.scode` reader once the rows pass `_in_rref` (the reader sends a
-        word that fails it to `from_matrix`)."""
+        it: lifts, Ferrers fillings, `from_matrix`, and `_if_rref` once the
+        rows pass its shape check (the `.scode` reader sends a word that
+        fails it to `from_matrix`)."""
         E = rows if type(rows) is MatGF else MatGF._trusted(field, tuple(map(tuple, rows)), ambient_n)
         U = object.__new__(cls)
         U.field, U.ambient_n, U.rref, U.k = field, ambient_n, E, E.rows
@@ -242,13 +232,31 @@ class Subspace:
     def from_rref(cls, field: FieldSpec, ambient_n: int, rows: Sequence[Sequence[int]]) -> "Subspace":
         """The subspace whose RREF generator is `rows`; ValueError unless
         the rows are exactly that (no zero row, entries in [0, q))."""
-        E = MatGF(field, rows, ambient_n)
-        if E.rows and ambient_n and (min(map(min, E.entries)) < 0 or max(map(max, E.entries)) >= field.q):
-            raise ValueError(f"matrix entry outside [0, {field.q})")
-        leads = [_unit_lead(row) for row in E.entries]
-        if not _in_rref(E.entries, leads):
+        E = MatGF(field, rows, ambient_n).entries
+        _check_entries(E, field.q)
+        U = cls._if_rref(field, ambient_n, E, [_unit_lead(row) for row in E])
+        if U is None:
             raise ValueError("rows are not in RREF")
-        return cls._trusted(field, ambient_n, E, leads)
+        return U
+
+    @classmethod
+    def _if_rref(cls, field: FieldSpec, ambient_n: int, rows: tuple[tuple[int, ...], ...],
+                 leads: Sequence[Optional[int]]) -> Optional["Subspace"]:
+        """The subspace whose RREF generator is `rows`, or None when the rows
+        are not in RREF.  `leads` are the rows' `_unit_lead`s.  The rows are
+        in RREF when every lead is set, the leads strictly increase and each
+        earlier row is zero at every later lead; RREF is unique, so they are
+        then the generator and `leads` its pivots.  Entries are not checked:
+        `from_rref` and the `.scode` reader check them first."""
+        last = -1
+        for i, p in enumerate(leads):
+            if p is None or p <= last:
+                return None
+            for row in rows[:i]:
+                if row[p]:
+                    return None
+            last = p
+        return cls._trusted(field, ambient_n, MatGF._trusted(field, rows, ambient_n), leads)
 
     @classmethod
     def zero(cls, field: FieldSpec, ambient_n: int) -> "Subspace":

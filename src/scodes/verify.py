@@ -377,14 +377,19 @@ def max_code_exhaustive(q: int, n: int, k: int, d: int) -> int:
     """
     Exhaustively computed maximum size of a code in the Grassmannian with
     pairwise distance >= d (branch and bound).  Only intended for tiny
-    parameters; used as an independent optimality oracle.  For 2k > n it
-    searches the (n-k)-spaces instead: taking orthogonal complements maps
-    the k-spaces onto them and keeps every distance.
+    parameters; used as an independent optimality oracle.  No two k-spaces
+    lie further apart than 2*min(k, n-k), so a larger d admits one word.
+    For 2k > n it searches the (n-k)-spaces instead: taking orthogonal
+    complements maps the k-spaces onto them and keeps every distance.
     """
-    if n < 2 * k <= 2 * n:
+    if k > n:
+        return 0  # no k-space
+    if d > 2 * min(k, n - k):
+        return 1
+    if 2 * k > n:
         return max_code_exhaustive(q, n, n - k, d)
     words = list(enumerate_grassmannian(q, n, k))
-    if d >= 2 * k:
+    if d == 2 * k:
         return _max_partial_spread(q, n, k, words)
     m = len(words)
     compat = []

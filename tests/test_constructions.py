@@ -665,9 +665,9 @@ def test_trusted_builders_give_rref_rows(builder, data):
 
 
 def _one_filling_at_a_time(field, v, fillings):
-    """A stand-in for `subspaces_from_fillings` that builds every word on
-    its own through `subspace_from_filling`, and checks it against rows laid
-    out cell by cell from the diagram of v."""
+    """A stand-in for `subspaces_from_fillings` that lays out every word on
+    its own, cell by cell from the diagram of v, and builds it through the
+    checked `Subspace.from_rref`."""
     n, pivots, cells = len(v), [j for j, b in enumerate(v) if b], ferrers_of(v).cells()
     words = []
     for filling in fillings:
@@ -675,8 +675,7 @@ def _one_filling_at_a_time(field, v, fillings):
         free = [iter([j for j in range(p + 1, n) if not v[j]]) for p in pivots]
         for i, j in cells:  # row by row, left to right
             rows[i][next(free[i])] = filling[i][j]
-        words.append(subspace_from_filling(field, v, filling))
-        assert words[-1] == Subspace.from_rref(field, n, rows)
+        words.append(Subspace.from_rref(field, n, rows))
     return words
 
 
