@@ -65,7 +65,7 @@ from .gfq import GF, FieldSpec
 from .provenance import decimal_str
 from .rankmetric import RankCode, rect_mrd, restricted_rank_code, two_block_sumrank_code
 from .spaces import MatGF, Subspace, _unit_lead
-from .verify import DEFAULT_PAIR_CAP, min_distance
+from .verify import min_distance
 
 PARAM_ERROR = 2
 VERIFY_ERROR = 3
@@ -291,7 +291,15 @@ def cmd_bound(args) -> int:
     return 0
 
 
+# the constructions that read --split and --skeleton
+_READERS = {"split": ("linkage", "improved-linkage", "gen-linkage"), "skeleton": ("ef",)}
+
+
 def cmd_construct(args) -> int:
+    for option, readers in _READERS.items():
+        if getattr(args, option) is not None and args.name not in readers:
+            print(f"error: {args.name} takes no --{option}", file=sys.stderr)
+            return PARAM_ERROR
     try:
         code = _build(args.name, args.q, args.n or 0, args.k or 0, args.d or 0,
                       args.split, args.skeleton)
@@ -301,16 +309,20 @@ def cmd_construct(args) -> int:
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return PARAM_ERROR
-    exact = len(code.words) <= args.verify_cap
-    report = min_distance(code, "exact" if exact else "sampled", seed=0, cap=args.verify_cap)
+    if args.n not in (None, code.n) or args.k not in (None, code.k) or (args.d or 0) > code.d:
+        given = " ".join(f"--{key} {val}" for key, val in (("n", args.n), ("k", args.k), ("d", args.d))
+                         if val is not None)
+        print(f"error: {args.name} builds a code with n={code.n} k={code.k} d={code.d}, "
+              f"against {given}", file=sys.stderr)
+        return PARAM_ERROR
+    report = min_distance(code)
     if not report.ok():
         print(f"verification FAILED: min distance {report.min_distance} < declared {code.d}",
               file=sys.stderr)
         return VERIFY_ERROR
     write_code_file(args.out, code)
-    mode = "exact scan" if exact else f"sampled scan (seed {report.seed}, non-certifying)"
     print(f"{len(code.words)} codewords in GF({code.q})^{code.n}, declared distance {code.d}; "
-          f"verified by {mode}; wrote {args.out}")
+          f"verified by exact scan; wrote {args.out}")
     return 0
 
 
@@ -320,10 +332,10 @@ def cmd_verify(args) -> int:
     except FileError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return DATA_ERROR
-    exact = len(code.words) <= args.verify_cap and args.sampled is None
-    report = min_distance(code, "exact" if exact else "sampled",
-                          sample_count=DEFAULT_PAIR_CAP if args.sampled is None else args.sampled,
-                          seed=args.seed, cap=args.verify_cap)
+    if args.sampled is None:
+        report = min_distance(code)
+    else:
+        report = min_distance(code, "sampled", sample_count=args.sampled, seed=args.seed)
     expected = args.expect_d if args.expect_d is not None else code.d
     dist = report.min_distance
     print(f"{len(code.words)} codewords; computed min distance {dist} "
@@ -397,7 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", type=int, help="width of the first column block")
     p.add_argument("--skeleton", help="comma-separated pivot vectors for ef")
     p.add_argument("-o", "--out", required=True)
-    p.add_argument("--verify-cap", type=int, default=DEFAULT_PAIR_CAP)
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("verify", help="recompute a code file's min distance")
@@ -405,7 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expect-d", type=int)
     p.add_argument("--sampled", type=int, help="sample this many pairs instead of exact scan")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--verify-cap", type=int, default=DEFAULT_PAIR_CAP)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("table", help="best-bound table")

@@ -29,16 +29,25 @@ A·G is A times column j of G, so one dict per level maps a column of G to
 its codes (base q) over every template; it is filled on first use and is
 the only place the scan does field arithmetic.
 
-For histogram=True, and when a level's index would outgrow
-_INDEX_BYTES_CAP, the scan counts (pair, shared point) incidences on the
+A level whose index would outgrow _INDEX_BYTES_CAP is indexed in passes,
+as few as keep each within it, pass r taking the keys whose hash is r
+modulo their number; the least pair that shares a key in any pass is the
+witness.
+
+For histogram=True, the scan counts (pair, shared point) incidences on the
 level-1 keys, the points of PG(n-1, q): two k-spaces share
 [t]_q = (q^t - 1)/(q - 1) points exactly when they meet in a t-space, and
-a shared count that is no [t]_q is an error.  Words with 2k > n are
-scanned as their orthogonal complements, which have fewer subspaces of
-each dimension.  A code whose level-1 index would outgrow the cap too
-(large fields) is compared pair by pair on stacked rank, as in sampled
-mode.  Each gives the minimum and the witness, the first pair in
-`itertools.combinations` order that attains it.
+a shared count that is no [t]_q is an error.  It counts them first, too,
+when the search's first level needs more than one pass, and gives up for
+the search once it has walked more incidences than those passes would hash
+keys.  It counts them in place of the search when some level fits in no
+number of passes, because the column table, which every pass keeps, would
+outgrow the budget alone.  Where the count's own index would outgrow it
+(large fields), pairs are compared one by one on stacked rank, as in
+sampled mode.  Words with 2k > n are scanned as their orthogonal
+complements, which have fewer subspaces of each dimension.  Each way gives
+the minimum and the witness, the first pair in `itertools.combinations`
+order that attains it.
 
 The spread checks (`is_partial_spread`, `spread_summary`) and the
 partial-spread branch of `max_code_exhaustive` read points off the level-1
@@ -57,6 +66,7 @@ re-check.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -67,27 +77,26 @@ from .qcombi import gauss_binomial, gauss_int
 from .spaces import Subspace, _null_space, enumerate_grassmannian, subspace_distance_capped
 
 INFINITE = "infinite"
-# The most words an exact scan takes by default, and the default number of
-# pairs a sampled scan draws; the CLI's --verify-cap defaults to it too.
-DEFAULT_PAIR_CAP = 20000
-# The most bytes one level's index may take, as `_index_bytes` estimates
-# it.  Past this at the first level, exact mode counts points on level 1;
-# past it there too, it compares pairs on stacked rank.  The 16384-word
-# lifted MRD code of 7-spaces in GF(2)^14 needs 23 MB at level 1.
+# The number of pairs a sampled scan draws by default.
+DEFAULT_SAMPLE_COUNT = 20000
+# The most bytes one pass over a level's index may take, as `_index_bytes`
+# estimates it.  The 16384-word lifted MRD code of 7-spaces in GF(2)^14
+# needs 23 MB at level 1 and 17 passes at level 2.
 _INDEX_BYTES_CAP = 512 << 20
 
 
 @dataclass
 class VerificationReport:
     """What a scan found.  `kernel` is "subspaces" for the t-subspace
-    collision search, "points" for the level-1 incidence count (histograms,
-    and codes whose first level would outgrow the index cap) and "rank" for
-    pairs compared by stacked rank (sampled mode, or exact mode past the
-    cap at level 1 too).  `level` is the first level indexed: for
-    "subspaces" t = k - d/2 + 1, clamped to 1..k (0 for k = 0), with k of
-    the complements for words with 2k > n; 1 for "points"; None for
-    "rank".  `keys` counts the (word, t-subspace) keys hashed over every
-    level.  Only exact mode `certifies`."""
+    collision search, "points" for the level-1 incidence count and "rank"
+    for pairs compared by stacked rank (sampled mode, or exact mode where
+    the count would outgrow the index budget); the module docstring says
+    when each runs.  `level` is the first level indexed: for "subspaces"
+    t = k - d/2 + 1, clamped to 1..k (0 for k = 0), with k of the
+    complements for words with 2k > n; 1 for "points"; None for "rank".
+    `keys` counts the (word, t-subspace) keys hashed over every level and
+    pass, by a point count that gave up too.  Only exact mode `certifies`,
+    at any number of words."""
 
     code_size: int
     declared_d: Optional[int]
@@ -109,20 +118,18 @@ class VerificationReport:
         return self.min_distance >= self.declared_d
 
 
-def min_distance(C: Cdc, mode: str = "exact", sample_count: int = DEFAULT_PAIR_CAP,
-                 seed: int = 0, cap: int = DEFAULT_PAIR_CAP,
-                 histogram: bool = False) -> VerificationReport:
+def min_distance(C: Cdc, mode: str = "exact", sample_count: int = DEFAULT_SAMPLE_COUNT,
+                 seed: int = 0, histogram: bool = False) -> VerificationReport:
     """
     Minimum pairwise subspace distance of a code.
 
-    Exact mode covers all pairs and certifies the result: by the t-subspace
-    collision search from the level of the declared distance (d = 0 when
-    C.d is None), or by the level-1 point count when a histogram is asked
-    for or that level's index would outgrow its memory cap, and past the
-    cap at level 1 too on stacked rank.  It raises ValueError for more than
-    cap words, words of different dimensions or ambient spaces, and rows
-    not in RREF.  Sampled mode draws sample_count >= 1 seeded random pairs
-    of any dimensions and is explicitly non-certifying.
+    Exact mode covers all pairs, at any number of words, and certifies the
+    result: by the t-subspace collision search from the level of the
+    declared distance (d = 0 when C.d is None), by the level-1 point count
+    or on stacked rank, as the module docstring says.  It raises ValueError
+    for words of different dimensions or ambient spaces and rows not in
+    RREF.  Sampled mode draws sample_count >= 1 seeded random pairs of any
+    dimensions and is explicitly non-certifying.
     """
     words = list(C.words)
     if mode == "sampled" and sample_count < 1:
@@ -138,23 +145,24 @@ def min_distance(C: Cdc, mode: str = "exact", sample_count: int = DEFAULT_PAIR_C
 
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
-    n_pairs = len(words) * (len(words) - 1) // 2
-    if n_pairs > cap * (cap - 1) // 2:
-        raise ValueError(f"{n_pairs} pairs exceed the exact-mode cap; raise cap or sample")
-
     _check_words(words)
     n, k = words[0].ambient_n, words[0].k
     if 2 * k > n:
         words, k = [_reversed_dual(w) for w in words], n - k
     # the level whose collisions decide d_S >= d, clamped to 1..k (0 for k = 0)
     t0 = min(max(k - ((C.d or 0) + 1) // 2 + 1, 1), k)
+    search = not histogram and all(_passes(words, t) for t in range(1, k + 1))
+    passes = _passes(words, t0) if search and t0 else 1  # level 0 is never indexed
     best = witness = hist = None
-    kernel, level, keys = "subspaces", t0, 0
-    if not histogram and _fits(words, t0):
-        best, witness, keys = _subspace_search(words, t0)
-    if best is None and _fits(words, 1):
+    keys = 0
+    if (passes > 1 or not search) and _passes(words, 1) == 1:
+        # with a search to fall back on, the count gives up past the keys its passes would hash
+        budget = passes * len(words) * gauss_binomial(k, t0, words[0].field.q) if search else math.inf
         kernel, level = "points", 1
-        best, witness, hist, more = _point_scan(words, histogram)
+        best, witness, hist, keys = _point_scan(words, histogram, budget)
+    if best is None and search:
+        kernel, level = "subspaces", t0
+        best, witness, more = _subspace_search(words, t0)
         keys += more
     elif best is None:
         pairs = itertools.combinations(range(len(words)), 2)
@@ -164,30 +172,20 @@ def min_distance(C: Cdc, mode: str = "exact", sample_count: int = DEFAULT_PAIR_C
                               kernel=kernel, level=level, keys=keys)
 
 
-def _fits(words: Sequence[Subspace], t: int) -> bool:
-    w = words[0]
-    return _index_bytes(len(words), w.field.q, w.ambient_n, w.k, t) <= _INDEX_BYTES_CAP
-
-
 def _subspace_search(words: Sequence[Subspace], t0: int):
     """The minimum distance, its witness and the keys hashed, by collision
     scans from level t0 down to the first level with a collision or up to
-    the last; the minimum is None when a level the search needs would
-    outgrow the index cap."""
+    the last."""
     k = words[0].k
     t = t0
     witness, keys = _collision(words, t)
     if witness is None:
         while witness is None:  # d is met: the first level below with a collision
             t -= 1
-            if t and not _fits(words, t):
-                return None, None, keys
             witness, more = _collision(words, t)
             keys += more
     else:
         while t < k:  # d is not met: the last level above with a collision
-            if not _fits(words, t + 1):
-                return None, None, keys
             above, more = _collision(words, t + 1)
             keys += more
             if above is None:
@@ -198,21 +196,31 @@ def _subspace_search(words: Sequence[Subspace], t0: int):
 
 def _collision(words: Sequence[Subspace], t: int):
     """The first pair (i, j) in `itertools.combinations` order whose words
-    share a t-space, or None, and the keys hashed.  Each word's keys map to
-    the first word that holds them, so the least value its keys find is
-    the least i that shares a t-space with word j; the scan goes on past a
-    collision with i > 0, since a later j may have a smaller i."""
+    share a t-space, or None, and the keys hashed.  Each of the `_passes`
+    passes indexes the keys whose hash is its number modulo their count
+    (one pass indexes them all).  In a pass, each word's keys map to the
+    first word that holds them, so the least value its keys find is the
+    least i that shares an indexed t-space with word j; the least (i, j)
+    over every pass is the witness.  A pass stops at the j of a witness
+    with i = 0 and goes on past one with i > 0, since a later j may have a
+    smaller i."""
     if t == 0:
         return (0, 1), 0  # every pair shares the zero space
-    first: dict[tuple, int] = {}
+    passes = _passes(words, t)
     best = None
-    for j, word_keys in enumerate(_level_keys(words, t)):
-        i = min(map(first.setdefault, word_keys, itertools.repeat(j)))
-        if i < j and (best is None or i < best[0]):
-            best = (i, j)
-            if i == 0:
+    scanned = 0
+    for r in range(passes):
+        first: dict[tuple, int] = {}
+        for j, word_keys in enumerate(_level_keys(words, t)):
+            if passes > 1:
+                word_keys = [key for key in word_keys if hash(key) % passes == r]
+            i = min(map(first.setdefault, word_keys, itertools.repeat(j)), default=j)
+            if i < j and (best is None or (i, j) < best):
+                best = (i, j)
+            if best is not None and best[0] == 0 and best[1] <= j:
                 break
-    return best, (j + 1) * gauss_binomial(words[0].k, t, words[0].field.q)
+        scanned += j + 1
+    return best, scanned * gauss_binomial(words[0].k, t, words[0].field.q)
 
 
 class _Columns(dict):
@@ -249,18 +257,23 @@ def _level_keys(words: Sequence[Subspace], t: int) -> Iterator[Iterator[tuple]]:
         yield zip(*map(columns.__getitem__, zip(*w.rref.entries)))
 
 
-def _point_scan(words: Sequence[Subspace], histogram: bool):
+def _point_scan(words: Sequence[Subspace], histogram: bool, budget: float):
     """Exact scan over k-spaces through a point -> earlier-words dict on
     the level-1 keys, the points of PG(n-1, q), which need RREF rows: the
-    caller has checked them (or, for complements, built them so).  Also
-    returns the keys hashed."""
+    caller has checked them (or, for complements, built them so).  Gives
+    up, with None for the minimum, once it has walked more than budget
+    (pair, shared point) incidences.  Also returns the keys hashed."""
     q, k = words[0].field.q, words[0].k
     dim_of = {gauss_int(t, q): t for t in range(k + 1)}
     holders: dict[tuple, list[int]] = {}
     shared: Counter = Counter()  # pairs by shared point count
     best = (2 * k + 1, 0, 0)  # (distance, i, j) of the witness so far
+    walked = 0
     for j, points in enumerate(_level_keys(words, 1)):
         lists = [holders.setdefault(p, []) for p in points]
+        walked += sum(map(len, lists))
+        if walked > budget:
+            return None, None, None, (j + 1) * gauss_int(k, q)
         counts = Counter(itertools.chain.from_iterable(lists))
         for held in lists:
             held.append(j)
@@ -280,24 +293,36 @@ def _point_scan(words: Sequence[Subspace], histogram: bool):
     return best[0], best[1:], hist, len(words) * gauss_int(k, q)
 
 
-def _index_bytes(m: int, q: int, n: int, k: int, t: int) -> int:
+def _passes(words: Sequence[Subspace], t: int) -> Optional[int]:
+    """The fewest passes that keep each pass's index at level t within
+    _INDEX_BYTES_CAP, or None when what every pass keeps outgrows it
+    alone."""
+    w = words[0]
+    keys, kept = _index_bytes(len(words), w.field.q, w.ambient_n, w.k, t)
+    room = _INDEX_BYTES_CAP - kept
+    return max(1, -(-keys // room)) if room > 0 else None
+
+
+def _index_bytes(m: int, q: int, n: int, k: int, t: int) -> tuple[int, int]:
     """Peak memory of one level's index over m k-spaces of GF(q)^n at level
-    t, fitted with tracemalloc on 64-bit CPython 3.11.  A distinct key (a
-    tuple of n ints and its dict slot) takes 90 + 8n bytes, of which there
-    are at most min([n t]_q, m·[k t]_q), and a word's index, which its keys
-    share, 32.  Level 1 is costed as the point count, whose holder lists
-    add 70 bytes per distinct key and 9 per (word, point) entry.  A
+    t, fitted with tracemalloc on 64-bit CPython 3.11: the bytes of its
+    distinct keys, which passes divide among themselves, and the bytes
+    every pass keeps.  A distinct key (a tuple of n ints and its dict slot)
+    takes 90 + 8n bytes, of which there are at most min([n t]_q, m·[k t]_q).
+    Level 1 is costed as the point count, whose holder lists add 70 bytes
+    per distinct key and 9 per (word, point) entry.  Every pass keeps a
+    word's index, which its keys share, 32, and the column table: a
     distinct column (a k-tuple, its dict slot and its [k t]_q codes, each
     an int object of 32 bytes when it may exceed 256) takes 100 + 8k bytes
     plus 8 or 40 per code, and a word in RREF has k unit columns, so there
     are at most min(q^k, k + m(n - k))."""
     per_word = gauss_binomial(k, t, q)
     entries = m * per_word
-    keys = min(gauss_binomial(n, t, q), entries) * (90 + 8 * n + (70 if t == 1 else 0)) + 32 * m
+    keys = min(gauss_binomial(n, t, q), entries) * (90 + 8 * n + (70 if t == 1 else 0))
     holders = 9 * entries if t == 1 else 0
     per_code = 8 if q**t <= 257 else 40
     columns = min(q**k, k + m * (n - k)) * (100 + 8 * k + per_code * per_word)
-    return keys + holders + columns
+    return keys + holders, columns + 32 * m
 
 
 def _reversed_dual(w: Subspace) -> Subspace:

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scodes
+from scodes import cli
 from scodes.bounds import BoundEngine
 from scodes.cli import FileError, main, read_code_file, write_code_file
 from scodes.constructions import Cdc, lifted_mrd, linkage, single_codeword
@@ -132,24 +133,34 @@ def test_verify_detects_failure(tmp_path, capsys):
     assert "FAIL" in err
 
 
-def test_verify_cap_reaches_min_distance(tmp_path, capsys, monkeypatch):
-    import scodes.cli as cli
-
-    caps = []
-    real = cli.min_distance
-
-    def spy(*args, **kwargs):
-        caps.append(kwargs.get("cap"))
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "min_distance", spy)
+@pytest.mark.parametrize("command", [["construct", "lmrd", "--q", "2", "--n", "6", "--k", "3",
+                                      "--d", "4"], ["verify"]])
+def test_verify_cap_is_an_unknown_argument(tmp_path, capsys, command):
     path = str(tmp_path / "c.scode")
-    rc, _, _ = run(capsys, "construct", "lmrd", "--q", "2", "--n", "6", "--k", "3", "--d", "4",
-                   "-o", path, "--verify-cap", "25000")
-    assert rc == 0
-    rc, _, _ = run(capsys, "verify", path, "--verify-cap", "30000")
-    assert rc == 0
-    assert caps == [25000, 30000]
+    assert run(capsys, "construct", "lmrd", "--q", "2", "--n", "6", "--k", "3", "--d", "4",
+               "-o", path)[0] == 0
+    argv = [*command, "-o", str(tmp_path / "d.scode")] if command[0] == "construct" else [*command, path]
+    rc, out, err = run(capsys, *argv, "--verify-cap", "100")
+    assert rc == 2 and out == "" and "unrecognized arguments: --verify-cap" in err
+    assert not (tmp_path / "d.scode").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["spread", "--q", "2", "--n", "6", "--k", "2", "--d", "8"], "spread builds a code with n=6 k=2 d=4"),
+    (["assemble", "--q", "2", "--d", "6"], "assemble builds a code with n=8 k=4 d=4"),
+    (["coset", "--q", "2", "--n", "9"], "coset builds a code with n=8 k=4 d=4"),
+    (["ef", "--q", "2", "--n", "8", "--d", "6", "--skeleton", "1110000,0001101"],
+     "ef builds a code with n=7 k=3 d=6"),
+    (["lmrd", "--q", "2", "--n", "6", "--k", "3", "--d", "4", "--split", "3"], "lmrd takes no --split"),
+    (["spread", "--q", "2", "--n", "6", "--k", "2", "--skeleton", "110000"], "spread takes no --skeleton"),
+    (["linkage", "--q", "2", "--n", "8", "--k", "4", "--d", "6", "--skeleton", "11110000"],
+     "linkage takes no --skeleton"),
+])
+def test_construct_refuses_a_code_that_contradicts_its_arguments(tmp_path, capsys, argv, message):
+    path = tmp_path / "c.scode"
+    rc, out, err = run(capsys, "construct", *argv, "-o", str(path))
+    assert rc == 2 and out == "" and err.startswith("error: " + message)
+    assert not path.exists()
 
 
 def test_verify_missing_file(capsys):
@@ -245,6 +256,32 @@ def test_code_file_roundtrip_canonical(tmp_path):
     path2 = str(tmp_path / "y.scode")
     write_code_file(path2, back)
     assert open(path).read() == open(path2).read()
+
+
+@st.composite
+def small_constructions(draw):
+    """A construction name with small parameters it accepts: spreads and
+    the linkage codes that read C(n - k, d; k) need 2k <= n."""
+    name = draw(st.sampled_from(["lmrd", "linkage", "improved-linkage", "gen-linkage", "ef", "spread"]))
+    q = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(2, 6 if q == 2 else 5))
+    k = draw(st.integers(1, n // 2 if name in ("linkage", "gen-linkage", "spread") else n - 1))
+    return name, q, n, k, 2 * draw(st.integers(1, min(k, n - k)))
+
+
+@given(small_constructions())
+@settings(max_examples=40, deadline=None)
+def test_every_construction_round_trips_through_its_file(args):
+    built = cli._build(*args, None, None)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, again = os.path.join(tmp, "c.scode"), os.path.join(tmp, "again.scode")
+        write_code_file(path, built)
+        back = read_code_file(path)
+        write_code_file(again, back)
+        with open(path, "rb") as first, open(again, "rb") as second:
+            assert first.read() == second.read()
+    assert (back.q, back.n, back.k, back.d) == (built.q, built.n, built.k, built.d)
+    assert list(back.words) == sorted(built.words, key=lambda w: w.rref.entries)
 
 
 def test_zero_space_code_round_trips(tmp_path, capsys):
@@ -576,11 +613,10 @@ def test_construct_coset_and_assemble(tmp_path, capsys):
     rc, out, _ = run(capsys, "construct", "coset", "--q", "2", "-o", path)
     assert rc == 0 and "700 codewords" in out
     path2 = str(tmp_path / "asm.scode")
-    rc, out, _ = run(capsys, "construct", "assemble", "--q", "2", "-o", path2,
-                     "--verify-cap", "100")
+    rc, out, _ = run(capsys, "construct", "assemble", "--q", "2", "-o", path2)
     assert rc == 0
     assert "4797 codewords" in out
-    assert "non-certifying" in out
+    assert "verified by exact scan" in out
 
 
 def test_construct_insert1(tmp_path, capsys):
@@ -618,9 +654,10 @@ def test_verify_sampled_count_must_be_positive(tmp_path, capsys, count):
 def test_construct_gen_linkage(tmp_path, capsys):
     path = str(tmp_path / "gl.scode")
     rc, out, _ = run(capsys, "construct", "gen-linkage", "--q", "2", "--n", "8", "--k", "4",
-                     "--d", "4", "--split", "4", "-o", path, "--verify-cap", "100")
+                     "--d", "4", "--split", "4", "-o", path)
     assert rc == 0
     assert "4622 codewords" in out
+    assert "verified by exact scan" in out
 
 
 # SHA-256 of the files written by `scodes construct`: they pin the words of

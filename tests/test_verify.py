@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import time
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from scodes import spaces, verify
 from scodes.constructions import Cdc, lifted_mrd, partial_spread, single_codeword
 from scodes.gfq import GF
-from scodes.qcombi import gauss_int
+from scodes.qcombi import gauss_binomial, gauss_int
 from scodes.spaces import (MatGF, Subspace, dual, enumerate_grassmannian, permute_columns, rank,
                            subspace_distance)
 from scodes.verify import (
@@ -122,12 +123,6 @@ def test_min_distance_sampled_not_certifying():
 def test_min_distance_sampled_needs_a_positive_count(count):
     with pytest.raises(ValueError, match="sample count"):
         min_distance(partial_spread(2, 6, 2), "sampled", sample_count=count)
-
-
-def test_min_distance_cap():
-    code = partial_spread(2, 8, 2)
-    with pytest.raises(ValueError):
-        min_distance(code, "exact", cap=10)
 
 
 def test_detects_distance_violation():
@@ -311,9 +306,11 @@ def test_spread_checks_reject_mixed_words():
                 check(Cdc(2, 4, 2, 4, words))
 
 
-def only_level_1_fits(mp):
-    """Put every level's index but level 1's past the memory cap."""
-    mp.setattr(verify, "_index_bytes", lambda m, q, n, k, t: 0 if t == 1 else verify._INDEX_BYTES_CAP + 1)
+def levels_need_passes(mp, passes=3, level_1=1):
+    """Estimate level 1's index at `level_1` passes and every other
+    level's at `passes`."""
+    mp.setattr(verify, "_index_bytes", lambda m, q, n, k, t:
+               ((level_1 if t == 1 else passes) * verify._INDEX_BYTES_CAP, 0))
 
 
 @given(constant_dimension_codes(), st.integers(-3, 3), st.booleans())
@@ -333,20 +330,30 @@ def test_exact_scan_matches_a_brute_force_pair_loop(code, offset, histogram):
     assert rep.min_distance == best
     assert rep.witness == next(pair for pair, dist in dists.items() if dist == best)
     assert rep.histogram == (dict(Counter(dists.values())) if histogram else None)
-    # with only level 1 under the index memory cap, a search from level 1
-    # ends there when it meets no key twice or k = 1, and the point count
-    # runs otherwise
+    # levels above 1 in three passes: the point count runs first, unless
+    # the search starts at level 1, and gives up for the sharded search once
+    # it has walked more shared points than those passes would hash keys
+    walked = sum(gauss_int(k - dist // 2, code.q) for dist in dists.values())
+    budget = 3 * len(code.words) * gauss_binomial(k, t0, code.q)
     with pytest.MonkeyPatch.context() as mp:
-        only_level_1_fits(mp)
+        levels_need_passes(mp)
         counted = min_distance(code, "exact", histogram=histogram)
-    searched = not histogram and t0 == 1 and (best == 2 * k or k == 1)
-    assert counted.kernel == ("subspaces" if searched else "points") and counted.certifies
-    # past the cap at level 1 too, the same pairs are compared one by one
+    counts = histogram or t0 > 1 and walked <= budget
+    assert counted.kernel == ("points" if counts else "subspaces")
+    # level 1 in three passes too: every level of the search is sharded, and
+    # a histogram's point count, which takes one pass, gives way to pairs
+    with pytest.MonkeyPatch.context() as mp:
+        levels_need_passes(mp, level_1=3)
+        sharded = min_distance(code, "exact", histogram=histogram)
+    assert (sharded.kernel, sharded.level) == (("rank", None) if histogram else ("subspaces", t0))
+    # what every pass keeps past the budget: the same pairs are compared one
+    # by one (a k = 0 search indexes no level)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verify, "_INDEX_BYTES_CAP", -1)
         by_pairs = min_distance(code, "exact", histogram=histogram)
-    assert by_pairs.kernel == "rank" and by_pairs.certifies
-    for other in (counted, by_pairs):
+    assert by_pairs.kernel == ("rank" if histogram or k else "subspaces")
+    for other in (counted, sharded, by_pairs):
+        assert other.certifies
         assert (other.min_distance, other.witness, other.histogram) == \
             (rep.min_distance, rep.witness, rep.histogram)
 
@@ -367,9 +374,10 @@ def test_exact_scan_over_a_large_field_compares_pairs():
     lines = [Subspace.from_rref(F, 4, rows) for rows in
              ([[1, 0, 5, 7], [0, 1, 1000000006, 3]], [[1, 0, 0, 0], [0, 1, 0, 0]],
               [[1, 0, 0, 0], [0, 0, 1, 0]])]
-    rep = min_distance(Cdc(F.q, 4, 2, 2, tuple(lines)), "exact", histogram=True)
-    assert (rep.min_distance, rep.witness, rep.kernel, rep.certifies) == (2, (1, 2), "rank", True)
-    assert rep.histogram == {4: 2, 2: 1}
+    for histogram in (False, True):
+        rep = min_distance(Cdc(F.q, 4, 2, 2, tuple(lines)), "exact", histogram=histogram)
+        assert (rep.min_distance, rep.witness, rep.kernel, rep.certifies) == (2, (1, 2), "rank", True)
+        assert rep.histogram == ({4: 2, 2: 1} if histogram else None)
 
 
 @given(subspace_pairs())
@@ -418,20 +426,24 @@ def test_reversed_dual_is_the_complement_with_columns_reversed(U):
 @pytest.mark.parametrize("k, indexed_k", [(3, 3), (4, 2)])
 def test_index_gate_sits_at_the_estimated_memory(monkeypatch, k, indexed_k):
     code = lifted_mrd(2, 6, k, 4)
-    m, t0 = len(code.words), indexed_k - 1  # d = 4
-    need = {t: verify._index_bytes(m, 2, 6, indexed_k, t) for t in (1, t0)}
-    # the search's first level, with the point count (histograms) at level 1
-    gates = [(False, need[t0], "subspaces", "points" if need[1] < need[t0] else "rank"),
-             (True, need[1], "points", "rank")]
-    for histogram, cap, at_kernel, past_kernel in gates:
+    words = [verify._reversed_dual(w) for w in code.words] if k > indexed_k else code.words
+    m, t0 = len(words), indexed_k - 1  # d = 4
+    need = {t: sum(verify._index_bytes(m, 2, 6, indexed_k, t)) for t in (1, t0)}
+    one_pass = min_distance(code, "exact")
+    # the search's first level takes one pass at its estimate and two a byte
+    # below it; a histogram's point count takes level 1 in one pass or
+    # gives way to pairs
+    for histogram, level, kernels in ((False, t0, None), (True, 1, ("points", "rank"))):
         reports = []
-        for cap in (cap, cap - 1):
+        for cap in (need[level], need[level] - 1):
             monkeypatch.setattr(verify, "_INDEX_BYTES_CAP", cap)
             reports.append(min_distance(code, "exact", histogram=histogram))
+            assert verify._passes(words, level) == 1 + (cap < need[level])
         at, past = reports
-        assert (at.kernel, past.kernel) == (at_kernel, past_kernel)
-        assert (at.min_distance, at.witness, at.histogram) == \
-            (past.min_distance, past.witness, past.histogram)
+        assert (at.min_distance, at.witness) == (past.min_distance, past.witness) == \
+            (one_pass.min_distance, one_pass.witness)
+        assert at.histogram == past.histogram
+        assert (at.kernel, past.kernel) == (kernels or ("subspaces", past.kernel))
 
 
 @pytest.mark.parametrize("m, q, n, k", [
@@ -440,12 +452,53 @@ def test_index_gate_sits_at_the_estimated_memory(monkeypatch, k, indexed_k):
     (20000, 2, 12, 6), (20000, 4, 8, 4), (20000, 8, 6, 3), (20000, 3, 10, 5),
 ])
 def test_codes_of_ordinary_fields_fit_the_index(m, q, n, k):
-    assert verify._index_bytes(m, q, n, k, 1) <= verify._INDEX_BYTES_CAP
+    assert sum(verify._index_bytes(m, q, n, k, 1)) <= verify._INDEX_BYTES_CAP
 
 
 def test_a_level_past_the_cap_leaves_the_point_count():
-    # lifted_mrd(2, 14, 7, 12) would index 16384 * 2667 keys at its first level
-    assert verify._index_bytes(16384, 2, 14, 7, 2) > verify._INDEX_BYTES_CAP
+    # lifted_mrd(2, 14, 7, 12) would index 16384 * 2667 keys at its first
+    # level: 17 passes, against one for the point count at level 1
+    word = Subspace.from_rref(F2, 14, [[int(c == r) for c in range(14)] for r in range(7)])
+    assert (verify._passes([word] * 16384, 2), verify._passes([word] * 16384, 1)) == (17, 1)
+
+
+def test_passes_keep_the_index_within_the_budget(monkeypatch):
+    """4096 4-spaces of GF(2)^8 at d = 4: a budget of a fifth of the first
+    level's estimate takes six passes there, one for what every pass keeps,
+    and the whole scan stays within it."""
+    code = lifted_mrd(2, 8, 4, 4)
+    one_pass = min_distance(code, "exact")
+    budget = sum(verify._index_bytes(4096, 2, 8, 4, 3)) // 5
+    monkeypatch.setattr(verify, "_INDEX_BYTES_CAP", budget)
+    assert verify._passes(code.words, 3) == 6
+    tracemalloc.start()
+    try:
+        rep = min_distance(code, "exact")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= budget
+    assert (rep.kernel, rep.level, rep.min_distance, rep.witness) == \
+        (one_pass.kernel, one_pass.level, one_pass.min_distance, one_pass.witness) == \
+        ("subspaces", 3, 4, (0, 257))
+
+
+@pytest.mark.parametrize("code, kernel", [
+    # words that share no point: the point count walks no incidence
+    (dataclasses.replace(partial_spread(2, 8, 4), d=6), "points"),
+    # 256 words through each point: the count gives up for the passes
+    (lifted_mrd(2, 8, 4, 4), "subspaces"),
+], ids=["spread", "lifted-mrd"])
+def test_point_count_runs_where_it_is_cheaper_than_passes(monkeypatch, code, kernel):
+    t0 = code.k - code.d // 2 + 1
+    need = {t: sum(verify._index_bytes(len(code.words), 2, 8, 4, t)) for t in (1, t0)}
+    one_pass = min_distance(code, "exact")
+    monkeypatch.setattr(verify, "_INDEX_BYTES_CAP", (need[1] + need[t0]) // 2)
+    assert verify._passes(code.words, 1) == 1 < verify._passes(code.words, t0)
+    rep = min_distance(code, "exact")
+    assert (rep.kernel, rep.level) == (kernel, 1 if kernel == "points" else t0)
+    assert one_pass.kernel == "subspaces"
+    assert (rep.min_distance, rep.witness) == (one_pass.min_distance, one_pass.witness)
 
 
 NOT_RREF = {
@@ -491,7 +544,7 @@ def test_every_shared_count_is_checked(monkeypatch):
     fake = dict(zip(planes, ([(p,) for p in range(1, 8)], [(p,) for p in range(8, 15)],
                              [(p,) for p in (1, 2, 3, 8, 9, 20, 21)])))
     monkeypatch.setattr(verify, "_level_keys", lambda words, t: (iter(fake[w]) for w in words))
-    only_level_1_fits(monkeypatch)  # without a histogram, the point count runs past the cap
+    levels_need_passes(monkeypatch)  # without a histogram, the point count runs before passes
     for histogram in (False, True):
         with pytest.raises(ValueError, match="2 shared points is not a point count"):
             min_distance(Cdc(2, 6, 3, 2, planes), "exact", histogram=histogram)
@@ -502,6 +555,6 @@ def test_point_count_outside_gauss_integers_is_an_error(monkeypatch):
     # two points shared by every word: 2 is no [t]_2
     monkeypatch.setattr(verify, "_level_keys", lambda words, t: (iter([(1, 0, 0, 0), (0, 1, 0, 0)])
                                                                 for _ in words))
-    only_level_1_fits(monkeypatch)
+    levels_need_passes(monkeypatch)
     with pytest.raises(ValueError, match="not a point count"):
         min_distance(Cdc(2, 4, 2, 2, lines), "exact")
