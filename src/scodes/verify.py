@@ -49,9 +49,13 @@ complements, which have fewer subspaces of each dimension.  Each way gives
 the minimum and the witness, the first pair in `itertools.combinations`
 order that attains it.
 
-The spread checks (`is_partial_spread`, `spread_summary`) and the
-partial-spread branch of `max_code_exhaustive` read points off the level-1
-keys of the words themselves, never of their complements.
+The spread checks (`is_partial_spread`, `spread_summary`) read points off
+the level-1 keys of the words themselves, never of their complements.  The
+exhaustive optimum search uses the same view: a code with d_S >= d is a
+set of words whose keys at level t = k - d/2 + 1 are pairwise disjoint,
+so it branches over the lowest key not yet resolved (some chosen word
+holds it, or none does) and needs no distance routine; at d = 2k it
+searches partial spreads on the points.
 
 `spaces` checks rows where they enter a `Subspace`: `from_matrix` through
 `rref`, and `from_rref` and the `.scode` reader through one RREF shape
@@ -402,84 +406,64 @@ def max_code_exhaustive(q: int, n: int, k: int, d: int) -> int:
     """
     Exhaustively computed maximum size of a code in the Grassmannian with
     pairwise distance >= d (branch and bound).  Only intended for tiny
-    parameters; used as an independent optimality oracle.  No two k-spaces
-    lie further apart than 2*min(k, n-k), so a larger d admits one word.
+    parameters; used as an independent optimality oracle.  Any two distinct
+    k-spaces lie at least 2 apart, so d <= 2 admits every k-space, and no
+    two lie further apart than 2*min(k, n-k), so a larger d admits one word.
     For 2k > n it searches the (n-k)-spaces instead: taking orthogonal
     complements maps the k-spaces onto them and keeps every distance.
+    Otherwise it searches packings (`_max_packing`).
     """
-    if k > n:
+    if k < 0 or k > n:
         return 0  # no k-space
     if d > 2 * min(k, n - k):
         return 1
     if 2 * k > n:
         return max_code_exhaustive(q, n, n - k, d)
     words = list(enumerate_grassmannian(q, n, k))
-    if d == 2 * k:
-        return _max_partial_spread(q, n, k, words)
-    m = len(words)
-    compat = []
-    for i in range(m):
-        row = set()
-        for j in range(i + 1, m):
-            if subspace_distance_capped(words[i], words[j], d) >= d:
-                row.add(j)
-        compat.append(row)
-    best = 0
-
-    def grow(cands: set[int], size: int):
-        nonlocal best
-        if size + len(cands) <= best:
-            return
-        if not cands:
-            best = max(best, size)
-            return
-        rest = set(cands)
-        while rest:
-            if size + len(rest) <= best:
-                return
-            i = min(rest)
-            rest.discard(i)
-            grow(rest & compat[i], size + 1)
-
-    grow(set(range(m)), 0)
-    return best
-
-
-def _max_partial_spread(q: int, n: int, k: int, words: Sequence[Subspace]) -> int:
-    """Branch over the lowest uncovered point: either a chosen word covers
-    it or it is declared a hole.  Point sets are bitmasks."""
-    if len(words) <= 1:  # k > n or k = 0: no search, and no point to branch on
+    if d <= 2:
         return len(words)
-    holders: dict[tuple, list[int]] = {}  # point -> the words that hold it
-    for wi, points in enumerate(_level_keys(words, 1)):
-        for p in points:
-            holders.setdefault(p, []).append(wi)
-    by_point = list(holders.values())  # point b is bit b of a word's mask
+    return _max_packing(words, d)
+
+
+def _max_packing(words: Sequence[Subspace], d: int) -> int:
+    """The most words, word 0 among them, pairwise >= d apart, for
+    2 < d <= 2k: no two of them hold a common t-space, t = k - ceil(d/2) + 1,
+    the level whose collisions decide d in `min_distance`.  Branch over the
+    lowest unresolved t-space: either a chosen word holds it or it is
+    declared a hole.  Key sets are bitmasks; every word holds [k t]_q keys,
+    which bounds the words that the unresolved keys can still take."""
+    k = words[0].k
+    t = k - (d + 1) // 2 + 1
+    holders: dict[tuple, list[int]] = {}  # key -> the words that hold it
+    for wi, keys in enumerate(_level_keys(words, t)):
+        for key in keys:
+            holders.setdefault(key, []).append(wi)
+    by_key = list(holders.values())  # key b is bit b of a word's mask
     word_masks = [0] * len(words)
-    for b, held in enumerate(by_point):
+    for b, held in enumerate(by_key):
         for wi in held:
             word_masks[wi] |= 1 << b
-    total_points = len(by_point)
-    full = (1 << total_points) - 1
-    per_word = gauss_int(k, q)
+    total_keys = len(by_key)
+    full = (1 << total_keys) - 1
+    per_word = gauss_binomial(k, t, words[0].field.q)
     best = 0
 
     def grow(done: int, used_count: int):
-        # done = covered-or-banned mask; banned contributes no words
+        # done = held-or-banned mask; banned contributes no words
         nonlocal best
-        remaining = total_points - done.bit_count()
+        remaining = total_keys - done.bit_count()
         if used_count + remaining // per_word <= best:
             return
         if done == full:
             best = max(best, used_count)
             return
-        p = (~done & (done + 1)).bit_length() - 1  # lowest unresolved point
-        for wi in by_point[p]:
+        b = (~done & (done + 1)).bit_length() - 1  # lowest unresolved key
+        for wi in by_key[b]:
             mask = word_masks[wi]
             if mask & done:
                 continue
             grow(done | mask, used_count + 1)
-        grow(done | (1 << p), used_count)
+        grow(done | (1 << b), used_count)
 
     # GL(n, q) is transitive on k-spaces, so some optimum contains word 0:
     # start from it instead of branching at the root.

@@ -194,12 +194,35 @@ def test_criterion_09_lp_equals_anticode():
         assert findings == [], f"audit findings: {findings}"
 
 
+# Tiny (q, n, k, d) cells with their optima; the oracle finishes each
+# within a second.
+ORACLE_CELLS = [
+    (2, 4, 2, 4, 5), (2, 5, 2, 4, 9), (2, 6, 3, 6, 9), (2, 4, 2, 2, 35), (2, 5, 2, 2, 155),
+    (2, 6, 2, 2, 651), (2, 6, 2, 4, 21), (2, 6, 3, 2, 1395), (2, 6, 4, 4, 21), (3, 4, 2, 2, 130),
+    (3, 4, 2, 4, 10), (4, 4, 2, 4, 17), (5, 4, 2, 4, 26), (3, 5, 1, 2, 121), (2, 5, 4, 2, 31),
+    (2, 5, 3, 4, 9),
+]
+
+
 def test_criterion_10_tiny_exact_oracles(engine):
     with criterion(10, "exhaustive-search optimality oracles"):
-        for (q, n, d, k, v) in [(2, 4, 4, 2, 5), (2, 5, 4, 2, 9), (2, 6, 6, 3, 9)]:
-            lo, hi = engine.bounds(q, n, d, k)
+        pure = BoundEngine(use_facts=False)
+        for (q, n, k, d, v) in ORACLE_CELLS:
             oracle = max_code_exhaustive(q, n, k, d)
-            assert lo.value == hi.value == oracle == v
+            for bounds in (engine, pure):
+                lo, hi = bounds.bounds(q, n, d, k)
+                assert lo.value == oracle == hi.value == v, (q, n, k, d, bounds.use_facts)
+
+
+def test_criterion_10_oracle_shares_no_rank_distance(monkeypatch):
+    # the oracle decides distances on t-subspace keys, never on the rank
+    # routine that the constructions use
+    def refuse(*args):
+        raise AssertionError("the oracle called subspace_distance_capped")
+
+    monkeypatch.setattr("scodes.verify.subspace_distance_capped", refuse)
+    assert [max_code_exhaustive(q, n, k, d) for q, n, k, d, _ in ORACLE_CELLS] \
+        == [v for *_, v in ORACLE_CELLS]
 
 
 def test_criterion_11_property_suites():

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import random
 import time
 import tracemalloc
 from collections import Counter
@@ -159,12 +160,36 @@ def test_pivot_structure():
 
 
 def test_max_code_exhaustive_general_distance():
-    # d < 2k branch: the full Grassmannian at distance 2
+    # distinct k-spaces lie at least 2 apart: d <= 2 takes the full Grassmannian
     assert max_code_exhaustive(2, 4, 2, 2) == 35
+    assert max_code_exhaustive(2, 5, 2, 2) == 155
+    assert max_code_exhaustive(2, 6, 3, 2) == 1395
     assert max_code_exhaustive(2, 4, 2, 4) == 5
 
 
+@pytest.mark.parametrize("q, n, k, d", [
+    (2, 6, 3, 4),  # t = 2
+    (2, 6, 3, 6),  # t = 1
+    (2, 7, 3, 4),  # t = 2
+    (3, 4, 2, 4),  # t = 1
+])
+def test_max_packing_matches_brute_force_on_random_subsets(q, n, k, d):
+    # the largest subset holding word 0 whose pairs all lie >= d apart,
+    # against the packing search, which starts from word 0
+    rng = random.Random(f"{q}-{n}-{k}-{d}")
+    grassmannian = list(enumerate_grassmannian(q, n, k))
+    for _ in range(40):
+        words = rng.sample(grassmannian, 14)
+        clash = [sum(1 << j for j, W in enumerate(words) if j != i and subspace_distance(U, W) < d)
+                 for i, U in enumerate(words)]
+        best = max(
+            mask.bit_count() for mask in range(1, 1 << 14, 2)
+            if not any(mask >> i & 1 and clash[i] & mask for i in range(14)))
+        assert verify._max_packing(words, d) == best
+
+
 def test_max_code_exhaustive_degenerate_dimensions():
+    assert max_code_exhaustive(2, 4, -1, 2) == 0  # no (-1)-space
     assert max_code_exhaustive(2, 3, 4, 8) == 0  # no 4-space in GF(2)^3
     assert max_code_exhaustive(3, 3, 0, 0) == 1  # the zero space alone
     assert max_code_exhaustive(2, 3, 3, 6) == 1  # the whole space alone
@@ -188,8 +213,6 @@ def test_max_code_exhaustive_admits_one_word_beyond_the_largest_distance(q, n, k
 
 
 def test_histogram_pair_count_random_code():
-    import random
-
     rng = random.Random(0)
     words = rng.sample(list(enumerate_grassmannian(2, 5, 2)), 12)
     code = Cdc(2, 5, 2, 2, tuple(words))
