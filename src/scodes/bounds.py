@@ -582,9 +582,6 @@ class BoundEngine:
 
     def ahlswede_aydinian(self, q: int, n: int, d: int, k: int) -> BoundResult:
         n, d, k = _norm(n, d, k)
-        return self._ahlswede(q, n, d, k)
-
-    def _ahlswede(self, q, n, d, k) -> BoundResult:
         r = d // 2
         best: Optional[tuple[int, int, int, BoundResult]] = None
         numerator = self._gauss_binomial(n, k, q)

@@ -277,14 +277,10 @@ def _build(name: str, q: int, n: int, k: int, d: int, split: Optional[int],
 
 def cmd_bound(args) -> int:
     engine = BoundEngine(use_facts=not args.no_facts)
-    try:
-        if args.dir == "upper":
-            res = engine.best_upper(args.q, args.n, args.d, args.k)
-        else:
-            res = engine.best_lower(args.q, args.n, args.d, args.k)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return PARAM_ERROR
+    if args.dir == "upper":
+        res = engine.best_upper(args.q, args.n, args.d, args.k)
+    else:
+        res = engine.best_lower(args.q, args.n, args.d, args.k)
     print(decimal_str(res.value))
     if args.explain:
         print(res.render())
@@ -306,9 +302,6 @@ def cmd_construct(args) -> int:
     except FileError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return DATA_ERROR
-    except (ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return PARAM_ERROR
     if args.n not in (None, code.n) or args.k not in (None, code.k) or (args.d or 0) > code.d:
         given = " ".join(f"--{key} {val}" for key, val in (("n", args.n), ("k", args.k), ("d", args.d))
                          if val is not None)

@@ -336,10 +336,9 @@ def find_parallelism(q: int, n: int, k: int) -> DPacking:
         first = min(remaining)
         avail = sorted(remaining)
         for spread in spreads_using(first, avail):
-            if all(i in remaining for i in spread):
-                res = solve(remaining - frozenset(spread), acc + [spread])
-                if res is not None:
-                    return res
+            res = solve(remaining - frozenset(spread), acc + [spread])
+            if res is not None:
+                return res
         return None
 
     solution = solve(frozenset(range(len(lines))), [])

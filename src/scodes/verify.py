@@ -10,11 +10,12 @@ constructions.  Two k-spaces meet in a t-space exactly when their
 subspace distance is at most 2(k - t), so a code has d_S >= d exactly when
 no t-space, t = k - d/2 + 1, lies in two of its words (the packing-design
 view of Etzion and Vardy, "Error-correcting codes in projective space",
-IEEE T-IT 2011).  The exact scan indexes every word's t-subspaces at that
-level in a dict from each key to the first word that holds it.  No key
-seen twice certifies d; the levels below are then indexed down to the
-first with a collision.  A collision means d is not met; the levels above
-are then indexed up to the first without one.  The highest level t with a
+IEEE T-IT 2011).  The exact scan walks the levels from t0 = k - d/2 + 1 in
+one loop, indexing every word's t-subspaces in a dict from each key to
+the first word that holds it.  No key seen twice at t0 certifies d; the
+walk then goes down to the first level with a collision, so a code that
+meets d visits levels 1..t0 only.  A collision means d is not met; the
+walk then goes up to the last level with one.  The highest level t with a
 collision gives the minimum 2(k - t), and a code with none at level 1 has
 minimum 2k.
 
@@ -40,14 +41,15 @@ level-1 keys, the points of PG(n-1, q): two k-spaces share
 a shared count that is no [t]_q is an error.  It counts them first, too,
 when the search's first level needs more than one pass, and gives up for
 the search once it has walked more incidences than those passes would hash
-keys.  It counts them in place of the search when some level fits in no
-number of passes, because the column table, which every pass keeps, would
-outgrow the budget alone.  Where the count's own index would outgrow it
-(large fields), pairs are compared one by one on stacked rank, as in
-sampled mode.  Words with 2k > n are scanned as their orthogonal
-complements, which have fewer subspaces of each dimension.  Each way gives
-the minimum and the witness, the first pair in `itertools.combinations`
-order that attains it.
+keys.  It counts them in place of the search when some level 1..t0 fits
+in no number of passes, because the column table, which every pass keeps,
+would outgrow the budget alone, and after the search when the walk up of
+a code that misses d reaches a level above t0 that fits in none.  Where
+the count's own index would outgrow it (large fields), pairs are compared
+one by one on stacked rank, as in sampled mode.  Words with 2k > n are
+scanned as their orthogonal complements, which have fewer subspaces of
+each dimension.  Each way gives the minimum and the witness, the first
+pair in `itertools.combinations` order that attains it.
 
 The spread checks (`is_partial_spread`, `spread_summary`) read points off
 the level-1 keys of the words themselves, never of their complements.  The
@@ -55,7 +57,8 @@ exhaustive optimum search uses the same view: a code with d_S >= d is a
 set of words whose keys at level t = k - d/2 + 1 are pairwise disjoint,
 so it branches over the lowest key not yet resolved (some chosen word
 holds it, or none does) and needs no distance routine; at d = 2k it
-searches partial spreads on the points.
+searches partial spreads on the points.  It recurses once per key, so it
+raises ValueError past the recursion limit.
 
 `spaces` checks rows where they enter a `Subspace`: `from_matrix` through
 `rref`, and `from_rref` and the `.scode` reader through one RREF shape
@@ -72,6 +75,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
+import traceback
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
@@ -99,8 +104,8 @@ class VerificationReport:
     t = k - d/2 + 1, clamped to 1..k (0 for k = 0), with k of the
     complements for words with 2k > n; 1 for "points"; None for "rank".
     `keys` counts the (word, t-subspace) keys hashed over every level and
-    pass, by a point count that gave up too.  Only exact mode `certifies`,
-    at any number of words."""
+    pass, by a point count that gave up or a search that fell back too.
+    Only exact mode `certifies`, at any number of words."""
 
     code_size: int
     declared_d: Optional[int]
@@ -128,13 +133,16 @@ def min_distance(C: Cdc, mode: str = "exact", sample_count: int = DEFAULT_SAMPLE
     Minimum pairwise subspace distance of a code.
 
     Exact mode covers all pairs, at any number of words, and certifies the
-    result: by the t-subspace collision search from the level of the
-    declared distance (d = 0 when C.d is None), by the level-1 point count
-    or on stacked rank, as the module docstring says.  It raises ValueError
-    for words of different dimensions or ambient spaces and rows not in
-    RREF.  Sampled mode draws sample_count >= 1 seeded random pairs of any
-    dimensions and is explicitly non-certifying.
+    result: by the t-subspace collision search from the level t0 of the
+    declared distance (d = 0 when C.d is None), run when levels 1..t0 fit
+    the index, by the level-1 point count or on stacked rank, as the module
+    docstring says.  It raises ValueError for an unknown mode, words of
+    different dimensions or ambient spaces and rows not in RREF.  Sampled
+    mode draws sample_count >= 1 seeded random pairs of any dimensions and
+    is explicitly non-certifying.
     """
+    if mode not in ("exact", "sampled"):
+        raise ValueError(f"unknown mode {mode!r}")
     words = list(C.words)
     if mode == "sampled" and sample_count < 1:
         raise ValueError(f"sample count must be >= 1, got {sample_count}")
@@ -147,28 +155,30 @@ def min_distance(C: Cdc, mode: str = "exact", sample_count: int = DEFAULT_SAMPLE
         best, witness, _ = _pair_scan(words, ((i, j + (j >= i)) for i, j in draws), False)
         return VerificationReport(m, C.d, best, "sampled", False, witness, seed=seed, kernel="rank")
 
-    if mode != "exact":
-        raise ValueError(f"unknown mode {mode!r}")
     _check_words(words)
     n, k = words[0].ambient_n, words[0].k
     if 2 * k > n:
         words, k = [_reversed_dual(w) for w in words], n - k
     # the level whose collisions decide d_S >= d, clamped to 1..k (0 for k = 0)
     t0 = min(max(k - ((C.d or 0) + 1) // 2 + 1, 1), k)
-    search = not histogram and all(_passes(words, t) for t in range(1, k + 1))
+    search = not histogram and all(_passes(words, t) for t in range(1, t0 + 1))
     passes = _passes(words, t0) if search and t0 else 1  # level 0 is never indexed
     best = witness = hist = None
     keys = 0
-    if (passes > 1 or not search) and _passes(words, 1) == 1:
-        # with a search to fall back on, the count gives up past the keys its passes would hash
-        budget = passes * len(words) * gauss_binomial(k, t0, words[0].field.q) if search else math.inf
+    if search and passes > 1 and _passes(words, 1) == 1:
+        # the count gives up past the keys the search's passes would hash
+        budget = passes * len(words) * gauss_binomial(k, t0, words[0].field.q)
         kernel, level = "points", 1
         best, witness, hist, keys = _point_scan(words, histogram, budget)
     if best is None and search:
         kernel, level = "subspaces", t0
         best, witness, more = _subspace_search(words, t0)
         keys += more
-    elif best is None:
+    if best is None and _passes(words, 1) == 1:  # no search, or its walk up left the index
+        kernel, level = "points", 1
+        best, witness, hist, more = _point_scan(words, histogram, math.inf)
+        keys += more
+    if best is None:
         pairs = itertools.combinations(range(len(words)), 2)
         kernel, level = "rank", None
         best, witness, hist = _pair_scan(words, pairs, histogram)
@@ -177,25 +187,21 @@ def min_distance(C: Cdc, mode: str = "exact", sample_count: int = DEFAULT_SAMPLE
 
 
 def _subspace_search(words: Sequence[Subspace], t0: int):
-    """The minimum distance, its witness and the keys hashed, by collision
-    scans from level t0 down to the first level with a collision or up to
-    the last."""
-    k = words[0].k
-    t = t0
-    witness, keys = _collision(words, t)
-    if witness is None:
-        while witness is None:  # d is met: the first level below with a collision
-            t -= 1
-            witness, more = _collision(words, t)
-            keys += more
-    else:
-        while t < k:  # d is not met: the last level above with a collision
-            above, more = _collision(words, t + 1)
-            keys += more
-            if above is None:
-                break
-            t, witness = t + 1, above
-    return 2 * (k - t), witness, keys
+    """The minimum distance, its witness and the keys hashed, by one walk of
+    collision scans from level t0: down to the first level with a collision
+    or up to the last.  Levels 1..t0 fit the index; a level above that fits
+    in no number of passes ends the walk with None for both."""
+    k, t, step, keys = words[0].k, t0, 0, 0
+    while t <= t0 or _passes(words, t):
+        found, more = _collision(words, t)
+        keys += more
+        step = step or (1 if found else -1)
+        if found:
+            top, witness = t, found
+        if (found is None) == (step > 0) or t + step > k:
+            return 2 * (k - top), witness, keys
+        t += step
+    return None, None, keys
 
 
 def _collision(words: Sequence[Subspace], t: int):
@@ -411,7 +417,8 @@ def max_code_exhaustive(q: int, n: int, k: int, d: int) -> int:
     two lie further apart than 2*min(k, n-k), so a larger d admits one word.
     For 2k > n it searches the (n-k)-spaces instead: taking orthogonal
     complements maps the k-spaces onto them and keeps every distance.
-    Otherwise it searches packings (`_max_packing`).
+    Otherwise it searches packings (`_max_packing`), which raises
+    ValueError where its recursion would pass the recursion limit.
     """
     if k < 0 or k > n:
         return 0  # no k-space
@@ -444,6 +451,8 @@ def _max_packing(words: Sequence[Subspace], d: int) -> int:
         for wi in held:
             word_masks[wi] |= 1 << b
     total_keys = len(by_key)
+    if total_keys > sys.getrecursionlimit() - sum(1 for _ in traceback.walk_stack(None)):
+        raise ValueError(f"{total_keys} keys at level {t} would recurse past the recursion limit")
     full = (1 << total_keys) - 1
     per_word = gauss_binomial(k, t, words[0].field.q)
     best = 0

@@ -581,3 +581,40 @@ def test_point_count_outside_gauss_integers_is_an_error(monkeypatch):
     levels_need_passes(monkeypatch)
     with pytest.raises(ValueError, match="not a point count"):
         min_distance(Cdc(2, 4, 2, 2, lines), "exact")
+
+
+def test_an_unknown_mode_is_refused_at_any_size():
+    for code in (single_codeword(2, 5, 2, 4), Cdc(2, 5, 2, 4, ()), lifted_mrd(2, 4, 2, 4)):
+        with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+            min_distance(code, "bogus")
+
+
+def test_the_packing_search_refuses_a_level_past_the_recursion_limit():
+    # 2667 2-spaces of GF(2)^7 at t = 2: one call deep per key
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="2667 keys"):
+        max_code_exhaustive(2, 7, 3, 4)
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("level_1, fallback", [(1, "points"), (2, "rank")])
+def test_the_search_is_gated_on_the_levels_it_visits(monkeypatch, level_1, fallback):
+    # level 2 fits in no number of passes, level 1 in level_1 and level 3 in one
+    cap = verify._INDEX_BYTES_CAP
+    monkeypatch.setattr(verify, "_index_bytes", lambda m, q, n, k, t:
+                        (level_1 * cap, 0) if t == 1 else (0, cap) if t == 2 else (0, 0))
+    spread = partial_spread(2, 6, 3)
+    cases = [
+        (spread, ("subspaces", 1)),  # d = 2k: t0 = 1, and only level 1 gates the search
+        (dataclasses.replace(spread, d=2), None),  # t0 = 3 lies past level 2
+        # d = 6 is missed: the walk goes up from level 1 and reaches level 2
+        (dataclasses.replace(lifted_mrd(2, 6, 3, 4), d=6), None),
+    ]
+    for code, route in cases:
+        dists = {(i, j): subspace_distance(U, W)
+                 for (i, U), (j, W) in itertools.combinations(enumerate(code.words), 2)}
+        best = min(dists.values())
+        rep = min_distance(code, "exact")
+        assert (rep.kernel, rep.level) == (route or (fallback, 1 if fallback == "points" else None))
+        assert rep.certifies and rep.min_distance == best
+        assert rep.witness == next(pair for pair, dist in dists.items() if dist == best)
