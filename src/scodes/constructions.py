@@ -22,7 +22,6 @@ from .qcombi import gauss_binomial
 from .rankmetric import (
     RankCode,
     SumRankCode,
-    _fdrm_exponent,
     _span,
     fdrm_construct,
     rank,
@@ -243,31 +242,72 @@ def skeleton_greedy(q: int, n: int, k: int, d: int) -> tuple[tuple[int, ...], ..
     (ties lexicographic), seeded with the all-left vector 1^k 0^(n-k).
 
     Candidates are held as ints with position 0 as the top bit, so int
-    order is the vectors' lexicographic order and the Hamming distance of
-    two candidates is the popcount of their xor.  A candidate is scored by
-    the exponent nu of its diagram bound q^nu, read off its pivots p_0 <
-    ... < p_(k-1) (row r has n-k-p_r+r dots); q^nu is monotone in nu, so
-    the order does not depend on q.
+    order is the vectors' lexicographic order.  `_pivot_scores` gives each
+    the exponent nu of its diagram bound q^nu; q^nu is monotone in nu, so
+    the order does not depend on q, and one sort of the ints
+    (nu_max - nu) << n | bits puts them in it.  Two weight-k vectors that
+    differ in s one-for-one swaps are at distance 2s, so a chosen vector
+    blocks every weight-k vector within fewer than ceil(d/2) swaps of it,
+    and a candidate is accepted by one set lookup.  The cost is the
+    C(n, k) scores and the sort plus one ball of sum_(s < d/2) C(k, s)
+    C(n-k, s) vectors per chosen vector; no pair of vectors is compared.
     """
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
-    seed = ((1 << k) - 1) << (n - k)
-    scored = []
-    for support in itertools.combinations(range(n), k):
-        bits = sum(1 << (n - 1 - j) for j in support)
-        if bits == seed:
+    if d < 2:
+        raise ValueError(f"need d >= 2, got d = {d}")
+    nus, vectors = _pivot_scores(n, k, d // 2)
+    top = max(nus)
+    order = sorted([(top - nu) << n | bits for nu, bits in zip(nus, vectors)])
+    del nus, vectors  # only the sort keys live on through the greedy
+    low = (1 << n) - 1
+    units = [1 << j for j in range(n)]
+    reach = min((d - 1) // 2, k, n - k)  # the most swaps that stay under d
+    chosen: list[int] = []
+    blocked: set[int] = set()
+    for bits in itertools.chain([((1 << k) - 1) << (n - k)], map(low.__and__, order)):
+        if bits in blocked:
             continue
-        rows = [n - k + r - p for r, p in enumerate(support)]
-        scored.append((-_fdrm_exponent(rows, d // 2), bits))
-    scored.sort()
-    chosen = [seed]
-    for _, bits in scored:
-        for u in chosen:
-            if (bits ^ u).bit_count() < d:
-                break
-        else:
-            chosen.append(bits)
-    return tuple(tuple((u >> (n - 1 - j)) & 1 for j in range(n)) for u in chosen)
+        chosen.append(bits)
+        blocked.add(bits)
+        ones = [u for u in units if bits & u]
+        zeros = [u for u in units if not bits & u]
+        for s in range(1, reach + 1):
+            ins = list(map(sum, itertools.combinations(zeros, s)))
+            for out in map(sum, itertools.combinations(ones, s)):
+                blocked.update(map((bits ^ out).__xor__, ins))
+    return tuple(tuple(map(int, bin(u | 1 << n)[3:])) for u in chosen)
+
+
+def _pivot_scores(n: int, k: int, delta: int) -> tuple[list[int], list[int]]:
+    """
+    For every weight-k 0/1 vector of length n, in no set order: the
+    exponent nu that `rankmetric._fdrm_exponent` gives its Ferrers diagram
+    at distance delta >= 1, and the vector as an int (position 0 the top
+    bit).
+
+    Row r at pivot p has n-k+r-p dots.  It adds one w-bit field per
+    t < delta above the n vector bits, holding max(n-k+r-p-t, 0) when
+    r >= delta-1-t, so a support's fields sum to the delta terms that
+    nu is the minimum of; no field sum exceeds k(n-k) < 2^w.  The sums
+    are built row by row, each prefix of pivots extended by every later
+    pivot.
+    """
+    w = max(k * (n - k), 1).bit_length()
+    ends = {-1: [0]}  # row sums of the pivot prefixes so far, by last pivot
+    for r in range(k):
+        below: list[int] = []
+        grown = {}
+        for p in range(r, n - k + r + 1):
+            below += ends.get(p - 1, ())
+            cell = sum(max(n - k + r - p - t, 0) << (n + t * w)
+                       for t in range(delta) if r >= delta - 1 - t)
+            grown[p] = list(map((cell | 1 << (n - 1 - p)).__add__, below))
+        ends = grown
+    sums = list(itertools.chain.from_iterable(ends.values()))
+    mask = (1 << w) - 1
+    terms = [[s >> (n + t * w) & mask for s in sums] for t in range(delta)]
+    return list(map(min, zip(*terms))), [s & ((1 << n) - 1) for s in sums]
 
 
 def partial_spread(q: int, n: int, k: int) -> Cdc:

@@ -90,7 +90,7 @@ INFINITE = "infinite"
 DEFAULT_SAMPLE_COUNT = 20000
 # The most bytes one pass over a level's index may take, as `_index_bytes`
 # estimates it.  The 16384-word lifted MRD code of 7-spaces in GF(2)^14
-# needs 23 MB at level 1 and 17 passes at level 2.
+# needs 23 MB for the point count at level 1 and 17 passes at level 2.
 _INDEX_BYTES_CAP = 512 << 20
 
 
@@ -165,7 +165,7 @@ def min_distance(C: Cdc, mode: str = "exact", sample_count: int = DEFAULT_SAMPLE
     passes = _passes(words, t0) if search and t0 else 1  # level 0 is never indexed
     best = witness = hist = None
     keys = 0
-    if search and passes > 1 and _passes(words, 1) == 1:
+    if search and passes > 1 and _passes(words, 1, holders=True) == 1:
         # the count gives up past the keys the search's passes would hash
         budget = passes * len(words) * gauss_binomial(k, t0, words[0].field.q)
         kernel, level = "points", 1
@@ -174,7 +174,7 @@ def min_distance(C: Cdc, mode: str = "exact", sample_count: int = DEFAULT_SAMPLE
         kernel, level = "subspaces", t0
         best, witness, more = _subspace_search(words, t0)
         keys += more
-    if best is None and _passes(words, 1) == 1:  # no search, or its walk up left the index
+    if best is None and _passes(words, 1, holders=True) == 1:  # no search, or its walk up left the index
         kernel, level = "points", 1
         best, witness, hist, more = _point_scan(words, histogram, math.inf)
         keys += more
@@ -303,24 +303,25 @@ def _point_scan(words: Sequence[Subspace], histogram: bool, budget: float):
     return best[0], best[1:], hist, len(words) * gauss_int(k, q)
 
 
-def _passes(words: Sequence[Subspace], t: int) -> Optional[int]:
+def _passes(words: Sequence[Subspace], t: int, holders: bool = False) -> Optional[int]:
     """The fewest passes that keep each pass's index at level t within
     _INDEX_BYTES_CAP, or None when what every pass keeps outgrows it
-    alone."""
+    alone.  holders=True sizes the point count, whose index is level 1's
+    with a holder list per point."""
     w = words[0]
-    keys, kept = _index_bytes(len(words), w.field.q, w.ambient_n, w.k, t)
+    keys, kept = _index_bytes(len(words), w.field.q, w.ambient_n, w.k, t, holders)
     room = _INDEX_BYTES_CAP - kept
     return max(1, -(-keys // room)) if room > 0 else None
 
 
-def _index_bytes(m: int, q: int, n: int, k: int, t: int) -> tuple[int, int]:
+def _index_bytes(m: int, q: int, n: int, k: int, t: int, holders: bool = False) -> tuple[int, int]:
     """Peak memory of one level's index over m k-spaces of GF(q)^n at level
     t, fitted with tracemalloc on 64-bit CPython 3.11: the bytes of its
     distinct keys, which passes divide among themselves, and the bytes
     every pass keeps.  A distinct key (a tuple of n ints and its dict slot)
     takes 90 + 8n bytes, of which there are at most min([n t]_q, m·[k t]_q).
-    Level 1 is costed as the point count, whose holder lists add 70 bytes
-    per distinct key and 9 per (word, point) entry.  Every pass keeps a
+    With holders (the point count, at t = 1), the holder lists add 70
+    bytes per distinct key and 9 per (word, point) entry.  Every pass keeps a
     word's index, which its keys share, 32, and the column table: a
     distinct column (a k-tuple, its dict slot and its [k t]_q codes, each
     an int object of 32 bytes when it may exceed 256) takes 100 + 8k bytes
@@ -328,11 +329,10 @@ def _index_bytes(m: int, q: int, n: int, k: int, t: int) -> tuple[int, int]:
     are at most min(q^k, k + m(n - k))."""
     per_word = gauss_binomial(k, t, q)
     entries = m * per_word
-    keys = min(gauss_binomial(n, t, q), entries) * (90 + 8 * n + (70 if t == 1 else 0))
-    holders = 9 * entries if t == 1 else 0
+    keys = min(gauss_binomial(n, t, q), entries) * (90 + 8 * n + (70 if holders else 0))
     per_code = 8 if q**t <= 257 else 40
     columns = min(q**k, k + m * (n - k)) * (100 + 8 * k + per_code * per_word)
-    return keys + holders, columns + 32 * m
+    return keys + (9 * entries if holders else 0), columns + 32 * m
 
 
 def _reversed_dual(w: Subspace) -> Subspace:

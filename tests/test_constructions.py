@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import operator
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +35,7 @@ from scodes.packdata import coset_sum, fdrm_coset_partition, line_packing
 from scodes.qcombi import gauss_binomial, gauss_int
 from scodes.rankmetric import (
     RankCode,
+    _fdrm_exponent,
     gabidulin,
     mrd_coset_partition,
     mrd_size,
@@ -258,6 +260,57 @@ def test_skeleton_greedy_keeps_odd_distance():
     # only k is checked up front: library callers may still ask for odd d;
     # weight-2 vectors at Hamming distance >= 3 are at distance 4
     assert skeleton_greedy(2, 4, 2, 3) == ((1, 1, 0, 0), (0, 0, 1, 1))
+
+
+@pytest.mark.parametrize("d", [1, 0, -2])
+def test_skeleton_greedy_rejects_distance_below_2(d):
+    with pytest.raises(ValueError, match=rf"need d >= 2, got d = {d}$"):
+        skeleton_greedy(2, 4, 2, d)
+
+
+def reference_skeleton(n, k, d):
+    """The popcount greedy: every weight-k vector as an int (position 0 the
+    top bit), sorted by (-nu, int), kept when at distance >= d from every
+    vector kept before it, after the seed 1^k 0^(n-k)."""
+    scored = sorted((-_fdrm_exponent([n - k + r - p for r, p in enumerate(s)], d // 2),
+                     sum(1 << (n - 1 - p) for p in s)) for s in itertools.combinations(range(n), k))
+    chosen = [((1 << k) - 1) << (n - k)]
+    for _, bits in scored:
+        if min(map(int.bit_count, map(operator.xor, itertools.repeat(bits), chosen))) >= d:
+            chosen.append(bits)
+    return chosen
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 6, 8])
+def test_skeleton_greedy_matches_the_popcount_greedy(d):
+    cells = [(n, k) for n in range(1, 14) for k in range(n + 1)]
+    if d in (6, 8):
+        cells.append((16, 8))
+    for n, k in cells:
+        chosen = reference_skeleton(n, k, d)
+        expected = tuple(tuple((u >> (n - 1 - j)) & 1 for j in range(n)) for u in chosen)
+        for q in (2, 3):
+            assert skeleton_greedy(q, n, k, d) == expected, (q, n, k, d)
+        # a packing, and maximal: every vector left out is within < d of one kept
+        for i, u in enumerate(chosen):
+            assert min(map(int.bit_count, map(operator.xor, itertools.repeat(u), chosen[i + 1:])),
+                       default=d) >= d
+        left = {sum(1 << (n - 1 - p) for p in s) for s in itertools.combinations(range(n), k)}
+        for v in left.difference(chosen):
+            assert min(map(int.bit_count, map(operator.xor, itertools.repeat(v), chosen))) < d
+
+
+def test_packed_pivot_scores_equal_the_diagram_exponent():
+    for n in range(14):
+        for k in range(n + 1):
+            supports = list(itertools.combinations(range(n), k))
+            for delta in range(1, 5):
+                nus, vectors = constructions._pivot_scores(n, k, delta)
+                assert sorted(vectors) == sorted(sum(1 << (n - 1 - p) for p in s) for s in supports)
+                for nu, bits in zip(nus, vectors):
+                    pivots = [p for p in range(n) if bits >> (n - 1 - p) & 1]
+                    rows = [n - k + r - p for r, p in enumerate(pivots)]
+                    assert nu == _fdrm_exponent(rows, delta), (n, k, delta, pivots)
 
 
 def test_skeleton_greedy_2_8_4_4():

@@ -332,7 +332,7 @@ def test_spread_checks_reject_mixed_words():
 def levels_need_passes(mp, passes=3, level_1=1):
     """Estimate level 1's index at `level_1` passes and every other
     level's at `passes`."""
-    mp.setattr(verify, "_index_bytes", lambda m, q, n, k, t:
+    mp.setattr(verify, "_index_bytes", lambda m, q, n, k, t, holders=False:
                ((level_1 if t == 1 else passes) * verify._INDEX_BYTES_CAP, 0))
 
 
@@ -451,17 +451,17 @@ def test_index_gate_sits_at_the_estimated_memory(monkeypatch, k, indexed_k):
     code = lifted_mrd(2, 6, k, 4)
     words = [verify._reversed_dual(w) for w in code.words] if k > indexed_k else code.words
     m, t0 = len(words), indexed_k - 1  # d = 4
-    need = {t: sum(verify._index_bytes(m, 2, 6, indexed_k, t)) for t in (1, t0)}
     one_pass = min_distance(code, "exact")
     # the search's first level takes one pass at its estimate and two a byte
-    # below it; a histogram's point count takes level 1 in one pass or
-    # gives way to pairs
+    # below it; a histogram's point count, sized with its holder lists,
+    # takes level 1 in one pass or gives way to pairs
     for histogram, level, kernels in ((False, t0, None), (True, 1, ("points", "rank"))):
+        need = sum(verify._index_bytes(m, 2, 6, indexed_k, level, holders=histogram))
         reports = []
-        for cap in (need[level], need[level] - 1):
+        for cap in (need, need - 1):
             monkeypatch.setattr(verify, "_INDEX_BYTES_CAP", cap)
             reports.append(min_distance(code, "exact", histogram=histogram))
-            assert verify._passes(words, level) == 1 + (cap < need[level])
+            assert verify._passes(words, level, holders=histogram) == 1 + (cap < need)
         at, past = reports
         assert (at.min_distance, at.witness) == (past.min_distance, past.witness) == \
             (one_pass.min_distance, one_pass.witness)
@@ -475,14 +475,25 @@ def test_index_gate_sits_at_the_estimated_memory(monkeypatch, k, indexed_k):
     (20000, 2, 12, 6), (20000, 4, 8, 4), (20000, 8, 6, 3), (20000, 3, 10, 5),
 ])
 def test_codes_of_ordinary_fields_fit_the_index(m, q, n, k):
-    assert sum(verify._index_bytes(m, q, n, k, 1)) <= verify._INDEX_BYTES_CAP
+    # the point count, holder lists and all
+    assert sum(verify._index_bytes(m, q, n, k, 1, holders=True)) <= verify._INDEX_BYTES_CAP
 
 
 def test_a_level_past_the_cap_leaves_the_point_count():
     # lifted_mrd(2, 14, 7, 12) would index 16384 * 2667 keys at its first
     # level: 17 passes, against one for the point count at level 1
     word = Subspace.from_rref(F2, 14, [[int(c == r) for c in range(14)] for r in range(7)])
-    assert (verify._passes([word] * 16384, 2), verify._passes([word] * 16384, 1)) == (17, 1)
+    assert verify._passes([word] * 16384, 2) == 17
+    assert verify._passes([word] * 16384, 1, holders=True) == 1
+
+
+def test_the_search_sizes_level_1_without_holder_lists():
+    # lifted_mrd(3, 14, 7, 14): 2187 words of 1093 points each, about 502 MB
+    # of keys and column table for the search, one pass; the point count's
+    # holder lists would take it to two
+    word = Subspace.from_rref(F3, 14, [[int(c == r) for c in range(14)] for r in range(7)])
+    assert verify._passes([word] * 2187, 1) == 1
+    assert verify._passes([word] * 2187, 1, holders=True) == 2
 
 
 def test_passes_keep_the_index_within_the_budget(monkeypatch):
@@ -514,10 +525,10 @@ def test_passes_keep_the_index_within_the_budget(monkeypatch):
 ], ids=["spread", "lifted-mrd"])
 def test_point_count_runs_where_it_is_cheaper_than_passes(monkeypatch, code, kernel):
     t0 = code.k - code.d // 2 + 1
-    need = {t: sum(verify._index_bytes(len(code.words), 2, 8, 4, t)) for t in (1, t0)}
+    need = {t: sum(verify._index_bytes(len(code.words), 2, 8, 4, t, holders=t == 1)) for t in (1, t0)}
     one_pass = min_distance(code, "exact")
     monkeypatch.setattr(verify, "_INDEX_BYTES_CAP", (need[1] + need[t0]) // 2)
-    assert verify._passes(code.words, 1) == 1 < verify._passes(code.words, t0)
+    assert verify._passes(code.words, 1, holders=True) == 1 < verify._passes(code.words, t0)
     rep = min_distance(code, "exact")
     assert (rep.kernel, rep.level) == (kernel, 1 if kernel == "points" else t0)
     assert one_pass.kernel == "subspaces"
@@ -601,7 +612,7 @@ def test_the_packing_search_refuses_a_level_past_the_recursion_limit():
 def test_the_search_is_gated_on_the_levels_it_visits(monkeypatch, level_1, fallback):
     # level 2 fits in no number of passes, level 1 in level_1 and level 3 in one
     cap = verify._INDEX_BYTES_CAP
-    monkeypatch.setattr(verify, "_index_bytes", lambda m, q, n, k, t:
+    monkeypatch.setattr(verify, "_index_bytes", lambda m, q, n, k, t, holders=False:
                         (level_1 * cap, 0) if t == 1 else (0, cap) if t == 2 else (0, 0))
     spread = partial_spread(2, 6, 3)
     cases = [
