@@ -22,10 +22,10 @@ from .qcombi import gauss_binomial
 from .rankmetric import (
     RankCode,
     SumRankCode,
+    _gabidulin_basis,
     _span,
     fdrm_construct,
     rank,
-    rect_mrd,
 )
 from .spaces import (
     MatGF,
@@ -103,24 +103,42 @@ class DPacking:
 
 
 def lift(M: MatGF) -> Subspace:
-    """The row space of [I_k | M] in ambient k + cols."""
-    return _lift(MatGF.identity(M.field, M.rows).entries, M)
-
-
-def _lift(eye: tuple[tuple[int, ...], ...], M: MatGF) -> Subspace:
-    """`lift` with the rows of I_k passed in, so a code builds them once;
-    the pivots are the first k columns."""
+    """The row space of [I_k | M] in ambient k + cols; the pivots are the
+    first k columns."""
     k = M.rows
+    eye = MatGF.identity(M.field, k).entries
     rows = MatGF._trusted(M.field, tuple([er + mr for er, mr in zip(eye, M.entries)]), k + M.cols)
     return Subspace._trusted(M.field, k + M.cols, rows, range(k))
 
 
 def lifted_mrd(q: int, n: int, k: int, d: int) -> Cdc:
-    """Lift a k x (n-k) MRD code of rank distance d/2."""
+    """Lift a k x (n-k) MRD code of rank distance d/2: the words are the
+    `lift`s of the words of `rect_mrd(q, k, n-k, d/2)`, in their order.
+
+    They are built in one pass.  The Gabidulin basis is laid out in the
+    flat k*n layout of the lifted rows (transposed when k > n-k, as
+    `rect_mrd` does) and spanned from [I_k | 0]; each span vector's k
+    slices are one subspace's RREF rows, and every word shares one pivots
+    tuple.  When d/2 > min(k, n-k) the basis is empty and the code is
+    [I_k | 0] alone."""
     _check_cdc_params(q, n, k, d)
-    rmc = rect_mrd(q, k, n - k, d // 2)
-    eye = MatGF.identity(rmc.field, k).entries
-    return _mk(q, n, k, d, (_lift(eye, w) for w in rmc.words), "lifted_mrd", n1=k, n2=n - k)
+    field, delta, cols = GF(q), d // 2, n - k
+    if delta > min(k, cols):
+        basis, at = [], []
+    elif k <= cols:  # entry (i, j) of a k x cols word
+        basis, at = _gabidulin_basis(q, cols, k, delta), [i * n + k + j for i in range(k) for j in range(cols)]
+    else:  # entry (a, b) of a cols x k word, transposed
+        basis, at = _gabidulin_basis(q, k, cols, delta), [b * n + k + a for a in range(cols) for b in range(k)]
+    lifted, origin = [[0] * (k * n) for _ in basis], [0] * (k * n)
+    for flat, v in zip(lifted, basis):
+        for i, x in zip(at, v):
+            flat[i] = x
+    for i in range(k):
+        origin[i * n + i] = 1
+    cuts, pivots = [slice(i * n, (i + 1) * n) for i in range(k)], tuple(range(k))
+    words = [Subspace._trusted(field, n, MatGF._trusted(field, tuple(map(v.__getitem__, cuts)), n), pivots)
+             for v in _span(field, lifted, origin)]
+    return _mk(q, n, k, d, words, "lifted_mrd", n1=k, n2=n - k)
 
 
 def _check_cdc_params(q, n, k, d):

@@ -11,7 +11,10 @@ meets the dot-count bound without search (`_fdrm_meets_bound`), is decided
 here alone; `bounds` books multilevel sizes through the same predicate.  Linear
 codes are enumerated by one span builder, `_span`, so only their basis words
 need field products: a Gabidulin code costs m*n*k extension-field products
-in all, not m*k per word.
+in all, not m*k per word.  `_span` can start from an origin, giving a coset
+of the span: `constructions.lifted_mrd` lays the Gabidulin basis
+(`_gabidulin_basis`) out in the lifted rows and spans it from [I_k | 0], so
+its subspaces come straight from the span vectors.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import getitem
 from typing import Iterable, Sequence
 
 from .gfq import GF, ExtField, FieldSpec
@@ -66,30 +70,36 @@ def gabidulin(q: int, n: int, m: int, d: int) -> RankCode:
     q-degree <= m-d at the first m monomials of the polynomial basis of
     GF(q^n) over GF(q); each value's coefficient tuple is one matrix row.
 
-    The code is GF(q)-linear, so the words are built as the GF(q)-span of
-    the n*k basis words, the evaluations of x^t z^(q^j) for 0 <= t < n and
-    0 <= j < k.  They come in itertools.product order over the coefficient
-    tuples (f_0, ..., f_(k-1)), each f_j in `ExtField.elements()` order, so
-    f_(k-1) varies fastest; `mrd_coset_partition` slices the words by that
-    order.
+    The code is GF(q)-linear: its words are the `_span` of the basis words
+    of `_gabidulin_basis`, each sliced into its m rows.  They come in
+    itertools.product order over the coefficient tuples (f_0, ..., f_(k-1)),
+    each f_j in `ExtField.elements()` order, so f_(k-1) varies fastest;
+    `mrd_coset_partition` slices the words by that order.
     """
+    base = GF(q)
+    # every span vector is m*n entries in [0, q), so its m slices are whole rows
+    words = tuple([MatGF._trusted(base, tuple([v[i * n:(i + 1) * n] for i in range(m)]), n)
+                   for v in _span(base, _gabidulin_basis(q, n, m, d))])
+    return RankCode(base, m, n, d, words)
+
+
+def _gabidulin_basis(q: int, n: int, m: int, d: int) -> list[list[int]]:
+    """The n*k basis words of `gabidulin(q, n, m, d)`, k = m-d+1, each an
+    m x n matrix with its rows laid end to end: the evaluations of
+    x^t z^(q^j) for j = 0..k-1 and, within each j, t = n-1 down to 0, so
+    f_0's top digit comes first.  ValueError for parameters out of range
+    or a code over `MATERIALIZE_CAP` words."""
     if not (1 <= d <= m <= n):
         raise ValueError(f"need 1 <= d <= m <= n, got d={d} m={m} n={n}")
-    base = GF(q)
-    E = ExtField(base, n)
+    E = ExtField(GF(q), n)
     k = m - d + 1
     size = q ** (n * k)
     if size > MATERIALIZE_CAP:
         raise ValueError(f"code size {size} exceeds materialization cap {MATERIALIZE_CAP}")
-    # basis word (j, t) evaluates x^t z^(q^j); f_0's top digit comes first
     conj = [[E.basis(i) for i in range(m)]]
     while len(conj) < k:
         conj.append([E.frobenius_q(z) for z in conj[-1]])
-    basis = [[c for z in zs for c in E.mul(E.basis(t), z)] for zs in conj for t in reversed(range(n))]
-    # every span vector is m*n entries in [0, q), so its m slices are whole rows
-    words = tuple([MatGF._trusted(base, tuple([v[i * n:(i + 1) * n] for i in range(m)]), n)
-                   for v in _span(base, basis)])
-    return RankCode(base, m, n, d, words)
+    return [[c for z in zs for c in E.mul(E.basis(t), z)] for zs in conj for t in reversed(range(n))]
 
 
 def rect_mrd(q: int, rows: int, cols: int, d: int) -> RankCode:
@@ -341,17 +351,23 @@ def _fillings_to_words(field: FieldSpec, F: FerrersDiagram, vectors: Iterable[Se
     return tuple(words)
 
 
-def _span(field: FieldSpec, basis: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """Every GF(q)-combination of `basis`, in itertools.product order over
-    the coefficient tuples (basis[0]'s coefficient varies slowest).
+def _span(field: FieldSpec, basis: Sequence[Sequence[int]],
+          origin: Sequence[int] | None = None) -> list[tuple[int, ...]]:
+    """Every GF(q)-combination of `basis`, plus `origin` (the zero vector
+    when None), in itertools.product order over the coefficient tuples
+    (basis[0]'s coefficient varies slowest); an empty basis gives the
+    origin alone.
 
-    The span grows q-fold per basis vector, so each word costs one vector
-    addition."""
-    span = [(0,) * (len(basis[0]) if basis else 0)]
-    rowop, minus_one = field.rowop, field.neg(1)  # v + c*b is v - (-1)*(c*b)
-    for b in basis:
-        multiples = [rowop(b, c) for c in range(1, field.q)]
-        span = [w for v in span for w in (v, *[tuple(rowop(v, minus_one, cb)) for cb in multiples])]
+    The basis is taken last vector first: the words so far are followed by
+    each of them plus c*b, for c = 1..q-1 in turn.  So each word costs one
+    vector addition, made by `map` at C speed on the field's addition
+    table rows (add[y][x] = x + y) when the field has them."""
+    span = [(0,) * (len(basis[0]) if basis else 0) if origin is None else tuple(origin)]
+    add = field._rows[0] if field._rows else None
+    for b in reversed(basis):
+        steps = [(getitem, [add[y] for y in cb]) if add else (field.add, cb)
+                 for cb in [field.rowop(b, c) for c in range(1, field.q)]]
+        span += [tuple(map(f, s, v)) for f, s in steps for v in span]
     return span
 
 

@@ -65,15 +65,16 @@ raises ValueError past the recursion limit.
 check, the reader sending any word that fails it to `from_matrix`;
 builders whose rows are RREF by construction use the unchecked
 `Subspace._trusted`.  The exact scan and the spread checks trust none of
-these and check every word again with their own `_check_rref` (one ambient
-space and dimension, RREF, entries in [0, q)); sampled mode does not
-re-check.
+these and check every word again with their own `_check_words` (one
+ambient space and dimension, RREF, entries in [0, q); the checks on one row
+alone run once per distinct row); sampled mode does not re-check.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 import sys
 import traceback
@@ -361,28 +362,47 @@ def _pair_scan(words: Sequence[Subspace], pairs: Iterable[tuple[int, int]], hist
 
 def _check_words(words: Sequence[Subspace]) -> None:
     """Raise ValueError unless the words share one ambient space and one
-    dimension and each word's stored rows are in RREF over GF(q)."""
+    dimension and each word's stored rows are in RREF over GF(q): each
+    row's first nonzero entry is a 1, pivots strictly increase, each pivot
+    column is zero in every other row, and every entry lies in [0, q).
+
+    Rows repeat across words, so the checks on one row alone run once per
+    distinct row of this call (`_Leads`); each word then needs its leads
+    increasing and its rows read at the lead columns equal to I_k.  A word
+    that fails is walked row by row to name its first bad row."""
     F, n, k = words[0].field, words[0].ambient_n, words[0].k
     if any(w.field != F or w.ambient_n != n for w in words):
         raise ValueError("ambient space mismatch")
     if any(w.k != k for w in words):
         raise ValueError("words must share one dimension")
+    leads = _Leads(F.q)
+    eye = [tuple(int(i == r) for i in range(k)) for r in range(k)]
     for w in words:
-        _check_rref(w)
+        rows = w.rref.entries
+        ps = list(map(leads.__getitem__, rows))
+        # with the leads increasing, a bad lead (-1) can only be the first
+        if ps and (ps[0] < 0 or k > 1 and (not all(map(operator.lt, ps, ps[1:]))
+                                          or list(map(operator.itemgetter(*ps), rows)) != eye)):
+            last = -1
+            for r, p in enumerate(ps):
+                if p <= last or [o[p] for o in rows].count(0) != k - 1:
+                    raise ValueError(f"codeword rows are not in RREF over GF({F.q}) (row {r}): {w!r}")
+                last = p
 
 
-def _check_rref(w: Subspace) -> None:
-    """Raise ValueError unless the stored rows are in RREF over GF(q): each
-    row's first nonzero entry is a 1, pivots strictly increase, each pivot
-    column is zero in every other row, and every entry lies in [0, q)."""
-    rows = w.rref.entries
-    q, others, last = w.field.q, len(rows) - 1, -1
-    for r, row in enumerate(rows):
+class _Leads(dict):
+    """Row -> its lead (the column of its first nonzero entry), or -1 when
+    that entry is no 1 or some entry lies outside [0, q); each row is
+    looked at on its first lookup only."""
+
+    def __init__(self, q: int):
+        super().__init__()
+        self.q = q
+
+    def __missing__(self, row: tuple[int, ...]) -> int:
         p = row.index(1) if 1 in row else -1
-        if (p <= last or any(row[:p]) or [o[p] for o in rows].count(0) != others
-                or min(row) < 0 or max(row) >= q):
-            raise ValueError(f"codeword rows are not in RREF over GF({q}) (row {r}): {w!r}")
-        last = p
+        self[row] = p = -1 if p < 0 or any(row[:p]) or min(row) < 0 or max(row) >= self.q else p
+        return p
 
 
 def is_partial_spread(C: Cdc) -> tuple[bool, dict]:

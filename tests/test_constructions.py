@@ -71,18 +71,21 @@ def test_lift():
         MatGF(F2, [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0]])).rref.entries
 
 
-def test_lifted_mrd_builds_identity_once(monkeypatch):
-    calls = []
-    identity = MatGF.identity.__func__
+# (q, largest n): every k and every even d up to 2 * min(k, n-k) + 2, so
+# k = 0, k = n, k > n-k and the one-word codes with d/2 > min(k, n-k) occur
+LIFTED_SIZES = {2: 6, 3: 5, 4: 4, 8: 3, 9: 3}
 
-    def spy(cls, field, n):
-        calls.append(n)
-        return identity(cls, field, n)
 
-    monkeypatch.setattr(MatGF, "identity", classmethod(spy))
-    code = lifted_mrd(2, 9, 3, 4)
-    assert len(code.words) == 4096
-    assert len(calls) <= 1
+@pytest.mark.parametrize("q", sorted(LIFTED_SIZES))
+def test_lifted_mrd_words_are_the_lifted_rect_mrd_words(q):
+    for n in range(1, LIFTED_SIZES[q] + 1):
+        for k in range(n + 1):
+            for d in range(2, 2 * min(k, n - k) + 3, 2):
+                got = lifted_mrd(q, n, k, d).words
+                want = [lift(w) for w in rect_mrd(q, k, n - k, d // 2).words]
+                assert [w.rref.entries for w in got] == [w.rref.entries for w in want], (q, n, k, d)
+                assert [w.pivot_positions() for w in got] == [w.pivot_positions() for w in want]
+                assert [hash(w) for w in got] == [hash(w) for w in want]
 
 
 def test_lifted_mrd_small():

@@ -11,6 +11,8 @@ from scodes.qcombi import gauss_binomial
 from scodes.rankmetric import (
     RankCode,
     _fdrm_meets_bound,
+    _gabidulin_basis,
+    _span,
     diag_concat_rmc,
     fdrm_construct,
     fdrm_upper_bound,
@@ -78,10 +80,18 @@ def test_mrd_size():
         mrd_size(2, 0, 3, 1)
 
 
-@pytest.mark.parametrize("q,n,m,d", [(2, 3, 3, 2), (2, 4, 4, 2), (2, 4, 4, 3), (3, 3, 3, 2)])
+@pytest.mark.parametrize("q,n,m,d", [(2, 3, 3, 2), (2, 4, 4, 2), (2, 4, 4, 3), (3, 3, 3, 2), (257, 1, 1, 1)])
 def test_gabidulin_is_mrd(q, n, m, d):
     code = gabidulin(q, n, m, d)
     assert len(code) == q ** (n * (m - d + 1))
+    # the words are the span of the basis; a span from an origin is that
+    # origin plus each of them, in the same order
+    field, basis = GF(q), _gabidulin_basis(q, n, m, d)
+    span = _span(field, basis)
+    assert [tuple(x for row in w.entries for x in row) for w in code.words] == span
+    origin = [(3 * i + 1) % q for i in range(m * n)]
+    assert _span(field, basis, origin) == [tuple(map(field.add, origin, v)) for v in span]
+    assert _span(field, [], origin) == [tuple(origin)]
     assert len(set(code.words)) == len(code)
     # additive code: min distance = min nonzero rank
     mind = min(rank(w) for w in code.words if any(any(r) for r in w.entries))

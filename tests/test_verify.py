@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import re
 import time
 import tracemalloc
 from collections import Counter
@@ -558,6 +559,24 @@ def test_exact_scan_rejects_rows_not_in_rref(rows):
             min_distance(Cdc(3, 4, good.k, 2, words), "exact")
         with pytest.raises(ValueError, match="RREF"):
             is_partial_spread(Cdc(3, 4, good.k, 2, words))
+
+
+# (first word, second word): the first is in RREF and the second reuses its
+# rows, each of which passed the checks on one row alone, with at most one
+# other good row; the second word as a whole is not in RREF
+REUSED_ROWS = {
+    "pivots-out-of-order": ([(1, 0, 0, 1), (0, 1, 2, 0)], [(0, 1, 2, 0), (1, 0, 0, 1)]),
+    "pivot-column-not-cleared": ([(1, 0, 2, 0), (0, 1, 0, 0)], [(1, 0, 2, 0), (0, 0, 1, 0)]),
+}
+
+
+@pytest.mark.parametrize("first,second", list(REUSED_ROWS.values()), ids=list(REUSED_ROWS))
+def test_exact_scan_rechecks_each_word_whose_rows_passed_before(first, second):
+    words = [Subspace._trusted(F3, 4, rows) for rows in (first, second)]
+    with pytest.raises(ValueError, match=r"not in RREF over GF\(3\) \(row 1\): " + re.escape(repr(words[1]))):
+        min_distance(Cdc(3, 4, len(first), 2, tuple(words)), "exact")
+    words[1] = Subspace.from_matrix(MatGF(F3, second))  # the same rows, put in RREF
+    assert min_distance(Cdc(3, 4, len(first), 2, tuple(words)), "exact").certifies
 
 
 @pytest.mark.parametrize("rows", [*NOT_RREF.values(), [[1, 0, 0]]], ids=[*NOT_RREF, "short-row"])
