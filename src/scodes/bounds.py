@@ -52,29 +52,28 @@ class Fact:
         return q == int(self.q_spec)
 
 
+class FactFileError(ValueError):
+    """A fact table that cannot be read or parsed; the message starts with
+    the file's path, and the line number when a row is at fault."""
+
+
 class FactTable:
     def __init__(self, facts: Sequence[Fact] = ()):
         self.facts = list(facts)
 
     @classmethod
-    def from_tsv(cls, text: str) -> "FactTable":
+    def from_tsv(cls, text: str, source: str = "<facts>") -> "FactTable":
+        """The facts of a tab-separated table; FactFileError, naming `source`
+        and the line, for a malformed row."""
         facts = []
-        for line in text.splitlines():
+        for number, line in enumerate(text.splitlines(), 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            q_spec, n, d, k, kind, value, citation = line.split("\t")
-            if kind not in ("exact", "lower", "upper"):
-                raise ValueError(f"bad fact kind {kind!r}")
-            extra = None
-            if "+A(" in value:
-                value, _, rest = value.partition("+A(")
-                inner = rest.rstrip(")")
-                nn, dd_kk = inner.split(",")
-                dd, kk = dd_kk.split(";")
-                extra = (int(nn), int(dd), int(kk))
-            facts.append(Fact(q_spec, int(n), int(d), int(k), kind,
-                              qpoly_parse(value), extra, citation))
+            try:
+                facts.append(_parse_fact(line))
+            except ValueError as exc:
+                raise FactFileError(f"{source}:{number}: {exc}") from None
         return cls(facts)
 
     def lookup(self, q: int, n: int, d: int, k: int, kinds: tuple[str, ...]):
@@ -83,13 +82,37 @@ class FactTable:
                 yield f
 
 
+def _parse_fact(line: str) -> Fact:
+    """One table row; ValueError for a wrong field count, a bad kind or a
+    field that does not parse."""
+    q_spec, n, d, k, kind, value, citation = line.split("\t")
+    if q_spec != "*":
+        int(q_spec.removeprefix(">="))  # `Fact.applies` reads it as an int
+    if kind not in ("exact", "lower", "upper"):
+        raise ValueError(f"bad fact kind {kind!r}")
+    extra = None
+    if "+A(" in value:
+        value, _, rest = value.partition("+A(")
+        inner = rest.rstrip(")")
+        nn, dd_kk = inner.split(",")
+        dd, kk = dd_kk.split(";")
+        extra = (int(nn), int(dd), int(kk))
+    return Fact(q_spec, int(n), int(d), int(k), kind, qpoly_parse(value), extra, citation)
+
+
 def load_default_facts() -> FactTable:
+    """The table named by SCODES_FACTS, else the packaged one; FactFileError
+    for a file that cannot be read or parsed."""
     override = os.environ.get("SCODES_FACTS")
     if override:
-        with open(override, encoding="utf-8") as fh:
-            return FactTable.from_tsv(fh.read())
+        try:
+            with open(override, encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeError) as exc:
+            raise FactFileError(f"{override}: {getattr(exc, 'strerror', None) or exc}") from None
+        return FactTable.from_tsv(text, override)
     text = resources.files("scodes").joinpath("data/facts.tsv").read_text(encoding="utf-8")
-    return FactTable.from_tsv(text)
+    return FactTable.from_tsv(text, "facts.tsv")
 
 
 # -- standalone upper bounds --------------------------------------------------
@@ -426,7 +449,7 @@ class BoundEngine:
     query's Python stack depth does not grow with n or k."""
 
     def __init__(self, facts: Optional[FactTable] = None, use_facts: bool = True):
-        self.facts = facts if facts is not None else load_default_facts()
+        self.facts = facts if facts is not None else load_default_facts() if use_facts else FactTable()
         self.use_facts = use_facts
         self._upper: dict = {}
         self._lower: dict = {}
@@ -610,10 +633,9 @@ class BoundEngine:
         conv = self._convention(q, n, d, k)
         if conv is not None:
             return conv
-        candidates = [BoundResult(1, "single-word", "any one subspace")]
-        if k >= d // 2:
-            exp = (n - k) * (k - d // 2 + 1)
-            candidates.append(BoundResult(q**exp, "lifted-mrd", "lifted MRD code"))
+        # past `_convention` the key has k <= n - k and 2 < d <= 2k, so d/2 <= k
+        candidates = [BoundResult(1, "single-word", "any one subspace"),
+                      BoundResult(q ** ((n - k) * (k - d // 2 + 1)), "lifted-mrd", "lifted MRD code")]
         if d == 2 * k:
             candidates.append(partial_spread_lower(q, n, k))
         if n <= 13:
@@ -631,14 +653,12 @@ class BoundEngine:
 
     def _improved_linkage_lower(self, q, n, d, k):
         best = None
-        for m in range(k, n - k + 1):
+        for m in range(k, n - k + 1):  # never empty: the node's key has k <= n - k
             first = yield self._lower_request(q, m, d, k, 0)
             second = yield self._lower_request(q, n - m + k - d // 2, d, k, 0)
             value = first.value * mrd_size(q, k, n - m, d // 2) + second.value
             if best is None or value > best[0]:
                 best = (value, m, first, second)
-        if best is None:
-            return BoundResult(1, "improved-linkage", "no admissible split")
         value, m, first, second = best
         return BoundResult(value, "improved-linkage", f"split m={m}", (first, second))
 

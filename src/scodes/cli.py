@@ -28,8 +28,9 @@ word `write_code_file` writes is; any other word goes through
 `mod=` header equal to the default modulus reads into the cached GF(q).
 
 Exit codes: 0 ok, 2 parameter error, 3 verification failure, 4 data-file
-error.  Every malformed or unreadable code or packing file exits 4 with a
-`data error:` line.
+error.  Every malformed or unreadable code, packing or fact file (the
+table named by SCODES_FACTS) exits 4 with a `data error:` line, which
+names the file and, for a fact file's malformed row, the line.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from .bounds import BoundEngine
+from .bounds import BoundEngine, FactFileError
 from .constructions import (
     Cdc,
     DPacking,
@@ -296,12 +297,7 @@ def cmd_construct(args) -> int:
         if getattr(args, option) is not None and args.name not in readers:
             print(f"error: {args.name} takes no --{option}", file=sys.stderr)
             return PARAM_ERROR
-    try:
-        code = _build(args.name, args.q, args.n or 0, args.k or 0, args.d or 0,
-                      args.split, args.skeleton)
-    except FileError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return DATA_ERROR
+    code = _build(args.name, args.q, args.n or 0, args.k or 0, args.d or 0, args.split, args.skeleton)
     if args.n not in (None, code.n) or args.k not in (None, code.k) or (args.d or 0) > code.d:
         given = " ".join(f"--{key} {val}" for key, val in (("n", args.n), ("k", args.k), ("d", args.d))
                          if val is not None)
@@ -320,11 +316,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        code = read_code_file(args.file)
-    except FileError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return DATA_ERROR
+    code = read_code_file(args.file)
     if args.sampled is None:
         report = min_distance(code)
     else:
@@ -443,6 +435,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return PARAM_ERROR if exc.code not in (0, None) else 0
     try:
         return args.func(args)
+    except (FileError, FactFileError) as exc:
+        print(f"data error: {exc}", file=sys.stderr)
+        return DATA_ERROR
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return PARAM_ERROR

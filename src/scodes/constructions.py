@@ -19,22 +19,17 @@ from typing import Callable, Sequence
 
 from .gfq import GF
 from .qcombi import gauss_binomial
-from .rankmetric import (
-    RankCode,
-    SumRankCode,
-    _gabidulin_basis,
-    _span,
-    fdrm_construct,
-    rank,
-)
+from .rankmetric import RankCode, SumRankCode, _fdrm_basis, _fdrm_rect_subcode, rank
 from .spaces import (
+    FerrersDiagram,
     MatGF,
     Subspace,
+    _lifted_span,
+    _span,
     enumerate_grassmannian,
     ferrers_of,
     hamming_distance,
     subspace_distance_capped,
-    subspaces_from_fillings,
 )
 
 @dataclass(frozen=True)
@@ -115,29 +110,14 @@ def lifted_mrd(q: int, n: int, k: int, d: int) -> Cdc:
     """Lift a k x (n-k) MRD code of rank distance d/2: the words are the
     `lift`s of the words of `rect_mrd(q, k, n-k, d/2)`, in their order.
 
-    They are built in one pass.  The Gabidulin basis is laid out in the
-    flat k*n layout of the lifted rows (transposed when k > n-k, as
-    `rect_mrd` does) and spanned from [I_k | 0]; each span vector's k
-    slices are one subspace's RREF rows, and every word shares one pivots
-    tuple.  When d/2 > min(k, n-k) the basis is empty and the code is
-    [I_k | 0] alone."""
+    They are the `_lifted_span` on the pivot vector 1^k 0^(n-k) of the
+    k x (n-k) rectangle's basis from `rankmetric._fdrm_rect_subcode`, the
+    Gabidulin basis laid into the diagram's cells (transposed when
+    k > n-k, as `rect_mrd` does).  When d/2 > min(k, n-k) the basis is
+    empty and the code is [I_k | 0] alone."""
     _check_cdc_params(q, n, k, d)
-    field, delta, cols = GF(q), d // 2, n - k
-    if delta > min(k, cols):
-        basis, at = [], []
-    elif k <= cols:  # entry (i, j) of a k x cols word
-        basis, at = _gabidulin_basis(q, cols, k, delta), [i * n + k + j for i in range(k) for j in range(cols)]
-    else:  # entry (a, b) of a cols x k word, transposed
-        basis, at = _gabidulin_basis(q, k, cols, delta), [b * n + k + a for a in range(cols) for b in range(k)]
-    lifted, origin = [[0] * (k * n) for _ in basis], [0] * (k * n)
-    for flat, v in zip(lifted, basis):
-        for i, x in zip(at, v):
-            flat[i] = x
-    for i in range(k):
-        origin[i * n + i] = 1
-    cuts, pivots = [slice(i * n, (i + 1) * n) for i in range(k)], tuple(range(k))
-    words = [Subspace._trusted(field, n, MatGF._trusted(field, tuple(map(v.__getitem__, cuts)), n), pivots)
-             for v in _span(field, lifted, origin)]
+    basis = _fdrm_rect_subcode(FerrersDiagram((n - k,) * k), d // 2, q)
+    words = _lifted_span(GF(q), (1,) * k + (0,) * (n - k), basis)
     return _mk(q, n, k, d, words, "lifted_mrd", n1=k, n2=n - k)
 
 
@@ -227,9 +207,12 @@ def generalized_linkage(C1: Cdc, C2: Cdc, M1: RankCode, M2: RankCode) -> Cdc:
 
 
 def echelon_ferrers(skeleton: Sequence[Sequence[int]], q: int, d: int) -> Cdc:
-    """Union of lifted diagram codes, one per skeleton vector.  The pivot
-    vectors must have 0/1 entries, share one length and weight and lie at
-    pairwise Hamming distance >= d (ValueError otherwise)."""
+    """Union of lifted diagram codes, one per skeleton vector: the
+    `_lifted_span` on v of the basis of `fdrm_construct(ferrers_of(v),
+    d/2, q)` (`rankmetric._fdrm_basis`), so each word comes straight from
+    one span vector.  The pivot vectors must have 0/1 entries, share one
+    length and weight and lie at pairwise Hamming distance >= d
+    (ValueError otherwise)."""
     vectors = tuple(tuple(v) for v in skeleton)
     if not vectors:
         raise ValueError("empty skeleton")
@@ -247,8 +230,7 @@ def echelon_ferrers(skeleton: Sequence[Sequence[int]], q: int, d: int) -> Cdc:
     field = GF(q)
     words = []
     for v in vectors:
-        code = fdrm_construct(ferrers_of(v), d // 2, q)
-        words += subspaces_from_fillings(field, v, [w.entries for w in code.words])
+        words += _lifted_span(field, v, _fdrm_basis(ferrers_of(v), d // 2, q))
     return _mk(q, n, k, d, words, "echelon_ferrers",
                skeleton=tuple("".join(map(str, v)) for v in vectors))
 

@@ -12,12 +12,27 @@ available.
 from __future__ import annotations
 
 import itertools
-from typing import Callable
+from typing import Callable, Sequence
 
 from .gfq import GF
-from .rankmetric import _fillings_to_words, fdrm_construct
-from .spaces import FerrersDiagram, MatGF, Subspace, ferrers_of, hamming_distance, rref, subspaces_from_fillings
+from .rankmetric import _fdrm_basis, _fillings_to_words
+from .spaces import FerrersDiagram, MatGF, Subspace, _lifted_span, _span, ferrers_of, hamming_distance, rref
 from .constructions import DPacking
+
+
+def _coset_origins(F: FerrersDiagram, q: int) -> tuple[list[Sequence[int]], list[tuple[int, ...]]]:
+    """The basis, over the cells of F, of the distance-2 diagram code
+    (`rankmetric._fdrm_basis`) and one representative of each of its
+    cosets in the space of all fillings.
+
+    The representatives are the fillings supported on the cells away from
+    the pivot cells of the basis's RREF, a transversal of the quotient
+    since the code is linear; they come in counter order over those cells
+    (the last free cell varies fastest)."""
+    field, basis, dots = GF(q), _fdrm_basis(F, 2, q), F.dot_count()
+    pivots = set(rref(MatGF(field, basis, dots))[1])
+    units = [[int(c == f) for c in range(dots)] for f in range(dots) if f not in pivots]
+    return basis, _span(field, units, [0] * dots)  # a zero origin of full length, even with no free cell
 
 
 def fdrm_coset_partition(F: FerrersDiagram, q: int):
@@ -25,28 +40,14 @@ def fdrm_coset_partition(F: FerrersDiagram, q: int):
     Partition all q^dots fillings of the diagram into cosets of the
     distance-2 diagram code: each coset keeps inner rank distance >= 2.
 
-    Representatives are the fillings supported on the cells away from the
-    inner code's pivot cells, a transversal of the quotient since the
-    inner code is linear.
+    Each coset is the `_span` of the code's basis from one representative
+    of `_coset_origins`, as a tuple of bounding-box matrices.
     """
     field = GF(q)
-    inner = fdrm_construct(F, 2, q)
-    cells = F.cells()
-    dots = len(cells)
-    if not dots:
-        return [tuple(inner.words)]
-    inner_vecs = [[w.entries[i][j] for (i, j) in cells] for w in inner.words]
-    _, pivots = rref(MatGF(field, inner_vecs, dots))
-    free_cells = [c for c in range(dots) if c not in set(pivots)]
-    rowop, minus_one = field.rowop, field.neg(1)  # iv + rep is iv - (-1)*rep
-    cosets = []
-    for rep_vals in itertools.product(range(q), repeat=len(free_cells)):
-        rep = [0] * dots
-        for c, x in zip(free_cells, rep_vals):
-            rep[c] = x
-        cosets.append(_fillings_to_words(field, F, [rowop(iv, minus_one, rep) for iv in inner_vecs]))
+    basis, reps = _coset_origins(F, q)
+    cosets = [_fillings_to_words(field, F, _span(field, basis, rep)) for rep in reps]
     total = sum(len(c) for c in cosets)
-    assert total == q**dots, (total, q**dots)
+    assert total == q ** F.dot_count(), (total, q ** F.dot_count())
     return cosets
 
 
@@ -97,10 +98,8 @@ def line_packing(q: int, n: int) -> DPacking:
         for vs in vectors:
             if vs not in cosets:
                 v = tuple(int(c) for c in vs)
-                fillings = fdrm_coset_partition(ferrers_of(v), q)
-                # every coset's words in one call, so v is laid out once
-                words = iter(subspaces_from_fillings(field, v, [w.entries for c in fillings for w in c]))
-                cosets[vs] = [list(itertools.islice(words, len(c))) for c in fillings]
+                basis, reps = _coset_origins(ferrers_of(v), q)
+                cosets[vs] = [_lifted_span(field, v, basis, rep) for rep in reps]
                 cursors[vs] = 0
     for vectors, _ in scheme:
         for a, b in itertools.combinations(vectors, 2):

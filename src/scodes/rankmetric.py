@@ -9,12 +9,19 @@ would exceed `MATERIALIZE_CAP` words, the one materialization limit, raises
 instead of thrashing.  Which code a Ferrers diagram gets, and whether it
 meets the dot-count bound without search (`_fdrm_meets_bound`), is decided
 here alone; `bounds` books multilevel sizes through the same predicate.  Linear
-codes are enumerated by one span builder, `_span`, so only their basis words
-need field products: a Gabidulin code costs m*n*k extension-field products
-in all, not m*k per word.  `_span` can start from an origin, giving a coset
-of the span: `constructions.lifted_mrd` lays the Gabidulin basis
-(`_gabidulin_basis`) out in the lifted rows and spans it from [I_k | 0], so
-its subspaces come straight from the span vectors.
+codes are enumerated by the one span builder, `spaces._span`, so only their
+basis words need field products: a Gabidulin code costs m*n*k
+extension-field products in all, not m*k per word.
+
+Every diagram code built here is GF(q)-linear, so `_fdrm_basis` gives it as
+a basis over the diagram's cells in `FerrersDiagram.cells()` order: the
+unit vectors at delta = 1, the Gabidulin basis of the best rectangle
+(`_fdrm_rect_subcode`), the delta = 2 kernel (`_fdrm_delta2`) or the greedy
+basis (`_fdrm_greedy`), and no vector for the single zero word.
+`fdrm_construct` spans it into bounding-box matrices; `constructions` and
+`packdata` lay the same basis out in a pivot vector's rows with
+`spaces._lifted_span`, whose rows are RREF by construction, so their
+subspaces come straight from the span vectors.
 """
 
 from __future__ import annotations
@@ -23,13 +30,12 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from operator import getitem
 from typing import Iterable, Sequence
 
 from .gfq import GF, ExtField, FieldSpec
 from .provenance import BoundResult
 from .qcombi import gauss_binomial
-from .spaces import FerrersDiagram, MatGF, _null_space, rank, rref
+from .spaces import FerrersDiagram, MatGF, _null_space, _span, rank, rref
 
 MATERIALIZE_CAP = 1 << 21
 
@@ -351,30 +357,10 @@ def _fillings_to_words(field: FieldSpec, F: FerrersDiagram, vectors: Iterable[Se
     return tuple(words)
 
 
-def _span(field: FieldSpec, basis: Sequence[Sequence[int]],
-          origin: Sequence[int] | None = None) -> list[tuple[int, ...]]:
-    """Every GF(q)-combination of `basis`, plus `origin` (the zero vector
-    when None), in itertools.product order over the coefficient tuples
-    (basis[0]'s coefficient varies slowest); an empty basis gives the
-    origin alone.
-
-    The basis is taken last vector first: the words so far are followed by
-    each of them plus c*b, for c = 1..q-1 in turn.  So each word costs one
-    vector addition, made by `map` at C speed on the field's addition
-    table rows (add[y][x] = x + y) when the field has them."""
-    span = [(0,) * (len(basis[0]) if basis else 0) if origin is None else tuple(origin)]
-    add = field._rows[0] if field._rows else None
-    for b in reversed(basis):
-        steps = [(getitem, [add[y] for y in cb]) if add else (field.add, cb)
-                 for cb in [field.rowop(b, c) for c in range(1, field.q)]]
-        span += [tuple(map(f, s, v)) for f, s in steps for v in span]
-    return span
-
-
-def _fdrm_delta2(F: FerrersDiagram, q: int) -> tuple[MatGF, ...]:
+def _fdrm_delta2(F: FerrersDiagram, q: int) -> list[list[int]]:
     """
-    Distance-2 code meeting the dot-count bound: the kernel of one
-    GF(q^t)-valued check, t = max(top row, last column).
+    Basis of a distance-2 code meeting the dot-count bound: the kernel of
+    one GF(q^t)-valued check, t = max(top row, last column).
 
     Cell (i, j) gets coefficient x^i * g_j in GF(q^t) with g_j = x^j; the
     g_j are independent over GF(q), so a rank-one filling u v^T maps to
@@ -393,36 +379,52 @@ def _fdrm_delta2(F: FerrersDiagram, q: int) -> tuple[MatGF, ...]:
     assert len(pivots) == t, "check map unexpectedly not onto"
     if q ** (len(cells) - t) > MATERIALIZE_CAP:
         raise ValueError("distance-2 diagram code too large to materialize")
-    basis = _null_space(field, Ech.entries, pivots, len(cells))
-    return _fillings_to_words(field, F, _span(field, basis))
+    return _null_space(field, Ech.entries, pivots, len(cells))
 
 
-def _fdrm_rect_subcode(F: FerrersDiagram, delta: int, q: int) -> tuple[MatGF, ...]:
-    """MRD code on the best rectangular sub-diagram (top r rows times the
-    r-th row length, right justified) -- the whole diagram when it is
-    rectangular, and the cheap all-purpose fallback otherwise.  A zero row
-    scores 1 and is never chosen."""
-    m = F.num_cols
-    best = (1, 1, m)
+def _fdrm_rect_subcode(F: FerrersDiagram, delta: int, q: int) -> list[list[int]]:
+    """Basis of an MRD code on the best rectangular sub-diagram (top r rows
+    times the r-th row length, right justified) -- the whole diagram when
+    it is rectangular, and the cheap all-purpose fallback otherwise.  A
+    zero row scores 1 and is never chosen.
+
+    The `_gabidulin_basis` words are laid into the diagram's cells,
+    transposed when r > width as `rect_mrd` does, so their span is the
+    rectangle's code in `rect_mrd` order; a rectangle of one word gives
+    no basis vector."""
+    best = (1, 1, F.num_cols)
     for r, width in enumerate(F.row_lengths, 1):
         size = mrd_size(q, r, width, delta) if width else 1
         if size > best[0]:
             best = (size, r, width)
-    _, r, width = best
-    inner = rect_mrd(q, r, width, delta)
-    left, below = (0,) * (m - width), [(0,) * m] * (F.num_rows - r)
-    return tuple(MatGF(inner.field, [left + row for row in w.entries] + below, m) for w in inner.words)
+    size, r, width = best
+    if size == 1:
+        return []
+    # entry (i, j) of the r x width rectangle is cell ends[i] - width + j
+    ends = list(itertools.accumulate(F.row_lengths[:r]))
+    if r <= width:
+        at = [ends[i] - width + j for i in range(r) for j in range(width)]
+        inner = _gabidulin_basis(q, width, r, delta)
+    else:  # entry (j, i) of a width x r word, transposed
+        at = [ends[i] - width + j for j in range(width) for i in range(r)]
+        inner = _gabidulin_basis(q, r, width, delta)
+    basis = [[0] * F.dot_count() for _ in inner]
+    for vec, word in zip(basis, inner):
+        for c, x in zip(at, word):
+            vec[c] = x
+    return basis
 
 
-def _fdrm_greedy(F: FerrersDiagram, delta: int, q: int) -> tuple[MatGF, ...]:
-    """Greedy linear code over the fillings of a diagram with at most 2^16
-    of them, or the rectangular sub-MRD code when that is larger.
+def _fdrm_greedy(F: FerrersDiagram, delta: int, q: int) -> list[tuple[int, ...]]:
+    """Basis of a greedy linear code over the fillings of a diagram with at
+    most 2^16 of them, or the rectangular sub-MRD basis when that is
+    longer.
 
     Candidates come in counter order (the first cell is the least
     significant base-q digit).  A candidate c joins the basis unless c +
     span holds a filling of rank < delta, that is unless c lies in
     `blocked` = span + {fillings of rank < delta}; each filling is ranked
-    once."""
+    once.  The basis is returned last candidate first."""
     rect = _fdrm_rect_subcode(F, delta, q)
     dots = F.dot_count()
     if q**dots > 1 << 16:
@@ -437,8 +439,7 @@ def _fdrm_greedy(F: FerrersDiagram, delta: int, q: int) -> tuple[MatGF, ...]:
             basis.append(cand)
             multiples = [rowop(cand, c) for c in range(1, q)]
             blocked |= {tuple(rowop(b, minus_one, cm)) for b in blocked for cm in multiples}
-    span = _span(field, basis[::-1])
-    return rect if len(rect) > len(span) else _fillings_to_words(field, F, span)
+    return rect if len(rect) > len(basis) else basis[::-1]
 
 
 def _fdrm_meets_bound(F: FerrersDiagram, delta: int) -> bool:
@@ -446,6 +447,25 @@ def _fdrm_meets_bound(F: FerrersDiagram, delta: int) -> bool:
     all fillings (delta 1), the kernel check (delta 2), or an MRD code on
     a rectangular diagram."""
     return delta <= 2 or F.rectangular()
+
+
+def _fdrm_basis(F: FerrersDiagram, delta: int, q: int) -> list[Sequence[int]]:
+    """A basis, over the cells of F in `FerrersDiagram.cells()` order, of
+    the GF(q)-linear diagram code `fdrm_construct` builds: no vector when
+    the bound is one word, the unit vectors (every filling, in counter
+    order) at delta = 1, the MRD basis on a rectangular diagram, the
+    kernel basis at delta = 2, and the greedy basis otherwise."""
+    if fdrm_upper_bound(F, delta, q) == 1:
+        return []
+    if delta == 1:
+        if q ** F.dot_count() > MATERIALIZE_CAP:
+            raise ValueError("full diagram space too large to materialize")
+        return [[int(c == j) for c in range(F.dot_count())] for j in range(F.dot_count())]
+    if F.rectangular():
+        return _fdrm_rect_subcode(F, delta, q)
+    if delta == 2:
+        return _fdrm_delta2(F, q)
+    return _fdrm_greedy(F, delta, q)
 
 
 def fdrm_construct(F: FerrersDiagram, delta: int, q: int) -> RankCode:
@@ -458,19 +478,10 @@ def fdrm_construct(F: FerrersDiagram, delta: int, q: int) -> RankCode:
     fillings for delta = 1, an MRD code (transposed as needed) on a
     rectangular diagram, the kernel-check construction for delta = 2.
     Otherwise returns the better of a greedy search over small diagrams and
-    an MRD code on a rectangular sub-diagram.
+    an MRD code on a rectangular sub-diagram.  Every one of these codes is
+    GF(q)-linear: its words are the `_span` of its `_fdrm_basis`, laid
+    into the diagram's cells.
     """
     field = GF(q)
-    if fdrm_upper_bound(F, delta, q) == 1:
-        words = (MatGF.zero(field, F.num_rows, F.num_cols),)
-    elif delta == 1:
-        if q ** F.dot_count() > MATERIALIZE_CAP:
-            raise ValueError("full diagram space too large to materialize")
-        words = _fillings_to_words(field, F, itertools.product(range(q), repeat=F.dot_count()))
-    elif F.rectangular():
-        words = _fdrm_rect_subcode(F, delta, q)
-    elif delta == 2:
-        words = _fdrm_delta2(F, q)
-    else:
-        words = _fdrm_greedy(F, delta, q)
+    words = _fillings_to_words(field, F, _span(field, _fdrm_basis(F, delta, q)))
     return RankCode(field, F.num_rows, F.num_cols, delta, words)

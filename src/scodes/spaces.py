@@ -11,11 +11,19 @@ ValueError unless its rows are the RREF generator.  `from_rref` and the
 `.scode` reader share one shape check, `Subspace._if_rref`, on the rows'
 leads (`_unit_lead`): rows whose leads strictly increase and are each 1, with
 every earlier row zero at every later lead, are in RREF, which is unique.
-Builders whose rows are RREF by construction (`subspaces_from_fillings`,
-`enumerate_grassmannian`, `zero`, `full`, and the lifts, embeddings and
-coset words of `constructions`) use the private, unchecked
-`Subspace._trusted`, passing the pivots where they know them; only the
-exact scan in `verify` checks stored rows again.
+Builders whose rows are RREF by construction (`_lifted_span`,
+`subspace_from_filling`, `enumerate_grassmannian`, `zero`, `full`, and the
+lifts, embeddings and coset words of `constructions`) use the private,
+unchecked `Subspace._trusted`, passing the pivots where they know them;
+only the exact scan in `verify` checks stored rows again.
+
+Linear codes are enumerated by the one span builder, `_span`, which lives
+here because it is plain GF(q) linear algebra; `rankmetric` and
+`constructions` import it.  `_lifted_span` is the one layout from
+Ferrers-diagram cells to subspace rows: it lays a basis over the cells of
+a pivot vector's diagram into that vector's rows and spans it from the
+pivots' unit rows, so every lifted MRD code, multilevel diagram code and
+line-packing coset comes straight from one span vector per word.
 
 Distances need the rank of U and W stacked: each RREF row of W is reduced
 against U's RREF rows, and the rows kept so far, at their pivot columns
@@ -35,7 +43,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from operator import getitem
+from typing import Iterator, Optional, Sequence
 
 from .gfq import GF, FieldSpec
 from .qcombi import gauss_binomial
@@ -406,34 +415,56 @@ def subspace_from_filling(field: FieldSpec, v: Sequence[int], filling: Sequence[
     left cells outside the diagram ignored/zero).  Raises ValueError for a
     diagram entry outside [0, q).
     """
-    return subspaces_from_fillings(field, v, [filling])[0]
+    entries = [filling[i][j] for i, j in ferrers_of(v).cells()]
+    if entries and (min(entries) < 0 or max(entries) >= field.q):
+        raise ValueError(f"filling entry outside [0, {field.q})")
+    return _lifted_span(field, v, [], entries)[0]
 
 
-def subspaces_from_fillings(field: FieldSpec, v: Sequence[int],
-                            fillings: Iterable[Sequence[Sequence[int]]]) -> list[Subspace]:
-    """`subspace_from_filling` of each filling in turn, with v's pivot
-    columns, free columns and filling offsets laid out once for all."""
+def _span(field: FieldSpec, basis: Sequence[Sequence[int]],
+          origin: Sequence[int] | None = None) -> list[tuple[int, ...]]:
+    """Every GF(q)-combination of `basis`, plus `origin` (the zero vector
+    when None), in itertools.product order over the coefficient tuples
+    (basis[0]'s coefficient varies slowest); an empty basis gives the
+    origin alone.
+
+    The basis is taken last vector first: the words so far are followed by
+    each of them plus c*b, for c = 1..q-1 in turn.  So each word costs one
+    vector addition, made by `map` at C speed on the field's addition
+    table rows (add[y][x] = x + y) when the field has them."""
+    span = [(0,) * (len(basis[0]) if basis else 0) if origin is None else tuple(origin)]
+    add = field._rows[0] if field._rows else None
+    for b in reversed(basis):
+        steps = [(getitem, [add[y] for y in cb]) if add else (field.add, cb)
+                 for cb in [field.rowop(b, c) for c in range(1, field.q)]]
+        span += [tuple(map(f, s, v)) for f, s in steps for v in span]
+    return span
+
+
+def _lifted_span(field: FieldSpec, v: Sequence[int], basis: Sequence[Sequence[int]],
+                 origin: Sequence[int] | None = None) -> list[Subspace]:
+    """The subspaces with pivot vector v whose free entries, read at the
+    cells of `ferrers_of(v)` in `FerrersDiagram.cells()` order, are
+    `origin` (zero when None) plus each vector of the `_span` of `basis`,
+    in `_span` order.
+
+    Cell c of row i is laid at i*n plus the c-th free column after pivot
+    p_i; the span starts from the pivots' unit rows plus the laid-out
+    origin, so each span vector is one subspace's k RREF rows end to end,
+    and every word shares one pivots tuple."""
     n = len(v)
-    m = ferrers_of(v).num_cols
     pivots = tuple(j for j, b in enumerate(v) if b)
-    layout = []  # per row: its pivot, its free columns, where its dots start in a filling row
-    for p in pivots:
-        free_cols = [j for j in range(p + 1, n) if not v[j]]
-        layout.append((p, free_cols, m - len(free_cols)))
-    q = field.q
-    words = []
-    for filling in fillings:
-        rows = []
-        for i, (p, free_cols, start) in enumerate(layout):
-            row = [0] * n
-            row[p] = 1
-            for j, x in zip(free_cols, filling[i][start:]):
-                row[j] = x
-            rows.append(tuple(row))
-        if rows and (min(map(min, rows)) < 0 or max(map(max, rows)) >= q):
-            raise ValueError(f"filling entry outside [0, {q})")
-        words.append(Subspace._trusted(field, n, MatGF._trusted(field, tuple(rows), n), pivots))
-    return words
+    at = [i * n + j for i, p in enumerate(pivots) for j in range(p + 1, n) if not v[j]]
+    laid = [[0] * (len(pivots) * n) for _ in range(len(basis) + 1)]
+    for flat, vec in zip(laid, [origin or (), *basis]):
+        for c, x in zip(at, vec):
+            flat[c] = x
+    start = laid.pop(0)  # the origin's cells are free columns, so the unit entries go in beside them
+    for i, p in enumerate(pivots):
+        start[i * n + p] = 1
+    cuts = [slice(i * n, (i + 1) * n) for i in range(len(pivots))]
+    return [Subspace._trusted(field, n, MatGF._trusted(field, tuple(map(w.__getitem__, cuts)), n), pivots)
+            for w in _span(field, laid, start)]
 
 
 def enumerate_grassmannian(q: int, n: int, k: int) -> Iterator[Subspace]:

@@ -822,3 +822,72 @@ def test_verify_survives_mutated_files(text):
         assert time.perf_counter() - start < 5, text
     assert rc in (0, 3, 4), text
     assert rc != 4 or err.getvalue().startswith("data error:"), text
+
+
+BOUND_6_4_3 = ("bound", "--q", "2", "--n", "6", "--d", "4", "--k", "3", "--dir", "upper")
+
+
+@pytest.mark.parametrize("name, text, where", [
+    ("missing.tsv", None, "{path}: No such file or directory"),
+    ("facts", "", "{path}: Is a directory"),
+    ("bad.tsv", "# q n d k kind value citation\n*\t6\t4\tx\tlower\t5\tcite\n",
+     "{path}:2: invalid literal for int() with base 10: 'x'"),
+], ids=["missing", "unreadable", "malformed-row"])
+def test_bad_fact_file_is_a_data_error(tmp_path, monkeypatch, capsys, name, text, where):
+    path = tmp_path / name
+    if name == "facts":
+        path.mkdir()
+    elif text is not None:
+        path.write_text(text, encoding="utf-8")
+    monkeypatch.setenv("SCODES_FACTS", str(path))
+    for argv in (BOUND_6_4_3, ("table", "--q", "2", "--d", "4", "--n-max", "6")):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (4, "")
+        assert err == "data error: " + where.format(path=path) + "\n"
+
+
+def test_no_facts_does_not_read_the_fact_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("SCODES_FACTS", str(tmp_path / "missing.tsv"))
+    rc, out, _ = run(capsys, *BOUND_6_4_3, "--no-facts")
+    assert (rc, out) == (0, "81\n")
+    rc, out, _ = run(capsys, "table", "--q", "2", "--d", "4", "--n-max", "6", "--no-facts")
+    assert rc == 0 and "| 6 | 3 | " in out
+
+
+def test_construct_exits_3_when_the_code_misses_its_distance(tmp_path, monkeypatch, capsys):
+    short = lifted_mrd(2, 4, 2, 2)
+    monkeypatch.setattr(cli, "_build", lambda *args: Cdc(2, 4, 2, 4, short.words))
+    path = tmp_path / "c.scode"
+    rc, out, err = run(capsys, "construct", "lmrd", "--q", "2", "--n", "4", "--k", "2", "--d", "4",
+                       "-o", str(path))
+    assert (rc, out) == (3, "")
+    assert err == "verification FAILED: min distance 2 < declared 4\n"
+    assert not path.exists()
+
+
+def test_wrong_magic_is_a_data_error(tmp_path, capsys):
+    path = tmp_path / "c.scode"
+    path.write_text("SCODE 2\nq=2 p=2 e=1 n=4 k=2 d=4 count=0\n", encoding="utf-8")
+    rc, _, err = run(capsys, "verify", str(path))
+    assert rc == 4
+    assert err == f"data error: {path}: missing SCODE 1 magic\n"
+
+
+def test_packing_file_word_before_its_first_part_is_a_data_error(tmp_path, monkeypatch, capsys):
+    lines = ["SCODE 1", "q=2 p=2 e=1 n=4 k=2 d=4 count=1", "1 0 0 0", "0 1 0 0", "", "# part=0"]
+    packing = tmp_path / "parallelism_q2_n4_k2.scode"
+    packing.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    monkeypatch.setenv("SCODES_PACKINGS", str(tmp_path))
+    rc, _, err = run(capsys, "construct", "coset", "--q", "2", "-o", str(tmp_path / "out.scode"))
+    assert rc == 4
+    assert err == f"data error: {packing}: codeword before any part marker\n"
+
+
+def test_fact_above_the_upper_bound_makes_table_exit_2(tmp_path, monkeypatch, capsys):
+    # A_2(6,4;3) = 77, so a booked lower bound of 2^10 contradicts the upper bound
+    facts = tmp_path / "facts.tsv"
+    facts.write_text("*\t6\t4\t3\tlower\tq^10\tcontradiction\n", encoding="utf-8")
+    monkeypatch.setenv("SCODES_FACTS", str(facts))
+    rc, out, err = run(capsys, "table", "--q", "2", "--d", "4", "--n-max", "6")
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: inconsistent bounds:\n")

@@ -36,6 +36,7 @@ from scodes.qcombi import gauss_binomial, gauss_int
 from scodes.rankmetric import (
     RankCode,
     _fdrm_exponent,
+    fdrm_construct,
     gabidulin,
     mrd_coset_partition,
     mrd_size,
@@ -721,9 +722,9 @@ def test_trusted_builders_give_rref_rows(builder, data):
 
 
 def _one_filling_at_a_time(field, v, fillings):
-    """A stand-in for `subspaces_from_fillings` that lays out every word on
-    its own, cell by cell from the diagram of v, and builds it through the
-    checked `Subspace.from_rref`."""
+    """The subspaces with pivot vector v and these bounding-box fillings,
+    each laid out on its own, cell by cell from the diagram of v, and built
+    through the checked `Subspace.from_rref`."""
     n, pivots, cells = len(v), [j for j, b in enumerate(v) if b], ferrers_of(v).cells()
     words = []
     for filling in fillings:
@@ -752,17 +753,27 @@ FERRERS_SKELETONS = [
 
 
 @pytest.mark.parametrize("q, skeleton, d", FERRERS_SKELETONS)
-def test_echelon_ferrers_lays_out_each_vector_once_with_the_same_words(monkeypatch, q, skeleton, d):
-    code = echelon_ferrers(skeleton, q, d)
-    monkeypatch.setattr(constructions, "subspaces_from_fillings", _one_filling_at_a_time)
-    _same_words(code.words, echelon_ferrers(skeleton, q, d).words)
+def test_echelon_ferrers_lays_out_each_vector_once_with_the_same_words(q, skeleton, d):
+    reference = []
+    for v in skeleton:
+        code = fdrm_construct(ferrers_of(v), d // 2, q)
+        reference += _one_filling_at_a_time(GF(q), v, [w.entries for w in code.words])
+    _same_words(echelon_ferrers(skeleton, q, d).words, tuple(reference))
 
 
 @pytest.mark.parametrize("q, n", [(2, 5), (3, 6)])
-def test_line_packing_lays_out_each_vector_once_with_the_same_words(monkeypatch, q, n):
+def test_line_packing_lays_out_each_vector_once_with_the_same_words(q, n):
+    # each scheme row takes the next `count` cosets of each of its classes
+    cosets, reference = {}, []
+    for vectors, count in packdata._SCHEMES[n]:
+        for vs in vectors:
+            if vs not in cosets:
+                v = tuple(map(int, vs))
+                fillings = fdrm_coset_partition(ferrers_of(v), q)
+                cosets[vs] = iter([_one_filling_at_a_time(GF(q), v, [w.entries for w in c]) for c in fillings])
+        for _ in range(count(q)):
+            reference.append(tuple(U for vs in vectors for U in next(cosets[vs])))
     packing = line_packing(q, n)
-    monkeypatch.setattr(packdata, "subspaces_from_fillings", _one_filling_at_a_time)
-    reference = line_packing(q, n)
-    assert len(packing.parts) == len(reference.parts)
-    for part, ref in zip(packing.parts, reference.parts):
+    assert len(packing.parts) == len(reference)
+    for part, ref in zip(packing.parts, reference):
         _same_words(part, ref)
