@@ -53,8 +53,11 @@ class Fact:
 
 
 class FactFileError(ValueError):
-    """A fact table that cannot be read or parsed; the message starts with
-    the file's path, and the line number when a row is at fault."""
+    """A fact table that cannot be read or parsed, whose message starts with
+    the file's path, and the line number when a row is at fault; or one that
+    parses but contradicts itself or the engine: a fact that makes a bound
+    depend on itself (`BoundEngine._evaluate`), or lower and upper bounds
+    that cross with a fact in either tree (`BoundEngine.bounds`)."""
 
 
 class FactTable:
@@ -546,8 +549,9 @@ class BoundEngine:
                     break
                 result = child_memo.get(child_key)
                 if result is None:
-                    if child_key in active:
-                        raise ValueError(f"bound {child_key} depends on itself (check the fact table)")
+                    if child_key in active:  # only a fact's A-term can close a cycle
+                        error = FactFileError if self.use_facts else ValueError
+                        raise error(f"bound {child_key} depends on itself (check the fact table)")
                     active.add(child_key)
                     stack.append((child_memo, child_key, child_node(*child_key)))
                     break
@@ -668,9 +672,8 @@ class BoundEngine:
         lo = self.best_lower(q, n, d, k)
         hi = self.best_upper(q, n, d, k)
         if lo.value > hi.value:
-            raise RuntimeError(
-                "inconsistent bounds:\nlower:\n" + lo.render() + "\nupper:\n" + hi.render()
-            )
+            error = FactFileError if lo.uses_facts() or hi.uses_facts() else RuntimeError
+            raise error("inconsistent bounds:\nlower:\n" + lo.render() + "\nupper:\n" + hi.render())
         return lo, hi
 
     # ---- mixed-dimension codes

@@ -38,6 +38,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from operator import attrgetter
 from typing import Optional, Sequence
 
 from .bounds import BoundEngine, FactFileError
@@ -84,8 +85,8 @@ def write_code_file(path: str, code: Cdc) -> None:
         header += " mod=" + ",".join(str(c) for c in field.modulus)
     lines.append(header)
     text: dict[tuple[int, ...], str] = {}  # rows repeat across words; format each once
-    for w in sorted(code.words, key=lambda s: s.rref.entries):
-        for row in w.rref.entries:
+    for w in sorted(code.words, key=attrgetter("entries")):
+        for row in w.entries:
             line = text.get(row)
             if line is None:
                 line = text[row] = " ".join(map(str, row))

@@ -102,8 +102,7 @@ def lift(M: MatGF) -> Subspace:
     first k columns."""
     k = M.rows
     eye = MatGF.identity(M.field, k).entries
-    rows = MatGF._trusted(M.field, tuple([er + mr for er, mr in zip(eye, M.entries)]), k + M.cols)
-    return Subspace._trusted(M.field, k + M.cols, rows, range(k))
+    return Subspace._trusted(M.field, k + M.cols, [er + mr for er, mr in zip(eye, M.entries)], range(k))
 
 
 def lifted_mrd(q: int, n: int, k: int, d: int) -> Cdc:
@@ -129,8 +128,8 @@ def _check_cdc_params(q, n, k, d):
 
 
 def _prefix_embed(U: Subspace, left_zeros: int, total: int) -> Subspace:
-    rows = [(0,) * left_zeros + tuple(r) + (0,) * (total - left_zeros - U.ambient_n) for r in U.rref.entries]
-    return Subspace._trusted(U.field, total, rows)
+    left, right = (0,) * left_zeros, (0,) * (total - left_zeros - U.ambient_n)
+    return Subspace._trusted(U.field, total, [left + r + right for r in U.entries])
 
 
 def single_codeword(q: int, n: int, k: int, d: int, position: str = "right") -> Cdc:
@@ -151,8 +150,8 @@ def construction_d(C: Cdc, M: RankCode) -> Cdc:
     words = []
     for U in C.words:
         for w in M.words:
-            rows = [tuple(r) + tuple(mr) for r, mr in zip(U.rref.entries, w.entries)]
-            words.append(Subspace._trusted(U.field, n, rows))
+            rows = [r + mr for r, mr in zip(U.entries, w.entries)]
+            words.append(Subspace._trusted(U.field, n, rows, U.pivot_positions()))
     return _mk(C.q, n, C.k, C.d, words, "construction_d", n1=C.n, n2=M.n)
 
 
@@ -198,7 +197,7 @@ def generalized_linkage(C1: Cdc, C2: Cdc, M1: RankCode, M2: RankCode) -> Cdc:
     words = list(construction_d(C1, M1).words)
     for W in C2.words:
         for w in M2.words:
-            rows = [tuple(mr) + tuple(r) for mr, r in zip(w.entries, W.rref.entries)]
+            rows = [mr + r for mr, r in zip(w.entries, W.entries)]
             words.append(Subspace.from_matrix(MatGF(W.field, rows, n)))
     return _mk(C1.q, n, k, d, words, "generalized_linkage", n1=C1.n, n2=C2.n)
 
@@ -344,7 +343,7 @@ def find_parallelism(q: int, n: int, k: int) -> DPacking:
     lines = list(enumerate_grassmannian(q, n, k))
     spread_size = (q**n - 1) // (q**k - 1)
     # over GF(2) a line's points are its nonzero vectors
-    point_sets = [frozenset(filter(any, _span(w.field, w.rref.entries))) for w in lines]
+    point_sets = [frozenset(filter(any, _span(w.field, w.entries))) for w in lines]
     all_points = sorted({p for ps in point_sets for p in ps})
 
     def spreads_using(first: int, available: list[int]):
@@ -457,8 +456,8 @@ def coset_construction(pack1: DPacking, pack2: DPacking, M: RankCode,
 
     def word(U1: Subspace, U2: Subspace, Mw: MatGF) -> Subspace:
         top_right = _pivot_embedding(Mw, U2, n2)
-        rows = [tuple(r) + tr for r, tr in zip(U1.rref.entries, top_right)]
-        rows += [(0,) * n1 + tuple(r) for r in U2.rref.entries]
+        rows = [r + tr for r, tr in zip(U1.entries, top_right)]
+        rows += [(0,) * n1 + r for r in U2.entries]
         return Subspace._trusted(field, n1 + n2, rows)
 
     return _coset_family(pack1, pack2, M, d1, d2, "coset", (pack1.k, n2 - pack2.k), word)
@@ -483,8 +482,8 @@ def mirrored_coset_construction(pack1: DPacking, pack2: DPacking, M: RankCode,
     def word(U1: Subspace, U2: Subspace, Mw: MatGF) -> Subspace:
         # the generator is not in RREF, so canonicalize it
         bottom_left = _pivot_embedding(Mw, U1, n1)
-        rows = [tuple(r) + (0,) * n2 for r in U1.rref.entries]
-        rows += [bl + tuple(r) for bl, r in zip(bottom_left, U2.rref.entries)]
+        rows = [r + (0,) * n2 for r in U1.entries]
+        rows += [bl + r for bl, r in zip(bottom_left, U2.entries)]
         return Subspace.from_matrix(MatGF(field, rows, n1 + n2))
 
     return _coset_family(pack1, pack2, M, d1, d2, "mirrored_coset", (pack2.k, n1 - pack1.k), word)
@@ -529,14 +528,14 @@ def block_inserting_I(dims: tuple[int, int, int, int], d1: int, d2: int,
                 for M3w in M3.words:
                     top = [
                         tuple(g) + tuple(m1) + (0,) * n3 + tuple(m3)
-                        for g, m1, m3 in zip(U1.rref.entries, M1w.entries, M3w.entries)
+                        for g, m1, m3 in zip(U1.entries, M1w.entries, M3w.entries)
                     ]
                     for U2 in C2.words:
                         for M4w in M4.words:
                             for M2w in P2.words:
                                 bottom = [
                                     (0,) * n1 + tuple(m4) + tuple(g) + tuple(m2)
-                                    for m4, g, m2 in zip(M4w.entries, U2.rref.entries, M2w.entries)
+                                    for m4, g, m2 in zip(M4w.entries, U2.entries, M2w.entries)
                                 ]
                                 words.append(Subspace.from_matrix(MatGF(field, top + bottom, n)))
     return _mk(C1.q, n, k1 + k2, d, words, "block_inserting_I",
@@ -572,12 +571,12 @@ def block_inserting_II(dims: tuple[int, int, int, int], d: int,
         for U1 in C1.words:
             top = [
                 tuple(m1) + tuple(g) + (0,) * (n3 + n4)
-                for m1, g in zip(M1w.entries, U1.rref.entries)
+                for m1, g in zip(M1w.entries, U1.entries)
             ]
             for U2 in C2.words:
                 bottom = [
                     (0,) * (n1 + n2) + tuple(m2) + tuple(g)
-                    for m2, g in zip(M2w.entries, U2.rref.entries)
+                    for m2, g in zip(M2w.entries, U2.entries)
                 ]
                 words.append(Subspace.from_matrix(MatGF(field, top + bottom, n)))
     return _mk(C1.q, n, k1 + k2, d, words, "block_inserting_II",

@@ -3,9 +3,12 @@ Exact linear algebra over GF(q): matrices, reduced row echelon form,
 subspaces with canonical generators, distances, duals, pivot vectors,
 Ferrers diagrams, and deterministic Grassmannian enumeration.
 
-A subspace's identity is its unique RREF generator matrix; equality and
-hashing go through it, and its pivot columns are read off those rows.
-Rows are checked where they enter a `Subspace` and nowhere after:
+A subspace's identity is its unique RREF generator matrix.  A `Subspace`
+holds those rows themselves, as a tuple of row tuples (`entries`); its
+hash and equality go through them and the field, and its pivot columns
+are read off them.  `Subspace.rref` is a derived, read-only `MatGF` view
+of the rows, built on each read; nothing in the package reads it.  Rows
+are checked where they enter a `Subspace` and nowhere after:
 `from_matrix` puts any generator through `rref`, and `from_rref` raises
 ValueError unless its rows are the RREF generator.  `from_rref` and the
 `.scode` reader share one shape check, `Subspace._if_rref`, on the rows'
@@ -207,35 +210,44 @@ class FerrersDiagram:
 
 
 class Subspace:
-    """A k-subspace of GF(q)^n held by its canonical RREF generator, built
-    through `from_matrix` or `from_rref` (see the module docstring).  Its
-    pivot columns are kept as a tuple (`pivot_positions()`), which the
-    distance kernel, `dual` and `contains_vector` read; the 0/1 `pivot`
-    vector is computed from them on read."""
+    """A k-subspace of GF(q)^n held by its canonical RREF generator rows,
+    `entries`, a tuple of k row tuples of n entries each, built through
+    `from_matrix` or `from_rref` (see the module docstring).  Equality and
+    the hash go through `entries`; `rref` is a derived read-only view of
+    them as a `MatGF`, built on each read.  Its pivot columns are kept as a
+    tuple (`pivot_positions()`), which the distance kernel, `dual` and
+    `contains_vector` read; the 0/1 `pivot` vector is computed from them on
+    read."""
 
-    __slots__ = ("field", "ambient_n", "k", "rref", "_pivots", "_hash")
+    __slots__ = ("field", "ambient_n", "k", "entries", "_pivots", "_hash")
 
     @classmethod
-    def _trusted(cls, field: FieldSpec, ambient_n: int, rows: Sequence[Sequence[int]] | MatGF,
+    def _trusted(cls, field: FieldSpec, ambient_n: int, rows: Sequence[tuple[int, ...]],
                  pivots: Optional[Sequence[int]] = None) -> "Subspace":
-        """The subspace whose RREF generator is `rows`, which must be in RREF
-        with ambient_n entries per row; nothing is checked.  `pivots`, the
-        rows' pivot columns, is read off the rows unless the caller knows
-        it: lifts, Ferrers fillings, `from_matrix`, and `_if_rref` once the
-        rows pass its shape check (the `.scode` reader sends a word that
-        fails it to `from_matrix`)."""
-        E = rows if type(rows) is MatGF else MatGF._trusted(field, tuple(map(tuple, rows)), ambient_n)
+        """The subspace whose RREF generator is `rows`, row tuples with
+        ambient_n entries each, kept as their tuple: no row is copied or
+        checked (a list row makes the hash raise TypeError at once).
+        `pivots`, the rows' pivot columns, is read off the rows unless the
+        caller knows it: lifts, Construction D words, Ferrers fillings,
+        `from_matrix`, and `_if_rref` once the rows pass its shape check
+        (the `.scode` reader sends a word that fails it to `from_matrix`)."""
+        rows = tuple(rows)  # a tuple is kept as it is
         U = object.__new__(cls)
-        U.field, U.ambient_n, U.rref, U.k = field, ambient_n, E, E.rows
-        U._pivots = tuple([row.index(1) for row in E.entries] if pivots is None else pivots)
-        U._hash = hash((field, ambient_n, E.entries))
+        U.field, U.ambient_n, U.entries, U.k = field, ambient_n, rows, len(rows)
+        U._pivots = tuple([row.index(1) for row in rows] if pivots is None else pivots)
+        U._hash = hash((field._hash, ambient_n, rows))
         return U
+
+    @property
+    def rref(self) -> MatGF:
+        """The RREF generator as a matrix: a view of `entries`, not stored."""
+        return MatGF._trusted(self.field, self.entries, self.ambient_n)
 
     @classmethod
     def from_matrix(cls, M: MatGF) -> "Subspace":
         E, pivots = rref(M)
-        # a full-rank result is kept as it is; otherwise its zero rows are dropped
-        return cls._trusted(M.field, M.cols, E if len(pivots) == E.rows else E.entries[: len(pivots)], pivots)
+        # the zero rows follow the pivot rows; a full-rank slice is the tuple itself
+        return cls._trusted(M.field, M.cols, E.entries[: len(pivots)], pivots)
 
     @classmethod
     def from_rref(cls, field: FieldSpec, ambient_n: int, rows: Sequence[Sequence[int]]) -> "Subspace":
@@ -265,15 +277,15 @@ class Subspace:
                 if row[p]:
                     return None
             last = p
-        return cls._trusted(field, ambient_n, MatGF._trusted(field, rows, ambient_n), leads)
+        return cls._trusted(field, ambient_n, rows, leads)
 
     @classmethod
     def zero(cls, field: FieldSpec, ambient_n: int) -> "Subspace":
-        return cls._trusted(field, ambient_n, [])
+        return cls._trusted(field, ambient_n, ())
 
     @classmethod
     def full(cls, field: FieldSpec, ambient_n: int) -> "Subspace":
-        return cls._trusted(field, ambient_n, MatGF.identity(field, ambient_n))
+        return cls._trusted(field, ambient_n, MatGF.identity(field, ambient_n).entries)
 
     def pivot_positions(self) -> tuple[int, ...]:
         return self._pivots
@@ -293,7 +305,7 @@ class Subspace:
         if len(v) != self.ambient_n or (v and (min(v) < 0 or max(v) >= self.field.q)):
             raise ValueError(f"not a vector of GF({self.field.q})^{self.ambient_n}")
         rowop = self.field.rowop
-        for row, p in zip(self.rref.entries, self._pivots):
+        for row, p in zip(self.entries, self._pivots):
             if v[p]:
                 v = rowop(v, v[p], row)
         return not any(v)
@@ -301,9 +313,9 @@ class Subspace:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Subspace)
-            and self.field == other.field
+            and (self.field is other.field or self.field == other.field)
             and self.ambient_n == other.ambient_n
-            and self.rref.entries == other.rref.entries
+            and self.entries == other.entries
         )
 
     def __hash__(self) -> int:
@@ -332,7 +344,7 @@ def injection_distance(U: Subspace, W: Subspace) -> int:
 
 
 def _check_same_ambient(U: Subspace, W: Subspace) -> None:
-    if U.ambient_n != W.ambient_n or U.field != W.field:
+    if U.ambient_n != W.ambient_n or (U.field is not W.field and U.field != W.field):
         raise ValueError("ambient space mismatch")
 
 
@@ -346,20 +358,18 @@ def _stack_rank(U: Subspace, W: Subspace, cap: Optional[int] = None) -> int:
     order clears them all."""
     F = U.field
     rowop, inv = F.rowop, F.inv
-    basis = list(zip(U._pivots, U.rref.entries))
+    basis = list(zip(U._pivots, U.entries))
     r = U.k
-    for w in W.rref.entries:
+    for w in W.entries:
         if cap is not None and r >= cap:
             break
         for p, row in basis:
             if w[p]:
                 w = rowop(w, w[p], row)
-        for p, x in enumerate(w):
-            if x:
-                break
-        else:
+        x = next(filter(None, w), 0)
+        if not x:
             continue
-        basis.append((p, rowop(w, inv(x)) if x != 1 else w))
+        basis.append((w.index(x), rowop(w, inv(x)) if x != 1 else w))
         r += 1
     return r
 
@@ -367,7 +377,7 @@ def _stack_rank(U: Subspace, W: Subspace, cap: Optional[int] = None) -> int:
 def dual(U: Subspace) -> Subspace:
     """Orthogonal complement under the standard dot product."""
     n = U.ambient_n
-    return Subspace.from_matrix(MatGF(U.field, _null_space(U.field, U.rref.entries, U._pivots, n), n))
+    return Subspace.from_matrix(MatGF(U.field, _null_space(U.field, U.entries, U._pivots, n), n))
 
 
 def _null_space(F: FieldSpec, rows: Sequence[Sequence[int]], pivots: Sequence[int], n: int) -> list[list[int]]:
@@ -463,8 +473,7 @@ def _lifted_span(field: FieldSpec, v: Sequence[int], basis: Sequence[Sequence[in
     for i, p in enumerate(pivots):
         start[i * n + p] = 1
     cuts = [slice(i * n, (i + 1) * n) for i in range(len(pivots))]
-    return [Subspace._trusted(field, n, MatGF._trusted(field, tuple(map(w.__getitem__, cuts)), n), pivots)
-            for w in _span(field, laid, start)]
+    return [Subspace._trusted(field, n, tuple(map(w.__getitem__, cuts)), pivots) for w in _span(field, laid, start)]
 
 
 def enumerate_grassmannian(q: int, n: int, k: int) -> Iterator[Subspace]:
@@ -486,7 +495,7 @@ def enumerate_grassmannian(q: int, n: int, k: int) -> Iterator[Subspace]:
             for (i, j) in free_cells:
                 rows[i][j] = c % q
                 c //= q
-            yield Subspace._trusted(field, n, rows)
+            yield Subspace._trusted(field, n, tuple(map(tuple, rows)))
 
 
 def permute_columns(U: Subspace, perm: Sequence[int]) -> Subspace:
@@ -495,7 +504,7 @@ def permute_columns(U: Subspace, perm: Sequence[int]) -> Subspace:
     if sorted(perm) != list(range(n)):
         raise ValueError("not a permutation of the columns")
     rows = []
-    for row in U.rref.entries:
+    for row in U.entries:
         new = [0] * n
         for j, x in enumerate(row):
             new[perm[j]] = x

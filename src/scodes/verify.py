@@ -263,9 +263,9 @@ def _level_keys(words: Sequence[Subspace], t: int) -> Iterator[Iterator[tuple]]:
     """For each word, the keys of its t-subspaces: A·G for every RREF t x k
     template A, column by column, for G the word's RREF rows."""
     F, k = words[0].field, words[0].k
-    columns = _Columns(F, [A.rref.entries for A in enumerate_grassmannian(F.q, k, t)])
+    columns = _Columns(F, [A.entries for A in enumerate_grassmannian(F.q, k, t)])
     for w in words:
-        yield zip(*map(columns.__getitem__, zip(*w.rref.entries)))
+        yield zip(*map(columns.__getitem__, zip(*w.entries)))
 
 
 def _point_scan(words: Sequence[Subspace], histogram: bool, budget: float):
@@ -340,8 +340,8 @@ def _reversed_dual(w: Subspace) -> Subspace:
     """U⊥ with its columns reversed, which keeps every distance, built with
     no rank code: the null-space basis e_f - sum_p row[f]·e_p is in RREF once
     the columns are reversed and the vectors taken from the last free column f."""
-    basis = _null_space(w.field, w.rref.entries, w.pivot_positions(), w.ambient_n)
-    return Subspace._trusted(w.field, w.ambient_n, [v[::-1] for v in reversed(basis)])
+    basis = _null_space(w.field, w.entries, w.pivot_positions(), w.ambient_n)
+    return Subspace._trusted(w.field, w.ambient_n, [tuple(v[::-1]) for v in reversed(basis)])
 
 
 def _pair_scan(words: Sequence[Subspace], pairs: Iterable[tuple[int, int]], histogram: bool):
@@ -371,14 +371,14 @@ def _check_words(words: Sequence[Subspace]) -> None:
     increasing and its rows read at the lead columns equal to I_k.  A word
     that fails is walked row by row to name its first bad row."""
     F, n, k = words[0].field, words[0].ambient_n, words[0].k
-    if any(w.field != F or w.ambient_n != n for w in words):
+    if any((w.field is not F and w.field != F) or w.ambient_n != n for w in words):
         raise ValueError("ambient space mismatch")
     if any(w.k != k for w in words):
         raise ValueError("words must share one dimension")
     leads = _Leads(F.q)
     eye = [tuple(int(i == r) for i in range(k)) for r in range(k)]
     for w in words:
-        rows = w.rref.entries
+        rows = w.entries
         ps = list(map(leads.__getitem__, rows))
         # with the leads increasing, a bad lead (-1) can only be the first
         if ps and (ps[0] < 0 or k > 1 and (not all(map(operator.lt, ps, ps[1:]))

@@ -883,11 +883,23 @@ def test_packing_file_word_before_its_first_part_is_a_data_error(tmp_path, monke
     assert err == f"data error: {packing}: codeword before any part marker\n"
 
 
-def test_fact_above_the_upper_bound_makes_table_exit_2(tmp_path, monkeypatch, capsys):
-    # A_2(6,4;3) = 77, so a booked lower bound of 2^10 contradicts the upper bound
+def test_fact_above_the_upper_bound_makes_table_exit_4(tmp_path, monkeypatch, capsys):
+    # A_2(6,4;3) = 77, so a booked lower bound of 2^10 contradicts the upper
+    # bound: the fact table is at fault, not the query
     facts = tmp_path / "facts.tsv"
     facts.write_text("*\t6\t4\t3\tlower\tq^10\tcontradiction\n", encoding="utf-8")
     monkeypatch.setenv("SCODES_FACTS", str(facts))
     rc, out, err = run(capsys, "table", "--q", "2", "--d", "4", "--n-max", "6")
-    assert (rc, out) == (2, "")
-    assert err.startswith("error: inconsistent bounds:\n")
+    assert (rc, out) == (4, "")
+    assert err.startswith("data error: inconsistent bounds:\n")
+    assert run(capsys, "table", "--q", "2", "--d", "4", "--n-max", "6", "--no-facts")[0] == 0
+
+
+def test_fact_that_depends_on_itself_makes_bound_exit_4(tmp_path, monkeypatch, capsys):
+    facts = tmp_path / "facts.tsv"
+    facts.write_text("*\t9\t4\t3\tlower\t1+A(9,4;3)\tself-referential\n", encoding="utf-8")
+    monkeypatch.setenv("SCODES_FACTS", str(facts))
+    rc, out, err = run(capsys, "bound", "--q", "2", "--n", "9", "--d", "4", "--k", "3", "--dir", "lower")
+    assert (rc, out) == (4, "")
+    assert err == "data error: bound (2, 9, 4, 3, 2) depends on itself (check the fact table)\n"
+    assert run(capsys, "bound", "--q", "2", "--n", "9", "--d", "4", "--k", "3", "--dir", "lower", "--no-facts")[0] == 0

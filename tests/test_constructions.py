@@ -1,12 +1,15 @@
 import hashlib
 import itertools
 import operator
+import os
+import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scodes import constructions, packdata
+from scodes.cli import read_code_file, write_code_file
 from scodes.constructions import (
     Cdc,
     DPacking,
@@ -698,6 +701,41 @@ def _zero_and_full(data, F):
     return [Subspace.zero(F, n), Subspace.full(F, n)]
 
 
+def _code_params(data):
+    n = _size(data, 4)
+    return n, _size(data, n), data.draw(st.sampled_from([2, 4, 6]))
+
+
+def _lifted_mrd_words(data, F):
+    return lifted_mrd(F.q, *_code_params(data)).words
+
+
+def _echelon_ferrers_words(data, F):
+    n, k, d = _code_params(data)
+    return echelon_ferrers(skeleton_greedy(F.q, n, k, d), F.q, d).words
+
+
+def _read_code_file_words(data, F):
+    """The words of a code file read back, once as written and once with
+    each word's rows in reverse order, so that words of two or more rows
+    fail the reader's RREF shape check and go through `from_matrix`."""
+    n, k, d = _code_params(data)
+    code = echelon_ferrers(skeleton_greedy(F.q, n, k, d), F.q, d)
+    words = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path, reversed_path = os.path.join(tmp, "c.scode"), os.path.join(tmp, "r.scode")
+        write_code_file(path, code)
+        with open(path, encoding="utf-8") as fh:
+            magic, header, body = fh.read().split("\n", 2)
+        blocks = [block.split("\n")[::-1] for block in body.split("\n\n") if block]
+        with open(reversed_path, "w", encoding="utf-8") as fh:
+            fh.write("\n\n".join(["\n".join([magic, header])] + ["\n".join(b) for b in blocks]) + "\n")
+        for p in (path, reversed_path):
+            words += read_code_file(p).words
+    assert len(words) == 2 * len(code.words)
+    return words
+
+
 TRUSTED_BUILDERS = {
     "lift": _lift_words,
     "construction_d": _construction_d_words,
@@ -707,6 +745,9 @@ TRUSTED_BUILDERS = {
     "subspace_from_filling": _filling_words,
     "enumerate_grassmannian": _grassmannian_words,
     "zero_and_full": _zero_and_full,
+    "lifted_mrd": _lifted_mrd_words,
+    "echelon_ferrers": _echelon_ferrers_words,
+    "read_code_file": _read_code_file_words,
 }
 
 
@@ -716,9 +757,14 @@ TRUSTED_BUILDERS = {
 def test_trusted_builders_give_rref_rows(builder, data):
     F = GF(data.draw(st.sampled_from([2, 3, 4])))
     for U in builder(data, F):
-        M = MatGF(F, U.rref.entries, U.ambient_n)  # ValueError unless every row has ambient_n entries
-        assert U.rref.entries == Subspace.from_matrix(M).rref.entries
+        # the stored rows are a tuple of row tuples, and `rref` is their view
+        assert type(U.entries) is tuple and all(type(row) is tuple for row in U.entries)
+        M = MatGF(F, U.entries, U.ambient_n)  # ValueError unless every row has ambient_n entries
+        assert U.rref == M
+        assert U.entries == Subspace.from_matrix(M).entries
         assert U.pivot_positions() == tuple(rref(M)[1])
+        checked = Subspace.from_rref(F, U.ambient_n, U.entries)
+        assert U == checked and checked == U and hash(U) == hash(checked)
 
 
 def _one_filling_at_a_time(field, v, fillings):

@@ -11,7 +11,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from scodes import spaces, verify
-from scodes.constructions import Cdc, lifted_mrd, partial_spread, single_codeword
+from scodes.constructions import (Cdc, echelon_ferrers, lifted_mrd, partial_spread, single_codeword,
+                                  skeleton_greedy)
 from scodes.gfq import GF
 from scodes.qcombi import gauss_binomial, gauss_int
 from scodes.spaces import (MatGF, Subspace, dual, enumerate_grassmannian, permute_columns, rank,
@@ -119,6 +120,27 @@ def test_min_distance_sampled_not_certifying():
     assert rep.min_distance >= 4
     rep2 = min_distance(code, "sampled", sample_count=500, seed=42)
     assert rep2.min_distance == rep.min_distance  # deterministic per seed
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_sampled_mode_matches_a_stacked_rank_oracle_on_its_draws(q):
+    # several pivot classes (an echelon-Ferrers code), a lifted MRD code of
+    # 2-spaces and some points, shuffled together: mixed dimensions, so odd
+    # distances occur; the oracle ranks each drawn pair's stacked RREF rows
+    # from scratch and keeps the first pair that attains the minimum
+    words = list(echelon_ferrers(skeleton_greedy(q, 6, 3, 4), q, 4).words)
+    words += lifted_mrd(q, 6, 2, 4).words
+    words += itertools.islice(enumerate_grassmannian(q, 6, 1), 0, None, 7)
+    random.Random(q).shuffle(words)
+    code, m = Cdc(q, 6, 3, 4, tuple(words)), len(words)
+    for seed, count in ((0, 300), (1, 2000), (q + 10, 2000)):
+        rng = random.Random(seed)
+        draws = [(rng.randrange(m), rng.randrange(m - 1)) for _ in range(count)]
+        pairs = [(i, j + (j >= i)) for i, j in draws]
+        dist = [2 * rank(words[i].rref.vstack(words[j].rref)) - words[i].k - words[j].k for i, j in pairs]
+        best = min(dist)
+        rep = min_distance(code, "sampled", sample_count=count, seed=seed)
+        assert (rep.min_distance, rep.witness) == (best, pairs[dist.index(best)])
 
 
 @pytest.mark.parametrize("count", [0, -5])
@@ -548,10 +570,11 @@ NOT_RREF = {
 
 @pytest.mark.parametrize("rows", list(NOT_RREF.values()), ids=list(NOT_RREF))
 def test_exact_scan_rejects_rows_not_in_rref(rows):
-    # no checked entry point makes such a word: put the rows in place of a
-    # good word's, so that only the verifier's own check can catch them
+    # no checked entry point makes such a word: overwrite a good word's
+    # stored rows with these, so that only the verifier's own check can
+    # catch them
     bad = Subspace.from_matrix(MatGF(F3, [[1, 0, 0, 0], [0, 1, 0, 0]][:len(rows)]))
-    bad.rref = MatGF(F3, rows)
+    bad.entries = tuple(map(tuple, rows))
     good = Subspace.from_matrix(MatGF(F3, [[0, 0, 1, 0], [0, 0, 0, 1]][:len(rows)]))
     assert bad.k == good.k
     for words in ((good, bad), (bad, good)):
