@@ -27,8 +27,12 @@ before p_a, since A's row i is zero before a and G's rows from a on are
 zero before p_a.  As A runs over the [k t]_q RREF t x k matrices (the
 templates), A·G runs over the word's t-subspaces, each once.  Column j of
 A·G is A times column j of G, so one dict per level maps a column of G to
-its codes (base q) over every template; it is filled on first use and is
-the only place the scan does field arithmetic.
+its codes (base q) over every template, filled on first use and shared by
+the level's passes.  It is the only place the scan does field arithmetic,
+and it does it a whole row at a time: column r of every template, laid end
+to end, is one vector V_r, and a column c's entries in every A·G are the
+one row sum_r c_r·V_r, summed with `FieldSpec.rowop`, which is gfq's field
+arithmetic, not the rank or RREF code of `spaces`.
 
 A level whose index would outgrow _INDEX_BYTES_CAP is indexed in passes,
 as few as keep each within it, pass r taking the keys whose hash is r
@@ -67,7 +71,8 @@ builders whose rows are RREF by construction use the unchecked
 `Subspace._trusted`.  The exact scan and the spread checks trust none of
 these and check every word again with their own `_check_words` (one
 ambient space and dimension, RREF, entries in [0, q); the checks on one row
-alone run once per distinct row); sampled mode does not re-check.
+alone run once per distinct row); sampled mode checks only that every
+word, drawn or not, lies in one ambient space.
 """
 
 from __future__ import annotations
@@ -140,7 +145,8 @@ def min_distance(C: Cdc, mode: str = "exact", sample_count: int = DEFAULT_SAMPLE
     docstring says.  It raises ValueError for an unknown mode, words of
     different dimensions or ambient spaces and rows not in RREF.  Sampled
     mode draws sample_count >= 1 seeded random pairs of any dimensions and
-    is explicitly non-certifying.
+    is explicitly non-certifying; it raises ValueError when any word lies
+    in another ambient space, whether or not a pair draws it.
     """
     if mode not in ("exact", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -151,10 +157,9 @@ def min_distance(C: Cdc, mode: str = "exact", sample_count: int = DEFAULT_SAMPLE
         return VerificationReport(len(words), C.d, INFINITE, "exact", True)
 
     if mode == "sampled":
-        rng, m = random.Random(seed), len(words)
-        draws = ((rng.randrange(m), rng.randrange(m - 1)) for _ in range(sample_count))
-        best, witness, _ = _pair_scan(words, ((i, j + (j >= i)) for i, j in draws), False)
-        return VerificationReport(m, C.d, best, "sampled", False, witness, seed=seed, kernel="rank")
+        _check_ambient(words)
+        best, witness, _ = _pair_scan(words, _sampled_pairs(len(words), sample_count, seed), False)
+        return VerificationReport(len(words), C.d, best, "sampled", False, witness, seed=seed, kernel="rank")
 
     _check_words(words)
     n, k = words[0].ambient_n, words[0].k
@@ -218,11 +223,12 @@ def _collision(words: Sequence[Subspace], t: int):
     if t == 0:
         return (0, 1), 0  # every pair shares the zero space
     passes = _passes(words, t)
+    columns = _Columns(words[0].field, words[0].k, t)
     best = None
     scanned = 0
     for r in range(passes):
         first: dict[tuple, int] = {}
-        for j, word_keys in enumerate(_level_keys(words, t)):
+        for j, word_keys in enumerate(_level_keys(words, t, columns)):
             if passes > 1:
                 word_keys = [key for key in word_keys if hash(key) % passes == r]
             i = min(map(first.setdefault, word_keys, itertools.repeat(j)), default=j)
@@ -235,35 +241,42 @@ def _collision(words: Sequence[Subspace], t: int):
 
 
 class _Columns(dict):
-    """A column of a word's generator -> its codes in A·G over every
-    template A, each column c of A·G read as the base-q int c_0 + c_1 q + ...;
-    filled on first use."""
+    """A column of a word's generator -> its codes in A·G over every RREF
+    t x k template A, each column c of A·G read as the base-q int
+    c_0 + c_1 q + ...; filled on first use.  Column r of every template,
+    laid end to end, is one vector V_r, so a column c's entries in every
+    A·G are the one row sum_r c_r V_r, t entries per template."""
 
-    def __init__(self, F, templates):
+    def __init__(self, F, k: int, t: int):
         super().__init__()
-        self.F, self.templates = F, templates
+        templates = [A.entries for A in enumerate_grassmannian(F.q, k, t)]
+        self.F, self.t = F, t
+        self.vectors = [[row[r] for A in templates for row in A] for r in range(k)]
+        self.zero = (0,) * len(templates)
 
     def __missing__(self, col):
-        add, mul, q = self.F.add, self.F.mul, self.F.q
-        codes = []
-        for A in self.templates:
-            code = 0
-            for row in reversed(A):
-                entry = 0
-                for a, c in zip(row, col):
-                    if a and c:
-                        entry = add(entry, mul(a, c))
-                code = code * q + entry
-            codes.append(code)
+        F, t, q = self.F, self.t, self.F.q
+        flat = None
+        for c, v in zip(col, self.vectors):
+            if c:
+                flat = F.rowop(v, c) if flat is None else F.rowop(flat, F.neg(c), v)
+        if flat is None:
+            codes = self.zero
+        else:
+            codes = flat[t - 1::t]
+            for i in range(t - 2, -1, -1):
+                codes = [code * q + e for code, e in zip(codes, flat[i::t])]
         codes = self[col] = tuple(codes)
         return codes
 
 
-def _level_keys(words: Sequence[Subspace], t: int) -> Iterator[Iterator[tuple]]:
+def _level_keys(words: Sequence[Subspace], t: int,
+                columns: Optional[_Columns] = None) -> Iterator[Iterator[tuple]]:
     """For each word, the keys of its t-subspaces: A·G for every RREF t x k
-    template A, column by column, for G the word's RREF rows."""
-    F, k = words[0].field, words[0].k
-    columns = _Columns(F, [A.entries for A in enumerate_grassmannian(F.q, k, t)])
+    template A, column by column, for G the word's RREF rows.  A level's
+    passes share one column table."""
+    if columns is None:
+        columns = _Columns(words[0].field, words[0].k, t)
     for w in words:
         yield zip(*map(columns.__getitem__, zip(*w.entries)))
 
@@ -344,6 +357,24 @@ def _reversed_dual(w: Subspace) -> Subspace:
     return Subspace._trusted(w.field, w.ambient_n, [tuple(v[::-1]) for v in reversed(basis)])
 
 
+def _sampled_pairs(m: int, count: int, seed: int) -> Iterator[tuple[int, int]]:
+    """count seeded pairs (i, j) of distinct indices below m: i and then
+    j' below m - 1, j = j' moved past i, each drawn from one
+    `random.Random(seed)` by CPython 3.11's `randrange` algorithm
+    (getrandbits of the bound's bit length until a draw is below it), so a
+    seed draws the pairs it drew through two `randrange` calls a pair."""
+    bits = random.Random(seed).getrandbits
+    wide, narrow = m.bit_length(), (m - 1).bit_length()
+    for _ in range(count):
+        i = bits(wide)
+        while i >= m:
+            i = bits(wide)
+        j = bits(narrow)
+        while j >= m - 1:
+            j = bits(narrow)
+        yield i, j + (j >= i)
+
+
 def _pair_scan(words: Sequence[Subspace], pairs: Iterable[tuple[int, int]], histogram: bool):
     """The least stacked-rank distance over the given pairs of word
     indices, the first pair that attains it and, on request, the histogram.
@@ -360,6 +391,13 @@ def _pair_scan(words: Sequence[Subspace], pairs: Iterable[tuple[int, int]], hist
     return best, witness, dict(hist)
 
 
+def _check_ambient(words: Sequence[Subspace]) -> None:
+    """Raise ValueError unless the words share one field and one ambient n."""
+    F, n = words[0].field, words[0].ambient_n
+    if any((w.field is not F and w.field != F) or w.ambient_n != n for w in words):
+        raise ValueError("ambient space mismatch")
+
+
 def _check_words(words: Sequence[Subspace]) -> None:
     """Raise ValueError unless the words share one ambient space and one
     dimension and each word's stored rows are in RREF over GF(q): each
@@ -367,42 +405,63 @@ def _check_words(words: Sequence[Subspace]) -> None:
     column is zero in every other row, and every entry lies in [0, q).
 
     Rows repeat across words, so the checks on one row alone run once per
-    distinct row of this call (`_Leads`); each word then needs its leads
-    increasing and its rows read at the lead columns equal to I_k.  A word
-    that fails is walked row by row to name its first bad row."""
+    distinct row of this call (`_Rows`), which packs the row's lead and
+    its other nonzero columns into one int.  A word's packed rows sum to
+    per-column counts of its leads and of its other nonzero entries; it
+    passes when no column holds two leads or a lead and another nonzero
+    entry, and its rows strictly decrease, which for distinct leads means
+    the leads increase.  A word that fails is walked row by row to name
+    its first bad row."""
     F, n, k = words[0].field, words[0].ambient_n, words[0].k
-    if any((w.field is not F and w.field != F) or w.ambient_n != n for w in words):
-        raise ValueError("ambient space mismatch")
+    _check_ambient(words)
     if any(w.k != k for w in words):
         raise ValueError("words must share one dimension")
-    leads = _Leads(F.q)
-    eye = [tuple(int(i == r) for i in range(k)) for r in range(k)]
+    packed = _Rows(F.q, n, k)
+    shift, fmax, excess = packed.shift, packed.fmax, packed.excess
     for w in words:
         rows = w.entries
-        ps = list(map(leads.__getitem__, rows))
-        # with the leads increasing, a bad lead (-1) can only be the first
-        if ps and (ps[0] < 0 or k > 1 and (not all(map(operator.lt, ps, ps[1:]))
-                                          or list(map(operator.itemgetter(*ps), rows)) != eye)):
+        total = sum(map(packed.__getitem__, rows))
+        leads = total >> shift
+        if leads & excess or total & leads * fmax or not all(map(operator.gt, rows, rows[1:])):
             last = -1
-            for r, p in enumerate(ps):
+            for r, p in enumerate(map(packed.lead, rows)):
                 if p <= last or [o[p] for o in rows].count(0) != k - 1:
                     raise ValueError(f"codeword rows are not in RREF over GF({F.q}) (row {r}): {w!r}")
                 last = p
 
 
-class _Leads(dict):
-    """Row -> its lead (the column of its first nonzero entry), or -1 when
-    that entry is no 1 or some entry lies outside [0, q); each row is
-    looked at on its first lookup only."""
+class _Rows(dict):
+    """Row -> its columns packed in one int, a field of W = bit_length(2k)
+    bits per column in each half: 1 in field p of the upper half for its
+    lead p and 1 in field j of the lower half for each other nonzero column
+    j.  A row with no lead (its first nonzero entry is no 1, some entry
+    lies outside [0, q), or it is not n long) packs 2 in field 0 of the
+    upper half, more than a passing word can hold there.  A sum of k packed
+    rows takes at most 2k in a field, so no field carries into the next.
+    Each row is looked at on its first lookup only."""
 
-    def __init__(self, q: int):
+    def __init__(self, q: int, n: int, k: int):
         super().__init__()
-        self.q = q
+        width = (2 * k).bit_length()
+        self.q, self.n, self.shift, self.fmax = q, n, width * n, (1 << width) - 1
+        self.fields = [1 << width * j for j in range(n)]
+        self.excess = sum(self.fields) * (self.fmax - 1)  # every bit of a field but its lowest
+
+    def lead(self, row: tuple[int, ...]) -> int:
+        """The row's lead, or -1 when it has none or is not n long."""
+        p = row.index(1) if 1 in row else -1
+        bad = p < 0 or len(row) != self.n or any(row[:p]) or min(row) < 0 or max(row) >= self.q
+        return -1 if bad else p
 
     def __missing__(self, row: tuple[int, ...]) -> int:
-        p = row.index(1) if 1 in row else -1
-        self[row] = p = -1 if p < 0 or any(row[:p]) or min(row) < 0 or max(row) >= self.q else p
-        return p
+        p = self.lead(row)
+        if p < 0:
+            v = 2 << self.shift
+        else:
+            lead = self.fields[p]
+            v = sum(itertools.compress(self.fields, row)) - lead + (lead << self.shift)
+        self[row] = v
+        return v
 
 
 def is_partial_spread(C: Cdc) -> tuple[bool, dict]:

@@ -143,6 +143,15 @@ def test_sampled_mode_matches_a_stacked_rank_oracle_on_its_draws(q):
         assert (rep.min_distance, rep.witness) == (best, pairs[dist.index(best)])
 
 
+def test_sampled_mode_checks_every_word_for_its_ambient_space():
+    # the last word lies in GF(2)^7, and none of the drawn pairs holds it
+    words = lifted_mrd(2, 6, 2, 4).words + (Subspace.from_rref(F2, 7, [[1, 0, 0, 0, 0, 0, 0]]),)
+    m = len(words)
+    assert all(m - 1 not in pair for pair in verify._sampled_pairs(m, 5, 1))
+    with pytest.raises(ValueError, match="ambient space mismatch"):
+        min_distance(Cdc(2, 6, 2, 4, words), "sampled", sample_count=5, seed=1)
+
+
 @pytest.mark.parametrize("count", [0, -5])
 def test_min_distance_sampled_needs_a_positive_count(count):
     with pytest.raises(ValueError, match="sample count"):
@@ -540,6 +549,61 @@ def test_passes_keep_the_index_within_the_budget(monkeypatch):
         ("subspaces", 3, 4, (0, 257))
 
 
+def test_a_multi_pass_scan_fills_each_column_once_per_level(monkeypatch):
+    """The passes of a level share its column table: with six passes at
+    level 3, each distinct generator column is still filled once there,
+    and once at each other level the scan visits (level 1 for the point
+    count that gives up, then level 2)."""
+    code = lifted_mrd(2, 8, 4, 4)
+    monkeypatch.setattr(verify, "_INDEX_BYTES_CAP", sum(verify._index_bytes(4096, 2, 8, 4, 3)) // 5)
+    assert verify._passes(code.words, 3) == 6
+    fills = Counter()
+    fill = verify._Columns.__missing__
+
+    def counted(columns, col):
+        fills[columns.t, col] += 1
+        return fill(columns, col)
+
+    monkeypatch.setattr(verify._Columns, "__missing__", counted)
+    rep = min_distance(code, "exact")
+    assert (rep.kernel, rep.level, rep.min_distance) == ("subspaces", 3, 4)
+    cols = {col for w in code.words for col in zip(*w.entries)}
+    levels = {t for t, _ in fills}
+    assert {2, 3} <= levels  # level 3 has no collision, so the walk goes down to level 2
+    assert set(fills.values()) == {1}
+    assert all({col for t, col in fills if t == level} == cols for level in levels)
+
+
+def _oracle_codes(F, templates, col):
+    """Each template's code for one generator column, one entry at a time."""
+    codes = []
+    for A in templates:
+        code = 0
+        for row in reversed(A):
+            entry = 0
+            for a, c in zip(row, col):
+                entry = F.add(entry, F.mul(a, c))
+            code = code * F.q + entry
+        codes.append(code)
+    return tuple(codes)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 25, 257])
+def test_column_codes_match_entry_by_entry_arithmetic(q):
+    # GF(257) has no row tables, so the row sums take rowop's per-element path
+    F, rng = GF(q), random.Random(q)
+    for k in range(1, 3 if q == 257 else 4):
+        if q**k <= 1000:
+            cols = list(itertools.product(range(q), repeat=k))
+        else:
+            cols = [tuple(rng.randrange(q) for _ in range(k)) for _ in range(200)]
+        for t in range(1, k + 1):
+            templates = [A.entries for A in enumerate_grassmannian(q, k, t)]
+            columns = verify._Columns(F, k, t)
+            for col in cols:
+                assert columns[col] == _oracle_codes(F, templates, col), (k, t, col)
+
+
 @pytest.mark.parametrize("code, kernel", [
     # words that share no point: the point count walks no incidence
     (dataclasses.replace(partial_spread(2, 8, 4), d=6), "points"),
@@ -582,6 +646,49 @@ def test_exact_scan_rejects_rows_not_in_rref(rows):
             min_distance(Cdc(3, 4, good.k, 2, words), "exact")
         with pytest.raises(ValueError, match="RREF"):
             is_partial_spread(Cdc(3, 4, good.k, 2, words))
+
+
+def _is_rref(rows, q, n):
+    """RREF over GF(q), row by row: rows n long, entries in [0, q), each
+    row's first nonzero entry a 1, leads increasing, lead columns cleared."""
+    leads = []
+    for row in rows:
+        if len(row) != n or not all(0 <= x < q for x in row) or not any(row):
+            return False
+        leads.append(next(j for j, x in enumerate(row) if x))
+        if row[leads[-1]] != 1:
+            return False
+    return leads == sorted(set(leads)) and all(
+        [row[p] for row in rows].count(0) == len(rows) - 1 for p in leads)
+
+
+@given(st.sampled_from([2, 3, 4]), st.integers(1, 4), st.data())
+@settings(max_examples=300, deadline=None)
+def test_the_row_check_accepts_exactly_the_words_in_rref(q, k, data):
+    # a word in RREF with up to two entries overwritten by -1..q, and a
+    # row dropped, appended or cut short, or the last row moved first, now
+    # and then; the second word reuses the first's rows, sorted
+    n = k + 2
+    rows = [list(row) for row in data.draw(subspace_of(q, n).filter(lambda U: U.k == k)).entries]
+    for _ in range(data.draw(st.integers(0, 2))):
+        rows[data.draw(st.integers(0, k - 1))][data.draw(st.integers(0, n - 1))] = data.draw(st.integers(-1, q))
+    change = data.draw(st.sampled_from(["none", "none", "drop", "append", "cut", "swap"]))
+    if change == "swap":
+        rows.insert(0, rows.pop())
+    elif change == "drop":
+        rows.pop()
+    elif change == "append":
+        rows.append([data.draw(st.integers(0, q - 1)) for _ in range(n)])
+    elif change == "cut":
+        rows[-1].pop()
+    rows = tuple(map(tuple, rows))
+    word, other = (Subspace._trusted(GF(q), n, r, [0] * len(r)) for r in (rows, sorted(rows, reverse=True)))
+    for words in ([word], [other, word]):
+        if all(_is_rref(w.entries, q, n) for w in words):
+            verify._check_words(words)
+        else:
+            with pytest.raises(ValueError, match="RREF"):
+                verify._check_words(words)
 
 
 # (first word, second word): the first is in RREF and the second reuses its
