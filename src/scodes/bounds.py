@@ -17,12 +17,12 @@ from fractions import Fraction
 from importlib import resources
 from typing import Optional, Sequence
 
-from .constructions import skeleton_greedy
+from .constructions import _pivot_vector, _skeleton
 from .divisible import sharp_floor
 from .gfq import _factor_prime_power
 from .provenance import BoundResult
 from .qcombi import count_large_intersection, gauss_binomial, gauss_int, qpoly_eval, qpoly_parse
-from .rankmetric import _fdrm_meets_bound, fdrm_upper_bound, mrd_size
+from .rankmetric import _fdrm_meets_bound, mrd_size
 from .spaces import ferrers_of
 
 
@@ -419,11 +419,16 @@ def lp_witness_feasible(q: int, n: int, d: int, k: int) -> bool:
 
 def _ef_achievable_size(q: int, n: int, k: int, d: int) -> int:
     """Sum of diagram-code sizes over a greedy skeleton: the dot-count bound
-    where `fdrm_construct` meets it without search, conservatively 1
-    elsewhere."""
+    q^nu where `fdrm_construct` meets it without search, conservatively 1
+    elsewhere (nu = 0).  Each nu is the greedy's own score
+    (`constructions._skeleton`); a diagram is built only for delta >= 3,
+    since `_fdrm_meets_bound` holds for every diagram at delta <= 2."""
     delta = d // 2
-    return sum(fdrm_upper_bound(F, delta, q) if _fdrm_meets_bound(F, delta) else 1
-               for F in map(ferrers_of, skeleton_greedy(q, n, k, d)))
+    chosen, nus = _skeleton(n, k, d)
+    if delta > 2:
+        nus = [nu if _fdrm_meets_bound(ferrers_of(_pivot_vector(u, n)), delta) else 0
+               for u, nu in zip(chosen, nus)]
+    return sum(map(q.__pow__, nus))
 
 
 def _johnson_improved(q: int, n: int, d: int, k: int, inner: BoundResult) -> BoundResult:
@@ -442,11 +447,12 @@ class BoundEngine:
 
     An engine holds four memos: upper and lower bound nodes, Gaussian
     binomials and multilevel achievable sizes keyed by (q, n, k, d) alone,
-    so each greedy skeleton is built once per engine whatever the
-    reverse-Johnson depth.  The binomial memo serves the classical bounds
-    of `best_upper` and the standalone Ahlswede-Aydinian rule
-    (`ahlswede_aydinian`), which `best_upper` does not list.  Nothing is
-    shared between engines: a fresh engine starts cold.
+    so each greedy skeleton (`constructions._skeleton`, whose scores give
+    the sizes) is built once per engine whatever the reverse-Johnson depth.
+    The binomial memo serves the classical bounds of `best_upper` and the
+    standalone Ahlswede-Aydinian rule (`ahlswede_aydinian`), which
+    `best_upper` does not list.  Nothing is shared between engines: a fresh
+    engine starts cold.
 
     Bound nodes run as generators on an explicit stack (`_evaluate`), so a
     query's Python stack depth does not grow with n or k."""

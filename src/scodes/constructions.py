@@ -239,17 +239,33 @@ def skeleton_greedy(q: int, n: int, k: int, d: int) -> tuple[tuple[int, ...], ..
     Greedy skeleton, a tuple of 0/1 pivot vectors at pairwise Hamming
     distance >= d: vectors considered in descending diagram-bound order
     (ties lexicographic), seeded with the all-left vector 1^k 0^(n-k).
+    The order does not depend on q; `_skeleton` runs the greedy.
+    """
+    return tuple(_pivot_vector(u, n) for u in _skeleton(n, k, d)[0])
 
-    Candidates are held as ints with position 0 as the top bit, so int
-    order is the vectors' lexicographic order.  `_pivot_scores` gives each
-    the exponent nu of its diagram bound q^nu; q^nu is monotone in nu, so
-    the order does not depend on q, and one sort of the ints
-    (nu_max - nu) << n | bits puts them in it.  Two weight-k vectors that
-    differ in s one-for-one swaps are at distance 2s, so a chosen vector
-    blocks every weight-k vector within fewer than ceil(d/2) swaps of it,
-    and a candidate is accepted by one set lookup.  The cost is the
-    C(n, k) scores and the sort plus one ball of sum_(s < d/2) C(k, s)
-    C(n-k, s) vectors per chosen vector; no pair of vectors is compared.
+
+def _pivot_vector(u: int, n: int) -> tuple[int, ...]:
+    """The 0/1 vector of length n whose position 0 is the top bit of u."""
+    return tuple(map(int, bin(u | 1 << n)[3:]))
+
+
+def _skeleton(n: int, k: int, d: int) -> tuple[list[int], list[int]]:
+    """
+    The vectors `skeleton_greedy` chooses, in order, as ints with position
+    0 as the top bit, and the exponent nu of each one's diagram bound
+    q^nu at distance d // 2.
+
+    Int order is the vectors' lexicographic order.  `_pivot_scores` gives
+    each candidate its nu; q^nu is monotone in nu, so one sort of the ints
+    (nu_max - nu) << n | bits puts them in the greedy's order, and a
+    chosen key gives back its nu.  The seed's diagram is the whole
+    k x (n-k) rectangle, which holds every other diagram, so its nu is
+    nu_max.  Two weight-k vectors that differ in s one-for-one swaps are
+    at distance 2s, so a chosen vector blocks every weight-k vector within
+    fewer than ceil(d/2) swaps of it, and a candidate is accepted by one
+    set lookup.  The cost is the C(n, k) scores and the sort plus one ball
+    of sum_(s < d/2) C(k, s) C(n-k, s) vectors per chosen vector; no pair
+    of vectors is compared.
     """
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
@@ -257,17 +273,19 @@ def skeleton_greedy(q: int, n: int, k: int, d: int) -> tuple[tuple[int, ...], ..
         raise ValueError(f"need d >= 2, got d = {d}")
     nus, vectors = _pivot_scores(n, k, d // 2)
     top = max(nus)
-    order = sorted([(top - nu) << n | bits for nu, bits in zip(nus, vectors)])
+    order = [(top - nu) << n | bits for nu, bits in zip(nus, vectors)]
     del nus, vectors  # only the sort keys live on through the greedy
+    order.sort()
     low = (1 << n) - 1
     units = [1 << j for j in range(n)]
     reach = min((d - 1) // 2, k, n - k)  # the most swaps that stay under d
     chosen: list[int] = []
     blocked: set[int] = set()
-    for bits in itertools.chain([((1 << k) - 1) << (n - k)], map(low.__and__, order)):
+    for key in itertools.chain([((1 << k) - 1) << (n - k)], order):
+        bits = key & low
         if bits in blocked:
             continue
-        chosen.append(bits)
+        chosen.append(key)
         blocked.add(bits)
         ones = [u for u in units if bits & u]
         zeros = [u for u in units if not bits & u]
@@ -275,7 +293,7 @@ def skeleton_greedy(q: int, n: int, k: int, d: int) -> tuple[tuple[int, ...], ..
             ins = list(map(sum, itertools.combinations(zeros, s)))
             for out in map(sum, itertools.combinations(ones, s)):
                 blocked.update(map((bits ^ out).__xor__, ins))
-    return tuple(tuple(map(int, bin(u | 1 << n)[3:])) for u in chosen)
+    return list(map(low.__and__, chosen)), [top - (key >> n) for key in chosen]
 
 
 def _pivot_scores(n: int, k: int, delta: int) -> tuple[list[int], list[int]]:
@@ -306,7 +324,7 @@ def _pivot_scores(n: int, k: int, delta: int) -> tuple[list[int], list[int]]:
     sums = list(itertools.chain.from_iterable(ends.values()))
     mask = (1 << w) - 1
     terms = [[s >> (n + t * w) & mask for s in sums] for t in range(delta)]
-    return list(map(min, zip(*terms))), [s & ((1 << n) - 1) for s in sums]
+    return (list(map(min, *terms)) if delta > 1 else terms[0]), [s & ((1 << n) - 1) for s in sums]
 
 
 def partial_spread(q: int, n: int, k: int) -> Cdc:
@@ -611,7 +629,7 @@ def combine(subcodes: Sequence[Cdc]) -> Cdc:
         if (c.q, c.n, c.k) != (q, n, k):
             raise ValueError("subcodes live in different spaces")
     # d_H of two pivot vectors is |P ^ Q| for their pivot-column sets P, Q
-    pivots = [{frozenset(w.pivot_positions()) for w in c.words} for c in subcodes]
+    pivots = [set(map(frozenset, {w.pivot_positions() for w in c.words})) for c in subcodes]
     certificates = []
     for (A, pa), (B, pb) in itertools.combinations(zip(subcodes, pivots), 2):
         if min((len(a ^ b) for a in pa for b in pb), default=d) >= d:

@@ -486,6 +486,13 @@ def enumerate_grassmannian(q: int, n: int, k: int) -> Iterator[Subspace]:
     if total > _ENUM_CAP:
         raise ValueError(f"Grassmannian size {total} exceeds cap {_ENUM_CAP}")
     field = GF(q)
+    for rows in _grassmannian_rows(q, n, k):
+        yield Subspace._trusted(field, n, rows)
+
+
+def _grassmannian_rows(q: int, n: int, k: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """The RREF rows of every k-subspace of GF(q)^n, in the order of
+    `enumerate_grassmannian`, with no cap and no `Subspace` built."""
     for piv in itertools.combinations(range(n), k):  # k = 0 gives one empty support: the zero space
         free_cells = [(i, j) for i, p in enumerate(piv) for j in range(p + 1, n) if j not in piv]
         units = [[int(j == p) for j in range(n)] for p in piv]
@@ -495,7 +502,7 @@ def enumerate_grassmannian(q: int, n: int, k: int) -> Iterator[Subspace]:
             for (i, j) in free_cells:
                 rows[i][j] = c % q
                 c //= q
-            yield Subspace._trusted(field, n, tuple(map(tuple, rows)))
+            yield tuple(map(tuple, rows))
 
 
 def permute_columns(U: Subspace, perm: Sequence[int]) -> Subspace:

@@ -89,7 +89,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .constructions import Cdc
 from .qcombi import gauss_binomial, gauss_int
-from .spaces import Subspace, _null_space, enumerate_grassmannian, subspace_distance_capped
+from .spaces import Subspace, _grassmannian_rows, _null_space, enumerate_grassmannian, subspace_distance_capped
 
 INFINITE = "infinite"
 # The number of pairs a sampled scan draws by default.
@@ -249,7 +249,7 @@ class _Columns(dict):
 
     def __init__(self, F, k: int, t: int):
         super().__init__()
-        templates = [A.entries for A in enumerate_grassmannian(F.q, k, t)]
+        templates = list(_grassmannian_rows(F.q, k, t))
         self.F, self.t = F, t
         self.vectors = [[row[r] for A in templates for row in A] for r in range(k)]
         self.zero = (0,) * len(templates)

@@ -400,6 +400,23 @@ def test_multilevel_lower_estimate_sound_and_tight():
         echelon_ferrers(skeleton_greedy(2, 9, 4, 6), 2, 6))
 
 
+def test_ef_achievable_size_matches_the_diagram_formula():
+    # booking q^nu from the greedy's scores gives the sum over each chosen
+    # vector's diagram: its dot-count bound where `_fdrm_meets_bound` holds
+    from scodes.bounds import _ef_achievable_size
+    from scodes.constructions import skeleton_greedy
+    from scodes.rankmetric import _fdrm_meets_bound, fdrm_upper_bound
+    from scodes.spaces import ferrers_of
+
+    for q in (2, 3):
+        for n in range(4, 13):
+            for k in range(n // 2 + 1):
+                for d in (4, 6, 8):
+                    expected = sum(fdrm_upper_bound(F, d // 2, q) if _fdrm_meets_bound(F, d // 2) else 1
+                                   for F in map(ferrers_of, skeleton_greedy(q, n, k, d)))
+                    assert _ef_achievable_size(q, n, k, d) == expected, (q, n, k, d)
+
+
 def test_table_builds_each_skeleton_once(monkeypatch, capsys):
     import scodes.bounds as bounds
     from scodes.cli import main
@@ -423,7 +440,7 @@ def test_engines_share_no_memo(monkeypatch):
     first = BoundEngine()
     lo, hi = first.bounds(2, 10, 4, 5)
     calls = []
-    real_skeleton, real_binomial = bounds.skeleton_greedy, bounds.gauss_binomial
+    real_skeleton, real_binomial = bounds._skeleton, bounds.gauss_binomial
 
     def skeleton_spy(*args):
         calls.append("skeleton")
@@ -433,7 +450,7 @@ def test_engines_share_no_memo(monkeypatch):
         calls.append("binomial")
         return real_binomial(*args)
 
-    monkeypatch.setattr(bounds, "skeleton_greedy", skeleton_spy)
+    monkeypatch.setattr(bounds, "_skeleton", skeleton_spy)
     monkeypatch.setattr(bounds, "gauss_binomial", binomial_spy)
     assert first.bounds(2, 10, 4, 5) == (lo, hi)
     assert calls == []

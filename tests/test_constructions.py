@@ -320,6 +320,21 @@ def test_packed_pivot_scores_equal_the_diagram_exponent():
                     assert nu == _fdrm_exponent(rows, delta), (n, k, delta, pivots)
 
 
+def test_skeleton_scores_are_the_exponents_of_ferrers_of():
+    # every support's nu, and the nu `_skeleton` returns for each chosen
+    # vector (the seed included), is the exponent of its `ferrers_of` diagram
+    for n in range(11):
+        for k in range(n + 1):
+            for delta in range(1, 5):
+                nus, vectors = constructions._pivot_scores(n, k, delta)
+                for nu, bits in zip(nus, vectors):
+                    F = ferrers_of(constructions._pivot_vector(bits, n))
+                    assert nu == _fdrm_exponent(F.row_lengths, delta), (n, k, delta, bits)
+                score = dict(zip(vectors, nus))
+                chosen, chosen_nus = constructions._skeleton(n, k, 2 * delta)
+                assert chosen_nus == [score[u] for u in chosen], (n, k, delta)
+
+
 def test_skeleton_greedy_2_8_4_4():
     code = echelon_ferrers(skeleton_greedy(2, 8, 4, 4), 2, 4)
     assert len(code) >= 4096
