@@ -167,16 +167,6 @@ def anticode(q: int, n: int, d: int, k: int, binomial=gauss_binomial) -> BoundRe
     return BoundResult(value, "anticode", "largest-anticode quotient")
 
 
-def johnson_I(q: int, n: int, d: int, k: int) -> BoundResult:
-    """Applicable exactly when d = 2 min(k, n-k): the plain spread bound."""
-    _check_query(q, n, d, k)
-    n, d, k = _norm(n, d, k)
-    if d != 2 * k or k < 1:
-        raise Inapplicable(f"Johnson I applies only at d = 2 min(k, n-k); got d={d}, k={k}")
-    value = (q**n - 1) // (q**k - 1)
-    return BoundResult(value, "johnson-I", "point count over subspace point count")
-
-
 # -- partial-spread bounds -----------------------------------------------------
 
 # (q, k, r) -> additive constant c in the bound q^k * l + c,

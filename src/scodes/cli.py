@@ -29,8 +29,9 @@ word `write_code_file` writes is; any other word goes through
 
 Exit codes: 0 ok, 2 parameter error, 3 verification failure, 4 data-file
 error.  Every malformed or unreadable code, packing or fact file (the
-table named by SCODES_FACTS) exits 4 with a `data error:` line, which
-names the file and, for a fact file's malformed row, the line.
+table named by SCODES_FACTS), and every code file that cannot be written,
+exits 4 with a `data error:` line, which names the file and, for a fact
+file's malformed row, the line.
 """
 
 from __future__ import annotations
@@ -92,8 +93,11 @@ def write_code_file(path: str, code: Cdc) -> None:
                 line = text[row] = " ".join(map(str, row))
             lines.append(line)
         lines.append("")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise FileError(str(exc))
 
 
 def _parse_header(line: str) -> dict:

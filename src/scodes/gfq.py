@@ -223,19 +223,6 @@ class FieldSpec:
             return 1 if k == 0 else 0
         return _power(self.mul, 1, a, k % (self.q - 1))
 
-    def frobenius(self, a: int, i: int, base: int) -> int:
-        """a^(base^i) where base = p^d is a subfield size (d | e)."""
-        p, d = self.p, 0
-        b = base
-        while b > 1 and b % p == 0:
-            b //= p
-            d += 1
-        if b != 1 or d == 0 or self.e % d != 0:
-            raise ValueError(f"{base} is not a subfield size of GF({self.q})")
-        if a == 0:
-            return 0
-        return self.pow(a, pow(base, i, self.q - 1))
-
     def _build_tables(self) -> None:
         # g generates the (cyclic) multiplicative group iff g^((q-1)/r) != 1
         # for every prime r dividing q - 1; for e > 1 no element of GF(p)

@@ -2,15 +2,13 @@
 Exact q-analogue combinatorics on arbitrary-precision integers.
 
 Everything here is exact: Gaussian binomials, q-integers and intersection
-counts are Python ints, the q-Pochhammer reciprocal is a proven bracket
-(low, high) of Fractions, and a polynomial in the field size q is its tuple
+counts are Python ints, and a polynomial in the field size q is its tuple
 of int coefficients, low degree first, as in `gfq`.  All functions are pure
 and safe for concurrent use.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 
@@ -50,27 +48,6 @@ def count_large_intersection(n: int, m: int, k: int, t: int, q: int) -> int:
         if b:  # the binomial vanishes whenever the exponent would be negative
             total += q ** ((m + i - k) * i) * b
     return total
-
-
-def qpochhammer_reciprocal_limit(q: int, terms: int) -> tuple[Fraction, Fraction]:
-    """
-    Bracket (low, high) of the reciprocal of the infinite product
-    prod_{i>=1}(1 - q^-i).
-
-    The partial product P_t over the first `terms` factors satisfies
-        P_t * (1 - S) <= P_inf <= P_t,  S = sum_{i>t} q^-i = q^-t/(q-1),
-    by the Weierstrass product inequality, so the reciprocal lies in
-    [1/P_t, 1/(P_t (1 - S))].  Both ends are exact rationals.
-    """
-    if q < 2:
-        raise ValueError(f"q must be >= 2, got {q}")
-    if terms < 1:
-        raise ValueError("terms must be >= 1")
-    partial_prod = Fraction(1)
-    for i in range(1, terms + 1):
-        partial_prod *= 1 - Fraction(1, q**i)
-    tail = Fraction(1, q**terms * (q - 1))
-    return 1 / partial_prod, 1 / (partial_prod * (1 - tail))
 
 
 def qpoly_eval(coeffs: Sequence[int], q: int) -> int:

@@ -1,8 +1,8 @@
 """
 Rank-metric code machinery: maximum-size bounds, the evaluation-code
 construction of linear MRD codes, rank distributions of additive MRD codes,
-restricted-rank lower bounds, coset partitions, product and diagonal
-combiners, sum-rank codes, and Ferrers-diagram rank-metric codes.
+rank-restricted codes, MRD coset partitions, sum-rank codes, and
+Ferrers-diagram rank-metric codes.
 
 Explicit codes are materialized as tuples of matrices; a construction that
 would exceed `MATERIALIZE_CAP` words, the one materialization limit, raises
@@ -18,22 +18,20 @@ a basis over the diagram's cells in `FerrersDiagram.cells()` order: the
 unit vectors at delta = 1, the Gabidulin basis of the best rectangle
 (`_fdrm_rect_subcode`), the delta = 2 kernel (`_fdrm_delta2`) or the greedy
 basis (`_fdrm_greedy`), and no vector for the single zero word.
-`fdrm_construct` spans it into bounding-box matrices; `constructions` and
-`packdata` lay the same basis out in a pivot vector's rows with
-`spaces._lifted_span`, whose rows are RREF by construction, so their
-subspaces come straight from the span vectors.
+`fdrm_construct` spans it into bounding-box matrices; `constructions` lays
+the same basis out in a pivot vector's rows with `spaces._lifted_span`,
+whose rows are RREF by construction, so its subspaces come straight from
+the span vectors.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 from typing import Iterable, Sequence
 
 from .gfq import GF, ExtField, FieldSpec
-from .provenance import BoundResult
 from .qcombi import gauss_binomial
 from .spaces import FerrersDiagram, MatGF, _null_space, _span, rank, rref
 
@@ -97,11 +95,11 @@ def _gabidulin_basis(q: int, n: int, m: int, d: int) -> list[list[int]]:
     or a code over `MATERIALIZE_CAP` words."""
     if not (1 <= d <= m <= n):
         raise ValueError(f"need 1 <= d <= m <= n, got d={d} m={m} n={n}")
-    E = ExtField(GF(q), n)
     k = m - d + 1
     size = q ** (n * k)
-    if size > MATERIALIZE_CAP:
+    if size > MATERIALIZE_CAP:  # before the field: its modulus search costs more as n grows
         raise ValueError(f"code size {size} exceeds materialization cap {MATERIALIZE_CAP}")
+    E = ExtField(GF(q), n)
     conj = [[E.basis(i) for i in range(m)]]
     while len(conj) < k:
         conj.append([E.frobenius_q(z) for z in conj[-1]])
@@ -138,56 +136,9 @@ def rank_distribution(q: int, m: int, n: int, d: int, r: int) -> int:
     return gauss_binomial(lo, r, q) * total
 
 
-def _ceil_frac(f: Fraction) -> int:
-    return -((-f.numerator) // f.denominator)
-
-
-def restricted_rank_lower_bound(q: int, m: int, n: int, d: int, R: Iterable[int]) -> BoundResult:
-    """
-    Best available lower bound on the size of an (m x n, d) rank-metric
-    code whose word ranks lie in R: the additive-MRD rank-count, two
-    pigeonhole/coset averages, and the exact constant-rank value when R is
-    a singleton with d <= r+1.
-    """
-    R = sorted(set(R))
-    candidates: list[BoundResult] = []
-
-    direct = sum(rank_distribution(q, m, n, d, r) for r in R)
-    candidates.append(BoundResult(direct, "restricted-rank:additive-count",
-                                  "rank counts in an additive MRD code"))
-
-    size_d = mrd_size(q, m, n, d)
-    for dprime in range(1, d + 1):
-        tally = sum(rank_distribution(q, m, n, dprime, r) for r in R)
-        ratio = Fraction(size_d, mrd_size(q, m, n, dprime))
-        val = _ceil_frac(ratio * tally)
-        candidates.append(BoundResult(val, "restricted-rank:coset-average",
-                                      f"pigeonhole over cosets, inner distance {dprime}"))
-    for dprime in range(1, d):
-        alpha = Fraction(mrd_size(q, m, n, dprime), size_d)
-        if alpha <= 1:
-            continue
-        diff = sum(
-            rank_distribution(q, m, n, dprime, r) - rank_distribution(q, m, n, d, r) for r in R
-        )
-        val = _ceil_frac(Fraction(diff) / (alpha - 1))
-        candidates.append(BoundResult(val, "restricted-rank:nonzero-coset-average",
-                                      f"pigeonhole excluding the zero coset, inner distance {dprime}"))
-
-    if len(R) == 1:
-        r = R[0]
-        if 1 <= r <= min(m, n) and d <= r + 1:
-            val = gauss_binomial(min(m, n), r, q)
-            rule = "restricted-rank:constant-rank-exact" if d == r + 1 else "restricted-rank:constant-rank"
-            candidates.append(BoundResult(val, rule, "constant-rank code value"))
-
-    best = max(candidates, key=lambda b: b.value)
-    return BoundResult(best.value, best.rule, best.citation, tuple(candidates))
-
-
 def restricted_rank_code(q: int, m: int, n: int, d: int, R: Iterable[int]) -> RankCode:
     """Materialize a rank-restricted code by filtering an explicit MRD code
-    (size permitting); realizes the additive-count lower bound."""
+    (size permitting); its size is the sum of `rank_distribution` over R."""
     R = frozenset(R)
     base_code = rect_mrd(q, m, n, d)
     words = tuple(w for w in base_code.words if rank(w) in R)
@@ -210,41 +161,6 @@ def mrd_coset_partition(q: int, m: int, n: int, d: int, dprime: int) -> list[Ran
     return [RankCode(code.field, m, n, dprime, code.words[h::stride]) for h in range(stride)]
 
 
-def product_rmc(codes: Sequence[RankCode]) -> RankCode:
-    """Horizontal concatenation of all word tuples; distance >= min d_i."""
-    if not codes:
-        raise ValueError("need at least one factor")
-    k = codes[0].m
-    field = codes[0].field
-    if any(c.m != k or c.field != field for c in codes):
-        raise ValueError("row count or field mismatch")
-    total = 1
-    for c in codes:
-        total *= len(c)
-    if total > MATERIALIZE_CAP:
-        raise ValueError("product too large to materialize")
-    d = min(c.d for c in codes)
-    words = []
-    for combo in itertools.product(*(c.words for c in codes)):
-        entries = [sum((list(w.entries[i]) for w in combo), []) for i in range(k)]
-        words.append(MatGF(field, entries, sum(c.n for c in codes)))
-    return RankCode(field, k, sum(c.n for c in codes), d, tuple(words))
-
-
-def diag_concat_rmc(M1: RankCode, M2: RankCode) -> RankCode:
-    """Block-diagonal pairing by enumeration index; distance >= d1 + d2."""
-    if M1.field != M2.field:
-        raise ValueError("field mismatch")
-    field = M1.field
-    k, n = M1.m + M2.m, M1.n + M2.n
-    words = []
-    for a, b in zip(M1.words, M2.words):
-        rows = [tuple(r) + (0,) * M2.n for r in a.entries]
-        rows += [(0,) * M1.n + tuple(r) for r in b.entries]
-        words.append(MatGF(field, rows, n))
-    return RankCode(field, k, n, M1.d + M2.d, tuple(words))
-
-
 # -- sum-rank codes ----------------------------------------------------------
 
 
@@ -265,22 +181,6 @@ def sum_rank(word: Sequence[MatGF]) -> int:
 
 def sumrank_distance(x: Sequence[MatGF], y: Sequence[MatGF]) -> int:
     return sum(rank(a.sub(b)) for a, b in zip(x, y))
-
-
-def sumrank_product(M1: RankCode, M2: RankCode, d: int) -> SumRankCode:
-    """All pairs (A, B); sum-rank distance >= min(d1, d2) >= d."""
-    if min(M1.d, M2.d) < d:
-        raise ValueError("factors do not support the requested distance")
-    if len(M1) * len(M2) > MATERIALIZE_CAP:
-        raise ValueError("product too large to materialize")
-    words = tuple((a, b) for a in M1.words for b in M2.words)
-    return SumRankCode(M1.field, ((M1.m, M1.n), (M2.m, M2.n)), d, words)
-
-
-def sumrank_pair(M1: RankCode, M2: RankCode) -> SumRankCode:
-    """Index-paired tuples; sum-rank distance >= d1 + d2."""
-    words = tuple((a, b) for a, b in zip(M1.words, M2.words))
-    return SumRankCode(M1.field, ((M1.m, M1.n), (M2.m, M2.n)), M1.d + M2.d, words)
 
 
 def two_block_sumrank_code(q: int) -> SumRankCode:
@@ -308,20 +208,18 @@ def two_block_sumrank_code(q: int) -> SumRankCode:
     for u in proj:
         for v in vecs:
             rank_one.append(MatGF(base, [base.rowop(v, a) for a in u], 3))
-    left = RankCode(base, 3, 3, 1, tuple(rank_one))
 
     mrd2 = gabidulin(q, 3, 3, 2)
-    rank_two = tuple(w for w in mrd2.words if rank(w) == 2)
-    right = RankCode(base, 3, 3, 2, rank_two)
-    assert len(left) == len(right)
-    middle = sumrank_pair(left, right)
+    rank_two = [w for w in mrd2.words if rank(w) == 2]
+    assert len(rank_one) == len(rank_two)
 
     mono = gabidulin(q, 3, 3, 3)
     invertible = tuple(w for w in mono.words if rank(w) == 3)
     d_word = next(w for w in mrd2.words if rank(w) == 3)
 
     words = [(zero3, zero3)]
-    words.extend(middle.words)
+    # index-paired blocks at rank distances >= 1 and >= 2: sum-rank distance >= 3
+    words.extend(zip(rank_one, rank_two))
     words.extend((w, zero3) for w in invertible)
     words.append((zero3, d_word))
     return SumRankCode(base, ((3, 3), (3, 3)), 3, tuple(words))
@@ -369,6 +267,8 @@ def _fdrm_delta2(F: FerrersDiagram, q: int) -> list[list[int]]:
     field = GF(q)
     cells = F.cells()
     t = max(F.num_cols, len(F.row_lengths) - F.row_lengths.count(0))
+    if q ** (len(cells) - t) > MATERIALIZE_CAP:  # the check is onto: the kernel has this size
+        raise ValueError("distance-2 diagram code too large to materialize")
     E = ExtField(field, t)
     coeff = []
     for (i, j) in cells:
@@ -377,8 +277,6 @@ def _fdrm_delta2(F: FerrersDiagram, q: int) -> list[list[int]]:
     A = MatGF(field, [[c[s] for c in coeff] for s in range(t)], len(cells))
     Ech, pivots = rref(A)
     assert len(pivots) == t, "check map unexpectedly not onto"
-    if q ** (len(cells) - t) > MATERIALIZE_CAP:
-        raise ValueError("distance-2 diagram code too large to materialize")
     return _null_space(field, Ech.entries, pivots, len(cells))
 
 

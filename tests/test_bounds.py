@@ -11,7 +11,6 @@ from scodes.bounds import (
     anticode,
     grassmann_eigenvalue,
     grassmann_valency,
-    johnson_I,
     lp_bound,
     lp_witness_feasible,
     partial_spread_lower,
@@ -62,13 +61,6 @@ def test_anticode_values():
     assert anticode(2, 7, 4, 3).value == 381
     assert anticode(2, 6, 4, 3).value == 1395 // 15 == 93
     assert anticode(2, 5, 2, 2).value == gauss_binomial(5, 2, 2)
-
-
-def test_johnson_I():
-    assert johnson_I(2, 7, 6, 3).value == 18
-    assert johnson_I(2, 8, 8, 4).value == 17
-    with pytest.raises(Inapplicable):
-        johnson_I(2, 8, 4, 4)
 
 
 def test_johnson_chain_2_9_6_4(engine):
@@ -184,7 +176,7 @@ def test_fact_table_cycle_is_an_error():
 
 # every standalone rule: those that take (q, n, d, k) and the two partial-spread
 # rules, which take (q, n, k)
-DISTANCE_RULES = [sphere_packing, singleton, anticode, johnson_I, lp_bound, lp_witness_feasible]
+DISTANCE_RULES = [sphere_packing, singleton, anticode, lp_bound, lp_witness_feasible]
 SPREAD_RULES = [partial_spread_upper, partial_spread_lower]
 
 

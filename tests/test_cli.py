@@ -163,6 +163,33 @@ def test_construct_refuses_a_code_that_contradicts_its_arguments(tmp_path, capsy
     assert not path.exists()
 
 
+@pytest.mark.parametrize("target", ["missing/c.scode", "."], ids=["missing-directory", "directory"])
+def test_construct_to_an_unwritable_path_exits_4(tmp_path, capsys, target):
+    path = tmp_path / target
+    rc, out, err = run(capsys, "construct", "lmrd", "--q", "2", "--n", "6", "--k", "3", "--d", "4",
+                       "-o", str(path))
+    assert rc == 4 and out == ""
+    assert err.startswith("data error:") and str(path) in err and len(err.splitlines()) == 1
+    assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["lmrd", "--q", "2", "--n", "1000", "--k", "3", "--d", "4"], "code size "),
+    (["spread", "--q", "2", "--n", "1000", "--k", "500"], "code size "),
+    (["ef", "--q", "2", "--d", "4", "--skeleton", "101" + "0" * 997], "distance-2 diagram code too large"),
+], ids=["lmrd", "spread", "ef-delta-2"])
+def test_construct_over_the_cap_exits_2_before_building_the_field(tmp_path, argv, message):
+    # each code needs GF(2^t) for t in the hundreds; finding its modulus took
+    # longer than the timeout when it came before the size check
+    src = os.path.dirname(os.path.dirname(os.path.abspath(scodes.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "scodes", "construct", *argv, "-o", str(tmp_path / "c.scode")],
+                          env=env, capture_output=True, text=True, timeout=10)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error: " + message) and len(done.stderr.splitlines()) == 1
+    assert "Traceback" not in done.stderr
+
+
 def test_verify_missing_file(capsys):
     rc, _, err = run(capsys, "verify", "/nonexistent/x.scode")
     assert rc == 4

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scodes import constructions, packdata
+from scodes import constructions
 from scodes.cli import read_code_file, write_code_file
 from scodes.constructions import (
     Cdc,
@@ -34,8 +34,7 @@ from scodes.constructions import (
     skeleton_greedy,
 )
 from scodes.gfq import GF
-from scodes.packdata import coset_sum, fdrm_coset_partition, line_packing
-from scodes.qcombi import gauss_binomial, gauss_int
+from scodes.qcombi import gauss_int
 from scodes.rankmetric import (
     RankCode,
     _fdrm_exponent,
@@ -540,61 +539,25 @@ def test_auto_cdc_degenerate_and_spread():
     assert len(auto_cdc(2, 7, 6, 3)) == 17
 
 
-# -- packing schemes ------------------------------------------------------------
-
-
-def test_fdrm_coset_partition_counts():
-    F = ferrers_of((1, 1, 0, 0, 0))
-    cosets = fdrm_coset_partition(F, 2)
-    assert len(cosets) == 8 and all(len(c) == 8 for c in cosets)
-    all_fills = {w for c in cosets for w in c}
-    assert len(all_fills) == 2**6
-
-
-def test_line_packing_5_2():
-    pk = line_packing(2, 5)
-    pk.validate_disjoint()
-    # the scheme partitions the whole line Grassmannian
-    assert pk.total_words() == gauss_binomial(5, 2, 2) == 155
-    assert coset_sum(pk) == 1043
-    poly = lambda q: q**9 + q**7 + q**6 + 7 * q**5 + 5 * q**4 + 3 * q**3 + 2 * q**2 + q + 1
-    assert coset_sum(pk) == poly(2)
-    for part in pk.parts:
-        cdc = Cdc(2, 5, 2, 4, tuple(part))
-        rep = min_distance(cdc, "exact")
-        assert rep.min_distance == "infinite" or rep.min_distance >= 4
-
-
-def test_line_packing_6_2():
-    pk = line_packing(2, 6)
-    pk.validate_disjoint()
-    assert pk.total_words() <= gauss_binomial(6, 2, 2)
-    # the printed packed table's third triple row carries two size-1 classes,
-    # so the honest scheme value is 2 q (q^4+2)^2 short of the literature
-    # polynomial's 8719; the parts themselves all verify at distance 4
-    assert coset_sum(pk) == 8645
-    assert coset_sum(pk) > 2**12
-    import random
-
-    rng = random.Random(8)
-    for part in rng.sample(list(pk.parts), 12):
-        cdc = Cdc(2, 6, 2, 4, tuple(part))
-        rep = min_distance(cdc, "exact")
-        assert rep.min_distance == "infinite" or rep.min_distance >= 4
-
-
 def test_coset_sum_symmetric_roles():
-    # the engine's packing sum is invariant under swapping the two packings
+    # seven disjoint partial line spreads of GF(2)^5, each line joining the
+    # first class it stays 4 away from
     par = find_parallelism(2, 4, 2)
-    pk5 = line_packing(2, 5)
-    firsts = DPacking(2, 5, 2, 4, pk5.parts[:7], d_ambient=2)
-    assert coset_sum(par, firsts) == coset_sum(firsts, par)
-    # cardinalities of the two swapped coset constructions agree
+    classes: list[list[Subspace]] = []
+    for U in enumerate_grassmannian(2, 5, 2):
+        cls = next((c for c in classes if all(subspace_distance(U, W) >= 4 for W in c)), None)
+        if cls is None:
+            cls = []
+            classes.append(cls)
+        cls.append(U)
+    firsts = load_packing(2, 5, 2, 4, classes[:7])
+    # cardinalities of the two swapped coset constructions agree: both are the
+    # sum over matched parts of |P_i| |P'_i|
     zero1 = RankCode(F2, 2, 3, 2, (MatGF.zero(F2, 2, 3),))
     zero2 = RankCode(F2, 2, 2, 2, (MatGF.zero(F2, 2, 2),))
     c1 = coset_construction(par, firsts, zero1, 2, 2)
     c2 = coset_construction(firsts, par, zero2, 2, 2)
-    assert len(c1) == len(c2)
+    assert len(c1) == len(c2) == sum(len(a) * len(b) for a, b in zip(par.parts, firsts.parts))
     assert exact_min(c1) == 4 and exact_min(c2) == 4
 
 
@@ -820,21 +783,3 @@ def test_echelon_ferrers_lays_out_each_vector_once_with_the_same_words(q, skelet
         code = fdrm_construct(ferrers_of(v), d // 2, q)
         reference += _one_filling_at_a_time(GF(q), v, [w.entries for w in code.words])
     _same_words(echelon_ferrers(skeleton, q, d).words, tuple(reference))
-
-
-@pytest.mark.parametrize("q, n", [(2, 5), (3, 6)])
-def test_line_packing_lays_out_each_vector_once_with_the_same_words(q, n):
-    # each scheme row takes the next `count` cosets of each of its classes
-    cosets, reference = {}, []
-    for vectors, count in packdata._SCHEMES[n]:
-        for vs in vectors:
-            if vs not in cosets:
-                v = tuple(map(int, vs))
-                fillings = fdrm_coset_partition(ferrers_of(v), q)
-                cosets[vs] = iter([_one_filling_at_a_time(GF(q), v, [w.entries for w in c]) for c in fillings])
-        for _ in range(count(q)):
-            reference.append(tuple(U for vs in vectors for U in next(cosets[vs])))
-    packing = line_packing(q, n)
-    assert len(packing.parts) == len(reference)
-    for part, ref in zip(packing.parts, reference):
-        _same_words(part, ref)

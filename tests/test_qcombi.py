@@ -6,7 +6,6 @@ from scodes.qcombi import (
     count_large_intersection,
     gauss_binomial,
     gauss_int,
-    qpochhammer_reciprocal_limit,
     qpoly_eval,
     qpoly_parse,
 )
@@ -54,18 +53,6 @@ def test_binomial_normalized_bracket():
                 for i in range(1, k + 1):
                     prod *= 1 - Fraction(1, q**i)
                 assert ratio * prod <= 1
-
-
-def test_pochhammer_enclosures():
-    for q, approx, tol in [(2, Fraction(34627, 10000), Fraction(1, 1000)),
-                           (3, Fraction(179, 100), Fraction(1, 100)),
-                           (512, Fraction(1002, 1000), Fraction(1, 1000))]:
-        low, high = qpochhammer_reciprocal_limit(q, 40)
-        assert high - low < tol
-        assert abs(low - approx) <= tol
-        # enclosure is consistent: a longer partial product stays inside
-        finer_low, finer_high = qpochhammer_reciprocal_limit(q, 60)
-        assert low <= finer_low <= finer_high <= high
 
 
 def test_count_large_intersection_trailer_value():

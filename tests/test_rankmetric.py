@@ -7,28 +7,21 @@ import pytest
 from scodes.bounds import _ef_achievable_size
 from scodes.constructions import skeleton_greedy
 from scodes.gfq import GF, ExtField
-from scodes.qcombi import gauss_binomial
 from scodes.rankmetric import (
-    RankCode,
     _fdrm_meets_bound,
     _gabidulin_basis,
     _span,
-    diag_concat_rmc,
     fdrm_construct,
     fdrm_upper_bound,
     gabidulin,
     mrd_coset_partition,
     mrd_size,
-    product_rmc,
     rank_distance,
     rank_distribution,
     rect_mrd,
     restricted_rank_code,
-    restricted_rank_lower_bound,
     sum_rank,
     sumrank_distance,
-    sumrank_pair,
-    sumrank_product,
     two_block_sumrank_code,
 )
 from scodes.spaces import FerrersDiagram, MatGF, ferrers_of, rank
@@ -231,20 +224,11 @@ def test_rank_distribution_matches_gabidulin_histogram(q, d):
         assert hist.get(r, 0) == rank_distribution(q, 4, 4, d, r)
 
 
-def test_restricted_rank_lower_bounds():
-    # partial sums of the additive rank distribution
-    direct = lambda R: sum(rank_distribution(2, 4, 4, 2, r) for r in R)
-    assert direct([0, 1, 2]) == 526
-    assert direct([0, 1, 2, 3]) == 2776
-    assert direct([0, 1, 2, 3, 4]) == 4096
-    assert restricted_rank_lower_bound(2, 4, 4, 2, [0, 1, 2]).value >= 526
-    assert restricted_rank_lower_bound(2, 4, 4, 2, [0, 1, 2, 3]).value >= 2776
-    res = restricted_rank_lower_bound(2, 4, 4, 2, [1])
-    assert res.value == gauss_binomial(4, 1, 2) == 15
-    assert any("constant-rank" in c.rule for c in res.children)
-
-
 def test_restricted_rank_code_materialized():
+    # its size is the partial sum of the additive rank distribution
+    for R, size in [([0, 1, 2], 526), ([0, 1, 2, 3], 2776), ([0, 1, 2, 3, 4], 4096)]:
+        assert sum(rank_distribution(2, 4, 4, 2, r) for r in R) == size
+        assert len(restricted_rank_code(2, 4, 4, 2, R)) == size
     code = restricted_rank_code(2, 4, 4, 2, [0, 2])
     assert len(code) == 526
     for w in code.words:
@@ -292,40 +276,22 @@ def test_coset_partition_degenerate():
     assert len(parts[0]) == mrd_size(2, 3, 3, 2)
 
 
-def test_product_and_diag_concat():
-    full = RankCode(F2, 2, 2, 1, tuple(all_matrices(2, 2, 2)))
-    prod = product_rmc([full, full])
-    assert (prod.m, prod.n, len(prod)) == (2, 4, 256)  # all 2x4 matrices
-    single = RankCode(F2, 2, 2, 1, (MatGF.zero(F2, 2, 2),))
-    prod2 = product_rmc([full, single])
-    assert len(prod2) == len(full)
-
-    a = gabidulin(2, 3, 3, 1)
-    b = gabidulin(2, 3, 3, 2)
-    diag = diag_concat_rmc(a, b)
-    assert len(diag) == min(len(a), len(b))
-    assert diag.d == 3
-    import random
-
-    rng = random.Random(2)
-    words = rng.sample(list(diag.words), 24)
-    for x, y in itertools.combinations(words, 2):
-        assert rank_distance(x, y) >= 3
-
-
 def test_sumrank_pair_and_product():
+    # index-paired words of codes at rank distances 1 and 2 are >= 3 apart in
+    # sum-rank, as `two_block_sumrank_code` pairs its middle words; all pairs
+    # of a distance-3 code with one word stay >= 3 apart
     a = gabidulin(2, 3, 3, 1)
     b = gabidulin(2, 3, 3, 2)
-    pair = sumrank_pair(a, b)
+    pair = list(zip(a.words, b.words))
     assert len(pair) == min(len(a), len(b))
-    assert pair.d == 3
-    singleton = RankCode(F2, 3, 3, 3, (MatGF.zero(F2, 3, 3),))
-    pp = sumrank_pair(singleton, singleton)
-    assert len(pp) == 1
-    prod = sumrank_product(gabidulin(2, 3, 3, 3), singleton, 3)
-    assert len(prod) == 8
-    for x, y in itertools.combinations(prod.words, 2):
+    for x, y in itertools.combinations(pair, 2):
         assert sumrank_distance(x, y) >= 3
+    zero = MatGF.zero(F2, 3, 3)
+    prod = list(itertools.product(gabidulin(2, 3, 3, 3).words, [zero]))
+    assert len(prod) == 8
+    for x, y in itertools.combinations(prod, 2):
+        assert sumrank_distance(x, y) >= 3
+        assert sum_rank(x) + sum_rank(y) >= sumrank_distance(x, y)
 
 
 @pytest.mark.parametrize("q", [2, 3])
