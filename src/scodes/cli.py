@@ -66,7 +66,7 @@ from .constructions import (
 from .divisible import sharp_floor, sqr_expand
 from .gfq import GF, FieldSpec
 from .provenance import decimal_str
-from .rankmetric import RankCode, rect_mrd, restricted_rank_code, two_block_sumrank_code
+from .rankmetric import RankCode, mrd_coset_partition, rect_mrd, restricted_rank_code, two_block_sumrank_code
 from .spaces import MatGF, Subspace, _unit_lead
 from .verify import min_distance
 
@@ -262,8 +262,6 @@ def _build(name: str, q: int, n: int, k: int, d: int, split: Optional[int],
     if name == "insert1":
         C1 = single_codeword(q, 3, 3, 6, position="left")
         zero = RankCode(GF(q), 3, 3, 3, (MatGF.zero(GF(q), 3, 3),))
-        from .rankmetric import mrd_coset_partition
-
         pack = mrd_coset_partition(q, 3, 3, 2, 3)
         return block_inserting_I((3, 3, 3, 3), 2, 4, C1, C1, zero, zero, pack, pack)
     if name == "insert2":

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 from .gfq import GF
 from .qcombi import gauss_binomial
-from .rankmetric import RankCode, SumRankCode, _fdrm_basis, _fdrm_rect_subcode, rank
+from .rankmetric import RankCode, SumRankCode, _fdrm_basis, _fdrm_rect_subcode, rank, sum_rank
 from .spaces import (
     FerrersDiagram,
     MatGF,
@@ -577,8 +577,6 @@ def block_inserting_II(dims: tuple[int, int, int, int], d: int,
         raise ValueError("sum-rank shapes inconsistent with the layout")
     if 2 * M.d < d:
         raise ValueError("sum-rank distance too small")
-    from .rankmetric import sum_rank
-
     for w in M.words:
         if sum_rank(w) > k1 + k2 - d // 2:
             raise ValueError("sum-rank restriction violated")

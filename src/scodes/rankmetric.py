@@ -13,15 +13,19 @@ codes are enumerated by the one span builder, `spaces._span`, so only their
 basis words need field products: a Gabidulin code costs m*n*k
 extension-field products in all, not m*k per word.
 
-Every diagram code built here is GF(q)-linear, so `_fdrm_basis` gives it as
-a basis over the diagram's cells in `FerrersDiagram.cells()` order: the
-unit vectors at delta = 1, the Gabidulin basis of the best rectangle
-(`_fdrm_rect_subcode`), the delta = 2 kernel (`_fdrm_delta2`) or the greedy
-basis (`_fdrm_greedy`), and no vector for the single zero word.
-`fdrm_construct` spans it into bounding-box matrices; `constructions` lays
-the same basis out in a pivot vector's rows with `spaces._lifted_span`,
-whose rows are RREF by construction, so its subspaces come straight from
-the span vectors.
+Every rank-metric code built here is GF(q)-linear and given by a basis
+over the cells of a Ferrers diagram in `FerrersDiagram.cells()` order, and
+one function, `_diagram_words`, lays its span vectors out as matrices: row
+i of a word is the next row_lengths[i] entries, right-justified.  A
+rows x cols MRD code (`rect_mrd`, and `gabidulin` with it) is the span of
+the rectangle's Gabidulin basis from `_fdrm_rect_subcode`, transposed when
+rows > cols.  A diagram code's basis comes from `_fdrm_basis`: the unit
+vectors at delta = 1, the Gabidulin basis of the best rectangle, the
+delta = 2 kernel (`_fdrm_delta2`) or the greedy basis (`_fdrm_greedy`),
+and no vector for the single zero word.  `constructions` lays the same
+bases out in a pivot vector's rows with `spaces._lifted_span`, whose rows
+are RREF by construction, so its subspaces come straight from the span
+vectors.
 """
 
 from __future__ import annotations
@@ -68,37 +72,30 @@ def mrd_size(q: int, m: int, n: int, d: int) -> int:
 def gabidulin(q: int, n: int, m: int, d: int) -> RankCode:
     """
     Linear MRD code of m x n matrices over GF(q) with min rank distance d,
-    1 <= d <= m <= n.
+    1 <= d <= m <= n: `rect_mrd(q, m, n, d)`.
 
     Words are the evaluations of the polynomials sum_j f_j z^(q^j) of
     q-degree <= m-d at the first m monomials of the polynomial basis of
     GF(q^n) over GF(q); each value's coefficient tuple is one matrix row.
-
-    The code is GF(q)-linear: its words are the `_span` of the basis words
-    of `_gabidulin_basis`, each sliced into its m rows.  They come in
-    itertools.product order over the coefficient tuples (f_0, ..., f_(k-1)),
-    each f_j in `ExtField.elements()` order, so f_(k-1) varies fastest;
-    `mrd_coset_partition` slices the words by that order.
+    They come in itertools.product order over the coefficient tuples
+    (f_0, ..., f_(k-1)), each f_j in `ExtField.elements()` order, so
+    f_(k-1) varies fastest; `mrd_coset_partition` slices the words by that
+    order.
     """
-    base = GF(q)
-    # every span vector is m*n entries in [0, q), so its m slices are whole rows
-    words = tuple([MatGF._trusted(base, tuple([v[i * n:(i + 1) * n] for i in range(m)]), n)
-                   for v in _span(base, _gabidulin_basis(q, n, m, d))])
-    return RankCode(base, m, n, d, words)
+    if not (1 <= d <= m <= n):
+        raise ValueError(f"need 1 <= d <= m <= n, got d={d} m={m} n={n}")
+    return rect_mrd(q, m, n, d)
 
 
 def _gabidulin_basis(q: int, n: int, m: int, d: int) -> list[list[int]]:
     """The n*k basis words of `gabidulin(q, n, m, d)`, k = m-d+1, each an
     m x n matrix with its rows laid end to end: the evaluations of
     x^t z^(q^j) for j = 0..k-1 and, within each j, t = n-1 down to 0, so
-    f_0's top digit comes first.  ValueError for parameters out of range
-    or a code over `MATERIALIZE_CAP` words."""
-    if not (1 <= d <= m <= n):
-        raise ValueError(f"need 1 <= d <= m <= n, got d={d} m={m} n={n}")
+    f_0's top digit comes first.  Needs 1 <= d <= m <= n; ValueError for
+    a code over `MATERIALIZE_CAP` words."""
     k = m - d + 1
-    size = q ** (n * k)
-    if size > MATERIALIZE_CAP:  # before the field: its modulus search costs more as n grows
-        raise ValueError(f"code size {size} exceeds materialization cap {MATERIALIZE_CAP}")
+    if q ** (n * k) > MATERIALIZE_CAP:  # before the field: its modulus search costs more as n grows
+        raise ValueError(f"code size {q}^{n * k} exceeds materialization cap {MATERIALIZE_CAP}")
     E = ExtField(GF(q), n)
     conj = [[E.basis(i) for i in range(m)]]
     while len(conj) < k:
@@ -107,17 +104,16 @@ def _gabidulin_basis(q: int, n: int, m: int, d: int) -> list[list[int]]:
 
 
 def rect_mrd(q: int, rows: int, cols: int, d: int) -> RankCode:
-    """MRD code of a rows x cols rectangle, transposing when rows > cols.
+    """MRD code of rows x cols matrices: the `_diagram_words` of the span of
+    the rectangle's `_fdrm_rect_subcode` basis, the Gabidulin basis laid
+    out transposed when rows > cols.
 
     For d > min(rows, cols) the only possibility is a single word."""
+    field = GF(q)
     if d > min(rows, cols):
-        zero = MatGF.zero(GF(q), rows, cols)
-        return RankCode(GF(q), rows, cols, d, (zero,))
-    if rows <= cols:
-        return gabidulin(q, cols, rows, d)
-    inner = gabidulin(q, rows, cols, d)
-    words = tuple(w.transpose() for w in inner.words)
-    return RankCode(inner.field, rows, cols, d, words)
+        return RankCode(field, rows, cols, d, (MatGF.zero(field, rows, cols),))
+    F = FerrersDiagram((cols,) * rows)
+    return RankCode(field, rows, cols, d, _diagram_words(field, F, _span(field, _fdrm_rect_subcode(F, d, q))))
 
 
 def rank_distribution(q: int, m: int, n: int, d: int, r: int) -> int:
@@ -243,16 +239,17 @@ def _fdrm_exponent(row_lengths: Sequence[int], delta: int) -> int:
     return min([sum([l - t for l in row_lengths[delta - 1 - t:] if l > t]) for t in range(delta)])
 
 
-def _fillings_to_words(field: FieldSpec, F: FerrersDiagram, vectors: Iterable[Sequence[int]]) -> tuple[MatGF, ...]:
-    cells = F.cells()
-    k, m = F.num_rows, F.num_cols
-    words = []
-    for vec in vectors:
-        rows = [[0] * m for _ in range(k)]
-        for (i, j), x in zip(cells, vec):
-            rows[i][j] = x
-        words.append(MatGF(field, rows, m))
-    return tuple(words)
+def _diagram_words(field: FieldSpec, F: FerrersDiagram, vectors: Iterable[tuple[int, ...]]) -> tuple[MatGF, ...]:
+    """The num_rows x num_cols matrices whose cells of F, in
+    `FerrersDiagram.cells()` order, hold each vector's entries: row i is
+    the next row_lengths[i] entries, right-justified.  Every rank-metric
+    code here is laid out by this one function; its callers pass span
+    vectors or all fillings, entries in [0, q) by construction, so
+    nothing is checked."""
+    cuts = list(itertools.accumulate(F.row_lengths, initial=0))
+    rows = [((0,) * (F.num_cols - l), a, b) for l, a, b in zip(F.row_lengths, cuts, cuts[1:])]
+    return tuple([MatGF._trusted(field, tuple([pad + v[a:b] for pad, a, b in rows]), F.num_cols)
+                  for v in vectors])
 
 
 def _fdrm_delta2(F: FerrersDiagram, q: int) -> list[list[int]]:
@@ -287,9 +284,8 @@ def _fdrm_rect_subcode(F: FerrersDiagram, delta: int, q: int) -> list[list[int]]
     zero row scores 1 and is never chosen.
 
     The `_gabidulin_basis` words are laid into the diagram's cells,
-    transposed when r > width as `rect_mrd` does, so their span is the
-    rectangle's code in `rect_mrd` order; a rectangle of one word gives
-    no basis vector."""
+    transposed when r > width; on a rectangle this basis is `rect_mrd`'s,
+    and a rectangle of one word gives no basis vector."""
     best = (1, 1, F.num_cols)
     for r, width in enumerate(F.row_lengths, 1):
         size = mrd_size(q, r, width, delta) if width else 1
@@ -330,7 +326,7 @@ def _fdrm_greedy(F: FerrersDiagram, delta: int, q: int) -> list[tuple[int, ...]]
     field = GF(q)
     rowop, minus_one = field.rowop, field.neg(1)  # b + c is b - (-1)*c
     fillings = [p[::-1] for p in itertools.product(range(q), repeat=dots)]
-    blocked = {v for v, w in zip(fillings, _fillings_to_words(field, F, fillings)) if rank(w) < delta}
+    blocked = {v for v, w in zip(fillings, _diagram_words(field, F, fillings)) if rank(w) < delta}
     basis = []
     for cand in fillings[1:]:
         if cand not in blocked:
@@ -377,9 +373,10 @@ def fdrm_construct(F: FerrersDiagram, delta: int, q: int) -> RankCode:
     rectangular diagram, the kernel-check construction for delta = 2.
     Otherwise returns the better of a greedy search over small diagrams and
     an MRD code on a rectangular sub-diagram.  Every one of these codes is
-    GF(q)-linear: its words are the `_span` of its `_fdrm_basis`, laid
-    into the diagram's cells.
+    GF(q)-linear: its words are the `_diagram_words` of the `_span` of its
+    `_fdrm_basis`, started at the zero vector of `dot_count()` entries so
+    that a one-word code keeps its full shape.
     """
     field = GF(q)
-    words = _fillings_to_words(field, F, _span(field, _fdrm_basis(F, delta, q)))
+    words = _diagram_words(field, F, _span(field, _fdrm_basis(F, delta, q), (0,) * F.dot_count()))
     return RankCode(field, F.num_rows, F.num_cols, delta, words)

@@ -25,8 +25,9 @@ here because it is plain GF(q) linear algebra; `rankmetric` and
 `constructions` import it.  `_lifted_span` is the one layout from
 Ferrers-diagram cells to subspace rows: it lays a basis over the cells of
 a pivot vector's diagram into that vector's rows and spans it from the
-pivots' unit rows, so every lifted MRD code, multilevel diagram code and
-line-packing coset comes straight from one span vector per word.
+pivots' unit rows, so every lifted MRD code and multilevel diagram code
+comes straight from one span vector per word.  `rankmetric._diagram_words`
+is its rank-metric counterpart: the same cells laid out as matrices.
 
 Distances need the rank of U and W stacked: each RREF row of W is reduced
 against U's RREF rows, and the rows kept so far, at their pivot columns
@@ -86,9 +87,6 @@ class MatGF:
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "MatGF":
         return cls(field, [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)], n)
-
-    def transpose(self) -> "MatGF":
-        return MatGF._trusted(self.field, tuple(zip(*self.entries)), self.rows)
 
     def vstack(self, other: "MatGF") -> "MatGF":
         if self.cols != other.cols:

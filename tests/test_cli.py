@@ -174,19 +174,21 @@ def test_construct_to_an_unwritable_path_exits_4(tmp_path, capsys, target):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["lmrd", "--q", "2", "--n", "1000", "--k", "3", "--d", "4"], "code size "),
-    (["spread", "--q", "2", "--n", "1000", "--k", "500"], "code size "),
+    (["lmrd", "--q", "2", "--n", "1000", "--k", "3", "--d", "4"], "code size 2^1994 exceeds"),
+    (["spread", "--q", "2", "--n", "1000", "--k", "500"], "code size 2^500 exceeds"),
     (["ef", "--q", "2", "--d", "4", "--skeleton", "101" + "0" * 997], "distance-2 diagram code too large"),
 ], ids=["lmrd", "spread", "ef-delta-2"])
 def test_construct_over_the_cap_exits_2_before_building_the_field(tmp_path, argv, message):
     # each code needs GF(2^t) for t in the hundreds; finding its modulus took
-    # longer than the timeout when it came before the size check
+    # longer than the timeout when it came before the size check; a size is
+    # printed as a power of q, not in its hundreds of decimal digits
     src = os.path.dirname(os.path.dirname(os.path.abspath(scodes.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-m", "scodes", "construct", *argv, "-o", str(tmp_path / "c.scode")],
                           env=env, capture_output=True, text=True, timeout=10)
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr.startswith("error: " + message) and len(done.stderr.splitlines()) == 1
+    assert len(done.stderr) < 200
     assert "Traceback" not in done.stderr
 
 

@@ -34,14 +34,12 @@ from scodes.constructions import (
     skeleton_greedy,
 )
 from scodes.gfq import GF
-from scodes.qcombi import gauss_int
 from scodes.rankmetric import (
     RankCode,
     _fdrm_exponent,
     fdrm_construct,
     gabidulin,
     mrd_coset_partition,
-    mrd_size,
     rect_mrd,
     two_block_sumrank_code,
 )

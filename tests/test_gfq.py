@@ -10,7 +10,6 @@ from scodes.gfq import (
     ExtField,
     FieldSpec,
     _factor_prime_power,
-    find_irreducible_over,
     is_prime,
     poly_irreducible_over,
 )

@@ -121,6 +121,15 @@ GABIDULIN_WORDS_SHA256 = {
     8: "9ced6a8cc9b2ba5aa20d22f8953f483e93e8fd1f28cf71e8b6da71bfe4ec8217",
     9: "b83e26f149389c906611cf402a79ea96b11657ca671712c2070cb9d5a4dba46c",
 }
+# rect_mrd: every 1 <= rows, cols <= 6 and 1 <= d <= min(rows, cols) + 1
+# with at most 4096 words, per q, so transposed (rows > cols) and one-word
+# (d > min) shapes occur; frozen when rect_mrd transposed each word of
+# `gabidulin(q, rows, cols, d)` for rows > cols, an independent layout.
+RECT_MRD_WORDS_SHA256 = {
+    2: "fa75625d6a1ec753499c1cccb43c1545385169c085b9cb420e36557f747cbadf",
+    3: "5c6c0e5c1065069346704c1ceff4708920ff596524cef3717f5faabfae9521ca",
+    4: "3904cd8e5d6aaca531f5befcda1641824dcb8b9863a9204b674c4e8725ae1a61",
+}
 COSET_PARTITION_SHA256 = "1dab7f57624625612f4048c4001d22fd69584852ea1338ee4874d4149df77e11"
 # (delta, q, n_max): every non-rectangular diagram of a pivot vector of
 # length n <= n_max, built by the kernel check (delta 2) or greedy (delta 3)
@@ -143,6 +152,16 @@ def _gabidulin_digest(q):
             for d in range(1, m + 1):
                 if q ** (n * (m - d + 1)) <= 4096:
                     _words_digest(h, (n, m, d), gabidulin(q, n, m, d).words)
+    return h.hexdigest()
+
+
+def _rect_mrd_digest(q):
+    h = hashlib.sha256()
+    for rows in range(1, 7):
+        for cols in range(1, 7):
+            for d in range(1, min(rows, cols) + 2):
+                if mrd_size(q, rows, cols, d) <= 4096:
+                    _words_digest(h, (rows, cols, d), rect_mrd(q, rows, cols, d).words)
     return h.hexdigest()
 
 
@@ -169,6 +188,11 @@ def _fdrm_digest(delta, q, n_max):
 @pytest.mark.parametrize("q", sorted(GABIDULIN_WORDS_SHA256))
 def test_gabidulin_words_match_golden_digest(q):
     assert _gabidulin_digest(q) == GABIDULIN_WORDS_SHA256[q]
+
+
+@pytest.mark.parametrize("q", sorted(RECT_MRD_WORDS_SHA256))
+def test_rect_mrd_words_match_golden_digest(q):
+    assert _rect_mrd_digest(q) == RECT_MRD_WORDS_SHA256[q]
 
 
 def test_mrd_coset_partition_matches_golden_digest():
