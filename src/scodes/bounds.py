@@ -136,27 +136,27 @@ def _norm(n: int, d: int, k: int) -> tuple[int, int, int]:
     return n, d + (d % 2), k
 
 
-# The classical bounds take the Gaussian binomial function as `binomial`:
-# the bound engine passes its memo.
-
-
-def sphere_packing(q: int, n: int, d: int, k: int, binomial=gauss_binomial) -> BoundResult:
+def sphere_packing(q: int, n: int, d: int, k: int) -> BoundResult:
     _check_query(q, n, d, k)
     n, d, k = _norm(n, d, k)
     radius = (d // 2 - 1) // 2
     denom = sum(
-        q ** (i * i) * binomial(k, i, q) * binomial(n - k, i, q)
+        q ** (i * i) * gauss_binomial(k, i, q) * gauss_binomial(n - k, i, q)
         for i in range(radius + 1)
     )
-    value = binomial(n, k, q) // denom
+    value = gauss_binomial(n, k, q) // denom
     return BoundResult(value, "sphere-packing", "ball-covering count in the Grassmann graph")
 
 
-def singleton(q: int, n: int, d: int, k: int, binomial=gauss_binomial) -> BoundResult:
+def singleton(q: int, n: int, d: int, k: int) -> BoundResult:
     _check_query(q, n, d, k)
     n, d, k = _norm(n, d, k)
-    value = binomial(n - d // 2 + 1, max(k, n - k), q)
+    value = gauss_binomial(n - d // 2 + 1, max(k, n - k), q)
     return BoundResult(value, "singleton", "iterated puncturing")
+
+
+# `anticode` takes the Gaussian binomial function as `binomial`: the bound
+# engine passes its memo.
 
 
 def anticode(q: int, n: int, d: int, k: int, binomial=gauss_binomial) -> BoundResult:
@@ -202,15 +202,11 @@ _PS_SERIES: dict[tuple[int, int, int], int] = {
 
 
 def _floor_theta(q: int, k: int, r: int) -> int:
-    """floor of (sqrt(1 + 4 q^k (q^k - q^r)) - (2q^k - 2q^r + 1)) / 2, exact."""
+    """floor((sqrt(D) - C) / 2) = (isqrt(D) - C) // 2, as C is an integer;
+    never negative, as D - C^2 = 4(q^r - 1)(q^k - q^r) >= 0."""
     D = 1 + 4 * q**k * (q**k - q**r)
     C = 2 * q**k - 2 * q**r + 1
-    j = (math.isqrt(D) - C) // 2
-    while (2 * (j + 1) + C) ** 2 <= D:
-        j += 1
-    while j > 0 and (2 * j + C) ** 2 > D:
-        j -= 1
-    return j
+    return (math.isqrt(D) - C) // 2
 
 
 def _ceil_lambda_term(lam: int, inner: int) -> Optional[int]:
@@ -229,50 +225,45 @@ def _ceil_lambda_term(lam: int, inner: int) -> Optional[int]:
 
 
 def partial_spread_upper(q: int, n: int, k: int) -> BoundResult:
-    """Tightest classical upper bound for partial k-spreads in GF(q)^n."""
+    """Tightest classical upper bound for partial k-spreads in GF(q)^n.
+
+    Two rules that can never be the least are no candidates: the point-count
+    quotient floors to sigma_base, which Drake-Freeman undercuts
+    (`_floor_theta` >= 0), and the binary r = 2 series holds only where
+    tail-count has z = 0 and the same value, sigma_base - 3."""
     _check_query(q, n, 2 * k, k)
     if not 1 <= k <= n - k:
         raise ValueError("need 1 <= k <= n - k")
     t, r = divmod(n, k)
-    spread_like = [q ** (s * k + r) for s in range(t)]
-    sigma_base = sum(spread_like)
-    candidates: list[BoundResult] = []
     if r == 0:
         value = (q**n - 1) // (q**k - 1)
         return BoundResult(value, "spread", "spreads exist iff k divides n")
-    candidates.append(BoundResult((q**n - 1) // (q**k - 1), "partial-spread:trivial",
-                                  "point count quotient"))
-    if t >= 2:
-        z = max(0, gauss_int(r, q) + 1 - k)
-        if k > r:
-            rule = "partial-spread:tail-count" if z == 0 else "partial-spread:tail-count-general"
-            candidates.append(BoundResult(sigma_base - (q**r - 1) + z * (q - 1), rule,
-                                          "hole-set divisibility analysis"))
-        if q == 2 and r == 2 and k >= 4:
-            candidates.append(BoundResult(sigma_base - 3, "partial-spread:binary-r2",
-                                          "binary r=2 series"))
-        candidates.append(BoundResult(sigma_base - _floor_theta(q, k, r) - 1,
-                                      "partial-spread:drake-freeman", "nets and spreads"))
-        z_fixed = gauss_int(r, q) + 1 - k
-        if z_fixed >= 0 and k > r:
-            l = (q ** (n - k) - q**r) // (q**k - 1)
-            best_param = None
-            for y in range(max(r, 2), k + 1):
-                lam = q**y
-                term = _ceil_lambda_term(lam, lam - (z_fixed + y - 1) * (q - 1) - 1)
-                if term is None:
-                    continue
-                val = l * q**k + term
-                if best_param is None or val < best_param[0]:
-                    best_param = (val, y)
-            if best_param is not None:
-                candidates.append(BoundResult(best_param[0], "partial-spread:parametric",
-                                              f"lambda = q^{best_param[1]}"))
-        c = _PS_SERIES.get((q, k, r))
-        if c is not None:
-            l = (q ** (n - k) - q**r) // (q**k - 1)
-            candidates.append(BoundResult(l * q**k + c, "partial-spread:series",
-                                          "published parametric series"))
+    sigma_base = sum(q ** (s * k + r) for s in range(t))
+    l = (q ** (n - k) - q**r) // (q**k - 1)
+    z_fixed = gauss_int(r, q) + 1 - k
+    z = max(0, z_fixed)
+    rule = "partial-spread:tail-count" if z == 0 else "partial-spread:tail-count-general"
+    candidates = [BoundResult(sigma_base - (q**r - 1) + z * (q - 1), rule,
+                              "hole-set divisibility analysis"),
+                  BoundResult(sigma_base - _floor_theta(q, k, r) - 1,
+                              "partial-spread:drake-freeman", "nets and spreads")]
+    if z_fixed >= 0:
+        best_param = None
+        for y in range(max(r, 2), k + 1):
+            lam = q**y
+            term = _ceil_lambda_term(lam, lam - (z_fixed + y - 1) * (q - 1) - 1)
+            if term is None:
+                continue
+            val = l * q**k + term
+            if best_param is None or val < best_param[0]:
+                best_param = (val, y)
+        if best_param is not None:
+            candidates.append(BoundResult(best_param[0], "partial-spread:parametric",
+                                          f"lambda = q^{best_param[1]}"))
+    c = _PS_SERIES.get((q, k, r))
+    if c is not None:
+        candidates.append(BoundResult(l * q**k + c, "partial-spread:series",
+                                      "published parametric series"))
     best = min(candidates, key=lambda b: b.value)
     return BoundResult(best.value, best.rule, best.citation, tuple(candidates))
 
@@ -439,7 +430,7 @@ class BoundEngine:
     binomials and multilevel achievable sizes keyed by (q, n, k, d) alone,
     so each greedy skeleton (`constructions._skeleton`, whose scores give
     the sizes) is built once per engine whatever the reverse-Johnson depth.
-    The binomial memo serves the classical bounds of `best_upper` and the
+    The binomial memo serves the anticode bound of `best_upper` and the
     standalone Ahlswede-Aydinian rule (`ahlswede_aydinian`), which
     `best_upper` does not list.  Nothing is shared between engines: a fresh
     engine starts cold.
@@ -556,22 +547,23 @@ class BoundEngine:
     # ---- upper bounds
 
     def best_upper(self, q: int, n: int, d: int, k: int) -> BoundResult:
-        """The least of the sphere-packing, Singleton, anticode and improved
-        Johnson bounds, the partial-spread bounds at d = 2 min(k, n-k) and
-        the applicable table facts.
+        """The least of the anticode and improved Johnson bounds, the
+        partial-spread bound at d = 2 min(k, n-k) and the applicable table
+        facts.
 
-        The Ahlswede-Aydinian bound (`ahlswede_aydinian`) is no candidate.
-        Its grid asks for A(m, d-2t; k-t) at every m, which pulls whole
-        lower-distance layers into the recursion, and it never gave the
-        least value in the 2350 cells q=2 with d=4 up to n=70, d=6 up to
-        n=40 and d=8 up to n=30; q=3 with d=4 up to n=40 and d=6 up to n=30;
-        q=4 with d=4 up to n=25; q=5 with d=6 up to n=20; with and without
-        the fact table.  No proof that the improved Johnson bound dominates
-        it is given here: the survey's upper-bound section (arXiv:2112.11766)
-        and Heinlein-Kurz, "Asymptotic bounds for the sizes of constant
-        dimension codes and an improved lower bound" (2017), compare the
-        two.  Leaving a valid upper bound out of a minimum can only weaken
-        the result, never make it wrong.
+        A rule that can never be the least is no candidate:
+        - Ahlswede-Aydinian (`ahlswede_aydinian`) pulls whole lower-distance
+          layers into the recursion and was never the least in 2350 cells
+          (q=2 with d=4, 6, 8 up to n=70, 40, 30; q=3 with d=4, 6 up to
+          n=40, 30; q=4, d=4 up to n=25; q=5, d=6 up to n=20; with and
+          without facts): measured, not proved (arXiv:2112.11766).
+        - Sphere-packing divides by a Grassmann-graph ball of diameter at
+          most d/2 - 1, so by no more than the anticode does.
+        - Singleton: with m = k - d/2 + 1, each factor
+          (q^(n-i) - 1)/(q^(k-i) - 1) of the unfloored anticode bound
+          [n m]_q / [k m]_q is below that of Singleton's [n-d/2+1 m]_q.
+        Leaving a valid upper bound out of a minimum can only weaken the
+        result, never make it wrong.
 
         Raises ValueError unless q is a prime power."""
         _factor_prime_power(q)
@@ -582,9 +574,7 @@ class BoundEngine:
         if conv is not None:
             return conv
         inner = yield self._upper_request(q, n - 1, d, k - 1)
-        binomial = self._gauss_binomial
-        candidates = [sphere_packing(q, n, d, k, binomial), singleton(q, n, d, k, binomial),
-                      anticode(q, n, d, k, binomial), _johnson_improved(q, n, d, k, inner)]
+        candidates = [anticode(q, n, d, k, self._gauss_binomial), _johnson_improved(q, n, d, k, inner)]
         if d == 2 * k:
             candidates.append(partial_spread_upper(q, n, k))
         candidates += yield from self._fact_results(q, n, d, k, ("exact", "upper"))
@@ -625,7 +615,10 @@ class BoundEngine:
 
     def best_lower(self, q: int, n: int, d: int, k: int) -> BoundResult:
         """The greatest of the constructive lower bounds and the applicable
-        table facts; raises ValueError unless q is a prime power."""
+        table facts; raises ValueError unless q is a prime power.
+
+        Improved linkage at m = k books q^((n-k)(k-d/2+1)) + A(n-d/2, d; k),
+        more than a lifted MRD code or a single word, so neither is listed."""
         _factor_prime_power(q)
         return self._evaluate(self._lower_request(q, n, d, k, _REVERSE_JOHNSON_DEPTH))
 
@@ -633,9 +626,7 @@ class BoundEngine:
         conv = self._convention(q, n, d, k)
         if conv is not None:
             return conv
-        # past `_convention` the key has k <= n - k and 2 < d <= 2k, so d/2 <= k
-        candidates = [BoundResult(1, "single-word", "any one subspace"),
-                      BoundResult(q ** ((n - k) * (k - d // 2 + 1)), "lifted-mrd", "lifted MRD code")]
+        candidates = []
         if d == 2 * k:
             candidates.append(partial_spread_lower(q, n, k))
         if n <= 13:

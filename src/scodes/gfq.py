@@ -110,7 +110,7 @@ class FieldSpec:
         self.e = e
         self.q = p**e
         if modulus is None:
-            modulus = _smallest_irreducible(p, e)
+            modulus = (0, 1) if e == 1 else find_irreducible_over(GF(p), e)  # GF(p) is built with x
         else:
             modulus = tuple(c % p for c in modulus)
             modulus = _trim(modulus)
@@ -298,13 +298,6 @@ def _iroot(n: int, e: int) -> int:
         r = s
 
 
-@lru_cache(maxsize=None)
-def _smallest_irreducible(p: int, e: int) -> tuple[int, ...]:
-    if e == 1:
-        return (0, 1)  # the polynomial x; GF(p) itself is built with it
-    return find_irreducible_over(GF(p), e)
-
-
 # -- polynomials over a FieldSpec, coefficient tuples low-degree-first -------
 
 
@@ -371,10 +364,12 @@ def poly_irreducible_over(F: FieldSpec, poly: Sequence[int]) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
 def find_irreducible_over(F: FieldSpec, degree: int) -> tuple[int, ...]:
     """The first monic irreducible of the given degree, with the
     candidates (c_0, ..., c_(degree-1), 1) taken in the order of the base-q
-    number sum c_i q^i: the constant term varies fastest."""
+    number sum c_i q^i: the constant term varies fastest.  Cached, so the
+    moduli of `FieldSpec` and of each `ExtField` are searched once."""
     if degree == 1:
         return (0, 1)
     for number in range(F.q**degree):

@@ -471,7 +471,10 @@ def _lifted_span(field: FieldSpec, v: Sequence[int], basis: Sequence[Sequence[in
     for i, p in enumerate(pivots):
         start[i * n + p] = 1
     cuts = [slice(i * n, (i + 1) * n) for i in range(len(pivots))]
-    return [Subspace._trusted(field, n, tuple(map(w.__getitem__, cuts)), pivots) for w in _span(field, laid, start)]
+    words = _span(field, laid, start)
+    for i, w in enumerate(words):  # in place: each span vector is freed as its word is built
+        words[i] = Subspace._trusted(field, n, tuple(map(w.__getitem__, cuts)), pivots)
+    return words
 
 
 def enumerate_grassmannian(q: int, n: int, k: int) -> Iterator[Subspace]:

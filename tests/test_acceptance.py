@@ -28,8 +28,7 @@ from scodes.constructions import (
     linkage,
     single_codeword,
 )
-from scodes.divisible import divisible_exists, sharp_ceil, sharp_floor, sqr_bases, sqr_expand
-from scodes.gfq import GF
+from scodes.divisible import sharp_ceil, sharp_floor, sqr_bases, sqr_expand
 from scodes.qcombi import gauss_binomial
 from scodes.rankmetric import (
     gabidulin,
@@ -42,12 +41,9 @@ from scodes.rankmetric import (
     two_block_sumrank_code,
 )
 from scodes.spaces import (
-    MatGF,
-    Subspace,
     dual,
     enumerate_grassmannian,
     hamming_distance,
-    permute_columns,
     rank,
     subspace_distance,
 )

@@ -119,7 +119,30 @@ def test_dominance_chain(engine):
                     j = engine.johnson_II(q, n, d, k).value
                     a = anticode(q, n, d, k).value
                     s = min(sphere_packing(q, n, d, k).value, singleton(q, n, d, k).value)
-                    assert ji <= j <= a <= s, (q, n, d, k)
+                    assert ji <= j <= a < s, (q, n, d, k)
+
+
+def test_dropped_candidates_never_decide():
+    # best_upper lists neither sphere-packing nor Singleton, best_lower
+    # neither a lifted MRD code nor a single word, and partial_spread_upper
+    # not the point-count quotient: each is beaten strictly by a listed rule
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        for n in range(4, 31):
+            for k in range(2, n // 2 + 1):
+                for d in range(4, 2 * k + 1, 2):
+                    a = anticode(q, n, d, k).value
+                    assert a < sphere_packing(q, n, d, k).value, (q, n, d, k)
+                    assert a < singleton(q, n, d, k).value, (q, n, d, k)
+                if n % k:
+                    assert partial_spread_upper(q, n, k).value < (q**n - 1) // (q**k - 1), (q, n, k)
+    for use_facts in (True, False):
+        engine = BoundEngine(use_facts=use_facts)
+        for q in (2, 3):
+            for n in range(4, 25):
+                for k in range(2, n // 2 + 1):
+                    for d in range(4, 2 * k + 1, 2):
+                        lifted = q ** ((n - k) * (k - d // 2 + 1))
+                        assert engine.best_lower(q, n, d, k).value > lifted, (q, n, d, k, use_facts)
 
 
 def test_ahlswede_reductions(engine):

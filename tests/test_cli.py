@@ -737,7 +737,10 @@ def test_ef_achievable_size_golden():
 # before the bound engine gained its binomial and achievable-size memos; any
 # engine refactor must reproduce them byte for byte.  The two upper trees were
 # frozen again when `best_upper` stopped listing the Ahlswede-Aydinian
-# candidate: only its subtrees left them, and every value stayed.
+# candidate: only its subtrees left them, and every value stayed.  All four
+# trees were frozen again when the engine stopped listing the rules that can
+# never decide a bound (`DROPPED_RULES`): only their lines left the trees,
+# and every value and winning rule stayed.
 GOLDEN_TABLE_SHA256 = {
     ("2", "4"): "f8d296330459222bf19d43e904aa0b7e1531f6fcaa060ccd24bbb1e280931f84",
     ("2", "6"): "65199b35ea56b4d782a96f4f8ca7052473eb8afe57abdb3e6a7c222549b55851",
@@ -748,10 +751,10 @@ GOLDEN_TABLE_SHA256 = {
 }
 
 GOLDEN_EXPLAIN_SHA256 = {
-    ("2", "9", "6", "4", "upper"): "4ddf0bdc2cfedf722d2906c23e8acc0a7dee551f848207d29a75ae4997831ae3",
-    ("2", "12", "4", "6", "lower"): "ffb4d26da86ede1521862302955390899035bd66685d7fd1d06b40fc196c18d3",
-    ("3", "10", "4", "5", "upper"): "03b64235f9e5aeb11fa03659abdbee6f0b71e359f94493d64008c1a6a2da6a26",
-    ("3", "10", "4", "5", "lower"): "59ad443ed970629ac51ff1fe58e618acc49aeffd83023b8cedd9eae4a4679054",
+    ("2", "9", "6", "4", "upper"): "5b952a1740f3f31b22397a932749a0daf01f44e8ea8dacbe1bb74ca928032ff2",
+    ("2", "12", "4", "6", "lower"): "e07cd85d7ad263440b5bd2177f6e4868d653c472f44d10983163677d239c850e",
+    ("3", "10", "4", "5", "upper"): "4d024920c710761210a6d66fa0890cdd0409a1e8a98c123d03a222b552196607",
+    ("3", "10", "4", "5", "lower"): "d01f71ab50f2b0fc1e10e668c881052ad46daf33d0dcb7b6d8b9c501d61bb349",
 }
 
 
@@ -769,6 +772,22 @@ def test_bound_explain_matches_golden_digest(capsys, args):
                      "--dir", direction, "--explain")
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_EXPLAIN_SHA256[args]
+
+
+# rules that another listed rule always beats: sphere-packing and Singleton
+# (anticode), single-word and lifted-mrd (improved linkage at m = k), the
+# point-count quotient (Drake-Freeman) and the binary r = 2 series (tail-count)
+DROPPED_RULES = ("sphere-packing", "singleton", "single-word", "lifted-mrd",
+                 "partial-spread:trivial", "partial-spread:binary-r2")
+
+
+@pytest.mark.parametrize("args", list(GOLDEN_EXPLAIN_SHA256), ids="-".join)
+def test_bound_explain_lists_no_dropped_rule(capsys, args):
+    q, n, d, k, direction = args
+    rc, out, _ = run(capsys, "bound", "--q", q, "--n", n, "--d", d, "--k", k,
+                     "--dir", direction, "--explain")
+    assert rc == 0
+    assert not [line for line in out.splitlines() for rule in DROPPED_RULES if f"<- {rule} " in line]
 
 
 @pytest.mark.parametrize("d", ["1", "3"])

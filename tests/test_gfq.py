@@ -10,6 +10,7 @@ from scodes.gfq import (
     ExtField,
     FieldSpec,
     _factor_prime_power,
+    find_irreducible_over,
     is_prime,
     poly_irreducible_over,
 )
@@ -216,6 +217,17 @@ def test_ext_field_tower():
     # frobenius_q fixes exactly the base field
     fixed = [el for el in E.elements() if E.frobenius_q(el) == el]
     assert len(fixed) == 2
+
+
+def test_modulus_search_is_cached():
+    # each ExtField a Gabidulin code builds reuses its modulus search
+    from scodes.constructions import lifted_mrd
+
+    misses = find_irreducible_over.cache_info().misses
+    first = lifted_mrd(3, 8, 2, 4)
+    again = lifted_mrd(3, 8, 2, 4)
+    assert find_irreducible_over.cache_info().misses - misses <= 1
+    assert [w.rref.entries for w in first.words] == [w.rref.entries for w in again.words]
 
 
 @pytest.mark.parametrize(

@@ -21,8 +21,8 @@ from scodes.constructions import (
 from scodes.gfq import GF
 from scodes.bounds import BoundEngine
 from scodes.qcombi import gauss_binomial
-from scodes.rankmetric import RankCode, rank_distance, rect_mrd
-from scodes.spaces import MatGF, Subspace, hamming_distance, rank
+from scodes.rankmetric import rank_distance, rect_mrd
+from scodes.spaces import MatGF, Subspace, hamming_distance
 from scodes.verify import min_distance
 
 F2 = GF(2)
