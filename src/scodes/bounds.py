@@ -22,7 +22,7 @@ from .divisible import sharp_floor
 from .gfq import _factor_prime_power
 from .provenance import BoundResult
 from .qcombi import count_large_intersection, gauss_binomial, gauss_int, qpoly_eval, qpoly_parse
-from .rankmetric import _fdrm_meets_bound, mrd_size
+from .rankmetric import _fdrm_meets_bound
 from .spaces import ferrers_of
 
 
@@ -61,8 +61,14 @@ class FactFileError(ValueError):
 
 
 class FactTable:
+    """Facts in table order, bucketed by (n, d) for `lookup`.  `facts` is a
+    tuple, so the buckets cannot go stale."""
+
     def __init__(self, facts: Sequence[Fact] = ()):
-        self.facts = list(facts)
+        self.facts = tuple(facts)
+        self._buckets: dict[tuple[int, int], list[Fact]] = {}
+        for f in self.facts:
+            self._buckets.setdefault((f.n, f.d), []).append(f)
 
     @classmethod
     def from_tsv(cls, text: str, source: str = "<facts>") -> "FactTable":
@@ -80,8 +86,8 @@ class FactTable:
         return cls(facts)
 
     def lookup(self, q: int, n: int, d: int, k: int, kinds: tuple[str, ...]):
-        for f in self.facts:
-            if (f.n, f.d) == (n, d) and f.k in (k, n - k) and f.kind in kinds and f.applies(q):
+        for f in self._buckets.get((n, d), ()):
+            if f.k in (k, n - k) and f.kind in kinds and f.applies(q):
                 yield f
 
 
@@ -419,6 +425,14 @@ def _johnson_improved(q: int, n: int, d: int, k: int, inner: BoundResult) -> Bou
                        "sharpened rounding via divisible multisets", (inner,))
 
 
+def _best_lower(candidates: Sequence[BoundResult]) -> BoundResult:
+    """The lower node over these candidates: the greatest decides; on a tie
+    a computed construction beats an injected fact, then the first listed
+    wins."""
+    best = max(candidates, key=lambda b: (b.value, 0 if b.rule.startswith("fact") else 1))
+    return BoundResult(best.value, best.rule, best.citation, tuple(candidates), best.assumptions)
+
+
 # How many reverse-Johnson steps (n, k) <- (n+1, k+1) a lower query may take.
 _REVERSE_JOHNSON_DEPTH = 2
 
@@ -434,6 +448,12 @@ class BoundEngine:
     standalone Ahlswede-Aydinian rule (`ahlswede_aydinian`), which
     `best_upper` does not list.  Nothing is shared between engines: a fresh
     engine starts cold.
+
+    A lower node is keyed by its cell and its reverse-Johnson depth.  Only
+    the depth-0 node evaluates the cell's constructions and facts; a node
+    at depth > 0 wraps it, adding only its reverse-Johnson candidate, so
+    each cell's improved-linkage loop and fact lookup run once whatever the
+    depths that reach it.
 
     Bound nodes run as generators on an explicit stack (`_evaluate`), so a
     query's Python stack depth does not grow with n or k."""
@@ -623,9 +643,22 @@ class BoundEngine:
         return self._evaluate(self._lower_request(q, n, d, k, _REVERSE_JOHNSON_DEPTH))
 
     def _lower_node(self, q, n, d, k, rev_depth):
+        """At depth 0: the constructive candidates and the facts.  Above it:
+        the cell's depth-0 node, with the reverse-Johnson candidate from
+        (n+1, k+1) between its computed candidates and its facts when that
+        cell has k+1 <= n-k, else the depth-0 node itself."""
         conv = self._convention(q, n, d, k)
         if conv is not None:
             return conv
+        if rev_depth > 0:
+            base = yield self._lower_request(q, n, d, k, 0)
+            if 2 * k + 1 > n:
+                return base
+            inner = yield self._lower_request(q, n + 1, d, k + 1, rev_depth - 1)
+            value = -((-(q ** (k + 1) - 1) * inner.value) // (q ** (n + 1) - 1))
+            reverse = BoundResult(value, "reverse-johnson", "reverted shortening", (inner,))
+            cut = sum(not c.rule.startswith("fact") for c in base.children)  # the facts come last
+            return _best_lower(base.children[:cut] + (reverse,) + base.children[cut:])
         candidates = []
         if d == 2 * k:
             candidates.append(partial_spread_lower(q, n, k))
@@ -633,23 +666,34 @@ class BoundEngine:
             candidates.append(BoundResult(self._ef_achievable_size(q, n, k, d), "multilevel-greedy",
                                           "greedy skeleton with realizable diagram codes"))
         candidates.append((yield from self._improved_linkage_lower(q, n, d, k)))
-        if rev_depth > 0 and k + 1 <= (n + 1) - (k + 1):
-            inner = yield self._lower_request(q, n + 1, d, k + 1, rev_depth - 1)
-            value = -((-(q ** (k + 1) - 1) * inner.value) // (q ** (n + 1) - 1))
-            candidates.append(BoundResult(value, "reverse-johnson", "reverted shortening", (inner,)))
         candidates += yield from self._fact_results(q, n, d, k, ("exact", "lower"))
-        # ties prefer computed constructions over injected facts
-        best = max(candidates, key=lambda b: (b.value, 0 if b.rule.startswith("fact") else 1))
-        return BoundResult(best.value, best.rule, best.citation, tuple(candidates), best.assumptions)
+        return _best_lower(candidates)
 
     def _improved_linkage_lower(self, q, n, d, k):
+        """The best split m in [k, n-k], the least on a tie: A(m, d; k) times
+        |MRD(k x (n-m), d/2)| = q^((n-m)(k-d/2+1)) plus A(n-m+k-d/2, d; k).
+        The splits run from m = n-k down, so the MRD size grows by one
+        multiplication per split, and a child the memo holds is read from
+        it without a round trip through `_evaluate`."""
+        memo, node = self._lower, self._lower_node
+        delta = d // 2
+        step = q ** (k - delta + 1)
+        size = step**k
         best = None
-        for m in range(k, n - k + 1):  # never empty: the node's key has k <= n - k
-            first = yield self._lower_request(q, m, d, k, 0)
-            second = yield self._lower_request(q, n - m + k - d // 2, d, k, 0)
-            value = first.value * mrd_size(q, k, n - m, d // 2) + second.value
-            if best is None or value > best[0]:
+        for m in range(n - k, k - 1, -1):  # never empty: the node's key has k <= n - k
+            key = (q, m, d, k if 2 * k <= m else m - k, 0)
+            first = memo.get(key)
+            if first is None:
+                first = yield memo, node, key
+            rest = n - m + k - delta
+            key = (q, rest, d, k if 2 * k <= rest else rest - k, 0)
+            second = memo.get(key)
+            if second is None:
+                second = yield memo, node, key
+            value = first.value * size + second.value
+            if best is None or value >= best[0]:
                 best = (value, m, first, second)
+            size *= step
         value, m, first, second = best
         return BoundResult(value, "improved-linkage", f"split m={m}", (first, second))
 

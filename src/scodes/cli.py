@@ -238,7 +238,7 @@ def _build(name: str, q: int, n: int, k: int, d: int, split: Optional[int],
         n1 = split if split is not None else k
         n2 = n - n1
         C1 = auto_cdc(q, n1, d, k)
-        C2 = auto_cdc(q, n2 + k - d // 2, d, k)
+        C2 = auto_cdc(q, n2 + max(k - d // 2, 0), d, k)
         return improved_linkage(C1, C2, rect_mrd(q, k, n2, d // 2))
     if name == "gen-linkage":
         n1 = split if split is not None else n // 2

@@ -13,6 +13,7 @@ then an exact cross scan), never from provenance.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -162,14 +163,19 @@ def linkage(C1: Cdc, C2: Cdc, M: RankCode) -> Cdc:
 
 def improved_linkage(C1: Cdc, C2: Cdc, M: RankCode) -> Cdc:
     """Like linkage but C2 lives in n2 + k - d/2 columns, overlapping the
-    rank-code block by k - d/2."""
+    rank-code block by k - d/2; by 0 above the diameter, d > 2k, where
+    `_linkage` leaves C2 out."""
     d = min(C1.d, C2.d, 2 * M.d)
-    return _linkage(C1, C2, M, C1.k - d // 2, "improved_linkage")
+    return _linkage(C1, C2, M, max(C1.k - d // 2, 0), "improved_linkage")
 
 
 def _linkage(C1: Cdc, C2: Cdc, M: RankCode, overlap: int, rule: str) -> Cdc:
     """Construction D of C1 with M, plus C2 zero-prefixed into the last
-    n2 + overlap columns, so it overlaps the rank-code block by `overlap`."""
+    n2 + overlap columns, so it overlaps the rank-code block by `overlap`.
+
+    Above the diameter, d > 2 min(k, n-k), no two k-spaces are d apart, so
+    the code is the construction-D part alone, one word as `lifted_mrd`
+    builds it: a C2 word would lie within the diameter of it."""
     if C1.k != C2.k or C1.q != C2.q:
         raise ValueError("component codes incompatible")
     if C2.n != M.n + overlap:
@@ -177,10 +183,11 @@ def _linkage(C1: Cdc, C2: Cdc, M: RankCode, overlap: int, rule: str) -> Cdc:
     prefix = C1.n - overlap
     if prefix < 0:
         raise ValueError("zero prefix width underflow")
-    n = C1.n + M.n
+    n, k, d = C1.n + M.n, C1.k, min(C1.d, C2.d, 2 * M.d)
     words = list(construction_d(C1, M).words)
-    words += [_prefix_embed(W, prefix, n) for W in C2.words]
-    return _mk(C1.q, n, C1.k, min(C1.d, C2.d, 2 * M.d), words, rule, n1=C1.n, n2=M.n)
+    if d <= 2 * min(k, n - k):
+        words += [_prefix_embed(W, prefix, n) for W in C2.words]
+    return _mk(C1.q, n, k, d, words, rule, n1=C1.n, n2=M.n)
 
 
 def generalized_linkage(C1: Cdc, C2: Cdc, M1: RankCode, M2: RankCode) -> Cdc:
@@ -256,75 +263,90 @@ def _skeleton(n: int, k: int, d: int) -> tuple[list[int], list[int]]:
     q^nu at distance d // 2.
 
     Int order is the vectors' lexicographic order.  `_pivot_scores` gives
-    each candidate its nu; q^nu is monotone in nu, so one sort of the ints
-    (nu_max - nu) << n | bits puts them in the greedy's order, and a
-    chosen key gives back its nu.  The seed's diagram is the whole
-    k x (n-k) rectangle, which holds every other diagram, so its nu is
-    nu_max.  Two weight-k vectors that differ in s one-for-one swaps are
-    at distance 2s, so a chosen vector blocks every weight-k vector within
-    fewer than ceil(d/2) swaps of it, and a candidate is accepted by one
-    set lookup.  The cost is the C(n, k) scores and the sort plus one ball
-    of sum_(s < d/2) C(k, s) C(n-k, s) vectors per chosen vector; no pair
-    of vectors is compared.
+    each candidate the sort key (k(n-k) - nu) << n | bits; q^nu is
+    monotone in nu, so one sort puts the keys in the greedy's order, and a
+    bisection finds where each run of one nu ends.  The seed's diagram is
+    the whole k x (n-k) rectangle, which holds every other diagram, so its
+    nu is the greatest: its key goes first.  Two weight-k vectors that
+    differ in s one-for-one swaps are at distance 2s, so a chosen vector
+    blocks every weight-k vector within fewer than ceil(d/2) swaps of it,
+    and `filterfalse` drops a run's blocked candidates in C, reading the
+    set as it grows, so each candidate meets every vector chosen before
+    it.  The cost is the C(n, k) keys and the sort plus one ball of
+    sum_(s < d/2) C(k, s) C(n-k, s) vectors per chosen vector, its
+    one-swap shell built from the vector's ones and zeros directly; no
+    pair of vectors is compared.
     """
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
     if d < 2:
         raise ValueError(f"need d >= 2, got d = {d}")
-    nus, vectors = _pivot_scores(n, k, d // 2)
-    top = max(nus)
-    order = [(top - nu) << n | bits for nu, bits in zip(nus, vectors)]
-    del nus, vectors  # only the sort keys live on through the greedy
-    order.sort()
-    low = (1 << n) - 1
+    keys = _pivot_scores(n, k, d // 2)
+    keys.sort()
+    keys.insert(0, keys[0] >> n << n | ((1 << k) - 1) << (n - k))  # the seed 1^k 0^(n-k)
+    top, low = k * (n - k), (1 << n) - 1
     units = [1 << j for j in range(n)]
     reach = min((d - 1) // 2, k, n - k)  # the most swaps that stay under d
     chosen: list[int] = []
+    nus: list[int] = []
     blocked: set[int] = set()
-    for key in itertools.chain([((1 << k) - 1) << (n - k)], order):
-        bits = key & low
-        if bits in blocked:
-            continue
-        chosen.append(key)
-        blocked.add(bits)
-        ones = [u for u in units if bits & u]
-        zeros = [u for u in units if not bits & u]
-        for s in range(1, reach + 1):
-            ins = list(map(sum, itertools.combinations(zeros, s)))
-            for out in map(sum, itertools.combinations(ones, s)):
-                blocked.update(map((bits ^ out).__xor__, ins))
-    return list(map(low.__and__, chosen)), [top - (key >> n) for key in chosen]
+    start = 0
+    while start < len(keys):
+        gap = keys[start] >> n
+        end = bisect.bisect_left(keys, (gap + 1) << n, start)
+        for bits in itertools.filterfalse(blocked.__contains__, map(low.__and__, keys[start:end])):
+            chosen.append(bits)
+            nus.append(top - gap)
+            blocked.add(bits)
+            ones, zeros = [], []
+            for u in units:
+                (ones if bits & u else zeros).append(u)
+            outs, ins = [bits ^ u for u in ones], zeros  # the one-swap shell
+            for s in range(1, reach + 1):
+                if s > 1:
+                    outs = [bits ^ sum(c) for c in itertools.combinations(ones, s)]
+                    ins = list(map(sum, itertools.combinations(zeros, s)))
+                blocked.update([x ^ i for x in outs for i in ins])
+        start = end
+    return chosen, nus
 
 
-def _pivot_scores(n: int, k: int, delta: int) -> tuple[list[int], list[int]]:
+def _pivot_scores(n: int, k: int, delta: int) -> list[int]:
     """
-    For every weight-k 0/1 vector of length n, in no set order: the
-    exponent nu that `rankmetric._fdrm_exponent` gives its Ferrers diagram
-    at distance delta >= 1, and the vector as an int (position 0 the top
-    bit).
+    For every weight-k 0/1 vector of length n, in no set order, its sort
+    key (k(n-k) - nu) << n | bits: nu the exponent that
+    `rankmetric._fdrm_exponent` gives its Ferrers diagram at distance
+    delta >= 1, bits the vector as an int (position 0 the top bit).
 
-    Row r at pivot p has n-k+r-p dots.  It adds one w-bit field per
-    t < delta above the n vector bits, holding max(n-k+r-p-t, 0) when
-    r >= delta-1-t, so a support's fields sum to the delta terms that
-    nu is the minimum of; no field sum exceeds k(n-k) < 2^w.  The sums
-    are built row by row, each prefix of pivots extended by every later
-    pivot.
+    Row r at pivot p has n-k+r-p dots.  A sum holds one (w+n)-bit slot per
+    t < delta; slot t holds (k(n-k) - f) << n | bits, f the sum of
+    max(n-k+r-p-t, 0) over the rows r >= delta-1-t: the delta terms that
+    nu is the minimum of.  No f exceeds k(n-k) < 2^w and each row adds one
+    pivot bit, so no slot borrows from or carries into the next, and the
+    greatest slot is the key.  The sums are built row by row, each prefix
+    of pivots extended by every later pivot.
     """
-    w = max(k * (n - k), 1).bit_length()
-    ends = {-1: [0]}  # row sums of the pivot prefixes so far, by last pivot
+    top = k * (n - k)
+    width = max(top, 1).bit_length() + n
+    each = sum(1 << t * width for t in range(delta))  # a 1 in each slot
+    # dots[l]: a row of l dots, max(l - t, 0) << n in slot t
+    dots = [sum(max(length - t, 0) << t * width for t in range(delta)) << n for length in range(n - k + 1)]
+    ends = {-1: [(top << n) * each]}  # row sums of the pivot prefixes so far, by last pivot
     for r in range(k):
         below: list[int] = []
         grown = {}
+        rows = -1 << max(delta - 1 - r, 0) * width  # the slots that count row r
         for p in range(r, n - k + r + 1):
             below += ends.get(p - 1, ())
-            cell = sum(max(n - k + r - p - t, 0) << (n + t * w)
-                       for t in range(delta) if r >= delta - 1 - t)
-            grown[p] = list(map((cell | 1 << (n - 1 - p)).__add__, below))
+            cell = (each << (n - 1 - p)) - (dots[n - k + r - p] & rows)
+            grown[p] = list(map(cell.__add__, below))
         ends = grown
     sums = list(itertools.chain.from_iterable(ends.values()))
-    mask = (1 << w) - 1
-    terms = [[s >> (n + t * w) & mask for s in sums] for t in range(delta)]
-    return (list(map(min, *terms)) if delta > 1 else terms[0]), [s & ((1 << n) - 1) for s in sums]
+    slot = (1 << width) - 1
+    keys = [s & slot for s in sums]
+    for shift in range(width, delta * width, width):
+        keys = [a if a > b else b for a, s in zip(keys, sums) for b in (s >> shift & slot,)]
+    return keys
 
 
 def partial_spread(q: int, n: int, k: int) -> Cdc:

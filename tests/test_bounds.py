@@ -369,6 +369,55 @@ def test_fact_table_env_override(tmp_path, monkeypatch):
     assert len(table.facts) == 1
 
 
+def test_fact_buckets_yield_the_linear_scan():
+    # `lookup` reads the facts bucketed by (n, d); it must yield what a scan
+    # of every row yields, in table order, for each query over the shipped
+    # table plus rows with k > n/2, '>=Q' specs and repeated cells
+    text = resources.files("scodes").joinpath("data/facts.tsv").read_text(encoding="utf-8")
+    text += ("2\t8\t4\t5\tlower\t100\tk above n/2\n"
+             ">=4\t8\t4\t3\tupper\tq^12\tfrom q = 4 on\n"
+             ">=2\t9\t4\t6\texact\t37265\tk above n/2, from q = 2 on\n"
+             "3\t6\t4\t3\tupper\tq^8\ta second (6, 4) row\n")
+    table = FactTable.from_tsv(text)
+    assert isinstance(table.facts, tuple) and len(table.facts) == 28
+    kind_sets = [("exact",), ("lower",), ("upper",), ("exact", "lower"), ("exact", "upper")]
+    checked = 0
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        for n in range(1, 15):
+            for d in range(1, 12):
+                for k in range(n + 1):
+                    for kinds in kind_sets:
+                        scan = [f for f in table.facts if (f.n, f.d) == (n, d) and f.k in (k, n - k)
+                                and f.kind in kinds and f.applies(q)]
+                        assert list(table.lookup(q, n, d, k, kinds)) == scan, (q, n, d, k, kinds)
+                        checked += bool(scan)
+    assert checked > 0
+
+
+# SHA-256 of the rendered lower trees, with and without facts, of every cell
+# with k + 1 <= n - k, q in {2, 3}, d in {4, 6} and n <= 14: each lists a
+# reverse-johnson candidate after the computed constructions and before the
+# facts (a node above depth 0 wraps its cell's depth-0 node).  Frozen while
+# every depth evaluated its cell's candidates itself.
+GOLDEN_REVERSE_JOHNSON_TREES_SHA256 = "72f9ac758ed3335125ab96a22b8e372842f5db3284941ec4125387287910373c"
+
+
+def test_reverse_johnson_trees_match_golden_digest():
+    h = hashlib.sha256()
+    with_reverse_johnson = 0
+    for use_facts in (True, False):
+        engine = BoundEngine(use_facts=use_facts)
+        for q in (2, 3):
+            for d in (4, 6):
+                for n in range(1, 15):
+                    for k in range((n - 1) // 2 + 1):
+                        tree = engine.best_lower(q, n, d, k).render()
+                        with_reverse_johnson += "reverse-johnson" in tree
+                        h.update(tree.encode() + b"\n\n")
+    assert with_reverse_johnson == 200
+    assert h.hexdigest() == GOLDEN_REVERSE_JOHNSON_TREES_SHA256
+
+
 def test_mdc_exact_small(engine):
     assert engine.mdc_exact_small(2, 5, 3) == 18
     assert engine.mdc_exact_small(2, 4, 2) == 37

@@ -515,6 +515,20 @@ def test_construct_linkage_rejects_an_empty_first_block(tmp_path, capsys, name):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("name, n, k, d", [("linkage", 9, 3, 8), ("improved-linkage", 9, 3, 8),
+                                           ("linkage", 8, 4, 10), ("improved-linkage", 8, 4, 10)])
+def test_construct_linkage_above_the_diameter_is_one_word(tmp_path, capsys, name, n, k, d):
+    # d > 2 min(k, n-k): no two k-spaces are d apart, so, as lmrd, ef and
+    # gen-linkage do, the linkage family builds the one word [I_k | 0]
+    path = tmp_path / "c.scode"
+    rc, out, _ = run(capsys, "construct", name, "--q", "2", "--n", str(n), "--k", str(k),
+                     "--d", str(d), "-o", str(path))
+    assert rc == 0
+    assert out.startswith(f"1 codewords in GF(2)^{n}, declared distance {d}; verified by exact scan")
+    rows = path.read_text().splitlines()[2:2 + k]
+    assert rows == [" ".join("1" if j == i else "0" for j in range(n)) for i in range(k)]
+
+
 def test_construct_insert2(tmp_path, capsys):
     path = str(tmp_path / "i2.scode")
     rc, out, _ = run(capsys, "construct", "insert2", "--q", "2", "-o", path)

@@ -319,12 +319,19 @@ def test_skeleton_greedy_matches_the_popcount_greedy(d):
             assert min(map(int.bit_count, map(operator.xor, itertools.repeat(v), chosen))) < d
 
 
+def pivot_scores(n, k, delta):
+    """The nu and the vector of each of `_pivot_scores`'s sort keys
+    (k(n-k) - nu) << n | bits."""
+    keys = constructions._pivot_scores(n, k, delta)
+    return [k * (n - k) - (key >> n) for key in keys], [key & ((1 << n) - 1) for key in keys]
+
+
 def test_packed_pivot_scores_equal_the_diagram_exponent():
     for n in range(14):
         for k in range(n + 1):
             supports = list(itertools.combinations(range(n), k))
             for delta in range(1, 5):
-                nus, vectors = constructions._pivot_scores(n, k, delta)
+                nus, vectors = pivot_scores(n, k, delta)
                 assert sorted(vectors) == sorted(sum(1 << (n - 1 - p) for p in s) for s in supports)
                 for nu, bits in zip(nus, vectors):
                     pivots = [p for p in range(n) if bits >> (n - 1 - p) & 1]
@@ -338,7 +345,7 @@ def test_skeleton_scores_are_the_exponents_of_ferrers_of():
     for n in range(11):
         for k in range(n + 1):
             for delta in range(1, 5):
-                nus, vectors = constructions._pivot_scores(n, k, delta)
+                nus, vectors = pivot_scores(n, k, delta)
                 for nu, bits in zip(nus, vectors):
                     F = ferrers_of(constructions._pivot_vector(bits, n))
                     assert nu == _fdrm_exponent(F.row_lengths, delta), (n, k, delta, bits)
