@@ -10,6 +10,7 @@ All arithmetic is exact (ints and Fractions); floats never enter a bound.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -111,7 +112,8 @@ def _parse_fact(line: str) -> Fact:
 
 def load_default_facts() -> FactTable:
     """The table named by SCODES_FACTS, else the packaged one; FactFileError
-    for a file that cannot be read or parsed."""
+    for a file that cannot be read or parsed.  The file is read on every
+    call, and each text is parsed once per process (`_parsed_facts`)."""
     override = os.environ.get("SCODES_FACTS")
     if override:
         try:
@@ -119,9 +121,17 @@ def load_default_facts() -> FactTable:
                 text = fh.read()
         except (OSError, UnicodeError) as exc:
             raise FactFileError(f"{override}: {getattr(exc, 'strerror', None) or exc}") from None
-        return FactTable.from_tsv(text, override)
+        return _parsed_facts(text, override)
     text = resources.files("scodes").joinpath("data/facts.tsv").read_text(encoding="utf-8")
-    return FactTable.from_tsv(text, "facts.tsv")
+    return _parsed_facts(text, "facts.tsv")
+
+
+@functools.lru_cache(maxsize=8)
+def _parsed_facts(text: str, source: str) -> FactTable:
+    """`FactTable.from_tsv`, kept per text and source name: a table is never
+    changed once built, so every engine can share it.  A malformed table
+    raises each time, as nothing is kept for it."""
+    return FactTable.from_tsv(text, source)
 
 
 # -- standalone upper bounds --------------------------------------------------

@@ -17,15 +17,19 @@ opening each part; every codeword follows some part line, and `count` is
 the number of codewords over all parts.  One reader parses both kinds of
 file and checks the magic line, the header (q a prime power p^e of its own
 p and e, 0 <= k <= n, d even and positive), every row and the count.
-Rows repeat across words, so the reader parses and checks each distinct
-row line once per file, with its leading column when the entry there is
-1, and the writer formats each distinct row once; neither keeps anything
-between calls.  A word whose rows pass the RREF shape check of `spaces`
-(leads strictly increase, each earlier row is zero at every later lead)
-is its own RREF and is taken with those leads as its pivots, as every
-word `write_code_file` writes is; any other word goes through
-`Subspace.from_matrix`, so a file need not be in canonical form.  A
-`mod=` header equal to the default modulus reads into the cached GF(q).
+The reader streams the file a line at a time (universal newlines, so a
+CRLF file reads as its LF twin), and the writer writes a slice of lines at
+a time, so neither holds the file's text whole.  Rows repeat across
+words, so the reader parses and checks each distinct row line once per
+file, with its leading column when the entry there is 1, and keeps one
+pivots tuple per distinct pivot set, and the writer formats each distinct
+row once; neither keeps anything between calls.  A word whose rows pass
+the RREF shape check of `spaces` (leads strictly increase, each earlier
+row is zero at every later lead) is its own RREF and is taken with those
+leads as its pivots, as every word `write_code_file` writes is; any other
+word goes through `Subspace.from_matrix`, so a file need not be in
+canonical form.  A `mod=` header equal to the default modulus reads into
+the cached GF(q).
 
 Exit codes: 0 ok, 2 parameter error, 3 verification failure, 4 data-file
 error.  Every malformed or unreadable code, packing or fact file (the
@@ -40,7 +44,7 @@ import argparse
 import os
 import sys
 from operator import attrgetter
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .bounds import BoundEngine, FactFileError
 from .constructions import (
@@ -74,28 +78,30 @@ PARAM_ERROR = 2
 VERIFY_ERROR = 3
 DATA_ERROR = 4
 
+_WRITE_LINES = 1 << 13  # lines joined into one write by `write_code_file`
+
 
 # -- code files ----------------------------------------------------------------
 
 
 def write_code_file(path: str, code: Cdc) -> None:
     field = code.words[0].field if code.words else GF(code.q)  # a read-back file keeps its modulus
-    lines = ["SCODE 1"]
     header = f"q={code.q} p={field.p} e={field.e} n={code.n} k={code.k} d={code.d} count={len(code.words)}"
     if field.e > 1:
         header += " mod=" + ",".join(str(c) for c in field.modulus)
-    lines.append(header)
+    lines = ["SCODE 1\n", header + "\n"]
     text: dict[tuple[int, ...], str] = {}  # rows repeat across words; format each once
     for w in sorted(code.words, key=attrgetter("entries")):
         for row in w.entries:
             line = text.get(row)
             if line is None:
-                line = text[row] = " ".join(map(str, row))
+                line = text[row] = " ".join(map(str, row)) + "\n"
             lines.append(line)
-        lines.append("")
+        lines.append("\n")
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+            for i in range(0, len(lines), _WRITE_LINES):  # a slice at a time: the text is never whole
+                fh.write("".join(lines[i:i + _WRITE_LINES]))
     except OSError as exc:
         raise FileError(str(exc))
 
@@ -117,17 +123,28 @@ def _read_scode(path: str) -> tuple[dict, list[list[Subspace]]]:
     FileError.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
-            raw = fh.read().splitlines()
+        try:
+            with open(path, encoding="utf-8") as fh:
+                return _parse_scode(path, enumerate(fh, 1))
+        except UnicodeDecodeError:
+            # the streamed decoder counts from its chunk; decoding the whole
+            # file names the bad byte by its offset in the file
+            with open(path, "rb") as fh:
+                fh.read().decode("utf-8")
+            raise
     except (OSError, UnicodeError) as exc:
         raise FileError(str(exc))
-    content = (i for i, line in enumerate(raw) if not line.lstrip().startswith("#"))
-    magic_at, head_at = next(content, None), next(content, None)
-    if magic_at is None or raw[magic_at].strip() != "SCODE 1":
+
+
+def _parse_scode(path: str, lines: Iterator[tuple[int, str]]) -> tuple[dict, list[list[Subspace]]]:
+    """`_read_scode` on the (line number, line) pairs of the file."""
+    content = (line for _, line in lines if not line.lstrip().startswith("#"))
+    magic, header = next(content, None), next(content, None)
+    if magic is None or magic.strip() != "SCODE 1":
         raise FileError(f"{path}: missing SCODE 1 magic")
-    if head_at is None:
+    if header is None:
         raise FileError(f"{path}: missing header line")
-    fields = _parse_header(raw[head_at])
+    fields = _parse_header(header)
     try:
         head = {key: int(fields[key]) for key in ("q", "p", "e", "n", "k", "d", "count")}
         q, p, e = head["q"], head["p"], head["e"]
@@ -147,7 +164,8 @@ def _read_scode(path: str) -> tuple[dict, list[list[Subspace]]]:
     lead_buf: list[Optional[int]] = []
     # row line -> its row and `_unit_lead`; rows repeat across words
     checked: dict[str, tuple[tuple[int, ...], Optional[int]]] = {}
-    for line in raw[head_at + 1:]:
+    shared: dict[tuple, tuple] = {}  # one pivots tuple per distinct pivot set
+    for number, line in lines:
         entry = checked.get(line)
         if entry is None:
             stripped = line.strip()
@@ -162,15 +180,14 @@ def _read_scode(path: str) -> tuple[dict, list[list[Subspace]]]:
             except ValueError:
                 row = None
             if row is None or len(row) != n or min(row) < 0 or max(row) >= q:
-                # the first line with this text is this one: no earlier copy passed
-                raise FileError(f"{path}:{raw.index(line, head_at + 1) + 1}: bad codeword row {stripped!r}")
+                raise FileError(f"{path}:{number}: bad codeword row {stripped!r}")
             entry = checked[line] = (row, _unit_lead(row))
         row_buf.append(entry[0])
         lead_buf.append(entry[1])
         if len(row_buf) == k:
-            rows = tuple(row_buf)
-            word = Subspace._if_rref(field, n, rows, lead_buf)  # as `write_code_file` writes every word
-            if word is None:
+            rows, leads = tuple(row_buf), tuple(lead_buf)
+            word = Subspace._if_rref(field, n, rows, shared.setdefault(leads, leads))
+            if word is None:  # not as `write_code_file` writes every word
                 word = Subspace.from_matrix(MatGF(field, rows, n))
             parts[-1].append(word)
             row_buf, lead_buf = [], []

@@ -142,16 +142,26 @@ def single_codeword(q: int, n: int, k: int, d: int, position: str = "right") -> 
 
 
 def construction_d(C: Cdc, M: RankCode) -> Cdc:
-    """Append every rank-code word to every codeword generator."""
+    """Append every rank-code word to every codeword generator.  Rows
+    repeat across the words, so each distinct pair of codeword row and
+    rank-code row is joined into one tuple that every word holding it
+    shares."""
     if M.m != C.k:
         raise ValueError("rank-code row count must equal codeword dimension")
     if 2 * M.d < C.d:
         raise ValueError(f"rank distance {M.d} too small for subspace distance {C.d}")
     n = C.n + M.n
     words = []
+    joined: dict[tuple, dict] = {}  # codeword row -> rank-code row -> the joined row
     for U in C.words:
+        tails = [joined.setdefault(r, {}) for r in U.entries]
         for w in M.words:
-            rows = [r + mr for r, mr in zip(U.entries, w.entries)]
+            rows = []
+            for tail, r, mr in zip(tails, U.entries, w.entries):
+                row = tail.get(mr)
+                if row is None:
+                    row = tail[mr] = r + mr
+                rows.append(row)
             words.append(Subspace._trusted(U.field, n, rows, U.pivot_positions()))
     return _mk(C.q, n, C.k, C.d, words, "construction_d", n1=C.n, n2=M.n)
 

@@ -26,8 +26,10 @@ here because it is plain GF(q) linear algebra; `rankmetric` and
 Ferrers-diagram cells to subspace rows: it lays a basis over the cells of
 a pivot vector's diagram into that vector's rows and spans it from the
 pivots' unit rows, so every lifted MRD code and multilevel diagram code
-comes straight from one span vector per word.  `rankmetric._diagram_words`
-is its rank-metric counterpart: the same cells laid out as matrices.
+comes straight from its basis.  When the basis shows that rows repeat
+across words, each distinct row is built once and the words hold it
+shared.  `rankmetric._diagram_words` is its rank-metric counterpart: the
+same cells laid out as matrices.
 
 Distances need the rank of U and W stacked: each RREF row of W is reduced
 against U's RREF rows, and the rows kept so far, at their pivot columns
@@ -436,45 +438,87 @@ def _span(field: FieldSpec, basis: Sequence[Sequence[int]],
     (basis[0]'s coefficient varies slowest); an empty basis gives the
     origin alone.
 
-    The basis is taken last vector first: the words so far are followed by
-    each of them plus c*b, for c = 1..q-1 in turn.  So each word costs one
-    vector addition, made by `map` at C speed on the field's addition
-    table rows (add[y][x] = x + y) when the field has them."""
+    The basis is taken last vector first (`_extend`): the words so far are
+    followed by each of them plus c*b, for c = 1..q-1 in turn.  So each
+    word costs one vector addition, made by `map` at C speed on the
+    field's addition table rows (add[y][x] = x + y) when the field has
+    them."""
     span = [(0,) * (len(basis[0]) if basis else 0) if origin is None else tuple(origin)]
+    return _extend(span, [_shifts(field, b) for b in basis])
+
+
+def _shifts(field: FieldSpec, b: Sequence[int]) -> list[tuple]:
+    """For c = 1..q-1 in turn, a (function, operands) pair such that
+    tuple(map(function, operands, v)) is v + c*b."""
     add = field._rows[0] if field._rows else None
-    for b in reversed(basis):
-        steps = [(getitem, [add[y] for y in cb]) if add else (field.add, cb)
-                 for cb in [field.rowop(b, c) for c in range(1, field.q)]]
-        span += [tuple(map(f, s, v)) for f, s in steps for v in span]
+    return [(getitem, [add[y] for y in cb]) if add else (field.add, cb)
+            for cb in [field.rowop(b, c) for c in range(1, field.q)]]
+
+
+def _extend(span: list[tuple], steps: Sequence[Sequence[tuple]]) -> list[tuple]:
+    """`span` followed by its images under each step list, last list first:
+    for each (function, operands) pair of a list in turn, every vector v so
+    far gives tuple(map(function, operands, v)).  `_span` spans vectors
+    with it and `_lifted_span` spans row indices."""
+    for vec_steps in reversed(steps):
+        span += [tuple(map(f, s, v)) for f, s in vec_steps for v in span]
     return span
 
 
 def _lifted_span(field: FieldSpec, v: Sequence[int], basis: Sequence[Sequence[int]],
-                 origin: Sequence[int] | None = None) -> list[Subspace]:
+                 origin: Sequence[int] | None = None) -> tuple[Subspace, ...]:
     """The subspaces with pivot vector v whose free entries, read at the
     cells of `ferrers_of(v)` in `FerrersDiagram.cells()` order, are
     `origin` (zero when None) plus each vector of the `_span` of `basis`,
     in `_span` order.
 
-    Cell c of row i is laid at i*n plus the c-th free column after pivot
-    p_i; the span starts from the pivots' unit rows plus the laid-out
-    origin, so each span vector is one subspace's k RREF rows end to end,
-    and every word shares one pivots tuple."""
-    n = len(v)
+    Cell c of row i is laid at the c-th free column after pivot p_i, and
+    row i starts from the unit row at p_i plus the laid-out origin; every
+    word shares one pivots tuple.  Row i of the words runs over its start
+    row plus the span of the basis restricted to row i, q^r_i rows for
+    r_i that restriction's rank.  When the rows repeat, that is when
+    sum_i q^r_i * dim * (q-1) < q^dim for a basis of dim vectors, each
+    row position's q^r_i rows are built once, in `_span` order from its
+    start row, and the words' row indices are spanned instead (`_extend`),
+    through one permutation table per basis vector, coefficient and
+    position: every word is a tuple of shared row tuples.  Otherwise each
+    span vector is one word's k rows end to end, freed as its word is
+    built."""
+    n, q, dim = len(v), field.q, len(basis)
     pivots = tuple(j for j, b in enumerate(v) if b)
-    at = [i * n + j for i, p in enumerate(pivots) for j in range(p + 1, n) if not v[j]]
-    laid = [[0] * (len(pivots) * n) for _ in range(len(basis) + 1)]
-    for flat, vec in zip(laid, [origin or (), *basis]):
-        for c, x in zip(at, vec):
-            flat[c] = x
-    start = laid.pop(0)  # the origin's cells are free columns, so the unit entries go in beside them
-    for i, p in enumerate(pivots):
-        start[i * n + p] = 1
-    cuts = [slice(i * n, (i + 1) * n) for i in range(len(pivots))]
-    words = _span(field, laid, start)
-    for i, w in enumerate(words):  # in place: each span vector is freed as its word is built
-        words[i] = Subspace._trusted(field, n, tuple(map(w.__getitem__, cuts)), pivots)
-    return words
+    free = [[j for j in range(p + 1, n) if not v[j]] for p in pivots]
+
+    def rows_of(vec: Sequence[int]) -> list[list[int]]:
+        cells, rows = iter(vec), [[0] * n for _ in pivots]
+        for row, cols in zip(rows, free):
+            for j, x in zip(cols, cells):  # zip asks `cols` first, so no cell is lost
+                row[j] = x
+        return rows
+
+    start = rows_of(origin or ())  # the origin's cells are free columns
+    for row, p in zip(start, pivots):
+        row[p] = 1
+    laid = [rows_of(b) for b in basis]
+    reduced = [rref(MatGF(field, [b[i] for b in laid], n)) for i in range(len(pivots))]
+    if sum(q ** len(piv) for _, piv in reduced) * dim * (q - 1) >= q ** dim:
+        words = _span(field, [[x for row in b for x in row] for b in laid], [x for row in start for x in row])
+        cuts = [slice(i * n, (i + 1) * n) for i in range(len(pivots))]
+        for i, w in enumerate(words):  # in place: each span vector is freed as its word is built
+            words[i] = Subspace._trusted(field, n, tuple(map(w.__getitem__, cuts)), pivots)
+        return tuple(words)
+    distinct = []  # per position: its rows, in `_span` order from its start row
+    tables = []  # per position, basis vector and coefficient: where adding c*b sends each row
+    for i, (E, piv) in enumerate(reduced):
+        rows = _span(field, E.entries[: len(piv)], start[i])
+        where = {row: x for x, row in enumerate(rows)}
+        distinct.append(rows)
+        tables.append([[[where[tuple(map(f, s, row))] for row in rows] for f, s in _shifts(field, b[i])]
+                       for b in laid])
+    steps = [[(getitem, [t[j][c] for t in tables]) for c in range(q - 1)] for j in range(dim)]
+    words = _extend([(0,) * len(pivots)], steps)
+    for i, w in enumerate(words):  # in place: each index tuple is freed as its word is built
+        words[i] = Subspace._trusted(field, n, tuple(map(getitem, distinct, w)), pivots)
+    return tuple(words)
 
 
 def enumerate_grassmannian(q: int, n: int, k: int) -> Iterator[Subspace]:

@@ -369,6 +369,27 @@ def test_fact_table_env_override(tmp_path, monkeypatch):
     assert len(table.facts) == 1
 
 
+def test_fact_tables_are_parsed_once_per_text(tmp_path, monkeypatch):
+    from scodes.bounds import FactFileError, load_default_facts
+
+    assert BoundEngine().facts is BoundEngine().facts is load_default_facts()
+    f = tmp_path / "facts.tsv"
+    f.write_text("2\t5\t4\t2\tupper\t7\tfirst\n", encoding="utf-8")
+    monkeypatch.setenv("SCODES_FACTS", str(f))
+    first = load_default_facts()
+    assert load_default_facts() is first and [x.citation for x in first.facts] == ["first"]
+    # a rewritten file is read and parsed again
+    f.write_text("2\t5\t4\t2\tupper\t7\tsecond\n", encoding="utf-8")
+    assert [x.citation for x in load_default_facts().facts] == ["second"]
+    # a malformed one raises on every read, after a good text as before it
+    f.write_text("2\t5\t4\tx\tupper\t7\tbad\n", encoding="utf-8")
+    for _ in range(2):
+        with pytest.raises(FactFileError, match=":1: "):
+            load_default_facts()
+    f.write_text("2\t5\t4\t2\tupper\t7\tfirst\n", encoding="utf-8")
+    assert load_default_facts() is first
+
+
 def test_fact_buckets_yield_the_linear_scan():
     # `lookup` reads the facts bucketed by (n, d); it must yield what a scan
     # of every row yields, in table order, for each query over the shipped

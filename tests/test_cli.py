@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from decimal import Decimal
 
 import pytest
@@ -17,7 +18,7 @@ import scodes
 from scodes import cli
 from scodes.bounds import BoundEngine
 from scodes.cli import FileError, main, read_code_file, write_code_file
-from scodes.constructions import Cdc, lifted_mrd, linkage, single_codeword
+from scodes.constructions import Cdc, echelon_ferrers, lifted_mrd, linkage, single_codeword, skeleton_greedy
 from scodes.gfq import GF, FieldSpec
 from scodes.rankmetric import rect_mrd
 from scodes.spaces import MatGF, Subspace
@@ -384,6 +385,84 @@ def test_repeated_bad_row_is_reported_at_its_first_line(tmp_path, capsys):
     rc, _, err = run(capsys, "verify", str(path))
     assert rc == 4
     assert err.startswith("data error:") and ":8: bad codeword row" in err
+
+
+def test_bad_row_after_comment_and_part_lines_is_reported_at_its_line(tmp_path, capsys):
+    path = tmp_path / "bad.scode"
+    path.write_text("SCODE 1\n# comment\nq=2 p=2 e=1 n=4 k=2 d=2 count=2\n# part=0\n"
+                    "1 0 0 0\n0 1 0 0\n\n# note\n  # part=1\n"
+                    "0 0 1 0\n0 2 0 1\n\n", encoding="utf-8")
+    with pytest.raises(FileError, match=r":11: bad codeword row '0 2 0 1'"):
+        read_code_file(str(path))
+    rc, _, err = run(capsys, "verify", str(path))
+    assert rc == 4
+    assert err.startswith("data error:") and ":11: bad codeword row" in err
+
+
+def test_crlf_file_reads_as_its_lf_twin(tmp_path):
+    code = echelon_ferrers(skeleton_greedy(3, 6, 3, 4), 3, 4)
+    lf, crlf = tmp_path / "lf.scode", tmp_path / "crlf.scode"
+    write_code_file(str(lf), code)
+    text = lf.read_bytes()
+    crlf.write_bytes(text.replace(b"\n", b"\r\n"))
+    assert b"\r\n" in crlf.read_bytes()
+    got, want = read_code_file(str(crlf)), read_code_file(str(lf))
+    assert got.words == want.words == tuple(sorted(code.words, key=lambda w: w.entries))
+    assert [w.pivot_positions() for w in got.words] == [w.pivot_positions() for w in want.words]
+
+
+@pytest.mark.parametrize("words_before", [0, 2000], ids=["first-chunk", "later-chunk"])
+def test_invalid_utf8_in_the_body_is_a_data_error(tmp_path, capsys, words_before):
+    body = b"1 0 0 0\n0 1 0 0\n\n" * words_before
+    path = tmp_path / "bad.scode"
+    data = (b"SCODE 1\nq=2 p=2 e=1 n=4 k=2 d=4 count=%d\n" % (words_before + 1)
+            + body + b"0 0 1 0\n0 0 0 \xff\n\n")
+    path.write_bytes(data)
+    rc, out, err = run(capsys, "verify", str(path))
+    assert (rc, out) == (4, "")
+    # the position is the bad byte's offset in the file, not in a read chunk
+    at = data.index(b"\xff")
+    assert err == f"data error: 'utf-8' codec can't decode byte 0xff in position {at}: invalid start byte\n"
+
+
+def test_reader_keeps_one_pivots_tuple_per_pivot_set(tmp_path):
+    path = tmp_path / "ef.scode"
+    write_code_file(str(path), echelon_ferrers(skeleton_greedy(2, 7, 3, 4), 2, 4))
+    words = read_code_file(str(path)).words
+    pivots = [w.pivot_positions() for w in words]
+    assert len({id(p) for p in pivots}) == len(set(pivots)) > 1
+
+
+def test_reading_a_file_peaks_near_what_it_keeps(tmp_path):
+    # holding the file's lines whole made the peak 2.13 times the bytes kept
+    path = str(tmp_path / "lmrd.scode")
+    write_code_file(path, lifted_mrd(2, 10, 3, 4))
+    read_code_file(path)  # fills the field caches
+    tracemalloc.start()
+    try:
+        code = read_code_file(path)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(code) == 2**14
+    assert peak / kept <= 1.4
+
+
+def test_writing_a_file_holds_its_text_less_than_once(tmp_path):
+    # joining every line and appending the last newline held the text
+    # about 2.6 times over
+    code = lifted_mrd(2, 10, 3, 4)
+    path = tmp_path / "lmrd.scode"
+    write_code_file(str(path), code)
+    want = path.read_bytes()
+    tracemalloc.start()
+    try:
+        write_code_file(str(path), code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.read_bytes() == want
+    assert peak < 1.5 * len(want)
 
 
 NEAR_RREF_DEFECTS = ["none", "above-pivot", "lead-2", "swap", "zero-row", "repeat-row", "random"]

@@ -113,6 +113,34 @@ def test_lifted_span_frees_each_span_vector_as_its_word_is_built():
     assert peak / kept <= 1.25
 
 
+@pytest.mark.parametrize("args", [(2, 9, 3, 4), (2, 8, 4, 4)])
+def test_lifted_mrd_holds_one_object_per_distinct_row(args):
+    rows = [r for w in lifted_mrd(*args).words for r in w.entries]
+    assert len({id(r) for r in rows}) == len(set(rows)) < len(rows) // 8
+
+
+def test_lifted_mrd_words_share_their_rows_in_memory():
+    # 548 bytes a word when every word held rows of its own
+    lifted_mrd(2, 10, 3, 4)  # fills the field and modulus caches
+    tracemalloc.start()
+    try:
+        code = lifted_mrd(2, 10, 3, 4)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept / len(code) < 260
+
+
+def test_construction_d_joins_each_distinct_row_pair_once():
+    C, M = auto_cdc(2, 6, 4, 3), rect_mrd(2, 3, 6, 2)
+    words = construction_d(C, M).words
+    rows = [r for w in words for r in w.entries]
+    pairs = {(r, mr) for U in C.words for w in M.words for r, mr in zip(U.entries, w.entries)}
+    assert len({id(r) for r in rows}) == len(set(rows)) == len(pairs) < len(rows) // 8
+    assert [w.entries for w in words] == [
+        tuple(r + mr for r, mr in zip(U.entries, w.entries)) for U in C.words for w in M.words]
+
+
 def test_construction_d():
     C = single_codeword(2, 4, 4, 6, position="left")
     M = rect_mrd(2, 4, 4, 3)

@@ -8,9 +8,12 @@ from hypothesis import strategies as st
 
 from scodes.gfq import GF
 from scodes.qcombi import gauss_binomial
+from scodes.rankmetric import _fdrm_basis
 from scodes.spaces import (
     MatGF,
     Subspace,
+    _lifted_span,
+    _span,
     dual,
     enumerate_grassmannian,
     ferrers_of,
@@ -431,3 +434,91 @@ def test_contains_vector_gf3():
         assert U.contains_vector(v)
     assert not U.contains_vector((0, 0, 1, 0))
     assert not U.contains_vector((0, 0, 0, 1))
+
+
+def _lifted_oracle(F, v, basis, origin):
+    """The words of `_lifted_span`, built one at a time from the flat span:
+    diagram column c is the c-th zero of v after its first pivot, and each
+    word goes through the RREF check of `from_rref`."""
+    n = len(v)
+    pivots = [j for j, b in enumerate(v) if b]
+    zeros = [j for j in range(pivots[0], n) if not v[j]] if pivots else []
+    cells = ferrers_of(v).cells()
+    words = []
+    for x in _span(F, basis, origin):
+        rows = [[int(j == p) for j in range(n)] for p in pivots]
+        for (i, c), val in zip(cells, x):
+            rows[i][zeros[c]] = val
+        words.append(Subspace.from_rref(F, n, rows))
+    return words
+
+
+def _repeats(F, v, basis):
+    """Whether `_lifted_span` takes its row-index path on this basis: the
+    sum over rows i of q^r_i * dim * (q-1) is below q^dim, r_i the rank of
+    the basis restricted to row i's cells (0 for a row without cells)."""
+    q, dim = F.q, len(basis)
+    per_row = [[] for _ in range(sum(v))]
+    for t, (i, _) in enumerate(ferrers_of(v).cells()):
+        per_row[i].append(t)
+    ranks = [rank(MatGF(F, [[b[t] for t in ts] for b in basis], len(ts))) for ts in per_row]
+    return sum(q ** r for r in ranks) * dim * (q - 1) < q ** dim
+
+
+# (q, pivot vector, basis kind, parameter): the `_fdrm_basis` of the
+# diagram at distance delta = parameter, for rectangles and non-rectangular
+# diagrams, or `parameter` random vectors (dependent ones included)
+LIFTED_SPAN_CASES = [
+    (2, (1, 1, 1, 0, 0, 0, 0), "fdrm", 1),
+    (2, (1, 1, 1, 0, 0, 0, 0), "fdrm", 3),
+    (2, (1, 1, 0, 0, 0, 0), "fdrm", 2),
+    (2, (1, 0, 1, 0, 1, 0, 0), "fdrm", 1),
+    (2, (1, 0, 1, 1, 0, 0, 0), "fdrm", 2),
+    (2, (0, 1, 0, 1, 0, 0, 1), "random", 6),
+    (3, (1, 1, 0, 0, 0), "fdrm", 1),
+    (3, (1, 1, 0, 0, 0), "fdrm", 2),
+    (3, (1, 0, 1, 0, 0), "fdrm", 1),
+    (3, (1, 0, 0, 1, 0, 0), "random", 5),
+    (4, (1, 1, 0, 0, 0), "fdrm", 2),
+    (4, (1, 0, 1, 0, 0), "fdrm", 1),
+    (4, (1, 1, 0, 0), "random", 5),
+    (9, (1, 1, 0, 0), "fdrm", 1),
+    (9, (1, 1, 0, 0), "fdrm", 2),
+    (9, (1, 0, 1, 0), "random", 3),
+    (2, (1, 1, 0, 0), "random", 0),
+    (3, (0, 0, 0), "random", 0),
+]
+
+
+def _case_basis(q, v, kind, param, rng):
+    if kind == "fdrm":
+        return _fdrm_basis(ferrers_of(v), param, q)
+    return [[rng.randrange(q) for _ in range(ferrers_of(v).dot_count())] for _ in range(param)]
+
+
+@pytest.mark.parametrize("q, v, kind, param", LIFTED_SPAN_CASES)
+@pytest.mark.parametrize("with_origin", [False, True], ids=["no-origin", "origin"])
+def test_lifted_span_gives_the_flat_span_words_in_order(q, v, kind, param, with_origin):
+    F = GF(q)
+    rng = random.Random(f"{q}{v}{param}")
+    basis = _case_basis(q, v, kind, param, rng)
+    origin = [rng.randrange(q) for _ in range(ferrers_of(v).dot_count())] if with_origin else None
+    words = _lifted_span(F, v, basis, origin)
+    want = _lifted_oracle(F, v, basis, origin)
+    assert isinstance(words, tuple)
+    assert [w.entries for w in words] == [w.entries for w in want]
+    assert [w.pivot_positions() for w in words] == [w.pivot_positions() for w in want]
+    assert words == tuple(want)
+    # on the row-index path each distinct row is one object; on the flat
+    # path every word holds rows of its own
+    rows = [r for w in words for r in w.entries]
+    objects = len({id(r) for r in rows})
+    assert objects == (len(set(rows)) if _repeats(F, v, basis) else len(rows))
+
+
+def test_lifted_span_cases_cover_both_sides_of_the_repetition_test():
+    sides = {kind: set() for _, _, kind, _ in LIFTED_SPAN_CASES}
+    for q, v, kind, param in LIFTED_SPAN_CASES:
+        basis = _case_basis(q, v, kind, param, random.Random(f"{q}{v}{param}"))
+        sides[kind].add(_repeats(GF(q), v, basis))
+    assert sides == {"fdrm": {False, True}, "random": {False, True}}
