@@ -450,20 +450,18 @@ _REVERSE_JOHNSON_DEPTH = 2
 class BoundEngine:
     """Memoized best-known upper/lower bounds with provenance trees.
 
-    An engine holds four memos: upper and lower bound nodes, Gaussian
-    binomials and multilevel achievable sizes keyed by (q, n, k, d) alone,
-    so each greedy skeleton (`constructions._skeleton`, whose scores give
-    the sizes) is built once per engine whatever the reverse-Johnson depth.
-    The binomial memo serves the anticode bound of `best_upper` and the
-    standalone Ahlswede-Aydinian rule (`ahlswede_aydinian`), which
+    An engine holds three memos: upper and lower bound nodes and Gaussian
+    binomials.  The binomial memo serves the anticode bound of `best_upper`
+    and the standalone Ahlswede-Aydinian rule (`ahlswede_aydinian`), which
     `best_upper` does not list.  Nothing is shared between engines: a fresh
     engine starts cold.
 
     A lower node is keyed by its cell and its reverse-Johnson depth.  Only
     the depth-0 node evaluates the cell's constructions and facts; a node
     at depth > 0 wraps it, adding only its reverse-Johnson candidate, so
-    each cell's improved-linkage loop and fact lookup run once whatever the
-    depths that reach it.
+    each cell's greedy skeleton (`constructions._skeleton`, whose scores
+    give the multilevel size), improved-linkage loop and fact lookup run
+    once per engine whatever the depths that reach it.
 
     Bound nodes run as generators on an explicit stack (`_evaluate`), so a
     query's Python stack depth does not grow with n or k."""
@@ -474,7 +472,6 @@ class BoundEngine:
         self._upper: dict = {}
         self._lower: dict = {}
         self._binomials: dict = {}
-        self._achievable: dict = {}
 
     def _gauss_binomial(self, n: int, k: int, q: int) -> int:
         """[n k]_q, memoized.  A miss whose predecessor [n-1 k-1]_q is held
@@ -491,13 +488,6 @@ class BoundEngine:
             else:
                 value = prev * (q**n - 1) // (q**k - 1)
             self._binomials[key] = value
-        return value
-
-    def _ef_achievable_size(self, q: int, n: int, k: int, d: int) -> int:
-        key = (q, n, k, d)
-        value = self._achievable.get(key)
-        if value is None:
-            value = self._achievable[key] = _ef_achievable_size(q, n, k, d)
         return value
 
     # ---- shared conventions
@@ -673,7 +663,7 @@ class BoundEngine:
         if d == 2 * k:
             candidates.append(partial_spread_lower(q, n, k))
         if n <= 13:
-            candidates.append(BoundResult(self._ef_achievable_size(q, n, k, d), "multilevel-greedy",
+            candidates.append(BoundResult(_ef_achievable_size(q, n, k, d), "multilevel-greedy",
                                           "greedy skeleton with realizable diagram codes"))
         candidates.append((yield from self._improved_linkage_lower(q, n, d, k)))
         candidates += yield from self._fact_results(q, n, d, k, ("exact", "lower"))

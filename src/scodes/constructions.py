@@ -141,28 +141,35 @@ def single_codeword(q: int, n: int, k: int, d: int, position: str = "right") -> 
     return _mk(q, n, k, d, [U], "single", position=position)
 
 
+def _join_rows(joined: dict, lefts: Sequence[tuple], rights: Sequence[tuple]) -> list[tuple]:
+    """The rows left + right of one word.  A builder keeps one `joined`
+    (left row -> right row -> the joined row) for the length of a call:
+    rows repeat across its words, so each distinct pair is joined once and
+    every word holding it shares the tuple."""
+    rows = []
+    for left, right in zip(lefts, rights):
+        tail = joined.get(left)
+        if tail is None:
+            tail = joined[left] = {}
+        row = tail.get(right)
+        if row is None:
+            row = tail[right] = left + right
+        rows.append(row)
+    return rows
+
+
 def construction_d(C: Cdc, M: RankCode) -> Cdc:
-    """Append every rank-code word to every codeword generator.  Rows
-    repeat across the words, so each distinct pair of codeword row and
-    rank-code row is joined into one tuple that every word holding it
-    shares."""
+    """Append every rank-code word to every codeword generator, each
+    distinct pair of codeword row and rank-code row joined once
+    (`_join_rows`)."""
     if M.m != C.k:
         raise ValueError("rank-code row count must equal codeword dimension")
     if 2 * M.d < C.d:
         raise ValueError(f"rank distance {M.d} too small for subspace distance {C.d}")
     n = C.n + M.n
-    words = []
-    joined: dict[tuple, dict] = {}  # codeword row -> rank-code row -> the joined row
-    for U in C.words:
-        tails = [joined.setdefault(r, {}) for r in U.entries]
-        for w in M.words:
-            rows = []
-            for tail, r, mr in zip(tails, U.entries, w.entries):
-                row = tail.get(mr)
-                if row is None:
-                    row = tail[mr] = r + mr
-                rows.append(row)
-            words.append(Subspace._trusted(U.field, n, rows, U.pivot_positions()))
+    joined: dict = {}
+    words = [Subspace._trusted(U.field, n, _join_rows(joined, U.entries, w.entries), U.pivot_positions())
+             for U in C.words for w in M.words]
     return _mk(C.q, n, C.k, C.d, words, "construction_d", n1=C.n, n2=M.n)
 
 
@@ -499,15 +506,17 @@ def coset_construction(pack1: DPacking, pack2: DPacking, M: RankCode,
         [ E(U1)  phi(M) ]
         [   0    E(U2)  ]
 
-    using the pivot-column embedding; distance d1 + d2.
+    using the pivot-column embedding; distance d1 + d2.  Each distinct
+    pair of rows is joined once (`_join_rows`).
     """
     field = GF(pack1.q)
     n1, n2 = pack1.n, pack2.n
+    zeros = [(0,) * n1] * pack2.k
+    joined: dict = {}
 
     def word(U1: Subspace, U2: Subspace, Mw: MatGF) -> Subspace:
-        top_right = _pivot_embedding(Mw, U2, n2)
-        rows = [r + tr for r, tr in zip(U1.entries, top_right)]
-        rows += [(0,) * n1 + r for r in U2.entries]
+        rows = _join_rows(joined, U1.entries, _pivot_embedding(Mw, U2, n2))
+        rows += _join_rows(joined, zeros, U2.entries)
         return Subspace._trusted(field, n1 + n2, rows)
 
     return _coset_family(pack1, pack2, M, d1, d2, "coset", (pack1.k, n2 - pack2.k), word)

@@ -1,7 +1,9 @@
 """
-Independent brute-force verification of emitted codes: exact or sampled
-minimum subspace distance with witness pairs, point-coverage checks for
+Independent brute-force verification of emitted codes: the certified
+minimum subspace distance with a witness pair, point-coverage checks for
 partial spreads, and an exhaustive optimum search for tiny parameter sets.
+A sampled scan over seeded random pairs, which certifies nothing, serves
+library callers that want a quick estimate; the command line has none.
 
 Nothing here trusts construction-time declarations; distances are
 recomputed from generator matrices.  The exact scan takes
@@ -39,21 +41,21 @@ as few as keep each within it, pass r taking the keys whose hash is r
 modulo their number; the least pair that shares a key in any pass is the
 witness.
 
-For histogram=True, the scan counts (pair, shared point) incidences on the
-level-1 keys, the points of PG(n-1, q): two k-spaces share
-[t]_q = (q^t - 1)/(q - 1) points exactly when they meet in a t-space, and
-a shared count that is no [t]_q is an error.  It counts them first, too,
-when the search's first level needs more than one pass, and gives up for
-the search once it has walked more incidences than those passes would hash
-keys.  It counts them in place of the search when some level 1..t0 fits
-in no number of passes, because the column table, which every pass keeps,
-would outgrow the budget alone, and after the search when the walk up of
-a code that misses d reaches a level above t0 that fits in none.  Where
-the count's own index would outgrow it (large fields), pairs are compared
-one by one on stacked rank, as in sampled mode.  Words with 2k > n are
-scanned as their orthogonal complements, which have fewer subspaces of
-each dimension.  Each way gives the minimum and the witness, the first
-pair in `itertools.combinations` order that attains it.
+The point count counts (pair, shared point) incidences on the level-1
+keys, the points of PG(n-1, q): two k-spaces share [t]_q = (q^t - 1)/(q - 1)
+points exactly when they meet in a t-space, and a shared count that is no
+[t]_q is an error.  It runs first when the search's first level needs more
+than one pass, and gives up for the search once it has walked more
+incidences than those passes would hash keys.  It runs in place of the
+search when some level 1..t0 fits in no number of passes, because the
+column table, which every pass keeps, would outgrow the budget alone, and
+after the search when the walk up of a code that misses d reaches a level
+above t0 that fits in none.  Where the count's own index would outgrow it
+(large fields), pairs are compared one by one on stacked rank, as in
+sampled mode.  Words with 2k > n are scanned as their orthogonal
+complements, which have fewer subspaces of each dimension.  Each way gives
+the minimum and the witness, the first pair in `itertools.combinations`
+order that attains it.
 
 The spread checks (`is_partial_spread`, `spread_summary`) read points off
 the level-1 keys of the words themselves, never of their complements.  The
@@ -111,15 +113,14 @@ class VerificationReport:
     complements for words with 2k > n; 1 for "points"; None for "rank".
     `keys` counts the (word, t-subspace) keys hashed over every level and
     pass, by a point count that gave up or a search that fell back too.
-    Only exact mode `certifies`, at any number of words."""
+    `certifies` follows from `mode`: an exact report certifies, at any
+    number of words, and a sampled one does not."""
 
     code_size: int
     declared_d: Optional[int]
     min_distance: object  # int or the string "infinite"
     mode: str  # "exact" | "sampled"
-    certifies: bool
     witness: Optional[tuple[int, int]] = None
-    histogram: Optional[dict[int, int]] = None
     seed: Optional[int] = None
     kernel: Optional[str] = None  # None when no pair was compared
     level: Optional[int] = None
@@ -132,9 +133,13 @@ class VerificationReport:
             return True
         return self.min_distance >= self.declared_d
 
+    @property
+    def certifies(self) -> bool:
+        return self.mode == "exact"
+
 
 def min_distance(C: Cdc, mode: str = "exact", sample_count: int = DEFAULT_SAMPLE_COUNT,
-                 seed: int = 0, histogram: bool = False) -> VerificationReport:
+                 seed: int = 0) -> VerificationReport:
     """
     Minimum pairwise subspace distance of a code.
 
@@ -144,9 +149,10 @@ def min_distance(C: Cdc, mode: str = "exact", sample_count: int = DEFAULT_SAMPLE
     the index, by the level-1 point count or on stacked rank, as the module
     docstring says.  It raises ValueError for an unknown mode, words of
     different dimensions or ambient spaces and rows not in RREF.  Sampled
-    mode draws sample_count >= 1 seeded random pairs of any dimensions and
-    is explicitly non-certifying; it raises ValueError when any word lies
-    in another ambient space, whether or not a pair draws it.
+    mode, a library estimate that the command line does not offer, draws
+    sample_count >= 1 seeded random pairs of any dimensions and certifies
+    nothing; it raises ValueError when any word lies in another ambient
+    space, whether or not a pair draws it.
     """
     if mode not in ("exact", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -154,12 +160,12 @@ def min_distance(C: Cdc, mode: str = "exact", sample_count: int = DEFAULT_SAMPLE
     if mode == "sampled" and sample_count < 1:
         raise ValueError(f"sample count must be >= 1, got {sample_count}")
     if len(words) < 2:
-        return VerificationReport(len(words), C.d, INFINITE, "exact", True)
+        return VerificationReport(len(words), C.d, INFINITE, "exact")
 
     if mode == "sampled":
         _check_ambient(words)
-        best, witness, _ = _pair_scan(words, _sampled_pairs(len(words), sample_count, seed), False)
-        return VerificationReport(len(words), C.d, best, "sampled", False, witness, seed=seed, kernel="rank")
+        best, witness = _pair_scan(words, _sampled_pairs(len(words), sample_count, seed))
+        return VerificationReport(len(words), C.d, best, "sampled", witness, seed=seed, kernel="rank")
 
     _check_words(words)
     n, k = words[0].ambient_n, words[0].k
@@ -167,29 +173,28 @@ def min_distance(C: Cdc, mode: str = "exact", sample_count: int = DEFAULT_SAMPLE
         words, k = [_reversed_dual(w) for w in words], n - k
     # the level whose collisions decide d_S >= d, clamped to 1..k (0 for k = 0)
     t0 = min(max(k - ((C.d or 0) + 1) // 2 + 1, 1), k)
-    search = not histogram and all(_passes(words, t) for t in range(1, t0 + 1))
+    search = all(_passes(words, t) for t in range(1, t0 + 1))
     passes = _passes(words, t0) if search and t0 else 1  # level 0 is never indexed
-    best = witness = hist = None
+    best = witness = None
     keys = 0
     if search and passes > 1 and _passes(words, 1, holders=True) == 1:
         # the count gives up past the keys the search's passes would hash
         budget = passes * len(words) * gauss_binomial(k, t0, words[0].field.q)
         kernel, level = "points", 1
-        best, witness, hist, keys = _point_scan(words, histogram, budget)
+        best, witness, keys = _point_scan(words, budget)
     if best is None and search:
         kernel, level = "subspaces", t0
         best, witness, more = _subspace_search(words, t0)
         keys += more
     if best is None and _passes(words, 1, holders=True) == 1:  # no search, or its walk up left the index
         kernel, level = "points", 1
-        best, witness, hist, more = _point_scan(words, histogram, math.inf)
+        best, witness, more = _point_scan(words, math.inf)
         keys += more
     if best is None:
         pairs = itertools.combinations(range(len(words)), 2)
         kernel, level = "rank", None
-        best, witness, hist = _pair_scan(words, pairs, histogram)
-    return VerificationReport(len(words), C.d, best, "exact", True, witness, hist or None,
-                              kernel=kernel, level=level, keys=keys)
+        best, witness = _pair_scan(words, pairs)
+    return VerificationReport(len(words), C.d, best, "exact", witness, kernel=kernel, level=level, keys=keys)
 
 
 def _subspace_search(words: Sequence[Subspace], t0: int):
@@ -281,7 +286,7 @@ def _level_keys(words: Sequence[Subspace], t: int,
         yield zip(*map(columns.__getitem__, zip(*w.entries)))
 
 
-def _point_scan(words: Sequence[Subspace], histogram: bool, budget: float):
+def _point_scan(words: Sequence[Subspace], budget: float):
     """Exact scan over k-spaces through a point -> earlier-words dict on
     the level-1 keys, the points of PG(n-1, q), which need RREF rows: the
     caller has checked them (or, for complements, built them so).  Gives
@@ -290,31 +295,26 @@ def _point_scan(words: Sequence[Subspace], histogram: bool, budget: float):
     q, k = words[0].field.q, words[0].k
     dim_of = {gauss_int(t, q): t for t in range(k + 1)}
     holders: dict[tuple, list[int]] = {}
-    shared: Counter = Counter()  # pairs by shared point count
     best = (2 * k + 1, 0, 0)  # (distance, i, j) of the witness so far
     walked = 0
     for j, points in enumerate(_level_keys(words, 1)):
         lists = [holders.setdefault(p, []) for p in points]
         walked += sum(map(len, lists))
         if walked > budget:
-            return None, None, None, (j + 1) * gauss_int(k, q)
+            return None, None, (j + 1) * gauss_int(k, q)
         counts = Counter(itertools.chain.from_iterable(lists))
         for held in lists:
             held.append(j)
         bad = set(counts.values()).difference(dim_of)
         if bad:
             raise ValueError(f"{min(bad)} shared points is not a point count [t]_{q}")
-        if histogram:
-            shared.update(counts.values())
-            shared[0] += j - len(counts)
         # the distance falls as the count grows; no shared point means 2k
         c = max(counts.values(), default=0)
         dist = 2 * (k - dim_of[c])
         if j and (dist, 0) < best[:2]:
             i = min(h for h, ch in counts.items() if ch == c) if c else 0
             best = min(best, (dist, i, j))
-    hist = {2 * (k - dim_of[c]): m for c, m in shared.items() if m}
-    return best[0], best[1:], hist, len(words) * gauss_int(k, q)
+    return best[0], best[1:], len(words) * gauss_int(k, q)
 
 
 def _passes(words: Sequence[Subspace], t: int, holders: bool = False) -> Optional[int]:
@@ -375,20 +375,16 @@ def _sampled_pairs(m: int, count: int, seed: int) -> Iterator[tuple[int, int]]:
         yield i, j + (j >= i)
 
 
-def _pair_scan(words: Sequence[Subspace], pairs: Iterable[tuple[int, int]], histogram: bool):
-    """The least stacked-rank distance over the given pairs of word
-    indices, the first pair that attains it and, on request, the histogram.
-    Without a histogram a pair stops once it cannot lower the minimum."""
-    hist: Counter = Counter()
+def _pair_scan(words: Sequence[Subspace], pairs: Iterable[tuple[int, int]]):
+    """The least stacked-rank distance over the given pairs of word indices
+    and the first pair that attains it.  A pair stops once it cannot lower
+    the best so far."""
     best = witness = None
     for i, j in pairs:
-        cap = 1 << 30 if histogram or best is None else best
-        dist = subspace_distance_capped(words[i], words[j], cap)
-        if histogram:
-            hist[dist] += 1
+        dist = subspace_distance_capped(words[i], words[j], 1 << 30 if best is None else best)
         if best is None or dist < best:
             best, witness = dist, (i, j)
-    return best, witness, dict(hist)
+    return best, witness
 
 
 def _check_ambient(words: Sequence[Subspace]) -> None:

@@ -517,6 +517,17 @@ def test_table_builds_each_skeleton_once(monkeypatch, capsys):
     assert main(["table", "--q", "2", "--d", "4", "--n-max", "12", "--format", "csv"]) == 0
     capsys.readouterr()
     assert calls and len(calls) == len(set(calls))
+    # one engine, no memo of sizes: the `table` sweeps of two distances, then
+    # a deep lower query on every cell, reach each (q, n, k, d) at most once
+    calls.clear()
+    engine = BoundEngine()
+    cells = [(2, n, d, k) for d in (4, 6) for n in range(max(4, d), 13) for k in range(2, n // 2 + 1)
+             if d <= 2 * k]
+    for cell in cells:
+        engine.bounds(*cell)
+    for cell in cells:
+        engine.best_lower(*cell)
+    assert {(q, n, k, d) for q, n, d, k in cells} <= set(calls) and len(calls) == len(set(calls))
 
 
 def test_engines_share_no_memo(monkeypatch):

@@ -420,9 +420,11 @@ def test_invalid_utf8_in_the_body_is_a_data_error(tmp_path, capsys, words_before
     path.write_bytes(data)
     rc, out, err = run(capsys, "verify", str(path))
     assert (rc, out) == (4, "")
-    # the position is the bad byte's offset in the file, not in a read chunk
+    # the line names the file, and the position is the bad byte's offset in
+    # the file, not in a read chunk
     at = data.index(b"\xff")
-    assert err == f"data error: 'utf-8' codec can't decode byte 0xff in position {at}: invalid start byte\n"
+    assert err == (f"data error: {path}: 'utf-8' codec can't decode byte 0xff in position {at}: "
+                   "invalid start byte\n")
 
 
 def test_reader_keeps_one_pivots_tuple_per_pivot_set(tmp_path):
@@ -754,23 +756,23 @@ def test_construct_unavailable_packing(tmp_path, capsys, monkeypatch):
     assert rc == 4
 
 
-def test_verify_sampled_flag(tmp_path, capsys):
-    path = str(tmp_path / "s.scode")
-    rc, _, _ = run(capsys, "construct", "spread", "--q", "2", "--n", "8", "--k", "2", "-o", path)
-    assert rc == 0
-    rc, out, _ = run(capsys, "verify", path, "--sampled", "300", "--expect-d", "4")
-    assert rc == 0
-    assert "non-certifying" in out
-
-
-@pytest.mark.parametrize("count", ["0", "-5"])
-def test_verify_sampled_count_must_be_positive(tmp_path, capsys, count):
-    path = str(tmp_path / "s.scode")
-    rc, _, _ = run(capsys, "construct", "spread", "--q", "2", "--n", "6", "--k", "2", "-o", path)
-    assert rc == 0
-    rc, out, err = run(capsys, "verify", path, "--sampled", count)
-    assert rc == 2
-    assert out == "" and err.startswith("error:")
+@pytest.mark.parametrize("option", [
+    ["--sampled", "5"], ["--seed", "1"], ["--sampled", "300", "--seed", "1"], ["--sampled", "0"],
+    ["--sampled", "-5"],
+], ids=["sampled", "seed", "sampled-and-seed", "sampled-0", "sampled-negative"])
+def test_verify_refuses_the_sampling_options(tmp_path, option):
+    # every verification the command line runs is the exact scan: a request
+    # for a sampled one, of any count, is a usage error (exit 2), not a
+    # traceback
+    path = tmp_path / "s.scode"
+    write_code_file(str(path), lifted_mrd(2, 4, 2, 4))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(scodes.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "scodes", "verify", str(path), *option], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("usage:") and "unrecognized arguments: " + " ".join(option) in done.stderr
+    assert "Traceback" not in done.stderr
 
 
 def test_construct_gen_linkage(tmp_path, capsys):

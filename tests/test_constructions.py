@@ -444,6 +444,10 @@ def test_coset_construction_700():
     code = coset_construction(par, par, rect_mrd(2, 2, 2, 2), 2, 2)
     assert len(code) == 700
     assert exact_min(code) == 4
+    # each distinct row is one object: its packing row and embedded
+    # rank-code row are joined once
+    rows = [r for w in code.words for r in w.entries]
+    assert len({id(r) for r in rows}) == len(set(rows)) == 163 < len(rows) // 8
     # pivot structure: two ones in each half
     for v in {w.pivot for w in code.words}:
         assert sum(v[:4]) == 2 and sum(v[4:]) == 2

@@ -88,14 +88,6 @@ def test_min_distance_exact_with_witness():
     assert rep.ok()
 
 
-def test_min_distance_histogram():
-    code = partial_spread(2, 6, 3)
-    rep = min_distance(code, "exact", histogram=True)
-    assert rep.min_distance == 6
-    assert sum(rep.histogram.values()) == 9 * 8 // 2
-    assert set(rep.histogram) == {6}
-
-
 def test_min_distance_singleton_infinite():
     code = single_codeword(2, 5, 2, 4)
     rep = min_distance(code)
@@ -115,6 +107,8 @@ def test_min_distance_sampled_not_certifying():
     rep = min_distance(code, "sampled", sample_count=500, seed=42)
     assert not rep.certifies
     assert rep.mode == "sampled"
+    with pytest.raises(AttributeError):  # read off the mode, never set
+        rep.certifies = True
     assert rep.seed == 42
     assert rep.kernel == "rank"
     assert rep.min_distance >= 4
@@ -244,17 +238,6 @@ def test_max_code_exhaustive_admits_one_word_beyond_the_largest_distance(q, n, k
     assert max_code_exhaustive(q, n, k, d) == 1
 
 
-def test_histogram_pair_count_random_code():
-    rng = random.Random(0)
-    words = rng.sample(list(enumerate_grassmannian(2, 5, 2)), 12)
-    code = Cdc(2, 5, 2, 2, tuple(words))
-    rep = min_distance(code, "exact", histogram=True)
-    assert sum(rep.histogram.values()) == 12 * 11 // 2
-    # histogram minimum agrees with the capped scan
-    rep2 = min_distance(code, "exact")
-    assert rep2.min_distance == rep.min_distance
-
-
 def test_exact_scan_of_a_large_partial_spread_is_fast():
     """8737 4-spaces of GF(2)^17 that share no point: the level-1 index
     meets no key twice (a scan over all 38 million pairs takes minutes)."""
@@ -281,8 +264,11 @@ def test_exact_scan_of_a_whole_grassmannian_is_fast():
 def test_point_kernel_agrees_with_rank_and_dual_formulas(pair):
     q, n, U, W = pair
     code = Cdc(q, n, U.k, 0, (U, W))
-    rep, counted = min_distance(code, "exact"), min_distance(code, "exact", histogram=True)
-    assert (rep.kernel, counted.kernel) == ("subspaces", "points")
+    rep = min_distance(code, "exact")
+    with pytest.MonkeyPatch.context() as mp:
+        only_points_fit(mp)
+        counted = min_distance(code, "exact")
+    assert (rep.kernel, counted.kernel) == ("subspaces", "points" if min(U.k, n - U.k) else "subspaces")
     # dim(U∩W) by duality, (U∩W)⊥ = U⊥ + W⊥, with no stack of U and W
     meet = n - rank(dual(U).rref.vstack(dual(W).rref))
     assert rep.min_distance == counted.min_distance == subspace_distance(U, W) == U.k + W.k - 2 * meet
@@ -368,9 +354,18 @@ def levels_need_passes(mp, passes=3, level_1=1):
                ((level_1 if t == 1 else passes) * verify._INDEX_BYTES_CAP, 0))
 
 
-@given(constant_dimension_codes(), st.integers(-3, 3), st.booleans())
+def only_points_fit(mp):
+    """Estimate that what every pass of the search keeps outgrows the
+    budget at each level, and that the point count fits in one pass: the
+    point count then scans every code with k >= 1 (no level is indexed at
+    k = 0)."""
+    mp.setattr(verify, "_index_bytes", lambda m, q, n, k, t, holders=False:
+               (0, 0 if holders else verify._INDEX_BYTES_CAP))
+
+
+@given(constant_dimension_codes(), st.integers(-3, 3))
 @settings(max_examples=200, deadline=None)
-def test_exact_scan_matches_a_brute_force_pair_loop(code, offset, histogram):
+def test_exact_scan_matches_a_brute_force_pair_loop(code, offset):
     dists = {(i, j): subspace_distance(U, W)
              for (i, U), (j, W) in itertools.combinations(enumerate(code.words), 2)}
     best = min(dists.values())
@@ -379,12 +374,16 @@ def test_exact_scan_matches_a_brute_force_pair_loop(code, offset, histogram):
     code = dataclasses.replace(code, d=best + offset)
     k = min(code.k, code.n - code.k)  # words with 2k > n are scanned as complements
     t0 = min(max(k - (code.d + 1) // 2 + 1, 1), k)
-    rep = min_distance(code, "exact", histogram=histogram)
-    assert (rep.kernel, rep.level) == (("points", 1) if histogram else ("subspaces", t0))
+    rep = min_distance(code, "exact")
+    assert (rep.kernel, rep.level) == ("subspaces", t0)
     assert rep.certifies and rep.ok() == (best >= code.d)
     assert rep.min_distance == best
     assert rep.witness == next(pair for pair, dist in dists.items() if dist == best)
-    assert rep.histogram == (dict(Counter(dists.values())) if histogram else None)
+    # the search fits at no level: the point count scans the whole code
+    with pytest.MonkeyPatch.context() as mp:
+        only_points_fit(mp)
+        points = min_distance(code, "exact")
+    assert (points.kernel, points.level) == (("points", 1) if k else ("subspaces", 0))
     # levels above 1 in three passes: the point count runs first, unless
     # the search starts at level 1, and gives up for the sharded search once
     # it has walked more shared points than those passes would hash keys
@@ -392,25 +391,22 @@ def test_exact_scan_matches_a_brute_force_pair_loop(code, offset, histogram):
     budget = 3 * len(code.words) * gauss_binomial(k, t0, code.q)
     with pytest.MonkeyPatch.context() as mp:
         levels_need_passes(mp)
-        counted = min_distance(code, "exact", histogram=histogram)
-    counts = histogram or t0 > 1 and walked <= budget
-    assert counted.kernel == ("points" if counts else "subspaces")
-    # level 1 in three passes too: every level of the search is sharded, and
-    # a histogram's point count, which takes one pass, gives way to pairs
+        counted = min_distance(code, "exact")
+    assert counted.kernel == ("points" if t0 > 1 and walked <= budget else "subspaces")
+    # level 1 in three passes too: every level of the search is sharded
     with pytest.MonkeyPatch.context() as mp:
         levels_need_passes(mp, level_1=3)
-        sharded = min_distance(code, "exact", histogram=histogram)
-    assert (sharded.kernel, sharded.level) == (("rank", None) if histogram else ("subspaces", t0))
+        sharded = min_distance(code, "exact")
+    assert (sharded.kernel, sharded.level) == ("subspaces", t0)
     # what every pass keeps past the budget: the same pairs are compared one
     # by one (a k = 0 search indexes no level)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verify, "_INDEX_BYTES_CAP", -1)
-        by_pairs = min_distance(code, "exact", histogram=histogram)
-    assert by_pairs.kernel == ("rank" if histogram or k else "subspaces")
-    for other in (counted, sharded, by_pairs):
+        by_pairs = min_distance(code, "exact")
+    assert by_pairs.kernel == ("rank" if k else "subspaces")
+    for other in (points, counted, sharded, by_pairs):
         assert other.certifies
-        assert (other.min_distance, other.witness, other.histogram) == \
-            (rep.min_distance, rep.witness, rep.histogram)
+        assert (other.min_distance, other.witness) == (rep.min_distance, rep.witness)
 
 
 def test_witness_is_the_first_pair_in_combinations_order():
@@ -429,10 +425,8 @@ def test_exact_scan_over_a_large_field_compares_pairs():
     lines = [Subspace.from_rref(F, 4, rows) for rows in
              ([[1, 0, 5, 7], [0, 1, 1000000006, 3]], [[1, 0, 0, 0], [0, 1, 0, 0]],
               [[1, 0, 0, 0], [0, 0, 1, 0]])]
-    for histogram in (False, True):
-        rep = min_distance(Cdc(F.q, 4, 2, 2, tuple(lines)), "exact", histogram=histogram)
-        assert (rep.min_distance, rep.witness, rep.kernel, rep.certifies) == (2, (1, 2), "rank", True)
-        assert rep.histogram == ({4: 2, 2: 1} if histogram else None)
+    rep = min_distance(Cdc(F.q, 4, 2, 2, tuple(lines)), "exact")
+    assert (rep.min_distance, rep.witness, rep.kernel, rep.certifies) == (2, (1, 2), "rank", True)
 
 
 @given(subspace_pairs())
@@ -463,9 +457,12 @@ def test_point_kernel_calls_no_rank_code(monkeypatch):
     for name in ("rref", "rank", "_stack_rank", "subspace_distance", "subspace_distance_capped"):
         monkeypatch.setattr(spaces, name, forbidden)
     monkeypatch.setattr(verify, "subspace_distance_capped", forbidden)
-    for code, histogram in itertools.product(codes, (False, True)):
-        rep = min_distance(code, "exact", histogram=histogram)
-        assert rep.kernel == ("points" if histogram else "subspaces")
+    for code, kernel in itertools.product(codes, ("subspaces", "points")):
+        with pytest.MonkeyPatch.context() as mp:
+            if kernel == "points":
+                only_points_fit(mp)
+            rep = min_distance(code, "exact")
+        assert rep.kernel == kernel
         assert rep.min_distance == (2 if code.words == lines else 4)
 
 
@@ -477,28 +474,28 @@ def test_reversed_dual_is_the_complement_with_columns_reversed(U):
     assert verify._reversed_dual(U) == permute_columns(dual(U), range(n - 1, -1, -1))
 
 
-# the 4-spaces of GF(2)^6 are indexed as their complements, 2-spaces
-@pytest.mark.parametrize("k, indexed_k", [(3, 3), (4, 2)])
-def test_index_gate_sits_at_the_estimated_memory(monkeypatch, k, indexed_k):
+# the 4-spaces of GF(2)^6 are indexed as their complements, 2-spaces,
+# whose first level takes one pass at any budget that holds the point count
+@pytest.mark.parametrize("k, indexed_k, counted", [(3, 3, "points"), (4, 2, "subspaces")], ids=["3-3", "4-2"])
+def test_index_gate_sits_at_the_estimated_memory(monkeypatch, k, indexed_k, counted):
     code = lifted_mrd(2, 6, k, 4)
     words = [verify._reversed_dual(w) for w in code.words] if k > indexed_k else code.words
     m, t0 = len(words), indexed_k - 1  # d = 4
     one_pass = min_distance(code, "exact")
     # the search's first level takes one pass at its estimate and two a byte
-    # below it; a histogram's point count, sized with its holder lists,
-    # takes level 1 in one pass or gives way to pairs
-    for histogram, level, kernels in ((False, t0, None), (True, 1, ("points", "rank"))):
-        need = sum(verify._index_bytes(m, 2, 6, indexed_k, level, holders=histogram))
+    # below it; the point count, sized with its holder lists, takes level 1
+    # in one pass before a search of several passes, or gives way to it
+    for holders, level, kernel in ((False, t0, "subspaces"), (True, 1, counted)):
+        need = sum(verify._index_bytes(m, 2, 6, indexed_k, level, holders=holders))
         reports = []
         for cap in (need, need - 1):
             monkeypatch.setattr(verify, "_INDEX_BYTES_CAP", cap)
-            reports.append(min_distance(code, "exact", histogram=histogram))
-            assert verify._passes(words, level, holders=histogram) == 1 + (cap < need)
+            reports.append(min_distance(code, "exact"))
+            assert verify._passes(words, level, holders=holders) == 1 + (cap < need)
         at, past = reports
         assert (at.min_distance, at.witness) == (past.min_distance, past.witness) == \
             (one_pass.min_distance, one_pass.witness)
-        assert at.histogram == past.histogram
-        assert (at.kernel, past.kernel) == (kernels or ("subspaces", past.kernel))
+        assert (at.kernel, past.kernel) == (kernel, "subspaces")
 
 
 @pytest.mark.parametrize("m, q, n, k", [
@@ -727,10 +724,10 @@ def test_every_shared_count_is_checked(monkeypatch):
     fake = dict(zip(planes, ([(p,) for p in range(1, 8)], [(p,) for p in range(8, 15)],
                              [(p,) for p in (1, 2, 3, 8, 9, 20, 21)])))
     monkeypatch.setattr(verify, "_level_keys", lambda words, t: (iter(fake[w]) for w in words))
-    levels_need_passes(monkeypatch)  # without a histogram, the point count runs before passes
-    for histogram in (False, True):
+    for force in (levels_need_passes, only_points_fit):  # budgeted before passes, and in place of the search
+        force(monkeypatch)
         with pytest.raises(ValueError, match="2 shared points is not a point count"):
-            min_distance(Cdc(2, 6, 3, 2, planes), "exact", histogram=histogram)
+            min_distance(Cdc(2, 6, 3, 2, planes), "exact")
 
 
 def test_point_count_outside_gauss_integers_is_an_error(monkeypatch):
