@@ -466,8 +466,8 @@ class BoundEngine:
     Bound nodes run as generators on an explicit stack (`_evaluate`), so a
     query's Python stack depth does not grow with n or k."""
 
-    def __init__(self, facts: Optional[FactTable] = None, use_facts: bool = True):
-        self.facts = facts if facts is not None else load_default_facts() if use_facts else FactTable()
+    def __init__(self, use_facts: bool = True):
+        self.facts = load_default_facts() if use_facts else FactTable()
         self.use_facts = use_facts
         self._upper: dict = {}
         self._lower: dict = {}
@@ -505,8 +505,6 @@ class BoundEngine:
 
     def _fact_results(self, q, n, d, k, kinds):
         """Node step: the applicable table facts, each as a result."""
-        if not self.use_facts:
-            return []
         out = []
         for f in self.facts.lookup(q, n, d, k, kinds):
             value = qpoly_eval(f.value_poly, q)
@@ -536,7 +534,12 @@ class BoundEngine:
         A node is a generator over its normalized key: it yields a request
         (memo, node, key) for each child and is sent the child's result.
         Suspended nodes wait on an explicit stack, so the Python stack stays
-        flat however deep the recursion in n and k goes."""
+        flat however deep the recursion in n and k goes.
+
+        A child's key has a smaller reverse-Johnson depth than its parent's,
+        or the same depth and a smaller n, except for a fact's A-term, which
+        is asked at the full depth; so only the fact table can make a node
+        depend on itself, and that raises FactFileError."""
         memo, node, key = request
         result = memo.get(key)
         if result is not None:
@@ -556,9 +559,8 @@ class BoundEngine:
                     break
                 result = child_memo.get(child_key)
                 if result is None:
-                    if child_key in active:  # only a fact's A-term can close a cycle
-                        error = FactFileError if self.use_facts else ValueError
-                        raise error(f"bound {child_key} depends on itself (check the fact table)")
+                    if child_key in active:
+                        raise FactFileError(f"bound {child_key} depends on itself (check the fact table)")
                     active.add(child_key)
                     stack.append((child_memo, child_key, child_node(*child_key)))
                     break

@@ -231,14 +231,15 @@ class FileError(Exception):
     pass
 
 
-def _packing_for(q: int, n: int, k: int, d_inner: int) -> DPacking:
+def _packing_for(q: int) -> DPacking:
+    """The one packing `coset` and `assemble` read: lines of PG(3, q) at inner distance 4."""
     root = os.environ.get("SCODES_PACKINGS")
     if root:
-        cand = os.path.join(root, f"parallelism_q{q}_n{n}_k{k}.scode")
+        cand = os.path.join(root, f"parallelism_q{q}_n4_k2.scode")
         if os.path.exists(cand):
-            return read_packing_file(cand, d_inner)
+            return read_packing_file(cand, 4)
     try:
-        return find_parallelism(q, n, k)
+        return find_parallelism(q, 4, 2)
     except ValueError as exc:
         raise FileError(f"{exc}: set SCODES_PACKINGS")
 
@@ -279,7 +280,7 @@ def _build(name: str, q: int, n: int, k: int, d: int, split: Optional[int],
     if name == "spread":
         return partial_spread(q, n, k)
     if name == "coset":
-        par = _packing_for(q, 4, 2, 4)
+        par = _packing_for(q)
         return coset_construction(par, par, rect_mrd(q, 2, 2, 2), 2, 2)
     if name == "insert1":
         C1 = single_codeword(q, 3, 3, 6, position="left")
@@ -290,7 +291,7 @@ def _build(name: str, q: int, n: int, k: int, d: int, split: Optional[int],
         C1 = single_codeword(q, 3, 3, 6, position="left")
         return block_inserting_II((3, 3, 3, 3), 6, two_block_sumrank_code(q), C1, C1)
     if name == "assemble":
-        par = _packing_for(q, 4, 2, 4)
+        par = _packing_for(q)
         w1 = lifted_mrd(q, 8, 4, 4)
         w2 = coset_construction(par, par, rect_mrd(q, 2, 2, 2), 2, 2)
         w3 = single_codeword(q, 8, 4, 4, position="right")

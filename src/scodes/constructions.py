@@ -83,9 +83,6 @@ class DPacking:
     def __len__(self) -> int:
         return len(self.parts)
 
-    def total_words(self) -> int:
-        return sum(len(p) for p in self.parts)
-
     def validate_disjoint(self) -> None:
         seen: set[Subspace] = set()
         for part in self.parts:
@@ -441,14 +438,13 @@ def find_parallelism(q: int, n: int, k: int) -> DPacking:
     if solution is None or len(solution) != num_classes:
         raise RuntimeError("parallelism search failed")  # pragma: no cover
     parts = tuple(tuple(lines[i] for i in idxs) for idxs in solution)
-    return DPacking(q, n, k, 2 * k, parts, d_ambient=2)
+    return DPacking(q, n, k, 2 * k, parts)
 
 
-def load_packing(q: int, n: int, k: int, d_inner: int, parts: Sequence[Sequence[Subspace]],
-                 d_ambient: int = 2) -> DPacking:
-    """A packing from outside data; ValueError unless its parts are pairwise
-    disjoint and each has inner distance >= d_inner."""
-    pk = DPacking(q, n, k, d_inner, tuple(tuple(p) for p in parts), d_ambient)
+def load_packing(q: int, n: int, k: int, d_inner: int, parts: Sequence[Sequence[Subspace]]) -> DPacking:
+    """A packing from outside data, of ambient distance 2; ValueError unless
+    its parts are pairwise disjoint and each has inner distance >= d_inner."""
+    pk = DPacking(q, n, k, d_inner, tuple(tuple(p) for p in parts))
     pk.validate_disjoint()
     for part in pk.parts:
         for U, W in itertools.combinations(part, 2):

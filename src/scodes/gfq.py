@@ -16,9 +16,10 @@ per-element methods, and their odd-p extension fields add digit by digit.
 
 One set of polynomial routines over any `FieldSpec` (`poly_mul`,
 `poly_divmod`, Rabin's `poly_irreducible_over`, `find_irreducible_over`)
-multiplies in both field types and both checks and searches the moduli of
-`FieldSpec` over GF(p) and those of `ExtField`, which builds
-GF(q^m) on top of an existing `FieldSpec` GF(q), with elements stored as
+multiplies in both field types, checks and searches the moduli of
+`FieldSpec` over GF(p) and searches the one modulus of each `ExtField`,
+which builds GF(q^m) on top of an existing `FieldSpec` GF(q) with the
+first irreducible `find_irreducible_over` finds, with elements stored as
 coefficient tuples over the base field.  This is the representation used
 for linearized-polynomial evaluation, where the coefficient tuple doubles as
 the expansion of the element over GF(q).
@@ -392,21 +393,12 @@ class ExtField:
     basis (1, x, ..., x^(m-1)), which is what lifted matrix expansions use.
     """
 
-    def __init__(self, base: FieldSpec, m: int, modulus: Optional[Sequence[int]] = None):
+    def __init__(self, base: FieldSpec, m: int):
         if m < 1:
             raise ValueError("extension degree must be >= 1")
         self.base = base
         self.m = m
-        if modulus is None:
-            modulus = find_irreducible_over(base, m)
-        else:
-            modulus = tuple(modulus)
-            if len(modulus) != m + 1 or modulus[-1] != 1:
-                raise ValueError(f"modulus must be monic of degree {m}")
-            if not all(0 <= c < base.q for c in modulus) or not poly_irreducible_over(base, modulus):
-                raise ValueError(f"modulus {list(modulus)} is not an irreducible polynomial over {base}")
-        self.modulus = modulus
-        self.zero = (0,) * m
+        self.modulus = find_irreducible_over(base, m)
         self.one = tuple([1] + [0] * (m - 1)) if m > 1 else (1,)
 
     def basis(self, i: int) -> tuple[int, ...]:

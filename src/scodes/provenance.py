@@ -38,9 +38,9 @@ class BoundResult:
     def uses_facts(self) -> bool:
         return any(n.rule.startswith("fact") for n in self.walk())
 
-    def render(self, indent: int = 0) -> str:
+    def render(self) -> str:
         lines = []
-        stack = [(self, indent)]
+        stack = [(self, 0)]
         while stack:
             node, depth = stack.pop()
             cite = f"  [{node.citation}]" if node.citation else ""

@@ -152,22 +152,23 @@ def min_distance(C: Cdc, mode: str = "exact", sample_count: int = DEFAULT_SAMPLE
     mode, a library estimate that the command line does not offer, draws
     sample_count >= 1 seeded random pairs of any dimensions and certifies
     nothing; it raises ValueError when any word lies in another ambient
-    space, whether or not a pair draws it.
+    space, whether or not a pair draws it.  Either mode checks its words
+    before it answers, so a one-word code is checked as a larger one is.
     """
     if mode not in ("exact", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
     words = list(C.words)
-    if mode == "sampled" and sample_count < 1:
+    sampled = mode == "sampled"
+    if sampled and sample_count < 1:
         raise ValueError(f"sample count must be >= 1, got {sample_count}")
+    if words:
+        (_check_ambient if sampled else _check_words)(words)
     if len(words) < 2:
-        return VerificationReport(len(words), C.d, INFINITE, "exact")
-
-    if mode == "sampled":
-        _check_ambient(words)
+        return VerificationReport(len(words), C.d, INFINITE, mode, seed=seed if sampled else None)
+    if sampled:
         best, witness = _pair_scan(words, _sampled_pairs(len(words), sample_count, seed))
         return VerificationReport(len(words), C.d, best, "sampled", witness, seed=seed, kernel="rank")
 
-    _check_words(words)
     n, k = words[0].ambient_n, words[0].k
     if 2 * k > n:
         words, k = [_reversed_dual(w) for w in words], n - k

@@ -1,6 +1,8 @@
 import hashlib
+import re
 import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -191,10 +193,14 @@ def test_deep_queries_need_no_deep_stack():
     assert got == expected
 
 
-def test_fact_table_cycle_is_an_error():
-    facts = FactTable.from_tsv("*\t9\t4\t3\tlower\t1+A(9,4;3)\tself-referential")
-    with pytest.raises(ValueError, match="depends on itself"):
-        BoundEngine(facts=facts).best_lower(2, 9, 4, 3)
+def test_fact_table_cycle_is_an_error(tmp_path, monkeypatch):
+    from scodes.bounds import FactFileError
+
+    f = tmp_path / "facts.tsv"
+    f.write_text("*\t9\t4\t3\tlower\t1+A(9,4;3)\tself-referential\n", encoding="utf-8")
+    monkeypatch.setenv("SCODES_FACTS", str(f))
+    with pytest.raises(FactFileError, match="depends on itself"):
+        BoundEngine().best_lower(2, 9, 4, 3)
 
 
 # every standalone rule: those that take (q, n, d, k) and the two partial-spread
@@ -333,11 +339,14 @@ def test_grassmann_scheme_sanity():
             assert sum(grassmann_eigenvalue(q, n, k, i, j) for i in range(k + 1)) == 0
 
 
-def test_fact_table_parsing(tmp_path):
+def test_fact_table_parsing(tmp_path, monkeypatch):
     text = "2\t6\t4\t3\texact\t77\ttest cite\n*\t8\t6\t4\tlower\tq^8+1\tseries\n"
     table = FactTable.from_tsv(text)
     assert len(table.facts) == 2
-    engine = BoundEngine(facts=table)
+    f = tmp_path / "facts.tsv"
+    f.write_text(text, encoding="utf-8")
+    monkeypatch.setenv("SCODES_FACTS", str(f))
+    engine = BoundEngine()
     assert engine.best_lower(3, 8, 6, 4).value >= 3**8 + 1
     hits = list(table.lookup(2, 6, 4, 3, ("exact",)))
     assert hits and hits[0].citation == "test cite"
@@ -590,3 +599,15 @@ def test_spread_class_arithmetic():
     # lines of GF(2)^6: spread size 21, 31 parallel classes would partition
     assert (2**6 - 1) // (2**2 - 1) == 21
     assert gauss_binomial(6, 2, 2) // 21 == 31
+
+
+def test_readme_quick_start_runs_as_written(monkeypatch, capsys):
+    # the README's one python block, run as it stands: it builds and verifies
+    # a code, then prints the module-level best_upper value and best_lower tree
+    monkeypatch.delenv("SCODES_FACTS", raising=False)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    exec(compile(block, "README.md", "exec"), {})
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "381"
+    assert out[1].startswith(f"{BoundEngine().best_lower(2, 7, 4, 3).value}  <- ")

@@ -679,7 +679,7 @@ def test_packing_file_roundtrip(tmp_path):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     pk = read_packing_file(str(path), 4)
     assert len(pk.parts) == 7
-    assert pk.total_words() == 35
+    assert sum(map(len, pk.parts)) == 35
 
 
 def test_packing_file_rejects_overlap(tmp_path):
@@ -711,7 +711,7 @@ def test_packing_file_rejects_inner_distance_below_d(tmp_path, monkeypatch, caps
 
 
 def write_parallelism_file(path, packing):
-    lines = ["SCODE 1", f"q={packing.q} p=2 e=1 n={packing.n} k={packing.k} d=4 count={packing.total_words()}"]
+    lines = ["SCODE 1", f"q={packing.q} p=2 e=1 n={packing.n} k={packing.k} d=4 count={sum(map(len, packing.parts))}"]
     for i, part in enumerate(packing.parts):
         lines.append(f"# part={i}")
         for w in part:
@@ -728,8 +728,8 @@ def test_packing_env_override(tmp_path, monkeypatch, capsys):
     par = find_parallelism(2, 4, 2)
     write_parallelism_file(tmp_path / "parallelism_q2_n4_k2.scode", par)
     monkeypatch.setenv("SCODES_PACKINGS", str(tmp_path))
-    pk = _packing_for(2, 4, 2, 4)
-    assert len(pk.parts) == 7 and pk.total_words() == 35
+    pk = _packing_for(2)
+    assert len(pk.parts) == 7 and sum(map(len, pk.parts)) == 35
 
 
 def test_construct_coset_and_assemble(tmp_path, capsys):

@@ -424,7 +424,7 @@ def test_find_parallelism_2_4_2():
     par = find_parallelism(2, 4, 2)
     assert len(par) == 7 and all(len(p) == 5 for p in par.parts)
     par.validate_disjoint()
-    assert par.total_words() == 35
+    assert sum(map(len, par.parts)) == 35
     for part in par.parts:
         cdc = Cdc(2, 4, 2, 4, tuple(part))
         assert exact_min(cdc) == 4

@@ -217,6 +217,9 @@ def test_ext_field_tower():
     # frobenius_q fixes exactly the base field
     fixed = [el for el in E.elements() if E.frobenius_q(el) == el]
     assert len(fixed) == 2
+    # GF(4) over GF(2) takes x^2 + x + 1, the only irreducible of degree 2
+    E = ExtField(base, 2)
+    assert E.modulus == (1, 1, 1) and E.mul((1, 1), (1, 1)) == (0, 1)
 
 
 def test_modulus_search_is_cached():
@@ -228,19 +231,6 @@ def test_modulus_search_is_cached():
     again = lifted_mrd(3, 8, 2, 4)
     assert find_irreducible_over.cache_info().misses - misses <= 1
     assert [w.rref.entries for w in first.words] == [w.rref.entries for w in again.words]
-
-
-@pytest.mark.parametrize(
-    "modulus",
-    [(1, 0, 1), (0, 1, 1), (3, 1, 1), (-1, 1, 1)],
-    ids=["reducible-x2+1", "reducible-x2+x", "coefficient-q", "coefficient-minus-1"],
-)
-def test_ext_field_rejects_bad_modulus(modulus):
-    # x^2 + 1 = (x + 1)^2 over GF(2) would make (1, 1) a zero divisor
-    with pytest.raises(ValueError):
-        ExtField(GF(2), 2, modulus)
-    E = ExtField(GF(2), 2, (1, 1, 1))
-    assert E.mul((1, 1), (1, 1)) == (0, 1)
 
 
 def test_ext_field_over_gf4():
@@ -337,3 +327,16 @@ def test_the_largest_table_field_builds_fast():
     F = FieldSpec(2, 16)
     assert time.perf_counter() - start < 1.5
     assert F.pow(2, 21845) == 1 and F._exp[1] == 3
+
+
+@pytest.mark.parametrize("p,e", [(2, 17), (3, 11)])
+def test_extension_fields_past_the_table_limit_invert_by_powering(p, e):
+    # q > 2^16 builds no log tables, so inv raises a to q - 2 by `pow`
+    F = FieldSpec(p, e)
+    assert F._exp is None
+    rng = random.Random(F.q)
+    for a in [1, p, F.q - 1] + [rng.randrange(1, F.q) for _ in range(20)]:
+        inv = F.inv(a)
+        assert inv == F.pow(a, F.q - 2) and F.mul(a, inv) == 1 and F.inv(inv) == a
+    with pytest.raises(ZeroDivisionError):
+        F.inv(0)

@@ -8,7 +8,9 @@ from scodes.bounds import _ef_achievable_size
 from scodes.constructions import skeleton_greedy
 from scodes.gfq import GF, ExtField
 from scodes.rankmetric import (
+    _fdrm_greedy,
     _fdrm_meets_bound,
+    _fdrm_rect_subcode,
     _gabidulin_basis,
     _span,
     fdrm_construct,
@@ -368,6 +370,19 @@ def test_fdrm_construct_rectangular():
         assert rank_distance(a, b) >= 3
     for w in code.words:
         assert (w.rows, w.cols) == (3, 4)
+
+
+@pytest.mark.parametrize("rows,size", [((6, 6, 5), 32), ((5, 5, 4, 3), 16)])
+def test_fdrm_greedy_takes_the_rectangle_past_2_16_fillings(rows, size):
+    # 17 dots give 2^17 fillings, too many for the greedy search, so the
+    # diagram gets its rectangular sub-MRD basis; the code is linear, so
+    # its minimum distance is the least rank of a nonzero word
+    F = FerrersDiagram(rows)
+    assert not F.rectangular() and 2 ** F.dot_count() > 1 << 16
+    assert _fdrm_greedy(F, 3, 2) == _fdrm_rect_subcode(F, 3, 2)
+    code = fdrm_construct(F, 3, 2)
+    assert len(code) == size
+    assert min(rank(w) for w in code.words if any(map(any, w.entries))) >= 3
 
 
 @pytest.mark.parametrize("pivot", [

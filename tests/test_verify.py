@@ -706,6 +706,26 @@ def test_exact_scan_rechecks_each_word_whose_rows_passed_before(first, second):
     assert min_distance(Cdc(3, 4, len(first), 2, tuple(words)), "exact").certifies
 
 
+# a stored row that is not in RREF (its lead is 2) and holds an entry outside [0, 3)
+BAD_WORD = Subspace._trusted(F3, 4, [(2, 0, 0, 7)], [0])
+
+
+@pytest.mark.parametrize("others", [(), (Subspace.from_rref(F3, 4, [[1, 0, 0, 2]]),)],
+                         ids=["alone", "beside-a-good-word"])
+def test_exact_scan_checks_a_one_word_code_as_a_larger_one(others):
+    with pytest.raises(ValueError, match=r"not in RREF over GF\(3\)"):
+        min_distance(Cdc(3, 4, 1, 2, others + (BAD_WORD,)), "exact")
+    rep = min_distance(Cdc(3, 4, 1, 2, others), "exact")
+    assert (rep.code_size, rep.min_distance, rep.mode, rep.certifies) == (len(others), "infinite", "exact", True)
+
+
+@pytest.mark.parametrize("words", [(), (BAD_WORD,)], ids=["empty", "one-word"])
+def test_a_sampled_request_on_fewer_than_two_words_is_reported_as_sampled(words):
+    rep = min_distance(Cdc(3, 4, 1, 2, words), "sampled", sample_count=5, seed=3)
+    assert (rep.code_size, rep.min_distance, rep.mode, rep.seed) == (len(words), "infinite", "sampled", 3)
+    assert not rep.certifies
+
+
 @pytest.mark.parametrize("rows", [*NOT_RREF.values(), [[1, 0, 0]]], ids=[*NOT_RREF, "short-row"])
 def test_from_rref_rejects_rows_not_in_rref(rows):
     with pytest.raises(ValueError):
