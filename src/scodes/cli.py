@@ -15,11 +15,8 @@ Code files (extension .scode) are line oriented, UTF-8, LF:
     canonical order (sorted reduced-row-echelon generators); the one 0-space
     of a k=0 file has no rows.
 
-Packing data files use the same format, with a `# part=<i>` comment line
-opening each part; every codeword follows some part line, and `count` is
-the number of codewords over all parts.  One reader parses both kinds of
-file and checks the magic line, the header (q a prime power p^e of its own
-p and e, 0 <= k <= n, d even and positive), every row and the count.
+The reader checks the magic line, the header (q a prime power p^e of its
+own p and e, 0 <= k <= n, d even and positive), every row and the count.
 The reader streams the file a line at a time (universal newlines, so a
 CRLF file reads as its LF twin), and the writer writes a slice of lines at
 a time, so neither holds the file's text whole.  Rows repeat across
@@ -35,7 +32,7 @@ canonical form.  A `mod=` header equal to the default modulus reads into
 the cached GF(q).
 
 Exit codes: 0 ok, 2 parameter error, 3 verification failure, 4 data-file
-error.  Every malformed or unreadable code, packing or fact file (the
+error.  Every malformed or unreadable code or fact file (the
 table named by SCODES_FACTS), and every code file that cannot be written,
 exits 4 with a `data error:` line, which names the file and, for a fact
 file's malformed row, the line.
@@ -44,7 +41,6 @@ file's malformed row, the line.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from operator import attrgetter
 from typing import Iterator, Optional, Sequence
@@ -52,7 +48,6 @@ from typing import Iterator, Optional, Sequence
 from .bounds import BoundEngine, FactFileError
 from .constructions import (
     Cdc,
-    DPacking,
     _check_cdc_params,
     auto_cdc,
     block_inserting_I,
@@ -65,7 +60,6 @@ from .constructions import (
     improved_linkage,
     lifted_mrd,
     linkage,
-    load_packing,
     partial_spread,
     single_codeword,
     skeleton_greedy,
@@ -117,13 +111,11 @@ def _parse_header(line: str) -> dict:
     return fields
 
 
-def _read_scode(path: str) -> tuple[dict, list[list[Subspace]]]:
+def _read_scode(path: str) -> tuple[dict, list[Subspace]]:
     """
-    Parse a .scode file into its integer header fields and its sections of
-    codewords: section 0 holds the words before the first `# part=<i>`
-    line, and each such line opens the next section.  Every defect in the
-    file, including the header's count and the words' dimension, raises
-    FileError.
+    Parse a .scode file into its integer header fields and its codewords.
+    Every defect in the file, including the header's count and the words'
+    dimension, raises FileError.
     """
     try:
         try:
@@ -141,7 +133,7 @@ def _read_scode(path: str) -> tuple[dict, list[list[Subspace]]]:
         raise FileError(str(exc))
 
 
-def _parse_scode(path: str, lines: Iterator[tuple[int, str]]) -> tuple[dict, list[list[Subspace]]]:
+def _parse_scode(path: str, lines: Iterator[tuple[int, str]]) -> tuple[dict, list[Subspace]]:
     """`_read_scode` on the (line number, line) pairs of the file."""
     content = (line for _, line in lines if not line.lstrip().startswith("#"))
     magic, header = next(content, None), next(content, None)
@@ -164,7 +156,7 @@ def _parse_scode(path: str, lines: Iterator[tuple[int, str]]) -> tuple[dict, lis
     except (KeyError, ValueError) as exc:
         raise FileError(f"{path}: bad header ({exc})")
     n, k = head["n"], head["k"]
-    parts: list[list[Subspace]] = [[]]
+    words: list[Subspace] = []
     row_buf: list[tuple[int, ...]] = []
     lead_buf: list[Optional[int]] = []
     # row line -> its row and `_unit_lead`; rows repeat across words
@@ -174,11 +166,7 @@ def _parse_scode(path: str, lines: Iterator[tuple[int, str]]) -> tuple[dict, lis
         entry = checked.get(line)
         if entry is None:
             stripped = line.strip()
-            if not stripped:
-                continue
-            if stripped.startswith("#"):
-                if stripped.lstrip("#").strip().startswith("part="):
-                    parts.append([])
+            if not stripped or stripped.startswith("#"):
                 continue
             try:
                 row = tuple(map(int, stripped.split()))
@@ -194,13 +182,12 @@ def _parse_scode(path: str, lines: Iterator[tuple[int, str]]) -> tuple[dict, lis
             word = Subspace._if_rref(field, n, rows, shared.setdefault(leads, leads))
             if word is None:  # not as `write_code_file` writes every word
                 word = Subspace.from_matrix(MatGF(field, rows, n))
-            parts[-1].append(word)
+            words.append(word)
             row_buf, lead_buf = [], []
     if row_buf:
         raise FileError(f"{path}: trailing incomplete codeword")
     if k == 0 and head["count"]:  # GF(q)^n has one 0-space, written with no row lines
-        parts[-1].append(Subspace.zero(field, n))
-    words = [w for part in parts for w in part]
+        words.append(Subspace.zero(field, n))
     if len(words) != head["count"]:
         raise FileError(f"{path}: header declares {head['count']} codewords, found {len(words)}")
     if len(set(words)) != len(words):
@@ -208,40 +195,16 @@ def _parse_scode(path: str, lines: Iterator[tuple[int, str]]) -> tuple[dict, lis
     for w in words:
         if w.k != k:
             raise FileError(f"{path}: codeword of dimension {w.k}, expected {k}")
-    return head, parts
+    return head, words
 
 
 def read_code_file(path: str) -> Cdc:
-    head, parts = _read_scode(path)
-    words = tuple(w for part in parts for w in part)
-    return Cdc(head["q"], head["n"], head["k"], head["d"], words, ("file", (("path", path),)))
-
-
-def read_packing_file(path: str, d_inner: int) -> DPacking:
-    head, parts = _read_scode(path)
-    if parts[0]:
-        raise FileError(f"{path}: codeword before any part marker")
-    try:
-        return load_packing(head["q"], head["n"], head["k"], d_inner, parts[1:])
-    except ValueError as exc:
-        raise FileError(f"{path}: {exc}")
+    head, words = _read_scode(path)
+    return Cdc(head["q"], head["n"], head["k"], head["d"], tuple(words), ("file", (("path", path),)))
 
 
 class FileError(Exception):
     pass
-
-
-def _packing_for(q: int) -> DPacking:
-    """The one packing `coset` and `assemble` read: lines of PG(3, q) at inner distance 4."""
-    root = os.environ.get("SCODES_PACKINGS")
-    if root:
-        cand = os.path.join(root, f"parallelism_q{q}_n4_k2.scode")
-        if os.path.exists(cand):
-            return read_packing_file(cand, 4)
-    try:
-        return find_parallelism(q, 4, 2)
-    except ValueError as exc:
-        raise FileError(f"{exc}: set SCODES_PACKINGS")
 
 
 # -- construction dispatch -------------------------------------------------------
@@ -272,15 +235,15 @@ def _build(name: str, q: int, n: int, k: int, d: int, split: Optional[int],
         M2 = restricted_rank_code(q, k, n1, d // 2, range(0, k - d // 2 + 1))
         return generalized_linkage(C1, C2, M1, M2)
     if name == "ef":
-        if skeleton:
-            vectors = [tuple(int(c) for c in v) for v in skeleton.split(",")]
+        if skeleton is not None:  # "" is the empty skeleton, which echelon_ferrers refuses
+            vectors = [tuple(int(c) for c in v) for v in skeleton.split(",")] if skeleton else []
             return echelon_ferrers(vectors, q, d)
         _check_cdc_params(q, n, k, d)  # the greedy scoring itself needs d >= 2
         return echelon_ferrers(skeleton_greedy(q, n, k, d), q, d)
     if name == "spread":
         return partial_spread(q, n, k)
     if name == "coset":
-        par = _packing_for(q)
+        par = find_parallelism(q, 4, 2)
         return coset_construction(par, par, rect_mrd(q, 2, 2, 2), 2, 2)
     if name == "insert1":
         C1 = single_codeword(q, 3, 3, 6, position="left")
@@ -291,7 +254,7 @@ def _build(name: str, q: int, n: int, k: int, d: int, split: Optional[int],
         C1 = single_codeword(q, 3, 3, 6, position="left")
         return block_inserting_II((3, 3, 3, 3), 6, two_block_sumrank_code(q), C1, C1)
     if name == "assemble":
-        par = _packing_for(q)
+        par = find_parallelism(q, 4, 2)
         w1 = lifted_mrd(q, 8, 4, 4)
         w2 = coset_construction(par, par, rect_mrd(q, 2, 2, 2), 2, 2)
         w3 = single_codeword(q, 8, 4, 4, position="right")

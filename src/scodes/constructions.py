@@ -83,14 +83,6 @@ class DPacking:
     def __len__(self) -> int:
         return len(self.parts)
 
-    def validate_disjoint(self) -> None:
-        seen: set[Subspace] = set()
-        for part in self.parts:
-            for w in part:
-                if w in seen:
-                    raise ValueError("packing parts are not disjoint")
-                seen.add(w)
-
 
 # -- lifting and the linkage family ------------------------------------------
 
@@ -133,6 +125,8 @@ def _prefix_embed(U: Subspace, left_zeros: int, total: int) -> Subspace:
 def single_codeword(q: int, n: int, k: int, d: int, position: str = "right") -> Cdc:
     """The one-word code spanned by unit vectors at the left or right end."""
     _check_cdc_params(q, n, k, d)  # the rows below are RREF only for 0 <= k <= n
+    if position not in ("left", "right"):
+        raise ValueError(f"position must be 'left' or 'right', not {position!r}")
     off = 0 if position == "left" else n - k
     U = Subspace._trusted(GF(q), n, [tuple(1 if j == off + i else 0 for j in range(n)) for i in range(k)])
     return _mk(q, n, k, d, [U], "single", position=position)
@@ -386,17 +380,17 @@ def partial_spread(q: int, n: int, k: int) -> Cdc:
 
 def find_parallelism(q: int, n: int, k: int) -> DPacking:
     """
-    Partition of the full Grassmannian into spreads.  Built-in exact-cover
-    backtracking handles (q, n, k) = (2, 4, 2); other parameters must be
-    loaded from data files (see the CLI module).
+    Partition of the full Grassmannian into spreads, by exact-cover
+    backtracking: the parallelisms of PG(3, q) for q = 2 and 3, (q, n, k)
+    = (2, 4, 2) and (3, 4, 2); ValueError for any other parameters.
     """
-    if (q, n, k) != (2, 4, 2):
-        raise ValueError(
-            f"no built-in parallelism search for (q, n, k) = ({q}, {n}, {k}); load one from a data file"
-        )
+    if (q, n, k) not in ((2, 4, 2), (3, 4, 2)):
+        raise ValueError(f"no built-in parallelism search for (q, n, k) = ({q}, {n}, {k})")
     lines = list(enumerate_grassmannian(q, n, k))
     spread_size = (q**n - 1) // (q**k - 1)
-    # over GF(2) a line's points are its nonzero vectors
+    # a line's nonzero vectors stand for its points, for any q: two lines
+    # meet exactly when these sets meet, and lines whose sets cover every
+    # nonzero vector cover every point
     point_sets = [frozenset(filter(any, _span(w.field, w.entries))) for w in lines]
     all_points = sorted({p for ps in point_sets for p in ps})
 
@@ -439,18 +433,6 @@ def find_parallelism(q: int, n: int, k: int) -> DPacking:
         raise RuntimeError("parallelism search failed")  # pragma: no cover
     parts = tuple(tuple(lines[i] for i in idxs) for idxs in solution)
     return DPacking(q, n, k, 2 * k, parts)
-
-
-def load_packing(q: int, n: int, k: int, d_inner: int, parts: Sequence[Sequence[Subspace]]) -> DPacking:
-    """A packing from outside data, of ambient distance 2; ValueError unless
-    its parts are pairwise disjoint and each has inner distance >= d_inner."""
-    pk = DPacking(q, n, k, d_inner, tuple(tuple(p) for p in parts))
-    pk.validate_disjoint()
-    for part in pk.parts:
-        for U, W in itertools.combinations(part, 2):
-            if subspace_distance_capped(U, W, d_inner) < d_inner:
-                raise ValueError(f"packing part has inner distance below {d_inner}")
-    return pk
 
 
 def _pivot_embedding(M: MatGF, G: Subspace, n2: int) -> tuple[tuple[int, ...], ...]:

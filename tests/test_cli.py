@@ -212,8 +212,7 @@ def test_verify_corrupt_file(tmp_path, capsys):
      ["verify", "{path}"]),
     ("bad.scode", "SCODE 1\nq=4 p=2 e=2 n=4 k=2 d=4 count=1 mod=1,a\n1 0 0 0\n0 1 0 0\n\n",
      ["verify", "{path}"]),
-    ("parallelism_q2_n4_k2.scode", "SCODE 1\nq=2 p=2 e=1 k=2 d=4 count=0\n",
-     ["construct", "coset", "--q", "2", "-o", "{dir}/out.scode"]),
+    ("bad.scode", "SCODE 1\nq=2 p=2 e=1 k=2 d=4 count=0\n", ["verify", "{path}"]),
     ("bad.scode", "SCODE 1\nq=3 p=3 e=1 n=4 k=2 d=4 count=1\n1 0 0 -1\n0 1 0 0\n\n",
      ["verify", "{path}"]),
     ("bad.scode", "SCODE 1\nq=3 p=3 e=1 n=4 k=2 d=4 count=1\n1 0 0 0\n0 1 3 0\n\n",
@@ -223,13 +222,12 @@ def test_verify_corrupt_file(tmp_path, capsys):
     ("bad.scode", "SCODE 1\nq=2 p=2 e=1 n=3 k=5 d=2 count=0\n", ["verify", "{path}"]),
     ("bad.scode", "SCODE 1\nq=2 p=2 e=1 n=3 k=1 d=-2 count=0\n", ["verify", "{path}"]),
     ("bad.scode", "SCODE 1\nq=2 p=2 e=1 n=3 k=0 d=2 count=2\n", ["verify", "{path}"]),
-], ids=["header-only", "row-token", "modulus-token", "packing-without-n", "row-entry-minus-1",
+], ids=["header-only", "row-token", "modulus-token", "header-without-n", "row-entry-minus-1",
         "row-entry-q", "header-n-negative", "header-k-negative", "header-k-above-n",
         "header-d-negative", "header-two-zero-spaces"])
-def test_malformed_input_exits_4(tmp_path, monkeypatch, capsys, name, text, argv):
+def test_malformed_input_exits_4(tmp_path, capsys, name, text, argv):
     (tmp_path / name).write_text(text, encoding="utf-8")
-    monkeypatch.setenv("SCODES_PACKINGS", str(tmp_path))
-    rc, _, err = run(capsys, *(a.format(path=tmp_path / name, dir=tmp_path) for a in argv))
+    rc, _, err = run(capsys, *(a.format(path=tmp_path / name) for a in argv))
     assert rc == 4
     assert err.startswith("data error:")
 
@@ -578,6 +576,15 @@ def test_construct_ef_with_skeleton(tmp_path, capsys):
     assert "17 codewords" in out
 
 
+def test_construct_ef_refuses_an_empty_skeleton(tmp_path, capsys):
+    # --skeleton= gives the empty skeleton, not the greedy one
+    path = tmp_path / "ef.scode"
+    rc, out, err = run(capsys, "construct", "ef", "--q", "2", "--n", "7", "--k", "3", "--d", "4",
+                       "--skeleton=", "-o", str(path))
+    assert (rc, out, err) == (2, "", "error: empty skeleton\n")
+    assert not path.exists()
+
+
 def test_construct_ef_rejects_a_skeleton_entry_other_than_0_or_1(tmp_path, capsys):
     path = tmp_path / "ef.scode"
     rc, _, err = run(capsys, "construct", "ef", "--q", "2", "--skeleton", "1200", "--d", "2",
@@ -663,75 +670,6 @@ def test_table_csv(capsys):
     assert any(l.startswith("6,3,77,") for l in lines)
 
 
-def test_packing_file_roundtrip(tmp_path):
-    from scodes.cli import read_packing_file
-    from scodes.constructions import find_parallelism
-
-    par = find_parallelism(2, 4, 2)
-    lines = ["SCODE 1", "q=2 p=2 e=1 n=4 k=2 d=4 count=35"]
-    for i, part in enumerate(par.parts):
-        lines.append(f"# part={i}")
-        for w in part:
-            for row in w.rref.entries:
-                lines.append(" ".join(map(str, row)))
-            lines.append("")
-    path = tmp_path / "par.scode"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    pk = read_packing_file(str(path), 4)
-    assert len(pk.parts) == 7
-    assert sum(map(len, pk.parts)) == 35
-
-
-def test_packing_file_rejects_overlap(tmp_path):
-    from scodes.cli import FileError, read_packing_file
-
-    lines = ["SCODE 1", "q=2 p=2 e=1 n=4 k=2 d=4 count=2",
-             "# part=0", "1 0 0 0", "0 1 0 0", "",
-             "# part=1", "1 0 0 0", "0 1 0 0", ""]
-    path = tmp_path / "bad.scode"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    with pytest.raises(FileError):
-        read_packing_file(str(path), 4)
-
-
-def test_packing_file_rejects_inner_distance_below_d(tmp_path, monkeypatch, capsys):
-    # swapping one line between two spreads keeps the parts a partition, but
-    # each of the two now holds lines that meet in a point (distance 2 < 4)
-    from scodes.constructions import DPacking, find_parallelism
-
-    par = find_parallelism(2, 4, 2)
-    parts = [list(p) for p in par.parts]
-    parts[0][0], parts[1][0] = parts[1][0], parts[0][0]
-    swapped = DPacking(par.q, par.n, par.k, par.d_inner, tuple(map(tuple, parts)))
-    write_parallelism_file(tmp_path / "parallelism_q2_n4_k2.scode", swapped)
-    monkeypatch.setenv("SCODES_PACKINGS", str(tmp_path))
-    rc, _, err = run(capsys, "construct", "coset", "--q", "2", "-o", str(tmp_path / "out.scode"))
-    assert rc == 4
-    assert err.startswith("data error:") and "inner distance below 4" in err
-
-
-def write_parallelism_file(path, packing):
-    lines = ["SCODE 1", f"q={packing.q} p=2 e=1 n={packing.n} k={packing.k} d=4 count={sum(map(len, packing.parts))}"]
-    for i, part in enumerate(packing.parts):
-        lines.append(f"# part={i}")
-        for w in part:
-            for row in w.rref.entries:
-                lines.append(" ".join(map(str, row)))
-            lines.append("")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def test_packing_env_override(tmp_path, monkeypatch, capsys):
-    from scodes.cli import _packing_for
-    from scodes.constructions import find_parallelism
-
-    par = find_parallelism(2, 4, 2)
-    write_parallelism_file(tmp_path / "parallelism_q2_n4_k2.scode", par)
-    monkeypatch.setenv("SCODES_PACKINGS", str(tmp_path))
-    pk = _packing_for(2)
-    assert len(pk.parts) == 7 and sum(map(len, pk.parts)) == 35
-
-
 def test_construct_coset_and_assemble(tmp_path, capsys):
     path = str(tmp_path / "coset.scode")
     rc, out, _ = run(capsys, "construct", "coset", "--q", "2", "-o", path)
@@ -749,11 +687,20 @@ def test_construct_insert1(tmp_path, capsys):
     assert rc == 0 and "512 codewords" in out
 
 
-def test_construct_unavailable_packing(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("SCODES_PACKINGS", raising=False)
-    path = str(tmp_path / "c3.scode")
-    rc, _, err = run(capsys, "construct", "coset", "--q", "3", "-o", path)
-    assert rc == 4
+def test_construct_unavailable_packing(tmp_path, capsys):
+    # the built-in search finds PG(3, q)'s parallelism at q = 2 and 3 only;
+    # at q = 3 the coset code is built and certified, at q = 4 neither
+    # construction has its packing, a parameter error with no file
+    path = tmp_path / "c3.scode"
+    rc, out, _ = run(capsys, "construct", "coset", "--q", "3", "-o", str(path))
+    assert rc == 0 and out.startswith("11700 codewords in GF(3)^8") and "verified by exact scan" in out
+    assert len(read_code_file(str(path))) == 11700
+    for name in ("coset", "assemble"):
+        path = tmp_path / f"{name}4.scode"
+        rc, out, err = run(capsys, "construct", name, "--q", "4", "-o", str(path))
+        assert (rc, out) == (2, "")
+        assert err == "error: no built-in parallelism search for (q, n, k) = (4, 4, 2)\n"
+        assert not path.exists()
 
 
 @pytest.mark.parametrize("option", [
@@ -806,8 +753,7 @@ GOLDEN_CONSTRUCT_SHA256 = {
 
 @pytest.mark.parametrize("args", list(GOLDEN_CONSTRUCT_SHA256),
                          ids=lambda args: args[0] + "-d6" * (args[-1] == "6"))
-def test_construct_output_matches_golden_digest(tmp_path, capsys, monkeypatch, args):
-    monkeypatch.delenv("SCODES_PACKINGS", raising=False)
+def test_construct_output_matches_golden_digest(tmp_path, capsys, args):
     path = tmp_path / "c.scode"
     rc, out, _ = run(capsys, "construct", *args, "-o", str(path))
     assert rc == 0
@@ -1014,16 +960,6 @@ def test_wrong_magic_is_a_data_error(tmp_path, capsys):
     rc, _, err = run(capsys, "verify", str(path))
     assert rc == 4
     assert err == f"data error: {path}: missing SCODE 1 magic\n"
-
-
-def test_packing_file_word_before_its_first_part_is_a_data_error(tmp_path, monkeypatch, capsys):
-    lines = ["SCODE 1", "q=2 p=2 e=1 n=4 k=2 d=4 count=1", "1 0 0 0", "0 1 0 0", "", "# part=0"]
-    packing = tmp_path / "parallelism_q2_n4_k2.scode"
-    packing.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    monkeypatch.setenv("SCODES_PACKINGS", str(tmp_path))
-    rc, _, err = run(capsys, "construct", "coset", "--q", "2", "-o", str(tmp_path / "out.scode"))
-    assert rc == 4
-    assert err == f"data error: {packing}: codeword before any part marker\n"
 
 
 def test_fact_above_the_upper_bound_makes_table_exit_4(tmp_path, monkeypatch, capsys):

@@ -28,7 +28,6 @@ from scodes.constructions import (
     lift,
     lifted_mrd,
     linkage,
-    load_packing,
     mirrored_coset_construction,
     partial_spread,
     single_codeword,
@@ -423,8 +422,7 @@ def test_partial_spread_distance_sampled():
 def test_find_parallelism_2_4_2():
     par = find_parallelism(2, 4, 2)
     assert len(par) == 7 and all(len(p) == 5 for p in par.parts)
-    par.validate_disjoint()
-    assert sum(map(len, par.parts)) == 35
+    assert len({w for part in par.parts for w in part}) == sum(map(len, par.parts)) == 35
     for part in par.parts:
         cdc = Cdc(2, 4, 2, 4, tuple(part))
         assert exact_min(cdc) == 4
@@ -432,11 +430,16 @@ def test_find_parallelism_2_4_2():
         find_parallelism(2, 6, 2)
 
 
-def test_load_packing_rejects_overlap():
-    par = find_parallelism(2, 4, 2)
-    bad = [list(par.parts[0]), list(par.parts[0])]
-    with pytest.raises(ValueError):
-        load_packing(2, 4, 2, 4, bad)
+def test_find_parallelism_3_4_2():
+    # PG(3, 3) has 130 lines; its parallelism is 13 spreads of 10 lines each
+    par = find_parallelism(3, 4, 2)
+    assert len(par) == 13 and all(len(p) == 10 for p in par.parts)
+    lines = [w for part in par.parts for w in part]
+    assert set(lines) == set(enumerate_grassmannian(3, 4, 2)) and len(lines) == 130
+    for part in par.parts:
+        assert exact_min(Cdc(3, 4, 2, 4, tuple(part))) == 4
+    with pytest.raises(ValueError, match=r"\(4, 4, 2\)"):
+        find_parallelism(4, 4, 2)
 
 
 def test_coset_construction_700():
@@ -602,7 +605,7 @@ def test_coset_sum_symmetric_roles():
             cls = []
             classes.append(cls)
         cls.append(U)
-    firsts = load_packing(2, 5, 2, 4, classes[:7])
+    firsts = DPacking(2, 5, 2, 4, tuple(map(tuple, classes[:7])))
     # cardinalities of the two swapped coset constructions agree: both are the
     # sum over matched parts of |P_i| |P'_i|
     zero1 = RankCode(F2, 2, 3, 2, (MatGF.zero(F2, 2, 3),))
@@ -666,6 +669,12 @@ def test_lifted_mrd_rejects_odd_distance():
 def test_single_codeword_checks_parameters(n, k, d):
     with pytest.raises(ValueError, match="need 0 <= k <= n|even"):
         single_codeword(2, n, k, d)
+
+
+@pytest.mark.parametrize("position", ["Left", "middle", ""])
+def test_single_codeword_refuses_a_position_other_than_left_or_right(position):
+    with pytest.raises(ValueError, match="position must be 'left' or 'right'"):
+        single_codeword(2, 4, 2, 4, position=position)
 
 
 # -- builders on the unchecked Subspace._trusted path ------------------------
