@@ -16,7 +16,8 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from typing import Optional, Sequence
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence
 
 from .constructions import _pivot_vector, _skeleton
 from .divisible import sharp_floor
@@ -419,13 +420,41 @@ def _ef_achievable_size(q: int, n: int, k: int, d: int) -> int:
     q^nu where `fdrm_construct` meets it without search, conservatively 1
     elsewhere (nu = 0).  Each nu is the greedy's own score
     (`constructions._skeleton`); a diagram is built only for delta >= 3,
-    since `_fdrm_meets_bound` holds for every diagram at delta <= 2."""
+    since `_fdrm_meets_bound` holds for every diagram at delta <= 2.
+
+    The engine does not call this: it books the same sum from the rows of
+    `data/multilevel.tsv` (`_multilevel_size`), and this is the definition
+    those rows are checked against."""
     delta = d // 2
     chosen, nus = _skeleton(n, k, d)
     if delta > 2:
         nus = [nu if _fdrm_meets_bound(ferrers_of(_pivot_vector(u, n)), delta) else 0
                for u, nu in zip(chosen, nus)]
     return sum(map(q.__pow__, nus))
+
+
+@functools.cache
+def _multilevel_table() -> Mapping[tuple[int, int, int], tuple[tuple[int, int], ...]]:
+    """The packaged `data/multilevel.tsv` as (n, k, d) -> ((nu, count), ...),
+    the multiset of exponents `_ef_achievable_size` sums at that cell.  Read
+    once per process, on first use, and never changed, so every engine
+    shares it."""
+    text = resources.files("scodes").joinpath("data/multilevel.tsv").read_text(encoding="utf-8")
+    rows = {}
+    for line in text.splitlines():
+        if line and not line.startswith("#"):
+            n, k, d, terms = line.split("\t")
+            rows[int(n), int(k), int(d)] = tuple(tuple(map(int, t.split(":"))) for t in terms.split())
+    return MappingProxyType(rows)
+
+
+def _multilevel_size(q: int, n: int, k: int, d: int) -> Optional[int]:
+    """`_ef_achievable_size(q, n, k, d)` from the packaged table, or None
+    for a cell the table does not hold."""
+    row = _multilevel_table().get((n, k, d))
+    if row is None:
+        return None
+    return sum(count * q**nu for nu, count in row)
 
 
 def _johnson_improved(q: int, n: int, d: int, k: int, inner: BoundResult) -> BoundResult:
@@ -453,15 +482,16 @@ class BoundEngine:
     An engine holds three memos: upper and lower bound nodes and Gaussian
     binomials.  The binomial memo serves the anticode bound of `best_upper`
     and the standalone Ahlswede-Aydinian rule (`ahlswede_aydinian`), which
-    `best_upper` does not list.  Nothing is shared between engines: a fresh
-    engine starts cold.
+    `best_upper` does not list.  A fresh engine starts with empty memos.
+    Engines share only tables that are never changed once read: the parsed
+    fact table (`_parsed_facts`) and the multilevel table
+    (`_multilevel_table`).
 
     A lower node is keyed by its cell and its reverse-Johnson depth.  Only
     the depth-0 node evaluates the cell's constructions and facts; a node
     at depth > 0 wraps it, adding only its reverse-Johnson candidate, so
-    each cell's greedy skeleton (`constructions._skeleton`, whose scores
-    give the multilevel size), improved-linkage loop and fact lookup run
-    once per engine whatever the depths that reach it.
+    each cell's multilevel lookup, improved-linkage loop and fact lookup
+    run once per engine whatever the depths that reach it.
 
     Bound nodes run as generators on an explicit stack (`_evaluate`), so a
     query's Python stack depth does not grow with n or k."""
@@ -645,7 +675,10 @@ class BoundEngine:
         return self._evaluate(self._lower_request(q, n, d, k, _REVERSE_JOHNSON_DEPTH))
 
     def _lower_node(self, q, n, d, k, rev_depth):
-        """At depth 0: the constructive candidates and the facts.  Above it:
+        """At depth 0: the constructive candidates and the facts.  The
+        multilevel candidate is the cell's row of `data/multilevel.tsv`
+        summed at q (`_multilevel_size`); a cell the table does not hold has
+        none, and no skeleton is built.  Above it:
         the cell's depth-0 node, with the reverse-Johnson candidate from
         (n+1, k+1) between its computed candidates and its facts when that
         cell has k+1 <= n-k, else the depth-0 node itself."""
@@ -664,8 +697,9 @@ class BoundEngine:
         candidates = []
         if d == 2 * k:
             candidates.append(partial_spread_lower(q, n, k))
-        if n <= 13:
-            candidates.append(BoundResult(_ef_achievable_size(q, n, k, d), "multilevel-greedy",
+        multilevel = _multilevel_size(q, n, k, d)
+        if multilevel is not None:
+            candidates.append(BoundResult(multilevel, "multilevel-greedy",
                                           "greedy skeleton with realizable diagram codes"))
         candidates.append((yield from self._improved_linkage_lower(q, n, d, k)))
         candidates += yield from self._fact_results(q, n, d, k, ("exact", "lower"))

@@ -511,18 +511,86 @@ def test_ef_achievable_size_matches_the_diagram_formula():
                     assert _ef_achievable_size(q, n, k, d) == expected, (q, n, k, d)
 
 
+# the cells at which the engine books the multilevel rule: every depth-0
+# lower node with n <= 13 that no convention decides
+MULTILEVEL_CELLS = [(n, k, d) for n in range(4, 14) for k in range(2, n // 2 + 1)
+                    for d in range(4, 2 * k + 1, 2)]
+
+
+def test_multilevel_table_rows_are_their_definition():
+    # each row is the nu multiset `_ef_achievable_size` sums: the skeleton's
+    # scores, 0 where the diagram code does not meet its bound at d/2 >= 3;
+    # the rows are exactly MULTILEVEL_CELLS, in order; on a mismatch the
+    # message is the file's expected text
+    from collections import Counter
+
+    import scodes.bounds as bounds
+    from scodes.constructions import _pivot_vector, _skeleton
+    from scodes.rankmetric import _fdrm_meets_bound
+    from scodes.spaces import ferrers_of
+
+    rows = []
+    for n, k, d in MULTILEVEL_CELLS:
+        chosen, nus = _skeleton(n, k, d)
+        if d // 2 > 2:
+            nus = [nu if _fdrm_meets_bound(ferrers_of(_pivot_vector(u, n)), d // 2) else 0
+                   for u, nu in zip(chosen, nus)]
+        terms = sorted(Counter(nus).items(), reverse=True)
+        rows.append(f"{n}\t{k}\t{d}\t" + " ".join(f"{nu}:{count}" for nu, count in terms) + "\n")
+    text = resources.files("scodes").joinpath("data/multilevel.tsv").read_text(encoding="utf-8")
+    header = [line for line in text.splitlines(keepends=True) if line.startswith("#")]
+    expected = "".join(header + rows)
+    assert text == expected, "expected data/multilevel.tsv:\n" + expected
+    assert list(bounds._multilevel_table()) == MULTILEVEL_CELLS
+
+
+def test_multilevel_table_books_the_achievable_size():
+    from scodes.bounds import _ef_achievable_size, _multilevel_size
+
+    for n, k, d in MULTILEVEL_CELLS:
+        for q in (2, 3, 4, 5, 7, 8, 9):
+            assert _multilevel_size(q, n, k, d) == _ef_achievable_size(q, n, k, d), (q, n, k, d)
+
+
+def test_a_cell_outside_the_multilevel_table_books_no_multilevel_candidate(bare_engine):
+    from scodes.bounds import _multilevel_size
+
+    assert _multilevel_size(2, 14, 7, 4) is None
+    rules = [c.rule for c in bare_engine.best_lower(2, 14, 4, 7).children]
+    assert "multilevel-greedy" not in rules and "improved-linkage" in rules
+    rules = [c.rule for c in bare_engine.best_lower(2, 13, 4, 6).children]
+    assert "multilevel-greedy" in rules
+
+
+def test_the_package_data_ships_the_multilevel_table():
+    # an installed scodes without the table would book no multilevel bound
+    # and fail every lower query that reads it
+    tomllib = pytest.importorskip("tomllib")
+    from fnmatch import fnmatch
+
+    import scodes
+
+    root = Path(__file__).resolve().parents[1]
+    config = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))
+    globs = config["tool"]["setuptools"]["package-data"]["scodes"]
+    assert any(fnmatch("data/multilevel.tsv", glob) for glob in globs), globs
+    assert (Path(scodes.__file__).parent / "data" / "multilevel.tsv").is_file()
+
+
 def test_table_builds_each_skeleton_once(monkeypatch, capsys):
+    # the multilevel rule reads the packaged table, not a skeleton: each
+    # (q, n, k, d) is looked up at most once per engine
     import scodes.bounds as bounds
     from scodes.cli import main
 
     calls = []
-    real = bounds._ef_achievable_size
+    real = bounds._multilevel_size
 
     def spy(q, n, k, d):
         calls.append((q, n, k, d))
         return real(q, n, k, d)
 
-    monkeypatch.setattr(bounds, "_ef_achievable_size", spy)
+    monkeypatch.setattr(bounds, "_multilevel_size", spy)
     assert main(["table", "--q", "2", "--d", "4", "--n-max", "12", "--format", "csv"]) == 0
     capsys.readouterr()
     assert calls and len(calls) == len(set(calls))
@@ -542,8 +610,6 @@ def test_table_builds_each_skeleton_once(monkeypatch, capsys):
 def test_engines_share_no_memo(monkeypatch):
     import scodes.bounds as bounds
 
-    first = BoundEngine()
-    lo, hi = first.bounds(2, 10, 4, 5)
     calls = []
     real_skeleton, real_binomial = bounds._skeleton, bounds.gauss_binomial
 
@@ -556,13 +622,18 @@ def test_engines_share_no_memo(monkeypatch):
         return real_binomial(*args)
 
     monkeypatch.setattr(bounds, "_skeleton", skeleton_spy)
+    first = BoundEngine()
+    lo, hi = first.bounds(2, 10, 4, 5)
+    assert "skeleton" not in calls
+    calls.clear()
     monkeypatch.setattr(bounds, "gauss_binomial", binomial_spy)
     assert first.bounds(2, 10, 4, 5) == (lo, hi)
     assert calls == []
-    # a fresh engine is cold: it rebuilds the skeletons and the binomials
+    # a fresh engine is cold: it recomputes the binomials, and like every
+    # engine it books the multilevel rule without building a skeleton
     second = BoundEngine()
     assert second.bounds(2, 10, 4, 5) == (lo, hi)
-    assert "skeleton" in calls and "binomial" in calls
+    assert "binomial" in calls and "skeleton" not in calls
 
 
 def test_lower_upper_consistency_without_facts():

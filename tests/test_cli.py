@@ -806,6 +806,26 @@ def test_table_csv_matches_golden_digest(capsys, q, d):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_TABLE_SHA256[(q, d)]
 
 
+# `table --n-max 13` at (q, d) pairs the digests above do not cover; the
+# multilevel rule wins cells at n = 12 and 13, the edge of its table, in the
+# first three; frozen while every engine still ran the greedy skeleton for
+# that rule, so the packaged multilevel table must reproduce them byte for
+# byte
+GOLDEN_TABLE_N13_SHA256 = {
+    ("4", "4"): "3e87f95c03825b5da8f33e25668dcef16825f2c3ffed5ae105e76eaabef4d2e3",
+    ("5", "6"): "e054934f2c19ce93b1ad4bd4d2bb7f405b11d806ed9beef78f0c526d5416ece6",
+    ("2", "10"): "451ed3d9ba6f647c1188b8aa887d009a6a82c408f19a056ade6434bc1e694295",
+    ("3", "12"): "fe29fa042e741bbdfd86ec74f275413768102bd5a5c6a45c1c329b13e8b10c64",
+}
+
+
+@pytest.mark.parametrize("q, d", list(GOLDEN_TABLE_N13_SHA256), ids=lambda v: v)
+def test_table_to_n13_csv_matches_golden_digest(capsys, q, d):
+    rc, out, _ = run(capsys, "table", "--q", q, "--d", d, "--n-max", "13", "--format", "csv")
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_TABLE_N13_SHA256[(q, d)]
+
+
 @pytest.mark.parametrize("args", list(GOLDEN_EXPLAIN_SHA256), ids="-".join)
 def test_bound_explain_matches_golden_digest(capsys, args):
     q, n, d, k, direction = args
