@@ -31,6 +31,15 @@ word goes through `Subspace.from_matrix`, so a file need not be in
 canonical form.  A `mod=` header equal to the default modulus reads into
 the cached GF(q).
 
+Every command's help text, handler and arguments are declared once, in
+`_COMMANDS`.  A call of `main` whose first argument names a command builds
+that command's parser alone (prog `scodes <command>`, so its help and errors
+read as before); leftover arguments are reported by the full parser of
+`build_parser`, under its top-level usage line, and so is every other
+argument list: none, `-h`, or an unknown command.  No parser is cached:
+the command line serves one call per process, so a cache would only pay
+back to callers of `main` inside one process.
+
 Exit codes: 0 ok, 2 parameter error, 3 verification failure, 4 data-file
 error.  Every malformed or unreadable code or fact file (the
 table named by SCODES_FACTS), and every code file that cannot be written,
@@ -353,66 +362,78 @@ def cmd_sharpfloor(args) -> int:
     return 0
 
 
+def _ints(names: str, required: bool = True) -> tuple:
+    """The specs of integer options --<name>, one per space-separated name."""
+    return tuple(((f"--{name}",), {"type": int, "required": required}) for name in names.split())
+
+
+_NO_FACTS = (("--no-facts",), {"action": "store_true"})
+
+# command -> (help, handler, argument specs); each argument is declared here
+# alone, and both `main` and `build_parser` build their parsers from it
+_COMMANDS = {
+    "bound": ("best known bound with provenance", cmd_bound, (
+        *_ints("q n d k"),
+        (("--dir",), {"choices": ("upper", "lower"), "required": True}),
+        (("--explain",), {"action": "store_true"}),
+        _NO_FACTS,
+    )),
+    "construct": ("build a code and write it to a file", cmd_construct, (
+        (("name",), {"choices": ("lmrd", "linkage", "improved-linkage", "gen-linkage", "ef", "spread",
+                                 "coset", "insert1", "insert2", "assemble")}),
+        *_ints("q"),
+        *_ints("n k d", required=False),
+        (("--split",), {"type": int, "help": "width of the first column block"}),
+        (("--skeleton",), {"help": "comma-separated pivot vectors for ef"}),
+        (("-o", "--out"), {"required": True}),
+    )),
+    "verify": ("recompute a code file's min distance by exact scan", cmd_verify, (
+        (("file",), {}),
+        *_ints("expect-d", required=False),
+    )),
+    "table": ("best-bound table", cmd_table, (
+        *_ints("q n-max d"),
+        (("--format",), {"choices": ("md", "csv"), "default": "md"}),
+        _NO_FACTS,
+    )),
+    "expand": ("base-sequence digit expansion", cmd_expand, _ints("value q r")),
+    "sharpfloor": ("sharpened floor bracket", cmd_sharpfloor, _ints("a b q r")),
+}
+
+
+def _fill(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """Give `parser` the arguments and handler of command `name`."""
+    _, func, specs = _COMMANDS[name]
+    for flags, kwargs in specs:
+        parser.add_argument(*flags, **kwargs)
+    parser.set_defaults(func=func)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="scodes",
                                      description="subspace code constructions and bounds")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("bound", help="best known bound with provenance")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--dir", choices=("upper", "lower"), required=True)
-    p.add_argument("--explain", action="store_true")
-    p.add_argument("--no-facts", action="store_true")
-    p.set_defaults(func=cmd_bound)
-
-    p = sub.add_parser("construct", help="build a code and write it to a file")
-    p.add_argument("name", choices=("lmrd", "linkage", "improved-linkage", "gen-linkage",
-                                    "ef", "spread", "coset", "insert1", "insert2", "assemble"))
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--split", type=int, help="width of the first column block")
-    p.add_argument("--skeleton", help="comma-separated pivot vectors for ef")
-    p.add_argument("-o", "--out", required=True)
-    p.set_defaults(func=cmd_construct)
-
-    p = sub.add_parser("verify", help="recompute a code file's min distance by exact scan")
-    p.add_argument("file")
-    p.add_argument("--expect-d", type=int)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("table", help="best-bound table")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--format", choices=("md", "csv"), default="md")
-    p.add_argument("--no-facts", action="store_true")
-    p.set_defaults(func=cmd_table)
-
-    p = sub.add_parser("expand", help="base-sequence digit expansion")
-    p.add_argument("--value", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.set_defaults(func=cmd_expand)
-
-    p = sub.add_parser("sharpfloor", help="sharpened floor bracket")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.set_defaults(func=cmd_sharpfloor)
-
+    for name, (help_text, _, _) in _COMMANDS.items():
+        _fill(sub.add_parser(name, help=help_text), name)
     return parser
 
 
+def _parse(argv: Sequence[str]) -> argparse.Namespace:
+    if argv and argv[0] in _COMMANDS:
+        # the prog and arguments `build_parser` gives this subparser, so its
+        # help and errors read the same
+        parser = _fill(argparse.ArgumentParser(prog=f"scodes {argv[0]}"), argv[0])
+        args, extra = parser.parse_known_args(argv[1:])
+        if extra:  # reported as the full parser reports them, under its usage line
+            build_parser().error(f"unrecognized arguments: {' '.join(extra)}")
+        return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return PARAM_ERROR if exc.code not in (0, None) else 0
     try:

@@ -13,6 +13,8 @@ throughout.
 
 from __future__ import annotations
 
+from operator import mul
+
 
 def sqr_bases(q: int, r: int) -> tuple[int, ...]:
     """(sigma_0, ..., sigma_r) with
@@ -44,7 +46,7 @@ def _expand(n: int, q: int, bases: tuple[int, ...]) -> tuple[int, ...]:
         rest, a = divmod(rest, q)
         coeffs.append(a)
     coeffs.append(((q - 1) * n + low - q * top * sum(coeffs)) // ((q - 1) * top))
-    assert sum(a * s for a, s in zip(coeffs, bases)) == n, (n, coeffs, bases)
+    assert sum(map(mul, coeffs, bases)) == n, (n, coeffs, bases)
     return tuple(coeffs)
 
 
@@ -60,16 +62,20 @@ def _realizable(n: int, q: int, bases: tuple[int, ...]) -> bool:
 def _first_realizable(x: int, b: int, q: int, bases: tuple[int, ...]) -> int:
     """The least j >= 0 such that x + j*b is a realizable cardinality.
 
-    Every m >= threshold = (q-1) * sum_{i<r} sigma_i is realizable (digits
-    bounded by q-1 force a non-negative leading coefficient), which bounds j.
-    Realizable cardinalities are closed under addition (disjoint unions of
-    divisible multisets), so when b is realizable the predicate can only
-    turn true as j grows, and j is bisected; otherwise the scan is linear."""
+    j = 0 is tried first: it is the answer for about half the brackets the
+    improved Johnson bound asks for.  Otherwise every m >= threshold =
+    (q-1) * sum_{i<r} sigma_i is realizable (digits bounded by q-1 force a
+    non-negative leading coefficient), which bounds j.  Realizable
+    cardinalities are closed under addition (disjoint unions of divisible
+    multisets), so when b is realizable the predicate can only turn true as
+    j grows, and j is bisected on [1, hi]; otherwise j is scanned from 1."""
+    if _realizable(x, q, bases):
+        return 0
     threshold = (q - 1) * sum(bases[:-1])
-    hi = max(0, -((x - threshold) // b))  # the least j with x + j*b >= threshold
+    hi = -((x - threshold) // b)  # the least j with x + j*b >= threshold; >= 1, as x is not realizable
     if not _realizable(b, q, bases):
-        return next(j for j in range(hi + 1) if _realizable(x + j * b, q, bases))
-    lo = 0
+        return next(j for j in range(1, hi + 1) if _realizable(x + j * b, q, bases))
+    lo = 1
     while lo < hi:
         mid = (lo + hi) // 2
         if _realizable(x + mid * b, q, bases):

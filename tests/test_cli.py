@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import functools
 import hashlib
@@ -1002,3 +1003,53 @@ def test_fact_that_depends_on_itself_makes_bound_exit_4(tmp_path, monkeypatch, c
     assert (rc, out) == (4, "")
     assert err == "data error: bound (2, 9, 4, 3, 2) depends on itself (check the fact table)\n"
     assert run(capsys, "bound", "--q", "2", "--n", "9", "--d", "4", "--k", "3", "--dir", "lower", "--no-facts")[0] == 0
+
+
+# Every line the command line prints for help, usage errors and a few
+# ordinary queries, frozen at 80 columns: a change to the parsers that moves
+# one character of help or error text changes this digest.
+CLI_TEXT_ARGVS = (
+    [], ["-h"], ["bogus"], ["--q", "2"],
+    ["bound", "-h"], ["construct", "-h"], ["verify", "-h"],
+    ["table", "-h"], ["expand", "-h"], ["sharpfloor", "-h"],
+    ["table"],
+    ["table", "--q", "x", "--d", "4", "--n-max", "6"],
+    ["bound", "--q", "2", "--n", "9", "--d", "6", "--k", "4", "--dir", "side"],
+    ["construct", "nope", "--q", "2", "-o", "x"],
+    ["construct", "lmrd", "--q", "2", "--n", "6", "--k", "3", "--d", "4"],
+    ["verify"],
+    ["verify", "a", "b"],
+    ["verify", "--expect-d", "x", "f"],
+    ["table", "--q", "2", "--d", "4", "--n-max", "6", "--bogus"],
+    ["tab", "--q", "2"],
+    ["table", "--n-m", "6", "--q", "2", "--d", "4", "--format", "csv"],
+    ["table", "--q=2", "--d=4", "--n-max=6", "--format", "md"],
+    ["expand", "--value", "137", "--q", "3", "--r", "3"],
+    ["sharpfloor", "--a", "17374", "--b", "15", "--q", "2", "--r", "3"],
+    ["bound", "--q", "2", "--n", "9", "--d", "6", "--k", "4", "--dir", "upper", "--explain"],
+)
+GOLDEN_CLI_TEXT_SHA256 = "e206b4550d7f5b7904793813a17e84afcc6ca65ac6af33cf4a520cff9875115f"
+
+
+def test_cli_text_matches_golden_digest(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    runs = [repr((argv, *run(capsys, *argv))) for argv in CLI_TEXT_ARGVS]
+    assert len(runs) == 25
+    assert hashlib.sha256("\n".join(runs).encode()).hexdigest() == GOLDEN_CLI_TEXT_SHA256
+
+
+def test_a_named_command_builds_only_its_own_parser(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    assert run(capsys, "table", "--q", "2", "--d", "4", "--n-max", "6")[0] == 0
+    assert built == ["scodes table"]
+    for argv in (["-h"], ["bogus"]):  # help and unknown commands get the full parser
+        built.clear()
+        run(capsys, *argv)
+        assert built[0] == "scodes" and len(built) == 1 + len(cli._COMMANDS)

@@ -1,5 +1,6 @@
 import pytest
 
+from scodes import divisible
 from scodes.divisible import (
     divisible_exists,
     sharp_ceil,
@@ -118,6 +119,21 @@ def test_brackets_match_definition():
                     ceil = min(n for n in range(-((-a) // b), a // b + 300) if reachable[n * b - a])
                     assert sharp_floor(a, b, q, r) == floor, (q, r, a, b)
                     assert sharp_ceil(a, b, q, r) == ceil, (q, r, a, b)
+
+
+def test_a_realizable_remainder_is_taken_without_a_search(monkeypatch):
+    # 158 = 10*15 + 8 and 8 = sigma_3 is realizable at q = 2, r = 3, so the
+    # bracket is 158 // 15 after one test, of the remainder
+    calls = []
+    realizable = divisible._realizable
+
+    def spy(n, q, bases):
+        calls.append(n)
+        return realizable(n, q, bases)
+
+    monkeypatch.setattr(divisible, "_realizable", spy)
+    assert sharp_floor(158, 15, 2, 3) == 10
+    assert calls == [8]
 
 
 def test_bracket_rejects_bad_b():
